@@ -41,57 +41,72 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D complex128 array and reject non-finite entries."""
+def as_stack(a) -> np.ndarray:
+    """Coerce to a complex128 array of matrices, shape (..., m, n), and reject
+    non-finite entries."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     return m
 
 
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a 2-D complex128 array and reject non-finite entries."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
+    return as_stack(m)
+
+
+def ct(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD.  Returns (U, s, V) with M = U @ diag(s) @ V.conj().T.
+    """Thin SVD of a matrix or a (..., m, n) stack.  Returns (U, s, V) with
+    M = U @ diag(s) @ V^H for every matrix.
 
     Singular values are non-negative and non-increasing.  Factorization
     failures surface as NumericalError, never as silent garbage.
     """
-    m = as_matrix(m)
+    m = as_stack(m)
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    return u, s, vh.conj().T
+    return u, s, ct(vh)
 
 
 def singular_values(m) -> np.ndarray:
-    m = as_matrix(m)
-    if min(m.shape) == 0:
-        return np.zeros(0)
+    """Singular values, non-increasing along the last axis, of a matrix or a stack."""
+    m = as_stack(m)
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
 
 
-def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank with the relative cutoff tol.rel_rank_tol * sigma_max."""
-    s = singular_values(m)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rel_rank_tol * s[0]))
+def rank_mask(s: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Per-matrix support of non-increasing singular values s (..., k): True
+    where s > rel_tol * s[..., 0]; all False for a zero matrix."""
+    top = s[..., :1]
+    return (s > rel_tol * top) & (top > 0.0)
+
+
+def rank(m, tol: Tolerance = DEFAULT_TOL):
+    """Numerical rank with the relative cutoff tol.rel_rank_tol * sigma_max,
+    an int for a matrix and an int array for a (..., m, n) stack."""
+    r = rank_mask(singular_values(m), tol.rel_rank_tol).sum(axis=-1)
+    return int(r) if r.ndim == 0 else r
 
 
 def pinv(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the shared rank cutoff."""
-    m = as_matrix(m)
-    if min(m.shape) == 0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    u, s, v = svd(m)
-    if s[0] == 0.0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    keep = s > tol.rel_rank_tol * s[0]
+    u, s, v = svd(as_matrix(m))
+    keep = rank_mask(s, tol.rel_rank_tol)
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (v * inv) @ u.conj().T
@@ -103,14 +118,8 @@ def orth(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     The basis has exactly rank(m) columns; a zero or empty input yields a
     d x 0 matrix.
     """
-    m = as_matrix(m)
-    if min(m.shape) == 0:
-        return np.zeros((m.shape[0], 0), dtype=np.complex128)
-    u, s, _ = svd(m)
-    if s[0] == 0.0:
-        return np.zeros((m.shape[0], 0), dtype=np.complex128)
-    keep = s > tol.rel_rank_tol * s[0]
-    return np.ascontiguousarray(u[:, keep])
+    u, s, _ = svd(as_matrix(m))
+    return np.ascontiguousarray(u[:, rank_mask(s, tol.rel_rank_tol)])
 
 
 def psd_power(m, power: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

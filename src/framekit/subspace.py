@@ -32,13 +32,11 @@ DEFAULT_ANGLE_TOL = 1e-8
 _COS_SNAP = 1e-13
 
 
-def _clip_cos(s: float) -> float:
-    s = float(np.clip(s, 0.0, 1.0))
-    if s >= 1.0 - _COS_SNAP:
-        return 1.0
-    if s <= _COS_SNAP:
-        return 0.0
-    return s
+def clip_cos(s) -> np.ndarray:
+    """Computed cosines clipped to [0, 1], with the endpoint snap applied
+    elementwise."""
+    s = np.clip(s, 0.0, 1.0)
+    return np.where(s >= 1.0 - _COS_SNAP, 1.0, np.where(s <= _COS_SNAP, 0.0, s))
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ def inf_cos(v: Subspace, w: Subspace) -> float:
     if w.dim < v.dim:
         return 0.0
     s = singular_values(w.basis.conj().T @ v.basis)
-    return _clip_cos(s[v.dim - 1])
+    return float(clip_cos(s[v.dim - 1]))
 
 
 def sup_cos(v: Subspace, w: Subspace) -> float:
@@ -118,7 +116,7 @@ def sup_cos(v: Subspace, w: Subspace) -> float:
     if v.dim == 0 or w.dim == 0:
         return 0.0
     s = singular_values(w.basis.conj().T @ v.basis)
-    return _clip_cos(s[0])
+    return float(clip_cos(s[0]))
 
 
 def ortho_complement(w: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:

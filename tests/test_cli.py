@@ -103,6 +103,19 @@ def test_dual_roundtrip(pair_file):
     assert len(result["dual"]["atoms"]) == 3
 
 
+def test_dual_with_unequal_generator_counts(pair_file, tmp_path):
+    # B carries one generator more than A; A is zero-padded to match
+    with open(pair_file, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for atom in doc["atoms"]:
+        atom["B"]["vectors"].append([[0.0, 0.0]] * doc["fiber_dim"])
+    path = tmp_path / "uneven.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = json.loads(run_cli("dual", "--in", str(path), check_rc=0).stdout)["result"]
+    assert result["is_alternate_dual_forward"] and result["is_alternate_dual_backward"]
+    assert len(result["dual"]["atoms"][0]["A"]["vectors"]) == 3
+
+
 def test_dual_on_orthogonal_spans_reports_instead_of_failing(tmp_path):
     # span(B) is orthogonal to span(A) at one atom, so either the rank
     # condition refuses the construction or the produced system fails the
