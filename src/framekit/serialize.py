@@ -4,6 +4,14 @@ All numeric payloads use explicit [re, im] pairs so that files round-trip
 without complex-literal ambiguity.  Reports are written with a fixed-order,
 17-significant-digit float format: running the same command with the same
 seed reproduces the output byte for byte.
+
+Both directions work one array at a time.  The ``*_to_json`` functions hand
+complex data to ``dumps`` as float64 ``(..., 2)`` arrays of [re, im] pairs,
+which ``dumps`` formats with one %-template per array, laid out exactly as
+the equivalent nested lists.  The parsers check the structure and element
+types of a whole block (one vector, one fiber system, one matrix) at once and
+convert it with one ``np.array`` call; any irregular block is walked again
+pair by pair, which raises the same errors as before.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -36,6 +45,26 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _array_template(shape: tuple[int, ...], indent: int) -> str:
+    """The %-template that lays out a float array of this shape as _write
+    lays out the same values as nested lists."""
+    if len(shape) == 1:
+        return "[" + ", ".join(["%.17g"] * shape[0]) + "]"
+    pad = "  " * indent
+    row = pad + "  " + _array_template(shape[1:], indent + 1)
+    return "[\n" + ",\n".join([row] * shape[0]) + "\n" + pad + "]"
+
+
+def _write_array(a: np.ndarray, lines: list[str], indent: int):
+    if a.ndim == 0 or 0 in a.shape:
+        _write(a.tolist(), lines, indent)
+        return
+    if not np.isfinite(a).all():
+        raise ValueError("cannot serialize a non-finite float")
+    # '%.17g' formats a float exactly as format(x, ".17g") in _fmt_float
+    lines.append(_array_template(a.shape, indent) % tuple(a.ravel().tolist()))
+
+
 def _is_scalar(obj) -> bool:
     return obj is None or isinstance(obj, (bool, str, numbers.Integral, float))
 
@@ -52,6 +81,8 @@ def _write(obj, lines: list[str], indent: int):
         lines.append(str(int(obj)))
     elif isinstance(obj, float):
         lines.append(_fmt_float(obj))
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+        _write_array(obj, lines, indent)
     elif isinstance(obj, dict):
         if not obj:
             lines.append("{}")
@@ -86,28 +117,65 @@ def _write(obj, lines: list[str], indent: int):
 
 
 def dumps(obj) -> str:
+    """Deterministic JSON text of obj, newline-terminated.  A float64 ndarray
+    is written as the nested lists of its values; NaN and inf raise ValueError."""
     lines: list[str] = []
     _write(obj, lines, 0)
     return "".join(lines) + "\n"
-
-
-def loads(text: str):
-    return json.loads(text)
 
 
 # ---------------------------------------------------------------------------
 # Scalars, vectors, matrices.
 
 
-def _pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+def _pairs(z) -> np.ndarray:
+    """Complex values as a float64 (..., 2) array of [re, im] pairs, the form
+    in which dumps writes them.  A view of z when z is C-contiguous complex128."""
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    return z.view(np.float64).reshape(z.shape + (2,))
+
+
+def _is_int(obj) -> bool:
+    # JSON true/false arrive as bool, which is a subclass of int
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
+def _as_list(doc):
+    """A float array (as the *_to_json functions build) is read as the nested
+    lists it is written as; anything else is returned unchanged."""
+    return doc.tolist() if isinstance(doc, np.ndarray) else doc
+
+
+def _pair_block(doc, shape: tuple[int, ...]) -> np.ndarray | None:
+    """doc as a complex128 array of the given shape, when doc nests lists of
+    exactly that shape down to [re, im] pairs of finite floats and ints.
+
+    Returns None on anything else; the caller then walks doc pair by pair,
+    which raises the error that names the offending entry.
+    """
+    level = [doc]
+    for n in shape + (2,):
+        if set(map(type, level)) != {list} or set(map(len, level)) != {n}:
+            return None
+        level = list(chain.from_iterable(level))
+    if not set(map(type, level)) <= {float, int}:
+        return None
+    try:
+        flat = np.array(level, dtype=np.float64)
+    except OverflowError:
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    return flat.view(np.complex128).reshape(shape)
 
 
 def _number_from(obj, where: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, numbers.Real):
         raise ValueError(f"{where}: expected a number, got {obj!r}")
-    x = float(obj)
+    try:
+        x = float(obj)
+    except OverflowError:
+        raise ValueError(f"{where}: number is out of float range") from None
     if not np.isfinite(x):
         raise ValueError(f"{where}: number must be finite")
     return x
@@ -119,25 +187,24 @@ def _complex_from(obj, where: str) -> complex:
     return complex(_number_from(obj[0], where), _number_from(obj[1], where))
 
 
-def vector_to_json(v) -> list:
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    return [_pair(z) for z in v]
+def vector_to_json(v) -> np.ndarray:
+    return _pairs(np.asarray(v, dtype=np.complex128).reshape(-1))
 
 
 def vector_from_json(doc, where: str = "vector") -> np.ndarray:
+    doc = _as_list(doc)
     if not isinstance(doc, list) or not doc:
         raise ValueError(f"{where}: expected a non-empty list of [re, im] pairs")
+    block = _pair_block(doc, (len(doc),))
+    if block is not None:
+        return block
     return np.array([_complex_from(p, f"{where}[{i}]") for i, p in enumerate(doc)])
 
 
 def matrix_to_json(m) -> dict:
     m = np.asarray(m, dtype=np.complex128)
     rows, cols = m.shape
-    return {
-        "rows": rows,
-        "cols": cols,
-        "data": [_pair(z) for z in m.reshape(-1)],
-    }
+    return {"rows": rows, "cols": cols, "data": _pairs(m.reshape(-1))}
 
 
 def matrix_from_json(doc, where: str = "matrix") -> np.ndarray:
@@ -147,12 +214,16 @@ def matrix_from_json(doc, where: str = "matrix") -> np.ndarray:
         rows, cols, data = doc["rows"], doc["cols"], doc["data"]
     except KeyError as exc:
         raise ValueError(f"{where}: missing key {exc.args[0]!r}") from None
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    if not _is_int(rows) or not _is_int(cols) or rows < 0 or cols < 0:
         raise ValueError(f"{where}: rows and cols must be non-negative integers")
+    data = _as_list(data)
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ValueError(f"{where}: data must hold rows*cols = {rows * cols} pairs")
-    flat = [_complex_from(p, f"{where}.data[{i}]") for i, p in enumerate(data)]
-    return np.array(flat, dtype=np.complex128).reshape(rows, cols)
+    block = _pair_block(data, (rows * cols,))
+    if block is None:
+        flat = [_complex_from(p, f"{where}.data[{i}]") for i, p in enumerate(data)]
+        block = np.array(flat, dtype=np.complex128)
+    return block.reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +231,23 @@ def matrix_from_json(doc, where: str = "matrix") -> np.ndarray:
 
 
 def fiber_system_to_json(f: FiberSystem) -> dict:
-    return {"dim": f.dim, "vectors": [vector_to_json(v) for v in f.vectors]}
+    return {"dim": f.dim, "vectors": _pairs(f.matrix.T)}
 
 
 def fiber_system_from_json(doc, where: str = "system") -> FiberSystem:
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object with dim/vectors")
     dim = doc.get("dim")
-    vectors = doc.get("vectors")
-    if not isinstance(dim, int) or dim < 1:
+    vectors = _as_list(doc.get("vectors"))
+    if not _is_int(dim) or dim < 1:
         raise ValueError(f"{where}: dim must be a positive integer")
     if not isinstance(vectors, list) or not vectors:
         raise ValueError(f"{where}: vectors must be a non-empty list")
+    block = _pair_block(vectors, (len(vectors), dim))
+    if block is not None:
+        # C order, as np.column_stack lays it out: the layout reaches BLAS and
+        # with it the rounding of every product downstream
+        return FiberSystem(np.ascontiguousarray(block.T))
     cols = []
     for i, v in enumerate(vectors):
         vec = vector_from_json(v, f"{where}.vectors[{i}]")
@@ -189,7 +265,7 @@ def subspace_from_json(doc, where: str = "subspace") -> Subspace:
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object with ambient_dim/basis")
     dim = doc.get("ambient_dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ValueError(f"{where}: ambient_dim must be a positive integer")
     basis = matrix_from_json(doc.get("basis"), f"{where}.basis")
     if basis.shape[0] != dim:
@@ -241,7 +317,7 @@ def pair_from_json(doc) -> PairDocument:
     if not isinstance(doc, dict):
         raise ValueError("instance file must be a JSON object")
     fiber_dim = doc.get("fiber_dim")
-    if not isinstance(fiber_dim, int) or fiber_dim < 1:
+    if not _is_int(fiber_dim) or fiber_dim < 1:
         raise ValueError("fiber_dim must be a positive integer")
     atoms = doc.get("atoms")
     if not isinstance(atoms, list) or not atoms:
@@ -325,7 +401,7 @@ def group_from_json(doc, where: str = "group") -> FiniteGroupSpec:
         raise ValueError(f"{where}: expected an object")
     kind = doc.get("kind")
     order = doc.get("order")
-    if not isinstance(order, int) or order < 1:
+    if not _is_int(order) or order < 1:
         raise ValueError(f"{where}: order must be a positive integer")
     if kind == "cyclic":
         return cyclic_group(order)

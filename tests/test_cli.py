@@ -228,3 +228,37 @@ def test_custom_group_needs_generator():
 def test_bad_signal_exits_one():
     proc = run_cli("zak-demo", "--group", "z4", "--signal", "delta99")
     assert proc.returncode == 1
+
+
+def _assert_input_error(proc):
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("framekit:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_thm2_boolean_basis_size_is_input_error(tmp_path):
+    doc = {
+        "fiber_dim": 1,
+        "atoms": [{
+            "id": "x0", "weight": 1.0,
+            "A": {"dim": 1, "vectors": [[[1.0, 0.0]]]},
+            "W": {"ambient_dim": 1, "basis": {"rows": True, "cols": True, "data": [[1.0, 0.0]]}},
+        }],
+    }
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = run_cli("verify-thm2", "--in", str(path))
+    _assert_input_error(proc)
+    assert "rows and cols must be non-negative integers" in proc.stderr
+
+
+def test_integer_beyond_float_range_is_input_error(pair_file, tmp_path):
+    with open(pair_file, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    marker = 123456.0
+    doc["atoms"][1]["B"]["vectors"][0][0][0] = marker
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc).replace(repr(marker), "9" * 400), encoding="utf-8")
+    proc = run_cli("verify-thm1", "--in", str(path))
+    _assert_input_error(proc)
+    assert "atom 'x1': B.vectors[0][0]: number is out of float range" in proc.stderr

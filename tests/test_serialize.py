@@ -1,13 +1,20 @@
 """Round trips and formatting guarantees of the JSON layer."""
 
+import json
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from framekit.fiberframe import FiberSystem
 from framekit.generate import duality_instance, random_fibered_system
 from framekit.mispace import verify_duality
 from framekit.serialize import (
     DIAGNOSTICS_CSV_HEADER,
+    _fmt_float,
     diagnostics_to_csv,
     dumps,
     equivalence_report_to_json,
@@ -15,7 +22,6 @@ from framekit.serialize import (
     fiber_system_to_json,
     group_from_json,
     group_to_json,
-    loads,
     matrix_from_json,
     matrix_to_json,
     pair_from_json,
@@ -37,7 +43,7 @@ def test_dumps_is_deterministic_and_newline_terminated():
     two = dumps(doc)
     assert one == two
     assert one.endswith("\n")
-    assert loads(one) == doc
+    assert json.loads(one) == doc
 
 
 def test_dumps_preserves_insertion_order():
@@ -47,9 +53,9 @@ def test_dumps_preserves_insertion_order():
 
 def test_dumps_full_float_precision():
     x = 0.1 + 0.2
-    assert loads(dumps({"v": x}))["v"] == x
+    assert json.loads(dumps({"v": x}))["v"] == x
     third = 1.0 / 3.0
-    assert loads(dumps({"v": third}))["v"] == third
+    assert json.loads(dumps({"v": third}))["v"] == third
 
 
 def test_dumps_rejects_non_finite():
@@ -101,7 +107,7 @@ def test_pair_document_round_trip_full():
     inst = duality_instance("in-duality", 3, 4, 2, seed=5)
     doc = pair_to_json(inst.sa, inst.sb, probe=inst.probe, meta=inst.meta)
     text = dumps(doc)
-    pair = pair_from_json(loads(text))
+    pair = pair_from_json(json.loads(text))
     assert pair.measure.atoms == inst.sa.measure.atoms
     assert np.array_equal(pair.measure.weights, inst.sa.measure.weights)
     for fa, fb, ga, gb in zip(
@@ -115,7 +121,7 @@ def test_pair_document_round_trip_full():
 
 def test_pair_document_a_only():
     s = random_fibered_system(np.random.default_rng(3), 2, 3, 2)
-    pair = pair_from_json(loads(dumps(pair_to_json(s))))
+    pair = pair_from_json(json.loads(dumps(pair_to_json(s))))
     assert pair.sb is None and pair.targets is None and pair.probe is None
 
 
@@ -173,3 +179,188 @@ def test_equivalence_report_json_and_csv():
     assert lines[0] == DIAGNOSTICS_CSV_HEADER
     assert len(lines) == 1 + len(report.diagnostics)
     assert lines[1].startswith("x0,")
+
+
+# ---------------------------------------------------------------------------
+# Array-at-a-time writer: the same bytes as the per-float writer.
+
+BOUNDED = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FLOAT_ARRAYS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=5),
+    elements=FINITE,
+)
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    sys.float_info.max, -sys.float_info.max, 1e16, 1e17, 0.1, 1.0 / 3.0, 123456789.0,
+]
+
+
+def test_dumps_array_edge_floats_match_fmt_float():
+    text = dumps(np.array(EDGE_FLOATS))
+    assert text == "[" + ", ".join(_fmt_float(x) for x in EDGE_FLOATS) + "]\n"
+
+
+@BOUNDED
+@given(FLOAT_ARRAYS)
+def test_dumps_array_matches_nested_list_writer(a):
+    # nested lists go through _write/_fmt_float one float at a time
+    assert dumps({"v": a, "w": [a]}) == dumps({"v": a.tolist(), "w": [a.tolist()]})
+
+
+@BOUNDED
+@given(FLOAT_ARRAYS, st.sampled_from([float("nan"), float("inf"), float("-inf")]), st.data())
+def test_dumps_array_rejects_any_non_finite(a, bad, data):
+    where = data.draw(st.tuples(*(st.integers(0, n - 1) for n in a.shape)))
+    a[where] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps({"v": a})
+
+
+def test_to_json_arrays_write_as_pair_lists():
+    m = np.array([[1 + 2j, -0.0], [3.5, 1e-300j]])
+
+    def pairs(values):
+        return [[z.real, z.imag] for z in values]
+
+    assert dumps(vector_to_json(m[0])) == dumps(pairs(m[0]))
+    assert dumps(matrix_to_json(m)["data"]) == dumps(pairs(m.reshape(-1)))
+    assert dumps(fiber_system_to_json(FiberSystem(m))) == dumps(
+        {"dim": 2, "vectors": [pairs(col) for col in m.T]}
+    )
+
+
+# ---------------------------------------------------------------------------
+# Parser: the block path rejects exactly what the per-pair path rejects, with
+# the same message.
+
+
+def _full_doc():
+    """A two-atom instance with A, B, W and f blocks, as json.load returns it."""
+    inst = duality_instance("in-duality", 2, 4, 3, seed=3)
+    targets = [Subspace.span_of(np.eye(4)[:, k : k + 2]) for k in range(2)]
+    doc = pair_to_json(inst.sa, inst.sb, targets=targets, probe=inst.probe)
+    return json.loads(dumps(doc))
+
+
+def _pair_at(doc, block):
+    """The list holding atom x1's third [re, im] pair of the given block."""
+    atom = doc["atoms"][1]
+    if block in ("A", "B"):
+        return atom[block]["vectors"][0]
+    if block == "W":
+        return atom["W"]["basis"]["data"]
+    return atom["f"]
+
+
+ENTRY_PATH = {"A": "A.vectors[0][2]", "B": "B.vectors[0][2]", "W": "W.basis.data[2]", "f": "f[2]"}
+BAD_ENTRIES = [
+    ([True, 0.0], "expected a number, got True"),
+    ([0.0, "1.5"], "expected a number, got '1.5'"),
+    ([float("nan"), 0.0], "number must be finite"),
+    ([0.0, float("inf")], "number must be finite"),
+    ([1.0, 0.0, 0.0], "expected a [re, im] pair"),
+    ([1.0], "expected a [re, im] pair"),
+    ("1.0", "expected a [re, im] pair"),
+]
+
+
+@pytest.mark.parametrize("block", ["A", "B", "W", "f"])
+@pytest.mark.parametrize("entry,reason", BAD_ENTRIES)
+def test_parser_rejects_bad_entry_with_its_path(block, entry, reason):
+    doc = _full_doc()
+    _pair_at(doc, block)[2] = entry
+    with pytest.raises(ValueError) as exc:
+        pair_from_json(doc)
+    assert str(exc.value) == f"atom 'x1': {ENTRY_PATH[block]}: {reason}"
+
+
+SHORT_VECTOR = {
+    "A": "atom 'x1': A.vectors[0]: length 3, expected 4",
+    "B": "atom 'x1': B.vectors[0]: length 3, expected 4",
+    "W": "atom 'x1': W.basis: data must hold rows*cols = 8 pairs",
+    "f": "atom 'x1': f has length 3, expected 4",
+}
+
+
+@pytest.mark.parametrize("block", ["A", "B", "W", "f"])
+def test_parser_rejects_short_vector(block):
+    doc = _full_doc()
+    del _pair_at(doc, block)[-1]
+    with pytest.raises(ValueError) as exc:
+        pair_from_json(doc)
+    assert str(exc.value) == SHORT_VECTOR[block]
+
+
+@pytest.mark.parametrize("block", ["A", "B"])
+def test_parser_rejects_vector_count_differing_between_atoms(block):
+    doc = _full_doc()
+    vectors = doc["atoms"][1][block]["vectors"]
+    vectors.append(vectors[0])
+    with pytest.raises(ValueError) as exc:
+        pair_from_json(doc)
+    assert str(exc.value) == "inconsistent atoms: generator counts are not uniform: [3, 4]"
+
+
+def test_parser_block_path_keeps_values_and_layout():
+    inst = duality_instance("in-duality", 3, 4, 2, seed=5)
+    pair = pair_from_json(json.loads(dumps(pair_to_json(inst.sa, inst.sb, probe=inst.probe))))
+    for got, want in zip(pair.sa.fibers + pair.sb.fibers, inst.sa.fibers + inst.sb.fibers):
+        assert got.matrix.flags.c_contiguous
+        assert np.array_equal(got.matrix, want.matrix)
+    # tuples and numpy scalars skip the block path and still parse
+    doc = json.loads(dumps(vector_to_json(inst.probe.values[0])))
+    slow = [(np.float64(re), im) for re, im in doc]
+    assert np.array_equal(vector_from_json(slow), vector_from_json(doc))
+
+
+# ---------------------------------------------------------------------------
+# Integer fields reject JSON booleans; integers beyond float range are input
+# errors, not OverflowError.
+
+
+def _one_dim_doc():
+    return {
+        "fiber_dim": 1,
+        "atoms": [{"id": "x0", "weight": 1.0, "A": {"dim": 1, "vectors": [[[1.0, 0.0]]]}}],
+    }
+
+
+@pytest.mark.parametrize("field", ["fiber_dim", "dim"])
+def test_pair_from_json_rejects_boolean_dimensions(field):
+    doc = _one_dim_doc()
+    if field == "fiber_dim":
+        doc["fiber_dim"] = True
+    else:
+        doc["atoms"][0]["A"]["dim"] = True
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        pair_from_json(doc)
+
+
+@pytest.mark.parametrize("field", ["ambient_dim", "rows", "cols"])
+def test_subspace_from_json_rejects_boolean_sizes(field):
+    doc = {"ambient_dim": 1, "basis": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}
+    if field == "ambient_dim":
+        doc["ambient_dim"] = True
+    else:
+        doc["basis"][field] = True
+    with pytest.raises(ValueError, match="integer"):
+        subspace_from_json(doc)
+
+
+def test_group_from_json_rejects_boolean_order():
+    with pytest.raises(ValueError, match="order must be a positive integer"):
+        group_from_json({"kind": "cyclic", "order": True})
+
+
+@pytest.mark.parametrize("block", ["A", "f"])
+def test_parser_reports_integer_beyond_float_range(block):
+    doc = _full_doc()
+    _pair_at(doc, block)[2] = [10**400, 0]
+    with pytest.raises(ValueError) as exc:
+        pair_from_json(doc)
+    assert str(exc.value) == f"atom 'x1': {ENTRY_PATH[block]}: number is out of float range"
+    doc["atoms"][0]["weight"] = -(10**400)
+    with pytest.raises(ValueError, match="atom 'x0': weight: number is out of float range"):
+        pair_from_json(doc)
