@@ -57,6 +57,11 @@ from .zak import (
 )
 
 
+# Largest group order zak-demo accepts: it builds dense order x order tables
+# and checks associativity and frame bounds in O(order^3) time.
+MAX_GROUP_ORDER = 1024
+
+
 class UsageError(Exception):
     pass
 
@@ -64,6 +69,25 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _float_between(low: float, high: float, rule: str):
+    """An argparse type: a float strictly between low and high (so finite)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    return parse
+
+
+_ANGLE_TOL = _float_between(0.0, 1.0, "strictly between 0 and 1")
+_C_MAX = _float_between(0.0, np.inf, "finite and positive")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         if tol:
             p.add_argument("--tol", type=float, default=1e-8, help="equality tolerance")
         if angle:
-            p.add_argument("--angle-tol", type=float, default=DEFAULT_ANGLE_TOL)
+            p.add_argument("--angle-tol", type=_ANGLE_TOL, default=DEFAULT_ANGLE_TOL)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if fmt:
@@ -101,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-thm1", help="duality equivalence report for a pair")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cmax", type=float, default=DEFAULT_C_MAX)
+    p.add_argument("--cmax", type=_C_MAX, default=DEFAULT_C_MAX)
     add_common(p, angle=True, seed=True, fmt=True)
 
     p = sub.add_parser("verify-thm2", help="biorthogonal dual report for a Riesz family")
@@ -209,7 +233,7 @@ def _cmd_dual(ns):
     def frob(m):
         return np.linalg.norm(m, axis=(-2, -1))
 
-    a, h = pair.sa.stacked(dual.count), dual.stacked()
+    a, h = pair.sa.padded(dual.count).matrices, dual.matrices
     ga, gh = ct(a) @ a, ct(h) @ h
     resid_fwd = frob(ga @ (ct(h) @ a) - ga)
     resid_bwd = frob(gh @ (ct(a) @ h) - gh)
@@ -246,7 +270,7 @@ def _cmd_verify_thm2(ns):
     if pair.targets is not None:
         targets = pair.targets
     elif pair.sb is not None:
-        targets = [Subspace.span_of(f.matrix, tol) for f in pair.sb.fibers]
+        targets = [Subspace.span_of(m, tol) for m in pair.sb.matrices]
     else:
         raise ValueError("instance needs target subspaces W or a system B to span them")
     for atom, t in zip(pair.measure.atoms, targets):
@@ -289,12 +313,12 @@ def _resolve_plan(group: str, subgroup_gen):
             n = int(arg)
         except ValueError:
             raise ValueError(f"bad group size in {group!r}") from None
-        if kind == "cyclic":
-            g = cyclic_group(n)
-        elif kind == "dihedral":
-            g = dihedral_group(n)
-        else:
+        order = {"cyclic": n, "dihedral": 2 * n}.get(kind)
+        if order is None:
             raise ValueError(f"unknown group kind {kind!r}")
+        if order > MAX_GROUP_ORDER:
+            raise ValueError(f"group order {order} exceeds the limit {MAX_GROUP_ORDER}")
+        g = cyclic_group(n) if kind == "cyclic" else dihedral_group(n)
         if subgroup_gen is None:
             raise ValueError("custom groups need --subgroup-gen")
         return build_plan(g, subgroup_gen)
@@ -372,9 +396,7 @@ def _cmd_reconstruct(ns):
             return _envelope(ns, {"ok": False, "reason": str(exc)})
         source = "pseudo-inverse dual through B"
     else:
-        dual = FiberedSystem(
-            pair.measure, tuple(canonical_dual(f, tol) for f in pair.sa.fibers)
-        )
+        dual = FiberedSystem(pair.measure, [canonical_dual(f, tol) for f in pair.sa.fibers])
         source = "canonical dual"
     fhat, resid = reconstruct(pair.sa, dual, pair.probe)
     per_atom = []

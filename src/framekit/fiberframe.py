@@ -204,6 +204,21 @@ def is_riesz(a: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> bool:
     return rank(a.matrix, tol) == a.count
 
 
+def _biorth_span(a: FiberSystem, w: Subspace, tol: Tolerance, angle_tol: float) -> Subspace:
+    """Check the preconditions shared by both biorthogonal-dual routes and
+    return span(A)."""
+    if w.ambient_dim != a.dim:
+        raise ValueError(f"ambient dimensions differ: {w.ambient_dim} vs {a.dim}")
+    if not is_riesz(a, tol):
+        raise ConstructionError("generators are not a Riesz sequence")
+    if w.dim != a.count:
+        raise ValueError(f"dim W = {w.dim} does not match the system length {a.count}")
+    span_a = Subspace.span_of(a.matrix, tol)
+    if inf_cos(span_a, w) <= angle_tol or inf_cos(w, span_a) <= angle_tol:
+        raise ConstructionError("subspaces are not in duality: a fiber angle is zero")
+    return span_a
+
+
 def biorth_riesz_dual(
     a: FiberSystem,
     w: Subspace,
@@ -217,15 +232,7 @@ def biorth_riesz_dual(
     span(A) to exceed angle_tol; under those conditions the dual exists, is
     unique, and is itself a Riesz sequence spanning W.
     """
-    if w.ambient_dim != a.dim:
-        raise ValueError(f"ambient dimensions differ: {w.ambient_dim} vs {a.dim}")
-    if not is_riesz(a, tol):
-        raise ConstructionError("generators are not a Riesz sequence")
-    if w.dim != a.count:
-        raise ValueError(f"dim W = {w.dim} does not match the system length {a.count}")
-    span_a = Subspace.span_of(a.matrix, tol)
-    if inf_cos(span_a, w) <= angle_tol or inf_cos(w, span_a) <= angle_tol:
-        raise ConstructionError("subspaces are not in duality: a fiber angle is zero")
+    _biorth_span(a, w, tol, angle_tol)
     r = a.count
     # X[i][k] = <a_i, w_k> for the orthonormal basis w_k of W.
     x = (w.basis.conj().T @ a.matrix).T
@@ -248,15 +255,7 @@ def biorth_riesz_dual_via_projection(
     inverts the restriction of the orthogonal projection P_span(A) to W.
     Agrees with biorth_riesz_dual by uniqueness of the biorthogonal dual.
     """
-    if w.ambient_dim != a.dim:
-        raise ValueError(f"ambient dimensions differ: {w.ambient_dim} vs {a.dim}")
-    if not is_riesz(a, tol):
-        raise ConstructionError("generators are not a Riesz sequence")
-    if w.dim != a.count:
-        raise ValueError(f"dim W = {w.dim} does not match the system length {a.count}")
-    span_a = Subspace.span_of(a.matrix, tol)
-    if inf_cos(span_a, w) <= angle_tol or inf_cos(w, span_a) <= angle_tol:
-        raise ConstructionError("subspaces are not in duality: a fiber angle is zero")
+    span_a = _biorth_span(a, w, tol, angle_tol)
     canon = pinv(dual_gramian(a), tol) @ a.matrix
     q = span_a.basis
     # Restrict P_span(A) to W, invert, and push the canonical dual through.

@@ -36,6 +36,7 @@ from .numkernel import (
     NumericalError,
     Tolerance,
     as_matrix,
+    as_stack,
     ct,
     rank,
     rank_mask,
@@ -91,46 +92,62 @@ def _same_measure(m1: MeasureModel, m2: MeasureModel):
 
 @dataclass(frozen=True)
 class FiberedSystem:
-    """One fiber system per atom, all with the same dimension and length."""
+    """One fiber system per atom, all with the same dimension and length, held
+    as one read-only (atoms, dim, count) stack: fiber k is matrices[k].  A
+    sequence of per-atom FiberSystem objects is accepted and stacked once."""
 
     measure: MeasureModel
-    fibers: tuple[FiberSystem, ...]
+    matrices: np.ndarray
 
     def __post_init__(self):
-        fibers = tuple(self.fibers)
-        if len(fibers) != self.measure.count:
-            raise ValueError(
-                f"got {len(fibers)} fiber systems for {self.measure.count} atoms"
-            )
-        dims = {f.dim for f in fibers}
-        if len(dims) != 1:
-            raise ValueError(f"fiber dimensions are not uniform: {sorted(dims)}")
-        counts = {f.count for f in fibers}
-        if len(counts) != 1:
-            raise ValueError(f"generator counts are not uniform: {sorted(counts)}")
-        object.__setattr__(self, "fibers", fibers)
+        m, n_atoms = self.matrices, self.measure.count
+        if not isinstance(m, np.ndarray):
+            fibers = tuple(m)
+            if len(fibers) != n_atoms:
+                raise ValueError(f"got {len(fibers)} fiber systems for {n_atoms} atoms")
+            dims = {f.dim for f in fibers}
+            if len(dims) != 1:
+                raise ValueError(f"fiber dimensions are not uniform: {sorted(dims)}")
+            counts = {f.count for f in fibers}
+            if len(counts) != 1:
+                raise ValueError(f"generator counts are not uniform: {sorted(counts)}")
+            m = np.stack([f.matrix for f in fibers])
+        m = np.ascontiguousarray(as_stack(m))
+        if m.ndim != 3 or m.shape[0] != n_atoms or 0 in m.shape:
+            raise ValueError(f"need an ({n_atoms}, dim >= 1, count >= 1) stack, got {m.shape}")
+        object.__setattr__(self, "matrices", m)
+        m.flags.writeable = False
 
     @property
     def fiber_dim(self) -> int:
-        return self.fibers[0].dim
+        return self.matrices.shape[1]
 
     @property
     def count(self) -> int:
-        return self.fibers[0].count
+        return self.matrices.shape[2]
+
+    @property
+    def fibers(self) -> tuple[FiberSystem, ...]:
+        """Per-atom FiberSystem views of the stack, built on every access."""
+        return tuple(FiberSystem(m) for m in self.matrices)
 
     def padded(self, count: int) -> "FiberedSystem":
+        if count < self.count:
+            raise ValueError("cannot pad to a shorter length")
         if count == self.count:
             return self
-        return FiberedSystem(self.measure, tuple(f.padded(count) for f in self.fibers))
+        pad = ((0, 0), (0, 0), (0, count - self.count))
+        return FiberedSystem(self.measure, np.pad(self.matrices, pad))
 
-    def stacked(self, count: int | None = None, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """The fibers of atoms lo..hi-1 as one (atoms, dim, count) array,
-        zero-padded to count generators.  Built on every call, never cached."""
-        m = np.stack([f.matrix for f in self.fibers[lo:hi]])
-        pad = (count or self.count) - self.count
-        if pad < 0:
-            raise ValueError("cannot pad to a shorter length")
-        return np.pad(m, ((0, 0), (0, 0), (0, pad))) if pad else m
+
+def _padded_pair(s1: FiberedSystem, s2: FiberedSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks of two systems on one measure and fiber dimension,
+    zero-padded to their common generator count."""
+    _same_measure(s1.measure, s2.measure)
+    if s1.fiber_dim != s2.fiber_dim:
+        raise ValueError("fiber dimensions differ")
+    r = max(s1.count, s2.count)
+    return s1.padded(r).matrices, s2.padded(r).matrices
 
 
 @dataclass(frozen=True)
@@ -233,7 +250,7 @@ def global_frame_bounds(
     lower bound to clear eq_tol.
     """
     sv = np.concatenate(
-        [singular_values(s.stacked(lo=lo, hi=hi)) for lo, hi in _blocks(s.measure.count)]
+        [singular_values(s.matrices[lo:hi]) for lo, hi in _blocks(s.measure.count)]
     )
     return _global_bounds(sv[:, 0] > 0.0, *_frame_bounds(sv, tol), tol)
 
@@ -248,8 +265,8 @@ def global_inf_cos(
         raise ValueError("fiber dimensions differ")
     worst = 1.0
     for lo, hi in _blocks(sa.measure.count):
-        qa, dim_a, _, _ = _spans(sa.stacked(lo=lo, hi=hi), tol)
-        qb, dim_b, _, _ = _spans(sb.stacked(lo=lo, hi=hi), tol)
+        qa, dim_a, _, _ = _spans(sa.matrices[lo:hi], tol)
+        qb, dim_b, _, _ = _spans(sb.matrices[lo:hi], tol)
         worst = min(worst, float(_inf_cos_pair(qa, dim_a, qb, dim_b)[0].min()))
     return worst
 
@@ -259,15 +276,14 @@ def apply_mixed_frame_operator(
 ) -> FiberedFunction:
     """Analyze f against one system and synthesize with the other, fiber by
     fiber: output(x) = sum_i <f(x), analysis_i(x)> synth_i(x)."""
-    _same_measure(synth.measure, analysis.measure)
+    syn, ana = _padded_pair(synth, analysis)
     _same_measure(synth.measure, f.measure)
-    if synth.fiber_dim != analysis.fiber_dim or synth.fiber_dim != f.fiber_dim:
+    if synth.fiber_dim != f.fiber_dim:
         raise ValueError("fiber dimensions differ")
-    r = max(synth.count, analysis.count)
     out = np.empty_like(f.values)
     for lo, hi in _blocks(f.measure.count):
-        coeffs = ct(analysis.stacked(r, lo, hi)) @ f.values[lo:hi, :, None]
-        out[lo:hi] = (synth.stacked(r, lo, hi) @ coeffs)[..., 0]
+        coeffs = ct(ana[lo:hi]) @ f.values[lo:hi, :, None]
+        out[lo:hi] = (syn[lo:hi] @ coeffs)[..., 0]
     return FiberedFunction(f.measure, out)
 
 
@@ -279,13 +295,10 @@ def pinv_dual(
     SVD U S V^H of the mixed Gramian B^H A, both zero-padded to a common
     length.  Raises ConstructionError unless the rank condition holds on
     every atom."""
-    _same_measure(sa.measure, sb.measure)
-    if sa.fiber_dim != sb.fiber_dim:
-        raise ValueError("fiber dimensions differ")
-    r = max(sa.count, sb.count)
-    fibers: list[FiberSystem] = []
+    a_all, b_all = _padded_pair(sa, sb)
+    out = np.empty_like(b_all)
     for lo, hi in _blocks(sa.measure.count):
-        a, b = sa.stacked(r, lo, hi), sb.stacked(r, lo, hi)
+        a, b = a_all[lo:hi], b_all[lo:hi]
         u, s, v = svd(ct(b) @ a)
         keep = rank_mask(s, tol.rel_rank_tol)
         n_keep = keep.sum(axis=-1)
@@ -294,8 +307,8 @@ def pinv_dual(
                 "rank condition fails: rank of the mixed Gramian must equal both span dimensions"
             )
         s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-        fibers.extend(FiberSystem(m) for m in b @ (u * s_inv[:, None, :]) @ ct(v))
-    return FiberedSystem(sa.measure, tuple(fibers))
+        out[lo:hi] = b @ (u * s_inv[:, None, :]) @ ct(v)
+    return FiberedSystem(sa.measure, out)
 
 
 def reconstruct(
@@ -360,7 +373,7 @@ def modulation_coefficients(
     # u[k, i] = <f(x_k), v_i(x_k)>
     u = np.concatenate(
         [
-            (ct(system.stacked(lo=lo, hi=hi)) @ f.values[lo:hi, :, None])[..., 0]
+            (ct(system.matrices[lo:hi]) @ f.values[lo:hi, :, None])[..., 0]
             for lo, hi in _blocks(system.measure.count)
         ]
     )
@@ -394,14 +407,14 @@ def global_biorthogonality_deviation(
 ) -> float:
     """Max deviation of <g_s . f_i, g_t . h_j> from delta_st delta_ij over the
     doubly modulated families."""
-    _same_measure(sa.measure, dual.measure)
+    a, h = _padded_pair(sa, dual)
     _same_measure(sa.measure, dset.measure)
-    r = max(sa.count, dual.count)
+    r = a.shape[2]
     w = sa.measure.weights
     # cross[k, i, j] = <f_i(x_k), h_j(x_k)>
     cross = np.concatenate(
         [
-            (ct(dual.stacked(r, lo, hi)) @ sa.stacked(r, lo, hi)).swapaxes(-1, -2)
+            (ct(h[lo:hi]) @ a[lo:hi]).swapaxes(-1, -2)
             for lo, hi in _blocks(sa.measure.count)
         ]
     )
@@ -485,9 +498,9 @@ def _max_ratio(num: np.ndarray, den: np.ndarray) -> float:
     return float((num[live] / den[live]).max()) if np.any(live) else 0.0
 
 
-def _certify_witnesses(sa, sb, tight, dual, probe_seed, probe_count):
-    """Drive probe functions through the witness pair (tight, dual), stacked
-    (atoms, d, r), fiberwise and in the weighted global norm.
+def _certify_witnesses(a, b, w, tight, dual, probe_seed, probe_count):
+    """Drive probe functions through the witness pair (tight, dual) fiberwise
+    and in the w-weighted norm; a and b are the systems' stacks padded alike.
 
     Returns the largest local and global relative residuals and the singular
     values of both witnesses, shape (2, atoms, k), from which the caller
@@ -495,14 +508,13 @@ def _certify_witnesses(sa, sb, tight, dual, probe_seed, probe_count):
     """
     n_atoms, r = tight.shape[0], tight.shape[2]
     rng = np.random.default_rng(probe_seed)
-    w = sa.measure.weights
     max_local = 0.0
     num = np.zeros((2, r + probe_count))
     den = np.zeros((2, r + probe_count))
     wit_s = np.empty((2, n_atoms, min(tight.shape[1:])))
     for lo, hi in _blocks(n_atoms):
         wa, wb = tight[lo:hi], dual[lo:hi]
-        sides = ((sa.stacked(r, lo, hi), wa, wb), (sb.stacked(r, lo, hi), wb, wa))
+        sides = ((a[lo:hi], wa, wb), (b[lo:hi], wb, wa))
         for side, (m, synth, analysis) in enumerate(sides):
             res, nrm = _residuals(synth, analysis, _probe_block(rng, m, probe_count))
             max_local = max(max_local, _max_ratio(res, nrm))
@@ -543,19 +555,16 @@ def verify_duality(
     pinv_norm, and the pseudo-inverse dual of the tightened pair is
     Ub_p X S^+ Y^H Va_p^H.
     """
-    _same_measure(sa.measure, sb.measure)
-    if sa.fiber_dim != sb.fiber_dim:
-        raise ValueError("fiber dimensions differ")
+    a_all, b_all = _padded_pair(sa, sb)
     n_atoms, rel = sa.measure.count, tol.rel_rank_tol
-    r = max(sa.count, sb.count)
     dim_a, dim_b, rank_mixed = (np.empty(n_atoms, dtype=np.int64) for _ in range(3))
     r_ab, r_ba, pinv_norm = (np.empty(n_atoms) for _ in range(3))
     bounds = np.empty((4, n_atoms))  # lower and upper frame bounds of A, then of B
     dualisable = np.empty(n_atoms, dtype=bool)
-    tight = np.empty((n_atoms, sa.fiber_dim, r), dtype=np.complex128)
-    dual = np.empty_like(tight)
+    tight = np.empty_like(a_all)
+    dual = np.empty_like(a_all)
     for lo, hi in _blocks(n_atoms):
-        a, b = sa.stacked(r, lo, hi), sb.stacked(r, lo, hi)
+        a, b = a_all[lo:hi], b_all[lo:hi]
         qa, dim_a[lo:hi], s_a, v_a = _spans(a, tol)
         qb, dim_b[lo:hi], s_b, _ = _spans(b, tol)
         bounds[0:2, lo:hi] = _frame_bounds(s_a, tol)
@@ -611,12 +620,9 @@ def verify_duality(
     global_duals_exist = False
     feasible = np.all((rank_mixed == dim_a) & (dim_a == dim_b))
     if feasible and np.all(dualisable):
-        witnesses = tuple(
-            FiberedSystem(sa.measure, tuple(FiberSystem(m) for m in stack))
-            for stack in (tight, dual)
-        )
+        witnesses = (FiberedSystem(sa.measure, tight), FiberedSystem(sa.measure, dual))
         max_local, max_global, wit_s = _certify_witnesses(
-            sa, sb, tight, dual, probe_seed, probe_count
+            a_all, b_all, sa.measure.weights, tight, dual, probe_seed, probe_count
         )
         # Witness sanity: spans match fiberwise and both are frames.
         spans_ok = all(
@@ -694,13 +700,13 @@ def verify_biorthogonality(
     dimension r.  The dual h_j = W c_j solves <a_i, h_j> = delta_ij, one
     batched solve of (W^H A)^T C = I per block.
     """
-    n_atoms, d, r = sa.measure.count, sa.fiber_dim, sa.count
+    a_all, (n_atoms, d, r) = sa.matrices, sa.matrices.shape
     if len(targets) != n_atoms:
         raise ValueError(f"got {len(targets)} target subspaces for {n_atoms} atoms")
     basis = np.empty((n_atoms, d, min(d, r)), dtype=np.complex128)
     lowers, uppers = np.empty(n_atoms), np.empty(n_atoms)
     for lo, hi in _blocks(n_atoms):
-        basis[lo:hi], dims, s, _ = _spans(sa.stacked(lo=lo, hi=hi), tol)
+        basis[lo:hi], dims, s, _ = _spans(a_all[lo:hi], tol)
         if np.any(dims != r):
             atom = sa.measure.atoms[lo + int(np.argmax(dims != r))]
             raise ConstructionError(f"fiber at atom {atom!r} is not a Riesz sequence")
@@ -711,13 +717,11 @@ def verify_biorthogonality(
             raise ValueError(f"target at atom {atom!r} has wrong ambient dimension")
         if w.dim != r:
             raise ValueError(f"target at atom {atom!r} has dimension {w.dim}, expected {r}")
-
-    def target_block(lo, hi):
-        return np.stack([w.basis for w in targets[lo:hi]])
+    w_all = np.stack([w.basis for w in targets])
 
     cos = np.concatenate(
         [
-            clip_cos(singular_values(ct(target_block(lo, hi)) @ basis[lo:hi])[:, r - 1])
+            clip_cos(singular_values(ct(w_all[lo:hi]) @ basis[lo:hi])[:, r - 1])
             for lo, hi in _blocks(n_atoms)
         ]
     )
@@ -741,7 +745,7 @@ def verify_biorthogonality(
     dual = np.empty((n_atoms, d, r), dtype=np.complex128)
     dev = repro = 0.0
     for lo, hi in _blocks(n_atoms):
-        a, wb = sa.stacked(lo=lo, hi=hi), target_block(lo, hi)
+        a, wb = a_all[lo:hi], w_all[lo:hi]
         # x[i][k] = <a_i, w_k> for the orthonormal basis w_k of W
         try:
             coeff = np.linalg.solve((ct(wb) @ a).swapaxes(-1, -2), eye).conj()
@@ -757,7 +761,7 @@ def verify_biorthogonality(
         holds=True,
         rows=rows,
         riesz_bounds=riesz_bounds,
-        dual=FiberedSystem(sa.measure, tuple(FiberSystem(m) for m in dual)),
+        dual=FiberedSystem(sa.measure, dual),
         biorth_deviation=dev,
         repro_residual=repro,
         failed_atoms=[],

@@ -295,13 +295,16 @@ def pair_to_json(
     probe: FiberedFunction | None = None,
     meta: dict | None = None,
 ) -> dict:
-    measure = sa.measure
+    measure, d = sa.measure, sa.fiber_dim
+    # every atom's "vectors" block at once, as fiber_system_to_json writes one
+    vectors_a = _pairs(sa.matrices.swapaxes(-1, -2))
+    vectors_b = None if sb is None else _pairs(sb.matrices.swapaxes(-1, -2))
     atoms = []
     for k, atom in enumerate(measure.atoms):
         entry: dict = {"id": atom, "weight": float(measure.weights[k])}
-        entry["A"] = fiber_system_to_json(sa.fibers[k])
+        entry["A"] = {"dim": d, "vectors": vectors_a[k]}
         if sb is not None:
-            entry["B"] = fiber_system_to_json(sb.fibers[k])
+            entry["B"] = {"dim": d, "vectors": vectors_b[k]}
         if targets is not None:
             entry["W"] = subspace_to_json(targets[k])
         if probe is not None:
@@ -359,10 +362,8 @@ def pair_from_json(doc) -> PairDocument:
             raise ValueError(f"atom {missing!r}: missing {label} (present on other atoms)")
     try:
         measure = MeasureModel(tuple(ids), np.array(weights))
-        sa = FiberedSystem(measure, tuple(fibers_a))
-        sb = (
-            FiberedSystem(measure, tuple(fibers_b)) if fibers_b[0] is not None else None
-        )
+        sa = FiberedSystem(measure, fibers_a)
+        sb = FiberedSystem(measure, fibers_b) if fibers_b[0] is not None else None
     except ValueError as exc:
         raise ValueError(f"inconsistent atoms: {exc}") from None
     target_list = None

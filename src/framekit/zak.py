@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fiberframe import FiberSystem
 from .mispace import DeterminingSet, FiberedFunction, FiberedSystem, MeasureModel
 
 
@@ -31,7 +30,8 @@ class FiniteGroupSpec:
 
     Elements are the indices 0..order-1 with 0 the identity.  The table is
     validated on construction: identity row and column, a two-sided inverse
-    for every element, and full associativity.
+    for every element, and full associativity, checked one left factor at a
+    time so that memory stays O(order^2).
     """
 
     kind: str
@@ -58,9 +58,8 @@ class FiniteGroupSpec:
             if hits.size != 1 or m[hits[0], g] != 0:
                 raise ValueError(f"element {g} has no two-sided inverse")
             inv[g] = hits[0]
-        left = m[m, :]
-        right = m[:, m]
-        if not np.array_equal(left, right):
+        # (a b) c against a (b c) for all b, c: rows m[a b] of m against m[a] at m[b c]
+        if not all(np.array_equal(m[m[a]], m[a][m]) for a in range(n)):
             raise ValueError("multiplication table is not associative")
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "mul", m)
@@ -249,10 +248,7 @@ def tg_to_mg(plan: ZakPlan, generators) -> FiberedSystem:
     if not gens:
         raise ValueError("need at least one generator signal")
     images = [zak_forward(plan, g).values for g in gens]
-    fibers = tuple(
-        FiberSystem(np.column_stack([img[k] for img in images])) for k in range(plan.q)
-    )
-    return FiberedSystem(plan.measure(), fibers)
+    return FiberedSystem(plan.measure(), np.stack(images, axis=-1))
 
 
 def determining_table(plan: ZakPlan) -> DeterminingSet:

@@ -1,10 +1,13 @@
 """End-to-end checks of the command-line interface through subprocesses."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "cli"
 
 
 def run_cli(*args, check_rc=None):
@@ -262,3 +265,43 @@ def test_integer_beyond_float_range_is_input_error(pair_file, tmp_path):
     proc = run_cli("verify-thm1", "--in", str(path))
     _assert_input_error(proc)
     assert "atom 'x1': B.vectors[0][0]: number is out of float range" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["verify-thm1", "angles"])
+@pytest.mark.parametrize("value", ["-1", "5"])
+def test_angle_tol_outside_unit_interval_is_input_error(command, value):
+    proc = run_cli(command, "--in", str(FIXTURES / "gen-orthogonal-failure.json"),
+                   f"--angle-tol={value}")
+    _assert_input_error(proc)
+    assert "--angle-tol" in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_cmax_not_finite_positive_is_input_error(value):
+    proc = run_cli("verify-thm1", "--in", str(FIXTURES / "gen-in-duality.json"),
+                   f"--cmax={value}")
+    _assert_input_error(proc)
+    assert "--cmax" in proc.stderr
+
+
+@pytest.mark.parametrize("group", ["cyclic:1025", "dihedral:513"])
+def test_zak_demo_group_order_cap(group):
+    proc = run_cli("zak-demo", "--group", group, "--subgroup-gen", "1")
+    _assert_input_error(proc)
+    assert "exceeds the limit 1024" in proc.stderr
+
+
+def test_uneven_generator_counts_are_input_error(tmp_path):
+    doc = {
+        "fiber_dim": 2,
+        "atoms": [
+            {"id": "x0", "weight": 1.0, "A": {"dim": 2, "vectors": [[[1.0, 0.0], [0.0, 0.0]]]}},
+            {"id": "x1", "weight": 1.0, "A": {"dim": 2, "vectors": [[[1.0, 0.0], [0.0, 0.0]],
+                                                                     [[0.0, 0.0], [1.0, 0.0]]]}},
+        ],
+    }
+    path = tmp_path / "uneven.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = run_cli("verify-thm2", "--in", str(path))
+    _assert_input_error(proc)
+    assert "inconsistent atoms: generator counts are not uniform: [1, 2]" in proc.stderr

@@ -43,6 +43,7 @@ from framekit.mispace import (
 )
 from framekit.numkernel import DEFAULT_TOL, rank, singular_values
 from framekit.subspace import DEFAULT_ANGLE_TOL, Subspace, inf_cos
+from framekit.zak import build_plan, cyclic_group, tg_to_mg
 
 PROBES = 8
 
@@ -286,3 +287,35 @@ def test_verify_biorthogonality_matches_per_fiber():
     bad[_BLOCK + 2] = FiberSystem(np.repeat(fibers[0].matrix[:, :1], 2, axis=1))
     with pytest.raises(ConstructionError, match=f"x{_BLOCK + 2}"):
         verify_biorthogonality(FiberedSystem(measure, tuple(bad)), targets)
+
+
+def test_stacked_paths_build_no_fiber_objects(monkeypatch):
+    """The checkers and constructions work on the (atoms, d, r) stack from
+    input to result: no FiberSystem is built per atom on the way."""
+    n_atoms = 2 * _BLOCK + 3
+    inst = duality_instance("in-duality", n_atoms, 4, 3, seed=12)
+    rng = np.random.default_rng(41)
+    fibers, targets = [], []
+    for _ in range(n_atoms):
+        v, w, _ = rotated_span_pair(rng, 5, 2, rng.uniform(0.2, 1.0, 2))
+        fibers.append(FiberSystem(v @ (np.eye(2) + 0.3 * complex_gaussian(rng, 2, 2))))
+        targets.append(Subspace(w))
+    riesz = FiberedSystem(_measure(n_atoms, rng), fibers)
+    plan = build_plan(cyclic_group(2 * n_atoms), 2)
+    signals = complex_gaussian(rng, 2, 2 * n_atoms)
+
+    built = []
+    post_init = FiberSystem.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(FiberSystem, "__post_init__", counting)
+    assert verify_duality(inst.sa, inst.sb).witnesses is not None
+    assert pinv_dual(inst.sa, inst.sb).matrices.shape == (n_atoms, 4, 3)
+    assert verify_biorthogonality(riesz, targets).dual is not None
+    assert tg_to_mg(plan, signals).matrices.shape == (n_atoms, 2, 2)
+    assert built == []
+    inst.sa.fibers  # the per-atom view does build them, so the counter is live
+    assert len(built) == n_atoms

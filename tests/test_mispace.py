@@ -71,6 +71,34 @@ def test_fibered_system_validation():
         FiberedSystem(m, (f1, FiberSystem.zeros(3, 1)))
 
 
+def test_fibered_system_is_one_read_only_stack():
+    rng = np.random.default_rng(3)
+    measure = MeasureModel(("x0", "x1", "x2"), np.ones(3))
+    mats = complex_gaussian(rng, 3, 4, 2)
+    from_seq = FiberedSystem(measure, [FiberSystem(m) for m in mats])
+    from_arr = FiberedSystem(measure, np.asfortranarray(mats))
+    for s in (from_seq, from_arr):
+        assert np.array_equal(s.matrices, mats)
+        assert s.matrices.dtype == np.complex128 and s.matrices.flags.c_contiguous
+        assert (s.fiber_dim, s.count) == (4, 2)
+        with pytest.raises(ValueError):
+            s.matrices[0, 0, 0] = 1.0
+        for k, f in enumerate(s.fibers):
+            assert np.array_equal(f.matrix, s.matrices[k])
+    bad = mats.copy()
+    bad[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        FiberedSystem(measure, bad)
+    for shape in [(2, 4, 2), (3, 0, 2), (3, 4, 0), (4, 2)]:
+        with pytest.raises(ValueError, match=r"need an \(3, dim >= 1, count >= 1\) stack"):
+            FiberedSystem(measure, np.zeros(shape))
+    with pytest.raises(ValueError, match="got 2 fiber systems for 3 atoms"):
+        FiberedSystem(measure, [FiberSystem(m) for m in mats[:2]])
+    uneven = [FiberSystem(mats[0]), FiberSystem(mats[1]), FiberSystem(mats[2][:, :1])]
+    with pytest.raises(ValueError, match=r"generator counts are not uniform: \[1, 2\]"):
+        FiberedSystem(measure, uneven)
+
+
 def test_fibered_function_norm():
     m = two_atom_measure()
     f = FiberedFunction(m, np.stack([E1, E2]))
