@@ -30,7 +30,7 @@ from .mispace import (
     verify_biorthogonality,
     verify_duality,
 )
-from .numkernel import NumericalError, Tolerance, ct
+from .numkernel import DEFAULT_TOL, NumericalError, Tolerance, ct
 from .serialize import (
     biorth_report_to_json,
     diagnostics_to_csv,
@@ -58,7 +58,8 @@ from .zak import (
 
 
 # Largest group order zak-demo accepts: it builds dense order x order tables
-# and checks associativity and frame bounds in O(order^3) time.
+# (O(order^2) memory) and factors the order x q translates matrix for the
+# group-side frame bounds, O(order^3) time at q = order.
 MAX_GROUP_ORDER = 1024
 
 
@@ -86,7 +87,7 @@ def _float_between(low: float, high: float, rule: str):
     return parse
 
 
-_ANGLE_TOL = _float_between(0.0, 1.0, "strictly between 0 and 1")
+_UNIT = _float_between(0.0, 1.0, "strictly between 0 and 1")
 _C_MAX = _float_between(0.0, np.inf, "finite and positive")
 
 
@@ -98,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, tol=True, angle=False, seed=False, fmt=False):
         p.add_argument("--out", help="output path (stdout when omitted)")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-8, help="equality tolerance")
+            p.add_argument("--tol", type=_UNIT, default=DEFAULT_TOL.eq_tol, help="equality tolerance")
         if angle:
-            p.add_argument("--angle-tol", type=_ANGLE_TOL, default=DEFAULT_ANGLE_TOL)
+            p.add_argument("--angle-tol", type=_UNIT, default=DEFAULT_ANGLE_TOL)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if fmt:
@@ -145,11 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerance(ns) -> Tolerance:
-    return Tolerance(1e-10, getattr(ns, "tol", 1e-8))
+    return Tolerance(eq_tol=getattr(ns, "tol", DEFAULT_TOL.eq_tol))
 
 
 def _tol_doc(ns, angle=False, cmax=False) -> dict:
-    doc = {"rel_rank_tol": 1e-10, "eq_tol": getattr(ns, "tol", 1e-8)}
+    tol = _tolerance(ns)
+    doc = {"rel_rank_tol": tol.rel_rank_tol, "eq_tol": tol.eq_tol}
     if angle:
         doc["angle_tol"] = ns.angle_tol
     if cmax:

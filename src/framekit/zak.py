@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mispace import DeterminingSet, FiberedFunction, FiberedSystem, MeasureModel
+from .mispace import DeterminingSet, FiberedFunction, FiberedSystem, MeasureModel, global_frame_bounds
+from .numkernel import ct
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,9 @@ class FiniteGroupSpec:
 
     Elements are the indices 0..order-1 with 0 the identity.  The table is
     validated on construction: identity row and column, a two-sided inverse
-    for every element, and full associativity, checked one left factor at a
-    time so that memory stays O(order^2).
+    for every element, and associativity by Light's test over a greedy
+    generating set (Clifford & Preston, The Algebraic Theory of Semigroups I,
+    1961, sec. 1.2), O(order^2) time and memory per generator.
     """
 
     kind: str
@@ -52,14 +54,13 @@ class FiniteGroupSpec:
             raise ValueError("table entries must be element indices")
         if not (np.array_equal(m[0], np.arange(n)) and np.array_equal(m[:, 0], np.arange(n))):
             raise ValueError("element 0 must be a two-sided identity")
-        inv = np.full(n, -1, dtype=np.int64)
-        for g in range(n):
-            hits = np.flatnonzero(m[g] == 0)
-            if hits.size != 1 or m[hits[0], g] != 0:
-                raise ValueError(f"element {g} has no two-sided inverse")
-            inv[g] = hits[0]
-        # (a b) c against a (b c) for all b, c: rows m[a b] of m against m[a] at m[b c]
-        if not all(np.array_equal(m[m[a]], m[a][m]) for a in range(n)):
+        zeros = m == 0
+        inv = zeros.argmax(axis=1)
+        bad = np.flatnonzero((zeros.sum(axis=1) != 1) | (m[inv, np.arange(n)] != 0))
+        if bad.size:
+            raise ValueError(f"element {bad[0]} has no two-sided inverse")
+        # Light's test: (x s) y == x (s y) for all x, y and each generator s
+        if not all(np.array_equal(m[m[:, s]], m[:, m[s]]) for s in _generating_set(m)):
             raise ValueError("multiplication table is not associative")
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "mul", m)
@@ -77,6 +78,23 @@ class FiniteGroupSpec:
         return k
 
 
+def _generating_set(m: np.ndarray) -> list[int]:
+    """Greedy generators of the table: the least element not yet reached,
+    then the reached set closed under products.  Every reached element is a
+    product of generators, and a group needs at most log2(order) of them."""
+    reached = np.arange(m.shape[0]) == 0
+    gens = []
+    while not reached.all():
+        new = np.array([np.argmin(reached)])
+        gens.append(int(new[0]))
+        while new.size:
+            reached[new] = True
+            old = np.flatnonzero(reached)
+            prods = np.concatenate([m[np.ix_(old, new)].ravel(), m[np.ix_(new, old)].ravel()])
+            new = np.unique(prods[~reached[prods]])
+    return gens
+
+
 def cyclic_group(n: int) -> FiniteGroupSpec:
     """The cyclic group Z_n with addition mod n."""
     if n < 1:
@@ -89,17 +107,12 @@ def dihedral_group(n: int) -> FiniteGroupSpec:
     """The dihedral group of order 2n; index a + n*b encodes r^a s^b."""
     if n < 1:
         raise ValueError("rotation order must be at least 1")
-    order = 2 * n
-    m = np.empty((order, order), dtype=np.int64)
-    for a in range(n):
-        for b in range(2):
-            for c in range(n):
-                for d in range(2):
-                    # (r^a s^b)(r^c s^d) = r^{a + (-1)^b c} s^{b + d}
-                    aa = (a + (c if b == 0 else -c)) % n
-                    bb = (b + d) % 2
-                    m[a + n * b, c + n * d] = aa + n * bb
-    return FiniteGroupSpec("dihedral", order, m)
+    idx = np.arange(2 * n)
+    a, b = idx % n, idx // n
+    # (r^a s^b)(r^c s^d) = r^(a + (-1)^b c) s^(b + d)
+    sign = np.where(b == 0, 1, -1)
+    m = (a[:, None] + sign[:, None] * a[None, :]) % n + n * ((b[:, None] + b[None, :]) % 2)
+    return FiniteGroupSpec("dihedral", 2 * n, m)
 
 
 def explicit_group(mul) -> FiniteGroupSpec:
@@ -166,27 +179,19 @@ def build_plan(group: FiniteGroupSpec, subgroup_generator: int) -> ZakPlan:
     while cur != 0:
         powers.append(cur)
         cur = int(group.mul[cur, g0])
-    q = len(powers)
-    n = group.order
-    coset_of = np.full(n, -1, dtype=np.int64)
-    section = []
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        c = len(section)
-        section.append(x)
-        for gam in powers:
-            coset_of[group.mul[gam, x]] = c
-    k_idx, m_idx = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-    characters = np.exp(2j * np.pi * k_idx * m_idx / q)
+    # column x of the subgroup's rows is the right coset S x, represented by
+    # its least element
+    reps = group.mul[powers].min(axis=0)
+    section = np.unique(reps)
+    k = np.arange(len(powers))
     return ZakPlan(
         group=group,
         generator=g0,
         powers=tuple(powers),
         subgroup=tuple(sorted(powers)),
-        section=tuple(section),
-        characters=characters,
-        coset_of=coset_of,
+        section=tuple(section.tolist()),
+        characters=np.exp(2j * np.pi * k[:, None] * k[None, :] / len(powers)),
+        coset_of=np.searchsorted(section, reps),
     )
 
 
@@ -223,8 +228,16 @@ def translate(plan: ZakPlan, signal, gamma: int) -> np.ndarray:
     """Left translation by a subgroup element: (L_gamma f)(g) = f(gamma^{-1} g)."""
     f = as_signal(plan.group, signal)
     plan.power_of(gamma)  # domain check: only subgroup translations fiberize
-    inv = int(plan.group.inverse[int(gamma)])
-    return f[plan.group.mul[inv]]
+    return f[plan.group.mul[plan.group.inverse[int(gamma)]]]
+
+
+def _translates(plan: ZakPlan, signals) -> np.ndarray:
+    """The translates matrix, C-contiguous of shape (order, q*J): column
+    m*J + j is L_gamma f_j for the j-th signal and gamma = g0^m."""
+    g = plan.group
+    f = np.array([as_signal(g, s) for s in signals], dtype=np.complex128).reshape(-1, g.order)
+    t = f.T[g.mul[g.inverse[list(plan.powers)]].T]  # t[x, m, j] = f_j(gamma_m^{-1} x)
+    return t.reshape(g.order, plan.q * len(f))
 
 
 def modulation_symbol(plan: ZakPlan, gamma: int) -> np.ndarray:
@@ -258,49 +271,24 @@ def determining_table(plan: ZakPlan) -> DeterminingSet:
     return DeterminingSet(plan.measure(), plan.characters.conj().T)
 
 
-def tg_frame_bounds(
-    plan: ZakPlan, generators, rel_rank_tol: float = 1e-10
-) -> tuple[float, float, bool]:
+def tg_frame_bounds(plan: ZakPlan, generators) -> tuple[float, float, bool]:
     """Frame bounds of the translation-generated system, computed directly on
-    the group side (no Zak transform): spectral extremes of the synthesis
-    frame operator over its range."""
-    gens = [as_signal(plan.group, g) for g in generators]
-    if not gens:
+    the group side (no Zak transform): its frame operator is T T^H for the
+    translates matrix T, whose nonzero eigenvalues are the squared singular
+    values of T, so the bounds are those of T as a one-atom fibered system."""
+    t = _translates(plan, generators)
+    if not t.size:
         raise ValueError("need at least one generator signal")
-    n = plan.group.order
-    s = np.zeros((n, n), dtype=np.complex128)
-    for g in gens:
-        for gamma in plan.powers:
-            v = translate(plan, g, gamma)
-            s += np.outer(v, v.conj())
-    s = (s + s.conj().T) / 2.0
-    eig = np.linalg.eigvalsh(s)
-    top = max(float(eig[-1]), 0.0)
-    active = eig > rel_rank_tol * top if top > 0.0 else np.zeros(0, dtype=bool)
-    if not np.any(active):
-        return 1.0, 1.0, True
-    lo = float(eig[active].min())
-    return lo, top, bool(lo > 1e-8)
+    return global_frame_bounds(FiberedSystem(MeasureModel(("G",), np.ones(1)), t[None]))
 
 
 def tg_biorthogonality_deviation(plan: ZakPlan, generators, duals) -> float:
     """Max deviation of <L_gamma f_i, L_eta h_j> from delta_{gamma,eta} delta_{ij}
     across all subgroup translates, computed on the group side."""
-    gens = [as_signal(plan.group, g) for g in generators]
-    dls = [as_signal(plan.group, h) for h in duals]
-    if len(gens) != len(dls):
+    tf, th = _translates(plan, generators), _translates(plan, duals)
+    if tf.shape != th.shape:
         raise ValueError("generator and dual counts differ")
-    worst = 0.0
-    for i, g in enumerate(gens):
-        for j, h in enumerate(dls):
-            for a, gamma in enumerate(plan.powers):
-                tg = translate(plan, g, gamma)
-                for b, eta in enumerate(plan.powers):
-                    th = translate(plan, h, eta)
-                    val = complex(np.vdot(th, tg))  # <tg, th>
-                    expect = 1.0 if (i == j and a == b) else 0.0
-                    worst = max(worst, abs(val - expect))
-    return worst
+    return float(np.abs(ct(th) @ tf - np.eye(tf.shape[1])).max(initial=0.0))
 
 
 def builtin_plan(name: str) -> ZakPlan:

@@ -276,6 +276,13 @@ def test_angle_tol_outside_unit_interval_is_input_error(command, value):
     assert "--angle-tol" in proc.stderr
 
 
+@pytest.mark.parametrize("value", ["2", "nan"])
+def test_tol_outside_unit_interval_is_input_error(value):
+    proc = run_cli("dual", "--in", str(FIXTURES / "gen-in-duality.json"), f"--tol={value}")
+    _assert_input_error(proc)
+    assert "--tol" in proc.stderr
+
+
 @pytest.mark.parametrize("value", ["nan", "0", "-1"])
 def test_cmax_not_finite_positive_is_input_error(value):
     proc = run_cli("verify-thm1", "--in", str(FIXTURES / "gen-in-duality.json"),

@@ -12,6 +12,7 @@ from framekit.mispace import (
 from framekit.subspace import Subspace
 from framekit.zak import (
     FiniteGroupSpec,
+    _translates,
     build_plan,
     builtin_plan,
     cyclic_group,
@@ -206,17 +207,24 @@ def test_tg_vs_fiber_frame_bounds():
     # The group-side frame operator and the per-character Gramians see the
     # same spectrum; bounds must agree to high accuracy.
     rng = np.random.default_rng(109)
-    for name in PLANS:
-        plan = builtin_plan(name)
+    table, gen = relabelled_product(np.random.default_rng(149), 4, 4)
+    plans = [builtin_plan(name) for name in PLANS] + [
+        build_plan(cyclic_group(64), 4),
+        build_plan(dihedral_group(32), 1),
+        build_plan(explicit_group(table), gen),
+    ]
+    for plan in plans:
         n = plan.group.order
         for _ in range(30):
             count = int(rng.integers(1, 4))
             gens = [complex_gaussian(rng, n) for _ in range(count)]
             direct = tg_frame_bounds(plan, gens)
             fibered = global_frame_bounds(tg_to_mg(plan, gens))
-            assert abs(direct[0] - fibered[0]) <= 1e-9 * max(1.0, direct[0])
-            assert abs(direct[1] - fibered[1]) <= 1e-9 * max(1.0, direct[1])
+            assert abs(direct[0] - fibered[0]) <= 1e-12 * fibered[0]
+            assert abs(direct[1] - fibered[1]) <= 1e-12 * fibered[1]
             assert direct[2] == fibered[2]
+        zero = [np.zeros(n)]
+        assert tg_frame_bounds(plan, zero) == global_frame_bounds(tg_to_mg(plan, zero)) == (1.0, 1.0, True)
 
 
 def test_determining_table_is_parseval():
@@ -273,3 +281,212 @@ def test_group_spec_shape_errors():
         builtin_plan("z5")
     with pytest.raises(ValueError):
         build_plan(cyclic_group(4), 7)
+
+
+# ---------------------------------------------------------------------------
+# Associativity: Light's test against the brute-force check
+
+
+def associative(m):
+    """Brute force: (a b) c == a (b c) for all a, b, c, one left factor at a time."""
+    return all(np.array_equal(m[m[a]], m[a][m]) for a in range(len(m)))
+
+
+def has_two_sided_inverses(m):
+    zeros = [np.flatnonzero(row == 0) for row in m]
+    return all(z.size == 1 and m[z[0], g] == 0 for g, z in enumerate(zeros))
+
+
+def assert_verdict_matches_oracle(m):
+    if associative(m):
+        explicit_group(m)
+    else:
+        with pytest.raises(ValueError, match="associative"):
+            explicit_group(m)
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square on 0..n-1 whose row and column 0 are 0..n-1."""
+    sq = np.zeros((n, n), dtype=np.int64)
+    sq[0] = sq[:, 0] = np.arange(n)
+
+    def fill(cell):
+        if cell == n * n:
+            yield sq.copy()
+            return
+        i, j = divmod(cell, n)
+        if i == 0 or j == 0:
+            yield from fill(cell + 1)
+            return
+        for v in range(n):
+            if v not in sq[i, :j] and v not in sq[:i, j]:
+                sq[i, j] = v
+                yield from fill(cell + 1)
+
+    yield from fill(0)
+
+
+def relabelled_product(rng, m, c):
+    """D_m x Z_c (order 2mc) with the non-identity elements relabelled by a
+    seeded permutation, and the label of the element (r, 1)."""
+    dm, cm = dihedral_group(m).mul, cyclic_group(c).mul
+    x = np.arange(2 * m * c)
+    xd, xc = x // c, x % c
+    mul = dm[xd[:, None], xd[None, :]] * c + cm[xc[:, None], xc[None, :]]
+    label = np.concatenate([[0], 1 + rng.permutation(len(x) - 1)])
+    table = np.empty_like(mul)
+    table[label[:, None], label[None, :]] = label[mul]
+    return table, int(label[c + 1])
+
+
+def swap_intercalate(m, rng):
+    """m with one 2 x 2 Latin subsquare swapped, away from the identity's
+    row, column and entries: still a Latin square with two-sided inverses."""
+    n = len(m)
+    row_of = np.argsort(m, axis=0)  # row_of[v, j]: the row l with m[l, j] == v
+    while True:
+        i, j = rng.integers(1, n, size=2)
+        k = np.arange(1, n)
+        a, b = m[i, j], m[i, k]
+        l = row_of[b, j]
+        ok = (k != j) & (l != 0) & (m[l, k] == a) & (a != 0) & (b != 0)
+        if ok.any():
+            k, l = k[ok][0], l[ok][0]
+            out = m.copy()
+            out[i, j] = out[l, k] = m[i, k]
+            out[i, k] = out[l, j] = a
+            return out
+
+
+def test_light_test_matches_brute_force_on_small_latin_squares():
+    counts = []
+    for n in range(1, 6):
+        squares = list(reduced_latin_squares(n))
+        counts.append(len(squares))
+        for sq in squares:
+            if has_two_sided_inverses(sq):
+                assert_verdict_matches_oracle(sq)
+    assert counts == [1, 1, 1, 4, 56]
+
+
+def test_light_test_matches_brute_force_on_random_magmas():
+    # Tables with an identity and two-sided inverses but no Latin property.
+    rng = np.random.default_rng(131)
+    for _ in range(300):
+        n = int(rng.integers(2, 8))
+        m = rng.integers(1, n, size=(n, n))
+        m[0] = m[:, 0] = np.arange(n)
+        inv = np.arange(n)
+        perm = 1 + rng.permutation(n - 1)
+        pairs = perm[: 2 * int(rng.integers(0, (n + 1) // 2))].reshape(-1, 2)
+        inv[pairs[:, 0]], inv[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+        m[np.arange(1, n), inv[1:]] = 0
+        assert has_two_sided_inverses(m)
+        assert_verdict_matches_oracle(m)
+
+
+def test_light_test_matches_brute_force_on_groups_and_near_groups():
+    rng = np.random.default_rng(137)
+    tables = [cyclic_group(n).mul for n in (1, 2, 7, 16, 64)]
+    tables += [dihedral_group(n).mul for n in (1, 2, 5, 16, 32)]
+    tables += [relabelled_product(rng, m, c)[0] for m, c in ((2, 2), (3, 4), (4, 4), (4, 8))]
+    for m in tables:
+        assert associative(m)
+        assert_verdict_matches_oracle(m)
+        if len(m) >= 8:
+            near = swap_intercalate(m, rng)
+            assert has_two_sided_inverses(near)
+            assert_verdict_matches_oracle(near)
+
+
+# ---------------------------------------------------------------------------
+# Group side on the translates matrix
+
+
+def test_dihedral_table_matches_formula():
+    for n in range(1, 17):
+        want = np.empty((2 * n, 2 * n), dtype=np.int64)
+        for a in range(n):
+            for b in range(2):
+                for c in range(n):
+                    for d in range(2):
+                        # (r^a s^b)(r^c s^d) = r^(a + (-1)^b c) s^(b + d)
+                        want[a + n * b, c + n * d] = (a + (-1) ** b * c) % n + n * ((b + d) % 2)
+        assert np.array_equal(dihedral_group(n).mul, want)
+
+
+def test_translates_columns_are_translates():
+    rng = np.random.default_rng(139)
+    for plan in (builtin_plan("d4"), build_plan(cyclic_group(12), 2)):
+        n = plan.group.order
+        gens = [complex_gaussian(rng, n) for _ in range(3)]
+        t = _translates(plan, gens)
+        assert t.shape == (n, 3 * plan.q)
+        for j, f in enumerate(gens):
+            for m, gamma in enumerate(plan.powers):
+                assert np.array_equal(t[:, m * 3 + j], translate(plan, f, gamma))
+
+
+def test_build_plan_cosets_match_loop():
+    # Reference: walk the elements, labelling each new right coset; integers, so equal exactly.
+    rng = np.random.default_rng(163)
+    table, gen = relabelled_product(rng, 3, 4)
+    for group, g0 in ((cyclic_group(30), 6), (dihedral_group(9), 3), (dihedral_group(8), 9),
+                      (explicit_group(table), gen)):
+        plan = build_plan(group, g0)
+        coset_of, section = np.full(group.order, -1), []
+        for x in range(group.order):
+            if coset_of[x] < 0:
+                coset_of[group.mul[list(plan.powers), x]] = len(section)
+                section.append(x)
+        assert plan.section == tuple(section)
+        assert np.array_equal(plan.coset_of, coset_of)
+
+
+def test_tg_biorthogonality_deviation_matches_loop():
+    rng = np.random.default_rng(167)
+    plan = build_plan(dihedral_group(6), 2)
+    n = plan.group.order
+    gens = [complex_gaussian(rng, n) for _ in range(2)]
+    duals = [complex_gaussian(rng, n) for _ in range(2)]
+    want = 0.0
+    for i, g in enumerate(gens):
+        for j, h in enumerate(duals):
+            for a, gamma in enumerate(plan.powers):
+                for b, eta in enumerate(plan.powers):
+                    val = np.vdot(translate(plan, h, eta), translate(plan, g, gamma))
+                    want = max(want, abs(val - float(i == j and a == b)))
+    # Both sum n products in different orders; each inner product is off by at
+    # most n eps |g| |h| (translates keep the norm).
+    bound = 2 * n * np.finfo(float).eps * max(map(np.linalg.norm, gens)) * max(map(np.linalg.norm, duals))
+    assert abs(tg_biorthogonality_deviation(plan, gens, duals) - want) <= bound
+
+
+def test_tg_frame_bounds_make_one_svd_and_no_eigensolve(monkeypatch):
+    plan = build_plan(dihedral_group(32), 1)
+    gens = [complex_gaussian(np.random.default_rng(157), plan.group.order) for _ in range(2)]
+    calls = {"svd": 0, "eigvalsh": 0}
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    tg_frame_bounds(plan, gens)
+    assert calls == {"svd": 1, "eigvalsh": 0}
+
+
+def test_tg_validation():
+    plan = builtin_plan("z4")
+    with pytest.raises(ValueError, match="at least one generator"):
+        tg_frame_bounds(plan, [])
+    with pytest.raises(ValueError, match="counts differ"):
+        tg_biorthogonality_deviation(plan, [delta(4, 0)], [delta(4, 0), delta(4, 1)])
+    with pytest.raises(ValueError):
+        tg_frame_bounds(plan, [np.ones(3)])
