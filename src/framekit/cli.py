@@ -19,18 +19,19 @@ import sys
 import numpy as np
 
 from . import __version__
-from .fiberframe import ConstructionError, canonical_dual
 from .generate import FAMILIES, duality_instance
 from .mispace import (
     DEFAULT_C_MAX,
-    FiberedSystem,
+    ConstructionError,
+    alternate_dual_residuals,
+    canonical_duals,
     global_frame_bounds,
     pinv_dual,
     reconstruct,
     verify_biorthogonality,
     verify_duality,
 )
-from .numkernel import DEFAULT_TOL, NumericalError, Tolerance, ct
+from .numkernel import DEFAULT_TOL, NumericalError, Tolerance
 from .serialize import (
     biorth_report_to_json,
     diagnostics_to_csv,
@@ -230,17 +231,9 @@ def _cmd_dual(ns):
         dual = pinv_dual(pair.sa, sb, tol)
     except ConstructionError as exc:
         return _envelope(ns, {"feasible": False, "reason": str(exc)})
-    # The alternate-dual identity G_A G_{A,H} = G_A and its mirror, with the
-    # Frobenius test of fiberframe.is_alternate_dual, on every atom at once.
-    def frob(m):
-        return np.linalg.norm(m, axis=(-2, -1))
-
     a, h = pair.sa.padded(dual.count).matrices, dual.matrices
-    ga, gh = ct(a) @ a, ct(h) @ h
-    resid_fwd = frob(ga @ (ct(h) @ a) - ga)
-    resid_bwd = frob(gh @ (ct(a) @ h) - gh)
-    ok_fwd = resid_fwd <= tol.eq_tol * (1.0 + frob(ga))
-    ok_bwd = resid_bwd <= tol.eq_tol * (1.0 + frob(gh))
+    resid_fwd, ok_fwd = alternate_dual_residuals(a, h, tol)
+    resid_bwd, ok_bwd = alternate_dual_residuals(h, a, tol)
     result = {
         "feasible": True,
         "is_alternate_dual_forward": bool(ok_fwd.all()),
@@ -353,7 +346,7 @@ def _cmd_zak_demo(ns):
     f = _resolve_signal(plan, ns.signal, ns.seed)
     zf = zak_forward(plan, f)
     back = zak_inverse(plan, zf)
-    intertwine = max(verify_intertwine(plan, f, gamma) for gamma in plan.powers)
+    intertwine = verify_intertwine(plan, f)
     measure = plan.measure()
     system = tg_to_mg(plan, [f]) if np.abs(f).max() > 0 else None
     result = {
@@ -398,7 +391,7 @@ def _cmd_reconstruct(ns):
             return _envelope(ns, {"ok": False, "reason": str(exc)})
         source = "pseudo-inverse dual through B"
     else:
-        dual = FiberedSystem(pair.measure, [canonical_dual(f, tol) for f in pair.sa.fibers])
+        dual = canonical_duals(pair.sa, tol)
         source = "canonical dual"
     fhat, resid = reconstruct(pair.sa, dual, pair.probe)
     per_atom = []

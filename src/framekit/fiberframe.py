@@ -5,7 +5,9 @@ d x r matrix M.  Everything a dual-frame statement needs on one fiber lives
 here: the Gramian M^H M with its spectral frame bounds, the canonical dual,
 Parseval tightening, mixed Gramians of two systems, pseudo-inverse duals of
 a pair, and biorthogonal duals of a Riesz sequence inside a prescribed
-subspace.
+subspace.  Each construction calls the array kernels of mispace on a
+one-atom (1, d, r) stack, so one fiber is computed exactly as every fiber
+of a fibered system is.
 
 Conventions.  The inner product is linear in the first argument, and the
 Gramian of a system is G[i][j] = <v_j, v_i>, so G = M^H M.  The mixed
@@ -20,22 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import (
-    DEFAULT_TOL,
-    NumericalError,
-    Tolerance,
-    as_matrix,
-    orth,
-    pinv,
-    psd_power,
-    rank,
-    singular_values,
+from .mispace import (
+    _RANK_CONDITION_FAILS,
+    ConstructionError,
+    _biorth_cos,
+    _biorth_duals,
+    _canonical_duals,
+    _frame_bounds,
+    _pinv_dual_pair,
+    _spans,
+    _tightened,
+    alternate_dual_residuals,
 )
-from .subspace import DEFAULT_ANGLE_TOL, Subspace, inf_cos
-
-
-class ConstructionError(Exception):
-    """A dual construction is infeasible for the given input."""
+from .numkernel import DEFAULT_TOL, Tolerance, as_matrix, ct, rank
+from .subspace import DEFAULT_ANGLE_TOL, Subspace
 
 
 @dataclass(frozen=True)
@@ -112,17 +112,9 @@ def gramian(a: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> GramianBundle:
     m = a.matrix
     g = m.conj().T @ m
     g = (g + g.conj().T) / 2.0
-    try:
-        eigvals = np.linalg.eigvalsh(g)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Gramian eigendecomposition failed: {exc}") from exc
-    top = max(float(eigvals[-1]), 0.0)
-    active = eigvals > tol.rel_rank_tol * top if top > 0.0 else np.zeros(0, dtype=bool)
-    if np.any(active):
-        lower, upper = float(eigvals[active].min()), top
-    else:
-        lower, upper = 1.0, 1.0
-    return GramianBundle(g, Subspace.span_of(m, tol), lower, upper)
+    q, dim, s, _ = _spans(m[None], tol)
+    lower, upper = _frame_bounds(s, tol)
+    return GramianBundle(g, Subspace(q[0, :, : dim[0]]), float(lower[0]), float(upper[0]))
 
 
 def dual_gramian(a: FiberSystem) -> np.ndarray:
@@ -142,7 +134,7 @@ def mixed_gramian(a: FiberSystem, b: FiberSystem) -> np.ndarray:
 def canonical_dual(a: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> FiberSystem:
     """Canonical dual system: the pseudo-inverse of the frame operator applied
     to each generator.  Reproduces every vector in the span of the system."""
-    return FiberSystem(pinv(dual_gramian(a), tol) @ a.matrix)
+    return FiberSystem(_canonical_duals(a.matrix[None], tol)[0])
 
 
 def parsevalize(a: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> FiberSystem:
@@ -153,8 +145,9 @@ def parsevalize(a: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> FiberSystem:
     projection (eigenvalues 0 or 1), and the system is a Parseval frame for
     its span.
     """
-    g = a.matrix.conj().T @ a.matrix
-    return FiberSystem(a.matrix @ psd_power(g, -0.5, tol))
+    q, _, s, v = _spans(a.matrix[None], tol)
+    u, v, _ = _tightened(q, s, v, tol)
+    return FiberSystem((u @ ct(v))[0])
 
 
 def is_alternate_dual(a: FiberSystem, aprime: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -165,21 +158,14 @@ def is_alternate_dual(a: FiberSystem, aprime: FiberSystem, tol: Tolerance = DEFA
     of G_A.
     """
     a, aprime = pad_pair(a, aprime)
-    g = a.matrix.conj().T @ a.matrix
-    gmix = mixed_gramian(a, aprime)
-    resid = float(np.linalg.norm(g @ gmix - g))
-    return resid <= tol.eq_tol * (1.0 + float(np.linalg.norm(g)))
-
-
-def span_dims(a: FiberSystem, b: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> tuple[int, int]:
-    return rank(a.matrix, tol), rank(b.matrix, tol)
+    return bool(alternate_dual_residuals(a.matrix[None], aprime.matrix[None], tol)[1][0])
 
 
 def rank_condition(a: FiberSystem, b: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff rank G_{A,B} = dim span A = dim span B, the feasibility
     condition for a pseudo-inverse dual supported in span(B)."""
-    dim_a, dim_b = span_dims(a, b, tol)
-    return rank(mixed_gramian(a, b), tol) == dim_a == dim_b
+    a, b = pad_pair(a, b)
+    return bool(_pinv_dual_pair(a.matrix[None], b.matrix[None], tol)[1][0])
 
 
 def dualise(a: FiberSystem, b: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> FiberSystem:
@@ -191,32 +177,15 @@ def dualise(a: FiberSystem, b: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> Fib
     is in oblique duality between span(A) and span(B).
     """
     a, b = pad_pair(a, b)
-    if not rank_condition(a, b, tol):
-        raise ConstructionError(
-            "rank condition fails: rank of the mixed Gramian must equal both span dimensions"
-        )
-    d = pinv(mixed_gramian(a, b), tol)
-    return FiberSystem(b.matrix @ d.conj().T)
+    h, feasible = _pinv_dual_pair(a.matrix[None], b.matrix[None], tol)
+    if not feasible[0]:
+        raise ConstructionError(_RANK_CONDITION_FAILS)
+    return FiberSystem(h[0])
 
 
 def is_riesz(a: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the generators are linearly independent (numerical rank r)."""
     return rank(a.matrix, tol) == a.count
-
-
-def _biorth_span(a: FiberSystem, w: Subspace, tol: Tolerance, angle_tol: float) -> Subspace:
-    """Check the preconditions shared by both biorthogonal-dual routes and
-    return span(A)."""
-    if w.ambient_dim != a.dim:
-        raise ValueError(f"ambient dimensions differ: {w.ambient_dim} vs {a.dim}")
-    if not is_riesz(a, tol):
-        raise ConstructionError("generators are not a Riesz sequence")
-    if w.dim != a.count:
-        raise ValueError(f"dim W = {w.dim} does not match the system length {a.count}")
-    span_a = Subspace.span_of(a.matrix, tol)
-    if inf_cos(span_a, w) <= angle_tol or inf_cos(w, span_a) <= angle_tol:
-        raise ConstructionError("subspaces are not in duality: a fiber angle is zero")
-    return span_a
 
 
 def biorth_riesz_dual(
@@ -232,61 +201,13 @@ def biorth_riesz_dual(
     span(A) to exceed angle_tol; under those conditions the dual exists, is
     unique, and is itself a Riesz sequence spanning W.
     """
-    _biorth_span(a, w, tol, angle_tol)
-    r = a.count
-    # X[i][k] = <a_i, w_k> for the orthonormal basis w_k of W.
-    x = (w.basis.conj().T @ a.matrix).T
-    try:
-        coeff = np.conj(np.linalg.solve(x, np.eye(r, dtype=np.complex128)))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"biorthogonal solve failed: {exc}") from exc
-    return FiberSystem(w.basis @ coeff)
-
-
-def biorth_riesz_dual_via_projection(
-    a: FiberSystem,
-    w: Subspace,
-    tol: Tolerance = DEFAULT_TOL,
-    angle_tol: float = DEFAULT_ANGLE_TOL,
-) -> FiberSystem:
-    """Same dual, built through the canonical dual and an oblique projection.
-
-    Takes the canonical dual g_i of the sequence inside its own span, then
-    inverts the restriction of the orthogonal projection P_span(A) to W.
-    Agrees with biorth_riesz_dual by uniqueness of the biorthogonal dual.
-    """
-    span_a = _biorth_span(a, w, tol, angle_tol)
-    canon = pinv(dual_gramian(a), tol) @ a.matrix
-    q = span_a.basis
-    # Restrict P_span(A) to W, invert, and push the canonical dual through.
-    restriction = q.conj().T @ w.basis
-    try:
-        coeff = np.linalg.solve(restriction, q.conj().T @ canon)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"projection restriction solve failed: {exc}") from exc
-    return FiberSystem(w.basis @ coeff)
-
-
-def biorthogonality_deviation(a: FiberSystem, h: FiberSystem) -> float:
-    """Max deviation of <a_i, h_j> from the Kronecker delta."""
-    a, h = pad_pair(a, h)
-    cross = (h.matrix.conj().T @ a.matrix).T
-    return float(np.abs(cross - np.eye(a.count)).max())
-
-
-def reproduction_residual(
-    synth: FiberSystem, analysis: FiberSystem, probes: np.ndarray
-) -> float:
-    """Largest relative residual of u - sum_i <u, analysis_i> synth_i over the
-    probe columns (zero probes are skipped)."""
-    synth, analysis = pad_pair(synth, analysis)
-    p = as_matrix(probes)
-    if p.shape[0] != synth.dim:
-        raise ValueError(f"probe dimension {p.shape[0]} does not match fiber dimension {synth.dim}")
-    out = synth.matrix @ (analysis.matrix.conj().T @ p)
-    norms = np.linalg.norm(p, axis=0)
-    resid = np.linalg.norm(out - p, axis=0)
-    keep = norms > 0.0
-    if not np.any(keep):
-        return 0.0
-    return float((resid[keep] / norms[keep]).max())
+    if w.ambient_dim != a.dim:
+        raise ValueError(f"ambient dimensions differ: {w.ambient_dim} vs {a.dim}")
+    q, dim, _, _ = _spans(a.matrix[None], tol)
+    if dim[0] != a.count:
+        raise ConstructionError("generators are not a Riesz sequence")
+    if w.dim != a.count:
+        raise ValueError(f"dim W = {w.dim} does not match the system length {a.count}")
+    if _biorth_cos(q, w.basis[None], a.count)[0] <= angle_tol:
+        raise ConstructionError("subspaces are not in duality: a fiber angle is zero")
+    return FiberSystem(_biorth_duals(a.matrix[None], w.basis[None])[0])

@@ -23,6 +23,7 @@ import numpy as np
 
 from .fiberframe import FiberSystem
 from .mispace import FiberedFunction, FiberedSystem, MeasureModel
+from .numkernel import qr, singular_values
 
 FAMILIES = ("in-duality", "orthogonal-failure", "near-threshold")
 
@@ -32,7 +33,7 @@ def complex_gaussian(rng, *shape) -> np.ndarray:
 
 
 def random_unitary(rng, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(complex_gaussian(rng, d, d))
+    q, r = qr(complex_gaussian(rng, d, d))
     # Fix the phase so the factorization is unique, not just deterministic.
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :].conj()
 
@@ -43,7 +44,7 @@ def well_conditioned_coefficients(rng, k: int, r: int, max_cond: float = 20.0) -
         raise ValueError("need k <= r for a full-row-rank coefficient block")
     while True:
         c = complex_gaussian(rng, k, r)
-        s = np.linalg.svd(c, compute_uv=False)
+        s = singular_values(c)
         if s[-1] > 0.0 and s[0] / s[-1] <= max_cond:
             return c
 

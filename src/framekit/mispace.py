@@ -6,7 +6,9 @@ stands for the generator family of a multiplication-invariant space, and all
 global statements about such spaces reduce to fiber statements plus weights.
 This module hosts the reductions: global frame bounds as extrema of fiber
 spectra, global infimum cosine angles as minima of fiber angles, the mixed
-frame operator, reconstruction, and the two report-producing checkers.
+frame operator, reconstruction, and the two report-producing checkers.  They
+run on array kernels that take raw (atoms, d, r) stacks; the single-fiber
+functions of fiberframe are the same kernels on one-atom stacks.
 
 verify_duality takes a pair of fibered systems and evaluates four statements
 that are equivalent for frames of this kind: existence of global dual pairs,
@@ -27,13 +29,12 @@ target subspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fiberframe import ConstructionError, FiberSystem
 from .numkernel import (
     DEFAULT_TOL,
-    NumericalError,
     Tolerance,
     as_matrix,
     as_stack,
@@ -41,9 +42,14 @@ from .numkernel import (
     rank,
     rank_mask,
     singular_values,
+    solve,
     svd,
 )
-from .subspace import DEFAULT_ANGLE_TOL, Subspace, clip_cos
+from .subspace import DEFAULT_ANGLE_TOL, _inf_cos_pair, clip_cos
+
+if TYPE_CHECKING:
+    from .fiberframe import FiberSystem
+    from .subspace import Subspace
 
 DEFAULT_C_MAX = 1e8
 PROBE_COUNT = 32
@@ -52,6 +58,18 @@ PROBE_COUNT = 32
 # 136 MB, 256-atom blocks gave 66 MB and 32-atom blocks 58.4 MB, at the same
 # speed.
 _BLOCK = 32
+# DeterminingSet accepts a table whose analysis map deviates from an isometry
+# by at most this much.  The tables built here are Parseval to rounding, and a
+# looser bound would let through families for which modulation-side sums no
+# longer equal the weighted inner products they stand for.
+_PARSEVAL_TOL = 1e-10
+_RANK_CONDITION_FAILS = (
+    "rank condition fails: rank of the mixed Gramian must equal both span dimensions"
+)
+
+
+class ConstructionError(Exception):
+    """A dual construction is infeasible for the given input."""
 
 
 @dataclass(frozen=True)
@@ -129,6 +147,8 @@ class FiberedSystem:
     @property
     def fibers(self) -> tuple[FiberSystem, ...]:
         """Per-atom FiberSystem views of the stack, built on every access."""
+        from .fiberframe import FiberSystem  # fiberframe is built on this module
+
         return tuple(FiberSystem(m) for m in self.matrices)
 
     def padded(self, count: int) -> "FiberedSystem":
@@ -223,20 +243,74 @@ def _global_bounds(
     return lo, hi, bool(lo > tol.eq_tol)
 
 
-def _inf_cos_pair(qa, dim_a, qb, dim_b) -> tuple[np.ndarray, np.ndarray]:
-    """Infimum cosines R(Ja, Jb) and R(Jb, Ja) per fiber, from zero-padded
-    orthonormal bases of the spans.
+def _tightened(q, s, v, tol: Tolerance):
+    """Parseval tightening U_p V_p^H of a block from its span factors: the
+    span bases q and right singular vectors v of _spans with the columns off
+    the Gramian support s^2 > rel_rank_tol s_0^2 zeroed, and that support.
+    The Gramian support is a prefix of the span support, so masking the span
+    bases again gives the tightened ones."""
+    keep = rank_mask(s**2, tol.rel_rank_tol)
+    return q * keep[..., None, :], v * keep[..., None, :], keep
 
-    Both are the smallest of the min(dim_a, dim_b) principal cosines, the
-    singular values of Qb^H Qa; a span meeting a smaller one gets 0 and a
-    zero span gets 1, the conventions of subspace.inf_cos.
+
+def _canonical_duals(m: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Canonical duals U_p S_p^-1 V_p^H of an (atoms, d, r) block: the
+    pseudo-inverse of the frame operator M M^H applied to M, on the Gramian
+    support of the Parseval tightening."""
+    q, _, s, v = _spans(m, tol)
+    u, v, keep = _tightened(q, s, v, tol)
+    return (u * np.divide(1.0, s, out=np.zeros_like(s), where=keep)[..., None, :]) @ ct(v)
+
+
+def _pinv_dual(b, g, tol: Tolerance, right=None):
+    """B U S^+ (R V)^H for the SVD U S V^H of g, R the identity when right is
+    None, together with S^+ and the rank support of S.
+
+    With g the mixed Gramian B^H A this is the pseudo-inverse dual of A
+    supported in span(B).  For Parseval-tightened systems U_B,p V_B,p^H and
+    U_A,p V_A,p^H it is that dual with b = U_B,p, g = U_B,p^H U_A,p and
+    right = V_A,p, without forming the r x r mixed Gramian.
     """
-    s = singular_values(ct(qb) @ qa)
-    k = np.maximum(np.minimum(dim_a, dim_b) - 1, 0)
-    cos = clip_cos(np.take_along_axis(s, k[:, None], axis=1)[:, 0])
-    r_ab = np.where(dim_a == 0, 1.0, np.where(dim_b < dim_a, 0.0, cos))
-    r_ba = np.where(dim_b == 0, 1.0, np.where(dim_a < dim_b, 0.0, cos))
-    return r_ab, r_ba
+    u, s, v = svd(g)
+    keep = rank_mask(s, tol.rel_rank_tol)
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    return b @ (u * s_inv[..., None, :]) @ ct(v if right is None else right @ v), s_inv, keep
+
+
+def _pinv_dual_pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-inverse duals of A in span(B) for a block pair of equal length,
+    and per atom the rank condition rank B^H A = rank A = rank B under which
+    each is an alternate dual of A."""
+    h, _, keep = _pinv_dual(b, ct(b) @ a, tol)
+    n_keep = keep.sum(axis=-1)
+    return h, (rank(a, tol) == n_keep) & (rank(b, tol) == n_keep)
+
+
+def _biorth_cos(q, w, r: int) -> np.ndarray:
+    """Infimum cosine, the same both ways, between r-dimensional spans with
+    orthonormal bases q and w, per atom of a block."""
+    return clip_cos(singular_values(ct(w) @ q)[..., r - 1])
+
+
+def _biorth_duals(a, w) -> np.ndarray:
+    """Biorthogonal duals of Riesz blocks a in the spans of the orthonormal
+    bases w: h_j = W c_j with <a_i, h_j> = delta_ij, one batched solve of
+    (W^H A)^T C = I."""
+    eye = np.eye(a.shape[-1], dtype=np.complex128)
+    return w @ solve((ct(w) @ a).swapaxes(-1, -2), eye, "biorthogonal solve").conj()
+
+
+def alternate_dual_residuals(a, h, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Frobenius residuals of the alternate-dual identity G_A G_{A,H} = G_A per
+    atom of (atoms, d, r) stacks of equal length, and whether each is within
+    eq_tol relative to the size of G_A.
+
+    The identity is the Gramian form of the reproducing property
+    u = sum_i <u, h_i> a_i for all u in span(A).
+    """
+    ga = ct(a) @ a
+    resid = np.linalg.norm(ga @ (ct(h) @ a) - ga, axis=(-2, -1))
+    return resid, resid <= tol.eq_tol * (1.0 + np.linalg.norm(ga, axis=(-2, -1)))
 
 
 def global_frame_bounds(
@@ -298,16 +372,19 @@ def pinv_dual(
     a_all, b_all = _padded_pair(sa, sb)
     out = np.empty_like(b_all)
     for lo, hi in _blocks(sa.measure.count):
-        a, b = a_all[lo:hi], b_all[lo:hi]
-        u, s, v = svd(ct(b) @ a)
-        keep = rank_mask(s, tol.rel_rank_tol)
-        n_keep = keep.sum(axis=-1)
-        if np.any(rank(a, tol) != n_keep) or np.any(rank(b, tol) != n_keep):
-            raise ConstructionError(
-                "rank condition fails: rank of the mixed Gramian must equal both span dimensions"
-            )
-        s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-        out[lo:hi] = b @ (u * s_inv[:, None, :]) @ ct(v)
+        out[lo:hi], feasible = _pinv_dual_pair(a_all[lo:hi], b_all[lo:hi], tol)
+        if not feasible.all():
+            raise ConstructionError(_RANK_CONDITION_FAILS)
+    return FiberedSystem(sa.measure, out)
+
+
+def canonical_duals(sa: FiberedSystem, tol: Tolerance = DEFAULT_TOL) -> FiberedSystem:
+    """Fiberwise canonical duals, the stacked form of fiberframe.canonical_dual:
+    on every atom the pseudo-inverse of the frame operator applied to the
+    generators.  Reproduces every function with values in the fiber spans."""
+    out = np.empty_like(sa.matrices)
+    for lo, hi in _blocks(sa.measure.count):
+        out[lo:hi] = _canonical_duals(sa.matrices[lo:hi], tol)
     return FiberedSystem(sa.measure, out)
 
 
@@ -341,7 +418,7 @@ class DeterminingSet:
                 f"table has {t.shape[1]} columns for {self.measure.count} atoms"
             )
         b = np.sqrt(self.measure.weights)[None, :] * t.conj()
-        if np.abs(b.conj().T @ b - np.eye(t.shape[1])).max() > 1e-10:
+        if np.abs(b.conj().T @ b - np.eye(t.shape[1])).max() > _PARSEVAL_TOL:
             raise ValueError("function family is not Parseval for the weighted space")
         object.__setattr__(self, "table", t)
         t.flags.writeable = False
@@ -359,73 +436,6 @@ def fourier_determining_set(measure: MeasureModel) -> DeterminingSet:
     s_idx, k_idx = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
     t = np.exp(2j * np.pi * s_idx * k_idx / k) / np.sqrt(measure.weights * k)[None, :]
     return DeterminingSet(measure, t)
-
-
-def modulation_coefficients(
-    system: FiberedSystem, f: FiberedFunction, dset: DeterminingSet
-) -> np.ndarray:
-    """Coefficients <f, g_s . v_i> for every scalar function g_s and generator
-    v_i, as an (S, r) array."""
-    _same_measure(system.measure, f.measure)
-    _same_measure(system.measure, dset.measure)
-    if system.fiber_dim != f.fiber_dim:
-        raise ValueError("fiber dimensions differ")
-    # u[k, i] = <f(x_k), v_i(x_k)>
-    u = np.concatenate(
-        [
-            (ct(system.matrices[lo:hi]) @ f.values[lo:hi, :, None])[..., 0]
-            for lo, hi in _blocks(system.measure.count)
-        ]
-    )
-    w = system.measure.weights
-    return dset.table.conj() @ (w[:, None] * u)
-
-
-def global_pairing(
-    synth: FiberedSystem,
-    analysis: FiberedSystem,
-    f: FiberedFunction,
-    g: FiberedFunction,
-    dset: DeterminingSet,
-) -> complex:
-    """<T' f, T g> computed on the modulation side: analysis coefficients of f
-    against one derived system paired with those of g against the other.
-
-    Agrees with weighted_inner(apply_mixed_frame_operator(synth, analysis, f), g)
-    whenever the determining set is Parseval; the two routes never share an
-    intermediate, which is what makes the agreement a real check.
-    """
-    r = max(synth.count, analysis.count)
-    synth, analysis = synth.padded(r), analysis.padded(r)
-    cf = modulation_coefficients(analysis, f, dset)
-    cg = modulation_coefficients(synth, g, dset)
-    return complex((cf * cg.conj()).sum())
-
-
-def global_biorthogonality_deviation(
-    sa: FiberedSystem, dual: FiberedSystem, dset: DeterminingSet
-) -> float:
-    """Max deviation of <g_s . f_i, g_t . h_j> from delta_st delta_ij over the
-    doubly modulated families."""
-    a, h = _padded_pair(sa, dual)
-    _same_measure(sa.measure, dset.measure)
-    r = a.shape[2]
-    w = sa.measure.weights
-    # cross[k, i, j] = <f_i(x_k), h_j(x_k)>
-    cross = np.concatenate(
-        [
-            (ct(h[lo:hi]) @ a[lo:hi]).swapaxes(-1, -2)
-            for lo, hi in _blocks(sa.measure.count)
-        ]
-    )
-    t = dset.table
-    scal = np.einsum("sk,tk,k->stk", t, t.conj(), w)
-    out = np.einsum("stk,kij->stij", scal, cross)
-    s_count = t.shape[0]
-    expected = np.einsum(
-        "st,ij->stij", np.eye(s_count), np.eye(r, dtype=np.complex128)
-    )
-    return float(np.abs(out - expected).max())
 
 
 # ---------------------------------------------------------------------------
@@ -566,21 +576,16 @@ def verify_duality(
     for lo, hi in _blocks(n_atoms):
         a, b = a_all[lo:hi], b_all[lo:hi]
         qa, dim_a[lo:hi], s_a, v_a = _spans(a, tol)
-        qb, dim_b[lo:hi], s_b, _ = _spans(b, tol)
+        qb, dim_b[lo:hi], s_b, v_b = _spans(b, tol)
         bounds[0:2, lo:hi] = _frame_bounds(s_a, tol)
         bounds[2:4, lo:hi] = _frame_bounds(s_b, tol)
         r_ab[lo:hi], r_ba[lo:hi] = _inf_cos_pair(qa, dim_a[lo:hi], qb, dim_b[lo:hi])
         rank_mixed[lo:hi] = rank(ct(b) @ a, tol)
-        # The Gramian support is a prefix of the span support, so masking the
-        # span bases again gives the tightened ones.
-        keep_a, keep_b = rank_mask(s_a**2, rel), rank_mask(s_b**2, rel)
-        ua, va, ub = qa * keep_a[:, None, :], v_a * keep_a[:, None, :], qb * keep_b[:, None, :]
-        x, sig, y = svd(ct(ub) @ ua)
-        keep = rank_mask(sig, rel)
-        sig_inv = np.divide(1.0, sig, out=np.zeros_like(sig), where=keep)
-        pinv_norm[lo:hi] = sig_inv.max(axis=-1)
+        ua, va, keep_a = _tightened(qa, s_a, v_a, tol)
+        ub, _, keep_b = _tightened(qb, s_b, v_b, tol)
         tight[lo:hi] = ua @ ct(va)
-        dual[lo:hi] = ub @ (x * sig_inv[:, None, :]) @ ct(va @ y)
+        dual[lo:hi], sig_inv, keep = _pinv_dual(ub, ct(ub) @ ua, tol, right=va)
+        pinv_norm[lo:hi] = sig_inv.max(axis=-1)
         # the rank condition of the pseudo-inverse dual of the tightened pair
         n_keep = keep.sum(axis=-1)
         dualisable[lo:hi] = (keep_a.sum(axis=-1) == n_keep) & (keep_b.sum(axis=-1) == n_keep)
@@ -720,10 +725,7 @@ def verify_biorthogonality(
     w_all = np.stack([w.basis for w in targets])
 
     cos = np.concatenate(
-        [
-            clip_cos(singular_values(ct(w_all[lo:hi]) @ basis[lo:hi])[:, r - 1])
-            for lo, hi in _blocks(n_atoms)
-        ]
+        [_biorth_cos(basis[lo:hi], w_all[lo:hi], r) for lo, hi in _blocks(n_atoms)]
     )
     rows = [
         BiorthRow(atom, c, c, c > angle_tol) for atom, c in zip(sa.measure.atoms, cos.tolist())
@@ -746,12 +748,7 @@ def verify_biorthogonality(
     dev = repro = 0.0
     for lo, hi in _blocks(n_atoms):
         a, wb = a_all[lo:hi], w_all[lo:hi]
-        # x[i][k] = <a_i, w_k> for the orthonormal basis w_k of W
-        try:
-            coeff = np.linalg.solve((ct(wb) @ a).swapaxes(-1, -2), eye).conj()
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"biorthogonal solve failed: {exc}") from exc
-        h = dual[lo:hi] = wb @ coeff
+        h = dual[lo:hi] = _biorth_duals(a, wb)
         dev = max(dev, float(np.abs((ct(h) @ a).swapaxes(-1, -2) - eye).max()))
         probes_a = _probe_block(rng, a, probe_count)
         probes_w = _probe_block(rng, wb, probe_count)

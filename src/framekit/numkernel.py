@@ -1,9 +1,10 @@
 """Deterministic dense linear algebra kernel.
 
 All higher layers funnel their numerics through this module so that rank
-decisions, pseudo-inverses and spectral functions are taken with one shared
-tolerance policy.  Matrices are dense complex128 throughout; inputs are
-validated (shape, finiteness) before any factorization runs.
+decisions and spans are taken with one shared tolerance policy; it is the
+only module that calls a numpy.linalg factorization.  Matrices are dense
+complex128 throughout; inputs are validated (shape, finiteness) before any
+factorization runs.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def as_stack(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim < 2:
         raise ValueError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 
@@ -103,15 +104,6 @@ def rank(m, tol: Tolerance = DEFAULT_TOL):
     return int(r) if r.ndim == 0 else r
 
 
-def pinv(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with the shared rank cutoff."""
-    u, s, v = svd(as_matrix(m))
-    keep = rank_mask(s, tol.rel_rank_tol)
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return (v * inv) @ u.conj().T
-
-
 def orth(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis for the column space, as matrix columns.
 
@@ -122,35 +114,20 @@ def orth(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return np.ascontiguousarray(u[:, rank_mask(s, tol.rel_rank_tol)])
 
 
-def psd_power(m, power: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Spectral power of a positive semidefinite matrix.
-
-    Negative powers act on the support only (pseudo-inverse convention), so
-    psd_power(G, -0.5) is the square root of the pseudo-inverse.  Inputs must
-    be Hermitian within eq_tol and have spectrum >= -eq_tol, both relative to
-    the matrix scale; anything else is a domain error.
-    """
-    m = as_matrix(m)
-    n, k = m.shape
-    if n != k:
-        raise ValueError(f"psd_power needs a square matrix, got {n}x{k}")
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    scale = 1.0 + float(np.abs(m).max())
-    herm_dev = float(np.abs(m - m.conj().T).max())
-    if herm_dev > tol.eq_tol * scale:
-        raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
-    h = (m + m.conj().T) / 2.0
+def qr(m) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR factorization M = Q R of a matrix or a (..., m, n) stack."""
+    m = as_stack(m)
     try:
-        eigvals, eigvecs = np.linalg.eigh(h)
+        return np.linalg.qr(m)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
-    top = max(float(eigvals[-1]), 0.0)
-    if float(eigvals[0]) < -tol.eq_tol * max(1.0, top):
-        raise ValueError(f"matrix is not positive semidefinite (eigenvalue {eigvals[0]:.3e})")
-    eigvals = np.clip(eigvals, 0.0, None)
-    support = eigvals > tol.rel_rank_tol * top if top > 0.0 else np.zeros(n, dtype=bool)
-    powered = np.zeros(n)
-    powered[support] = eigvals[support] ** power
-    out = (eigvecs * powered) @ eigvecs.conj().T
-    return (out + out.conj().T) / 2.0
+        raise NumericalError(f"QR factorization failed: {exc}") from exc
+
+
+def solve(a, b, what: str = "linear solve") -> np.ndarray:
+    """Solution X of A X = B for a square matrix or a stack of them; a singular
+    system surfaces as NumericalError("<what> failed: ...")."""
+    a = as_stack(a)
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} failed: {exc}") from exc

@@ -5,7 +5,8 @@ unit vectors v in V; the supremum cosine angle is the largest.  Both reduce
 to singular values of the cross product B^H A of orthonormal bases, which is
 how they are computed here.  Degenerate cases follow fixed conventions: a
 zero V has infimum angle 1 and supremum angle 0, and the infimum angle is 0
-whenever dim W < dim V.
+whenever dim W < dim V.  The infimum angles of one pair are the one-atom case
+of the fiber engine's stacked angle kernel, _inf_cos_pair.
 """
 
 from __future__ import annotations
@@ -14,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import (
-    DEFAULT_TOL,
-    NumericalError,
-    Tolerance,
-    as_matrix,
-    orth,
-    rank,
-    singular_values,
-)
+from .numkernel import DEFAULT_TOL, Tolerance, as_matrix, ct, orth, singular_values, svd
 
 DEFAULT_ANGLE_TOL = 1e-8
 
@@ -48,7 +41,7 @@ class Subspace:
     def __post_init__(self):
         b = as_matrix(self.basis)
         gram = b.conj().T @ b
-        if gram.size and np.abs(gram - np.eye(b.shape[1])).max() > 1e-8:
+        if gram.size and np.abs(gram - np.eye(b.shape[1])).max() > DEFAULT_TOL.eq_tol:
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
         b.flags.writeable = False
@@ -86,12 +79,27 @@ def _check_same_ambient(v: Subspace, w: Subspace):
         )
 
 
-def project(w: Subspace, vec) -> np.ndarray:
-    """Orthogonal projection of a vector onto W."""
-    v = np.asarray(vec, dtype=np.complex128)
-    if v.shape != (w.ambient_dim,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({w.ambient_dim},)")
-    return w.basis @ (w.basis.conj().T @ v)
+def _inf_cos_pair(qa, dim_a, qb, dim_b) -> tuple[np.ndarray, np.ndarray]:
+    """Infimum cosines R(Ja, Jb) and R(Jb, Ja) per atom of (atoms, d, k) stacks
+    of orthonormal span bases zero-padded to k >= 1 columns, dim_a and dim_b
+    the span dimensions.
+
+    Both are the smallest of the min(dim_a, dim_b) principal cosines, the
+    singular values of Qb^H Qa; a span meeting a smaller one gets 0 and a
+    zero span gets 1, the conventions of inf_cos.
+    """
+    s = singular_values(ct(qb) @ qa)
+    k = np.maximum(np.minimum(dim_a, dim_b) - 1, 0)
+    cos = clip_cos(np.take_along_axis(s, k[:, None], axis=1)[:, 0])
+    r_ab = np.where(dim_a == 0, 1.0, np.where(dim_b < dim_a, 0.0, cos))
+    r_ba = np.where(dim_b == 0, 1.0, np.where(dim_a < dim_b, 0.0, cos))
+    return r_ab, r_ba
+
+
+def _one_atom(v: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """V as a one-atom stack for _inf_cos_pair: the basis, padded with a zero
+    column when V is zero, and the dimension."""
+    return np.pad(v.basis, ((0, 0), (0, int(v.dim == 0))))[None], np.array([v.dim])
 
 
 def inf_cos(v: Subspace, w: Subspace) -> float:
@@ -102,12 +110,7 @@ def inf_cos(v: Subspace, w: Subspace) -> float:
     lost under projection).
     """
     _check_same_ambient(v, w)
-    if v.dim == 0:
-        return 1.0
-    if w.dim < v.dim:
-        return 0.0
-    s = singular_values(w.basis.conj().T @ v.basis)
-    return float(clip_cos(s[v.dim - 1]))
+    return float(_inf_cos_pair(*_one_atom(v), *_one_atom(w))[0][0])
 
 
 def sup_cos(v: Subspace, w: Subspace) -> float:
@@ -123,24 +126,11 @@ def ortho_complement(w: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Orthogonal complement of W inside its ambient space.
 
     Computed by completing the orthonormal basis of W to a unitary, so the
-    result always has dimension exactly d - dim W.
+    result always has dimension exactly d - dim W: the thin SVD of W padded
+    with zero columns to d x d is a full one.
     """
     d = w.ambient_dim
     if w.dim == 0:
         return Subspace.full(d)
-    try:
-        u, _, _ = np.linalg.svd(w.basis, full_matrices=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    u, _, _ = svd(np.pad(w.basis, ((0, 0), (0, d - w.dim))))
     return Subspace(np.ascontiguousarray(u[:, w.dim:]))
-
-
-def direct_sum_test(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the ambient space is V (+) W-perp, i.e. the pair suits oblique
-    projection onto V along W-perp."""
-    _check_same_ambient(v, w)
-    wp = ortho_complement(w, tol)
-    if v.dim + wp.dim != v.ambient_dim:
-        return False
-    stacked = np.concatenate([v.basis, wp.basis], axis=1)
-    return rank(stacked, tol) == v.ambient_dim

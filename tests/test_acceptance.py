@@ -16,8 +16,6 @@ import numpy as np
 from framekit.fiberframe import (
     FiberSystem,
     biorth_riesz_dual,
-    biorth_riesz_dual_via_projection,
-    biorthogonality_deviation,
     dualise,
     gramian,
     is_alternate_dual,
@@ -41,12 +39,10 @@ from framekit.mispace import (
     delta_determining_set,
     fourier_determining_set,
     global_frame_bounds,
-    global_pairing,
     reconstruct,
     verify_duality,
     weighted_inner,
 )
-from framekit.numkernel import pinv
 from framekit.subspace import Subspace, inf_cos, sup_cos
 from framekit.zak import (
     builtin_plan,
@@ -55,6 +51,12 @@ from framekit.zak import (
     verify_intertwine,
     zak_forward,
     zak_inverse,
+)
+from oracles import (
+    biorth_riesz_dual_via_projection,
+    biorthogonality_deviation,
+    global_pairing,
+    pinv,
 )
 
 PLAN_NAMES = ("z4", "z12", "d4")
@@ -292,8 +294,7 @@ def test_criterion_6_zak_suite():
             worst_exact = max(
                 worst_exact, float(np.abs(zak_inverse(plan, zf) - f).max())
             )
-            for gamma in plan.powers:
-                worst_exact = max(worst_exact, verify_intertwine(plan, f, int(gamma)))
+            worst_exact = max(worst_exact, verify_intertwine(plan, f))
 
     rng = np.random.default_rng(606)
     worst_bounds = 0.0

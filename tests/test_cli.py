@@ -179,6 +179,21 @@ def test_reconstruct(pair_file):
     assert len(result["per_atom"]) == 3
 
 
+def test_reconstruct_through_canonical_dual(pair_file, tmp_path):
+    # without a system B the probe is reconstructed through A's canonical dual
+    with open(pair_file, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for atom in doc["atoms"]:
+        del atom["B"]
+    path = tmp_path / "a-only.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = json.loads(run_cli("reconstruct", "--in", str(path), check_rc=0).stdout)["result"]
+    assert result["ok"] is True
+    assert result["dual_source"] == "canonical dual"
+    assert result["rel_residual"] <= 1e-10
+    assert len(result["per_atom"]) == 3
+
+
 def test_zak_demo_builtin_and_custom():
     proc = run_cli("zak-demo", "--group", "z12", "--signal", "random",
                    "--seed", "4", check_rc=0)

@@ -1,27 +1,34 @@
-"""The atom-blocked fiber engine against the per-fiber oracle.
+"""The atom-blocked fiber engine against the per-fiber oracles.
 
-The oracle runs the duality reduction one atom at a time with the
-single-fiber functions of fiberframe and subspace (spans, inf_cos,
-parsevalize, dualise, gramian); the engine in mispace factors blocks of
-atoms at once.  Verdicts, integer diagnostics and the deciding atom must
-agree exactly, cosines to 1e-12 and pseudo-inverse norms to 1e-8 relative.
+The oracle runs the duality reduction one atom at a time with the reference
+implementations of tests/oracles.py (eigenvalue frame bounds, PSD-power
+tightening, pseudo-inverse duals, the orthonormal-basis inf_cos); the engine
+in mispace factors blocks of atoms at once, and the single-fiber functions
+of fiberframe and subspace run it on one-atom stacks.  Verdicts, integer
+diagnostics and the deciding atom must agree exactly, cosines to 1e-12 and
+pseudo-inverse norms to 1e-8 relative.
 """
 
 import numpy as np
 import pytest
 
+import oracles
 from framekit.fiberframe import (
     ConstructionError,
     FiberSystem,
     biorth_riesz_dual,
+    canonical_dual,
     dualise,
     gramian,
+    is_alternate_dual,
     mixed_gramian,
     parsevalize,
+    rank_condition,
 )
 from framekit.generate import (
     complex_gaussian,
     duality_instance,
+    fiber_pair,
     random_fibered_system,
     random_unitary,
     rotated_span_pair,
@@ -32,11 +39,11 @@ from framekit.mispace import (
     FiberedFunction,
     FiberedSystem,
     MeasureModel,
+    alternate_dual_residuals,
     apply_mixed_frame_operator,
-    delta_determining_set,
+    canonical_duals,
     global_frame_bounds,
     global_inf_cos,
-    modulation_coefficients,
     pinv_dual,
     verify_biorthogonality,
     verify_duality,
@@ -49,8 +56,8 @@ PROBES = 8
 
 
 def oracle_duality(sa, sb, tol=DEFAULT_TOL, angle_tol=DEFAULT_ANGLE_TOL, c_max=DEFAULT_C_MAX):
-    """verify_duality's statements computed atom by atom with the single-fiber
-    functions.  Returns (verdicts, witness_status, rows, worst atom, bounds)."""
+    """verify_duality's statements computed atom by atom with the per-fiber
+    oracles.  Returns (verdicts, witness_status, rows, worst atom, bounds)."""
     r = max(sa.count, sb.count)
     fa_all, fb_all = sa.padded(r).fibers, sb.padded(r).fibers
     rows, tight = [], []
@@ -58,20 +65,20 @@ def oracle_duality(sa, sb, tol=DEFAULT_TOL, angle_tol=DEFAULT_ANGLE_TOL, c_max=D
     for atom, fa, fb in zip(sa.measure.atoms, fa_all, fb_all):
         ja, jb = Subspace.span_of(fa.matrix, tol), Subspace.span_of(fb.matrix, tol)
         rank_mixed = rank(mixed_gramian(fa, fb), tol)
-        pa, pb = parsevalize(fa, tol), parsevalize(fb, tol)
+        pa, pb = oracles.parsevalize(fa, tol), oracles.parsevalize(fb, tol)
         s = singular_values(mixed_gramian(pa, pb))
         keep = s > tol.rel_rank_tol * s[0] if s[0] > 0 else np.zeros(s.shape, dtype=bool)
         pinv_norm = float(1.0 / s[keep].min()) if keep.any() else 0.0
-        rows.append((atom, ja.dim, jb.dim, inf_cos(ja, jb), inf_cos(jb, ja), rank_mixed, pinv_norm))
+        rows.append((atom, ja.dim, jb.dim, oracles.inf_cos(ja, jb), oracles.inf_cos(jb, ja), rank_mixed, pinv_norm))
         tight.append((pa, pb))
         feasible = feasible and rank_mixed == ja.dim == jb.dim
 
     def bounds(fibers):
-        act = [gramian(f, tol) for f in fibers if rank(f.matrix, tol) > 0]
+        act = [oracles.frame_bounds(f, tol) for f in fibers if rank(f.matrix, tol) > 0]
         if not act:
             return 1.0, 1.0, True
-        lo = min(b.frame_lower for b in act)
-        return lo, max(b.frame_upper for b in act), lo > tol.eq_tol
+        lo = min(b[0] for b in act)
+        return lo, max(b[1] for b in act), lo > tol.eq_tol
 
     fiber_angles = all(row[3] > angle_tol and row[4] > angle_tol for row in rows)
     act_a = [row[3] for row in rows if row[1] > 0]
@@ -82,7 +89,7 @@ def oracle_duality(sa, sb, tol=DEFAULT_TOL, angle_tol=DEFAULT_ANGLE_TOL, c_max=D
     duals = None
     if feasible:
         try:
-            duals = [dualise(pa, pb, tol) for pa, pb in tight]
+            duals = [oracles.dualise(pa, pb, tol) for pa, pb in tight]
         except ConstructionError:
             duals = None
     if duals is not None:
@@ -230,7 +237,7 @@ def test_pinv_dual_matches_dualise():
     sb = FiberedSystem(inst.sb.measure, tuple(f.padded(4) for f in inst.sb.fibers))
     dual = pinv_dual(inst.sa, sb)
     for fa, fb, h in zip(inst.sa.fibers, sb.fibers, dual.fibers):
-        assert np.allclose(h.matrix, dualise(fa, fb).matrix, atol=1e-10)
+        assert np.allclose(h.matrix, oracles.dualise(fa, fb).matrix, atol=1e-10)
     bad = duality_instance("orthogonal-failure", 3, 2, 2, seed=6)
     with pytest.raises(ConstructionError, match="rank condition"):
         pinv_dual(bad.sa, bad.sb)
@@ -240,15 +247,11 @@ def test_global_reductions_match_per_fiber():
     rng = np.random.default_rng(31)
     sa = random_fibered_system(rng, 2 * _BLOCK + 3, 4, 2)
     sb = FiberedSystem(sa.measure, random_fibered_system(rng, 2 * _BLOCK + 3, 4, 3).fibers)
-    lows, highs = [], []
-    for f in sa.fibers:
-        b = gramian(f)
-        lows.append(b.frame_lower)
-        highs.append(b.frame_upper)
+    lows, highs = zip(*(oracles.frame_bounds(f) for f in sa.fibers))
     lo, hi, _ = global_frame_bounds(sa)
     assert (lo, hi) == pytest.approx((min(lows), max(highs)), rel=1e-10)
     want = min(
-        inf_cos(Subspace.span_of(fa.matrix), Subspace.span_of(fb.matrix))
+        oracles.inf_cos(Subspace.span_of(fa.matrix), Subspace.span_of(fb.matrix))
         for fa, fb in zip(sa.fibers, sb.fibers)
     )
     assert global_inf_cos(sa, sb) == pytest.approx(want, abs=1e-12)
@@ -257,10 +260,6 @@ def test_global_reductions_match_per_fiber():
     for k, (fa, fb) in enumerate(zip(sa.fibers, sb.fibers)):
         want_k = fa.padded(3).matrix @ (fb.matrix.conj().T @ f.values[k])
         assert np.allclose(out.values[k], want_k, atol=1e-12)
-    dset = delta_determining_set(sa.measure)
-    u = np.stack([fa.matrix.conj().T @ f.values[k] for k, fa in enumerate(sa.fibers)])
-    want_c = dset.table.conj() @ (sa.measure.weights[:, None] * u)
-    assert np.allclose(modulation_coefficients(sa, f, dset), want_c, atol=1e-12)
 
 
 def test_verify_biorthogonality_matches_per_fiber():
@@ -277,16 +276,55 @@ def test_verify_biorthogonality_matches_per_fiber():
     assert report.holds and report.repro_residual <= 1e-10
     for fib, w, row, h in zip(sa.fibers, targets, report.rows, report.dual.fibers):
         span = Subspace.span_of(fib.matrix)
-        assert row.r_aw == pytest.approx(inf_cos(span, w), abs=1e-12)
-        assert row.r_wa == pytest.approx(inf_cos(w, span), abs=1e-12)
-        assert np.allclose(h.matrix, biorth_riesz_dual(fib, w).matrix, atol=1e-10)
-    lows = [gramian(f).frame_lower for f in sa.fibers]
+        assert row.r_aw == pytest.approx(oracles.inf_cos(span, w), abs=1e-12)
+        assert row.r_wa == pytest.approx(oracles.inf_cos(w, span), abs=1e-12)
+        assert np.allclose(h.matrix, oracles.biorth_riesz_dual_via_projection(fib, w).matrix, atol=1e-10)
+    lows = [oracles.frame_bounds(f)[0] for f in sa.fibers]
     assert report.riesz_bounds[0] == pytest.approx(min(lows), rel=1e-10)
     # a non-Riesz fiber in the second block is named
     bad = list(fibers)
     bad[_BLOCK + 2] = FiberSystem(np.repeat(fibers[0].matrix[:, :1], 2, axis=1))
     with pytest.raises(ConstructionError, match=f"x{_BLOCK + 2}"):
         verify_biorthogonality(FiberedSystem(measure, tuple(bad)), targets)
+
+
+def test_single_fiber_functions_match_oracles():
+    """The single-fiber functions are the engine on one-atom stacks; the
+    oracles compute the same quantities the independent way."""
+    rng = np.random.default_rng(43)
+    for trial in range(300):
+        d = int(rng.integers(1, 7))
+        r = int(rng.integers(1, 5))
+        k = int(rng.integers(1, min(d, r) + 1))
+        cosines = rng.uniform(0.2, 1.0, k)
+        if trial % 4 == 0 and k > 1:
+            # one orthogonal direction beside others, so that the rank drop of
+            # B^H A shows against its largest singular value
+            cosines[0] = 0.0
+        a, b, _ = fiber_pair(rng, d, r, k, cosines)
+        bounds = gramian(a)
+        assert (bounds.frame_lower, bounds.frame_upper) == pytest.approx(oracles.frame_bounds(a), rel=1e-10)
+        assert np.allclose(parsevalize(a).matrix, oracles.parsevalize(a).matrix, atol=1e-10)
+        assert np.allclose(canonical_dual(a).matrix, oracles.canonical_dual(a).matrix, atol=1e-10)
+        ja, jb = Subspace.span_of(a.matrix), Subspace.span_of(b.matrix)
+        assert inf_cos(ja, jb) == pytest.approx(oracles.inf_cos(ja, jb), abs=1e-12)
+        assert inf_cos(jb, ja) == pytest.approx(oracles.inf_cos(jb, ja), abs=1e-12)
+        try:
+            want = oracles.dualise(a, b)
+        except ConstructionError:
+            want = None
+        assert rank_condition(a, b) == (want is not None)
+        if want is None:
+            with pytest.raises(ConstructionError, match="rank condition"):
+                dualise(a, b)
+            continue
+        h = dualise(a, b)
+        assert np.allclose(h.matrix, want.matrix, atol=1e-8)
+        assert is_alternate_dual(a, h) and is_alternate_dual(h, a)
+        v, w, _ = rotated_span_pair(rng, d, k, rng.uniform(0.2, 1.0, k))
+        riesz = FiberSystem(v @ (np.eye(k) + 0.3 * complex_gaussian(rng, k, k)))
+        want = oracles.biorth_riesz_dual_via_projection(riesz, Subspace(w))
+        assert np.allclose(biorth_riesz_dual(riesz, Subspace(w)).matrix, want.matrix, atol=1e-8)
 
 
 def test_stacked_paths_build_no_fiber_objects(monkeypatch):
@@ -316,6 +354,9 @@ def test_stacked_paths_build_no_fiber_objects(monkeypatch):
     assert pinv_dual(inst.sa, inst.sb).matrices.shape == (n_atoms, 4, 3)
     assert verify_biorthogonality(riesz, targets).dual is not None
     assert tg_to_mg(plan, signals).matrices.shape == (n_atoms, 2, 2)
+    canonical = canonical_duals(inst.sa)
+    assert canonical.matrices.shape == (n_atoms, 4, 3)
+    assert alternate_dual_residuals(inst.sa.matrices, canonical.matrices)[1].all()
     assert built == []
     inst.sa.fibers  # the per-atom view does build them, so the counter is live
     assert len(built) == n_atoms

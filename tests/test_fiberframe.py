@@ -7,8 +7,6 @@ from framekit.fiberframe import (
     ConstructionError,
     FiberSystem,
     biorth_riesz_dual,
-    biorth_riesz_dual_via_projection,
-    biorthogonality_deviation,
     canonical_dual,
     dual_gramian,
     dualise,
@@ -19,10 +17,14 @@ from framekit.fiberframe import (
     pad_pair,
     parsevalize,
     rank_condition,
-    reproduction_residual,
 )
 from framekit.numkernel import rank
 from framekit.subspace import Subspace, inf_cos
+from oracles import (
+    biorth_riesz_dual_via_projection,
+    biorthogonality_deviation,
+    reproduction_residual,
+)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])

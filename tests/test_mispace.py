@@ -22,17 +22,16 @@ from framekit.mispace import (
     apply_mixed_frame_operator,
     delta_determining_set,
     fourier_determining_set,
-    global_biorthogonality_deviation,
     global_frame_bounds,
     global_inf_cos,
-    global_pairing,
     reconstruct,
     verify_biorthogonality,
     verify_duality,
     weighted_inner,
 )
 from framekit.numkernel import Tolerance
-from framekit.subspace import Subspace, direct_sum_test
+from framekit.subspace import Subspace
+from oracles import direct_sum_test, global_biorthogonality_deviation, global_pairing
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])

@@ -1,20 +1,26 @@
-"""Kernel-level checks: SVD, pseudo-inverse, rank, orth, spectral powers."""
+"""Kernel-level checks: SVD, rank, orth, the factorization funnel, and the
+pseudo-inverse and spectral-power oracles the engine is tested against."""
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
 
+import framekit
 from framekit.numkernel import (
     DEFAULT_TOL,
     NumericalError,
     Tolerance,
     as_matrix,
     orth,
-    pinv,
-    psd_power,
     rank,
     singular_values,
     svd,
 )
+from oracles import pinv, psd_power
+
+FACTORIZATIONS = {"svd", "eigh", "eigvalsh", "qr", "solve", "lstsq", "pinv", "inv"}
 
 
 def random_complex(rng, *shape):
@@ -201,3 +207,24 @@ def test_psd_power_zero_matrix():
 
 def test_numerical_error_is_runtime_error():
     assert issubclass(NumericalError, RuntimeError)
+
+
+def test_numkernel_is_the_only_factorization_caller():
+    """No module of the package but numkernel calls a numpy.linalg
+    factorization, so every rank decision and failure goes through one place."""
+    offenders = []
+    for path in sorted(pathlib.Path(framekit.__file__).parent.glob("*.py")):
+        if path.name == "numkernel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                offenders += [f"{path.name}:{node.lineno} imports {a.name}" for a in node.names]
+            func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in FACTORIZATIONS
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "linalg"
+            ):
+                offenders.append(f"{path.name}:{node.lineno} calls linalg.{func.attr}")
+    assert offenders == []

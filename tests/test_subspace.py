@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 
 from framekit.numkernel import orth
-from framekit.subspace import (
-    Subspace,
-    direct_sum_test,
-    inf_cos,
-    ortho_complement,
-    project,
-    sup_cos,
-)
+from framekit.subspace import Subspace, inf_cos, ortho_complement, sup_cos
+from oracles import direct_sum_test, project
 
 
 def random_complex(rng, *shape):

@@ -19,15 +19,13 @@ from framekit.zak import (
     determining_table,
     dihedral_group,
     explicit_group,
-    modulation_symbol,
-    tg_biorthogonality_deviation,
     tg_frame_bounds,
     tg_to_mg,
-    translate,
     verify_intertwine,
     zak_forward,
     zak_inverse,
 )
+from oracles import modulation_symbol, tg_biorthogonality_deviation, translate
 
 PLANS = ("z4", "z12", "d4")
 
@@ -166,9 +164,7 @@ def test_intertwine_exhaustive():
         plan = builtin_plan(name)
         n = plan.group.order
         for g in range(n):
-            f = delta(n, g)
-            for gamma in plan.powers:
-                assert verify_intertwine(plan, f, gamma) <= 1e-12
+            assert verify_intertwine(plan, delta(n, g)) <= 1e-12
 
 
 def test_intertwine_random_signals():
@@ -177,9 +173,33 @@ def test_intertwine_random_signals():
         plan = builtin_plan(name)
         n = plan.group.order
         for _ in range(10):
-            f = complex_gaussian(rng, n)
-            for gamma in plan.powers:
-                assert verify_intertwine(plan, f, gamma) <= 1e-12
+            assert verify_intertwine(plan, complex_gaussian(rng, n)) <= 1e-12
+
+
+def test_intertwine_matches_per_element_loop():
+    # blocked transforms of the gathered translates against one Zak transform
+    # per translate, as the identity is stated, on plans of every kind; the
+    # last two take 2 and 4 blocks of subgroup elements
+    rng = np.random.default_rng(173)
+    table, gen = relabelled_product(np.random.default_rng(149), 4, 4)
+    plans = [
+        builtin_plan("d4"),
+        build_plan(dihedral_group(32), 1),
+        build_plan(explicit_group(table), gen),
+        build_plan(cyclic_group(128), 1),
+        build_plan(cyclic_group(256), 2),
+    ]
+    for plan in plans:
+        f = complex_gaussian(rng, plan.group.order)
+        zf = zak_forward(plan, f).values
+        want = max(
+            float(np.abs(zak_forward(plan, translate(plan, f, g)).values - modulation_symbol(plan, g)[:, None] * zf).max())
+            for g in plan.powers
+        )
+        # both are rounding noise of q-term sums of entries of f
+        bound = 16 * plan.q * np.finfo(float).eps * np.linalg.norm(f)
+        got = verify_intertwine(plan, f)
+        assert got <= bound and abs(got - want) <= bound
 
 
 def test_tg_to_mg_examples():
