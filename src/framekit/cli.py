@@ -13,8 +13,10 @@ numerical failures inside a factorization.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -34,13 +36,14 @@ from .mispace import (
 from .numkernel import DEFAULT_TOL, NumericalError, Tolerance
 from .serialize import (
     biorth_report_to_json,
+    check_serializable,
     diagnostics_to_csv,
-    dumps,
+    dump,
     equivalence_report_to_json,
     fibered_system_to_json,
-    pair_from_json,
     pair_to_json,
     plan_to_json,
+    read_pair,
     signal_to_json,
     vector_to_json,
 )
@@ -62,6 +65,11 @@ from .zak import (
 # (O(order^2) memory) and factors the order x q translates matrix for the
 # group-side frame bounds, O(order^3) time at q = order.
 MAX_GROUP_ORDER = 1024
+
+# Largest atoms * dim * max(dim, gens) gen accepts: per atom it draws a
+# dim x dim unitary and dim x gens coefficient blocks.  Ten times the
+# (1e5, 8, 6) instance.
+MAX_GEN_SIZE = 64_000_000
 
 
 class UsageError(Exception):
@@ -160,26 +168,23 @@ def _tol_doc(ns, angle=False, cmax=False) -> dict:
     return doc
 
 
-def _envelope(ns, result, seed=None, angle=False, cmax=False) -> str:
-    return dumps(
-        {
-            "tool": "framekit",
-            "version": __version__,
-            "command": ns.command,
-            "seed": seed,
-            "tolerances": _tol_doc(ns, angle=angle, cmax=cmax),
-            "result": result,
-        }
-    )
+def _envelope(ns, result, seed=None, angle=False, cmax=False) -> dict:
+    return {
+        "tool": "framekit",
+        "version": __version__,
+        "command": ns.command,
+        "seed": seed,
+        "tolerances": _tol_doc(ns, angle=angle, cmax=cmax),
+        "result": result,
+    }
 
 
 def _read_pair(ns):
     with open(ns.infile, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return read_pair(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{ns.infile}: invalid JSON ({exc})") from None
-    return pair_from_json(doc)
 
 
 def _need_b(pair):
@@ -189,13 +194,17 @@ def _need_b(pair):
 
 
 def _cmd_gen(ns):
+    size = ns.atoms * ns.dim * max(ns.dim, ns.gens)
+    if size > MAX_GEN_SIZE:
+        raise ValueError(
+            f"--atoms * --dim * max(--dim, --gens) = {size} exceeds the limit {MAX_GEN_SIZE}"
+        )
     inst = duality_instance(
         ns.family, ns.atoms, ns.dim, ns.gens, seed=ns.seed, delta=ns.delta, eps=ns.eps
     )
     meta = dict(inst.meta)
     meta.update({"tool": "framekit", "version": __version__, "command": "gen"})
-    doc = pair_to_json(inst.sa, inst.sb, probe=inst.probe, meta=meta)
-    return dumps(doc)
+    return pair_to_json(inst.sa, inst.sb, probe=inst.probe, meta=meta)
 
 
 def _cmd_angles(ns):
@@ -419,24 +428,33 @@ _DISPATCH = {
 }
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(report, out_path: str | None):
+    """Write a report, a JSON document or CSV text, to out_path or stdout.
+    A document is checked first: one the writer rejects writes nothing and
+    leaves out_path as it was."""
+    if not isinstance(report, str):
+        check_serializable(report)
+    with open(out_path, "w", encoding="utf-8", newline="") if out_path else nullcontext(sys.stdout) as fh:
+        if isinstance(report, str):
+            fh.write(report)
+        else:
+            dump(report, fh)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it was, so one serves every call
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except UsageError as exc:
         print(f"framekit: {exc}", file=sys.stderr)
         return 1
     try:
-        text = _DISPATCH[ns.command](ns)
-        _emit(text, ns.out)
+        _emit(_DISPATCH[ns.command](ns), ns.out)
         return 0
     except NumericalError as exc:
         print(f"framekit: numerical failure: {exc}", file=sys.stderr)

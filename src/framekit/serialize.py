@@ -12,12 +12,19 @@ the equivalent nested lists.  The parsers check the structure and element
 types of a whole block (one vector, one fiber system, one matrix) at once and
 convert it with one ``np.array`` call; any irregular block is walked again
 pair by pair, which raises the same errors as before.
+
+Files are streamed.  ``dump`` writes a document to a file in bounded chunks,
+and ``read_pair`` decodes an instance file one atom at a time, so neither
+holds the whole text of a file.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import numbers
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -94,6 +101,8 @@ def _write(obj, lines: list[str], indent: int):
             lines.append(f"{pad}  {json.dumps(key)}: ")
             _write(value, lines, indent + 1)
             lines.append(",\n" if i + 1 < len(obj) else "\n")
+            if len(lines) >= _CHUNK_PIECES:
+                lines.flush()
         lines.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
         items = list(obj)
@@ -111,17 +120,81 @@ def _write(obj, lines: list[str], indent: int):
             lines.append(pad + "  ")
             _write(value, lines, indent + 1)
             lines.append(",\n" if i + 1 < len(items) else "\n")
+            if len(lines) >= _CHUNK_PIECES:
+                lines.flush()
         lines.append(pad + "]")
     else:
         raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
 
 
+# Exact types the writer takes as they are: check_serializable passes them
+# over without a call, which keeps its walk well below the writer's time.
+_PLAIN = frozenset({str, int, bool, type(None)})
+
+
+def check_serializable(obj):
+    """Raise the ValueError that dump would raise on obj, formatting nothing.
+
+    Walks the document in the order dump writes it, so the first offending
+    key or value gives the same message.  Call it before opening the output
+    to write all of a document or none of it.
+    """
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise ValueError(f"JSON object keys must be strings, got {key!r}")
+            if type(value) not in _PLAIN:
+                check_serializable(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            if type(value) not in _PLAIN:
+                check_serializable(value)
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError("cannot serialize a non-finite float")
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+        if not np.isfinite(obj).all():
+            raise ValueError("cannot serialize a non-finite float")
+    elif not (obj is None or isinstance(obj, (bool, str, numbers.Integral))):
+        raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+class _Chunks(list):
+    """The pending pieces of a document; _write's container loops pass them
+    to write once _CHUNK_PIECES have accumulated."""
+
+    def __init__(self, write):
+        super().__init__()
+        self.write = write
+
+    def flush(self):
+        self.write("".join(self))
+        self.clear()
+
+
+# Pieces held before a flush.  A piece is at most one scalar, key or array,
+# so a chunk stays bounded whatever the size of the document.
+_CHUNK_PIECES = 1024
+
+
+def dump(obj, fh):
+    """Write dumps(obj) to the text file fh in bounded chunks.
+
+    On a value dumps rejects, part of the text may already be written; run
+    check_serializable(obj) first to write all or nothing.
+    """
+    chunks = _Chunks(fh.write)
+    _write(obj, chunks, 0)
+    chunks.append("\n")
+    chunks.flush()
+
+
 def dumps(obj) -> str:
     """Deterministic JSON text of obj, newline-terminated.  A float64 ndarray
     is written as the nested lists of its values; NaN and inf raise ValueError."""
-    lines: list[str] = []
-    _write(obj, lines, 0)
-    return "".join(lines) + "\n"
+    buf = io.StringIO()
+    dump(obj, buf)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -316,52 +389,47 @@ def pair_to_json(
     return doc
 
 
-def pair_from_json(doc) -> PairDocument:
-    if not isinstance(doc, dict):
-        raise ValueError("instance file must be a JSON object")
-    fiber_dim = doc.get("fiber_dim")
-    if not _is_int(fiber_dim) or fiber_dim < 1:
+def _fiber_dim(value) -> int:
+    if not _is_int(value) or value < 1:
         raise ValueError("fiber_dim must be a positive integer")
-    atoms = doc.get("atoms")
-    if not isinstance(atoms, list) or not atoms:
-        raise ValueError("atoms must be a non-empty list")
-    ids, weights = [], []
-    fibers_a, fibers_b, targets, probes = [], [], [], []
-    for k, entry in enumerate(atoms):
-        where = f"atoms[{k}]"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where}: expected an object")
-        atom_id = entry.get("id")
-        if not isinstance(atom_id, str) or not atom_id:
-            raise ValueError(f"{where}: id must be a non-empty string")
-        where = f"atom {atom_id!r}"
-        weight = _number_from(entry.get("weight"), f"{where}: weight")
-        if weight <= 0.0:
-            raise ValueError(f"{where}: weight must be positive")
-        if "A" not in entry:
-            raise ValueError(f"{where}: missing system A")
-        fa = fiber_system_from_json(entry["A"], f"{where}: A")
-        if fa.dim != fiber_dim:
-            raise ValueError(f"{where}: A has dim {fa.dim}, expected {fiber_dim}")
-        ids.append(atom_id)
-        weights.append(weight)
-        fibers_a.append(fa)
-        fibers_b.append(
-            fiber_system_from_json(entry["B"], f"{where}: B") if "B" in entry else None
-        )
-        targets.append(
-            subspace_from_json(entry["W"], f"{where}: W") if "W" in entry else None
-        )
-        probes.append(
-            vector_from_json(entry["f"], f"{where}: f") if "f" in entry else None
-        )
+    return value
+
+
+def _atom_from_json(entry, k: int, fiber_dim: int) -> tuple:
+    """Entry k of an instance's atoms list as (id, weight, A, B, W, f), with
+    None for an absent B, W or f: the one conversion of an atom, shared by
+    pair_from_json and read_pair."""
+    where = f"atoms[{k}]"
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: expected an object")
+    atom_id = entry.get("id")
+    if not isinstance(atom_id, str) or not atom_id:
+        raise ValueError(f"{where}: id must be a non-empty string")
+    where = f"atom {atom_id!r}"
+    weight = _number_from(entry.get("weight"), f"{where}: weight")
+    if weight <= 0.0:
+        raise ValueError(f"{where}: weight must be positive")
+    if "A" not in entry:
+        raise ValueError(f"{where}: missing system A")
+    fa = fiber_system_from_json(entry["A"], f"{where}: A")
+    if fa.dim != fiber_dim:
+        raise ValueError(f"{where}: A has dim {fa.dim}, expected {fiber_dim}")
+    fb = fiber_system_from_json(entry["B"], f"{where}: B") if "B" in entry else None
+    target = subspace_from_json(entry["W"], f"{where}: W") if "W" in entry else None
+    probe = vector_from_json(entry["f"], f"{where}: f") if "f" in entry else None
+    return atom_id, weight, fa, fb, target, probe
+
+
+def _pair_document(fiber_dim: int, atoms: list[tuple], meta) -> PairDocument:
+    """A PairDocument from the converted atoms (see _atom_from_json), stacked once."""
+    ids, weights, fibers_a, fibers_b, targets, probes = zip(*atoms)
     for label, parts in (("B", fibers_b), ("W", targets), ("f", probes)):
         present = [p is not None for p in parts]
         if any(present) and not all(present):
             missing = ids[present.index(False)]
             raise ValueError(f"atom {missing!r}: missing {label} (present on other atoms)")
     try:
-        measure = MeasureModel(tuple(ids), np.array(weights))
+        measure = MeasureModel(ids, np.array(weights))
         sa = FiberedSystem(measure, fibers_a)
         sb = FiberedSystem(measure, fibers_b) if fibers_b[0] is not None else None
     except ValueError as exc:
@@ -378,8 +446,134 @@ def pair_from_json(doc) -> PairDocument:
             if p.shape != (fiber_dim,):
                 raise ValueError(f"atom {atom_id!r}: f has length {p.shape[0]}, expected {fiber_dim}")
         probe = FiberedFunction(measure, np.stack(probes))
-    meta = doc.get("meta") if isinstance(doc.get("meta"), dict) else {}
+    meta = meta if isinstance(meta, dict) else {}
     return PairDocument(measure, sa, sb, target_list, probe, meta)
+
+
+def pair_from_json(doc) -> PairDocument:
+    if not isinstance(doc, dict):
+        raise ValueError("instance file must be a JSON object")
+    fiber_dim = _fiber_dim(doc.get("fiber_dim"))
+    entries = doc.get("atoms")
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("atoms must be a non-empty list")
+    atoms = [_atom_from_json(entry, k, fiber_dim) for k, entry in enumerate(entries)]
+    return _pair_document(fiber_dim, atoms, doc.get("meta"))
+
+
+# Characters read from an instance file at a time by read_pair.
+_READ_CHUNK = 1 << 16
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_DECODER = json.JSONDecoder()
+
+
+class _Unrecognised(ValueError):
+    """Input the streamed reader leaves to json.load and pair_from_json."""
+
+
+class _Scanner:
+    """JSON values decoded one at a time from a text file.  The buffer holds
+    the unread rest of the last chunk plus the value being decoded."""
+
+    def __init__(self, fh):
+        self.fh, self.buf, self.pos = fh, "", 0
+
+    def _fill(self, size: int) -> bool:
+        chunk = self.fh.read(size)
+        self.buf = self.buf[self.pos :] + chunk
+        self.pos = 0
+        return bool(chunk)
+
+    def peek(self) -> str:
+        """The next non-whitespace character, '' at the end of the file."""
+        while True:
+            self.pos = _WHITESPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf):
+                return self.buf[self.pos]
+            if not self._fill(_READ_CHUNK):
+                return ""
+
+    def skip(self, char: str) -> bool:
+        """Step over the next non-whitespace character if it is char."""
+        if self.peek() != char:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, char: str):
+        if not self.skip(char):
+            raise _Unrecognised(f"expected {char!r}")
+
+    def value(self):
+        """The next value.  One that reaches the end of the buffer (a number
+        cut at a chunk boundary, an unfinished object) is decoded again with
+        more text; each retry reads twice as much, so a value costs time
+        linear in its length however many chunks it spans."""
+        self.peek()
+        size = _READ_CHUNK
+        while True:
+            try:
+                obj, end = _DECODER.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError:
+                obj, end = None, None
+            if end is not None and end < len(self.buf):
+                self.pos = end
+                return obj
+            if not self._fill(size):
+                if end is None:
+                    raise _Unrecognised("incomplete value")
+                self.pos = end
+                return obj
+            size *= 2
+
+    def key(self, name: str):
+        if self.value() != name:
+            raise _Unrecognised(f"expected key {name!r}")
+        self.expect(":")
+
+
+def _stream_pair(fh) -> PairDocument:
+    """Parse an instance laid out as pair_to_json writes it (fiber_dim, atoms,
+    then an optional meta), one atom at a time.  Raises ValueError on anything
+    else, including input pair_from_json would accept."""
+    scan = _Scanner(fh)
+    scan.expect("{")
+    scan.key("fiber_dim")
+    fiber_dim = _fiber_dim(scan.value())
+    scan.expect(",")
+    scan.key("atoms")
+    scan.expect("[")
+    atoms = [_atom_from_json(scan.value(), 0, fiber_dim)]
+    while scan.skip(","):
+        atoms.append(_atom_from_json(scan.value(), len(atoms), fiber_dim))
+    scan.expect("]")
+    meta = None
+    if scan.skip(","):
+        scan.key("meta")
+        meta = scan.value()
+    scan.expect("}")
+    if scan.peek():
+        raise _Unrecognised("data after the instance object")
+    return _pair_document(fiber_dim, atoms, meta)
+
+
+def read_pair(fh) -> PairDocument:
+    """The instance in the open text file fh, as pair_from_json(json.load(fh))
+    returns it, without holding the file's text or its decoded document.
+
+    Anything the streamed reader does not take (another key order, an
+    invalid atom, a syntax error) is parsed again by json.load and
+    pair_from_json, so errors and their messages are theirs.  A file that
+    cannot seek back goes to them directly.
+    """
+    if fh.seekable():
+        start = fh.tell()
+        try:
+            return _stream_pair(fh)
+        except (ValueError, RecursionError):
+            pass
+        fh.seek(start)
+    return pair_from_json(json.load(fh))
 
 
 def fibered_system_to_json(s: FiberedSystem) -> dict:

@@ -1,11 +1,18 @@
-"""End-to-end checks of the command-line interface through subprocesses."""
+"""End-to-end checks of the command-line interface, through subprocesses and,
+where a check needs to patch or measure the process, in-process."""
 
 import json
 import pathlib
+import resource
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
+
+from framekit import cli
+from framekit.serialize import pair_to_json
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "cli"
 
@@ -327,3 +334,93 @@ def test_uneven_generator_counts_are_input_error(tmp_path):
     proc = run_cli("verify-thm2", "--in", str(path))
     _assert_input_error(proc)
     assert "inconsistent atoms: generator counts are not uniform: [1, 2]" in proc.stderr
+
+
+def _limit_address_space():
+    limit = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("args,reason", [
+    # square 40-odd x 48 blocks never pass the condition test: the draws are capped
+    (["--atoms", "20", "--dim", "48", "--gens", "48", "--seed", "1"], "condition number"),
+    # a 30000 x 30000 draw: refused before the random generator is seeded
+    (["--atoms", "1", "--dim", "30000", "--gens", "1"], "--atoms * --dim * max(--dim, --gens)"),
+])
+def test_gen_rejects_unbounded_work_from_argv(args, reason, tmp_path):
+    # the limits make a missing check fail fast instead of hanging or swapping
+    proc = subprocess.run(
+        [sys.executable, "-m", "framekit", "gen", "--family", "in-duality", *args,
+         "--out", str(tmp_path / "out.json")],
+        capture_output=True, text=True, timeout=30, preexec_fn=_limit_address_space,
+    )
+    _assert_input_error(proc)
+    assert reason in proc.stderr
+    assert not (tmp_path / "out.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# In-process: the parser, all-or-nothing output, and memory.
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build()
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert cli.main(["zak-demo", "--group", "z4"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert capsys.readouterr().out.count('"command": "zak-demo"') == 2
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_unserializable_report_writes_nothing(to_file, monkeypatch, tmp_path, capsys):
+    def nan_in_last_atom(*args, **kwargs):
+        doc = pair_to_json(*args, **kwargs)
+        doc["atoms"][-1]["f"] = np.full_like(doc["atoms"][-1]["f"], np.nan)
+        return doc
+
+    monkeypatch.setattr(cli, "pair_to_json", nan_in_last_atom)
+    out = tmp_path / "report.json"
+    out.write_text("earlier report\n", encoding="utf-8")
+    argv = ["gen", "--family", "in-duality", "--atoms", "40", "--seed", "3"]
+    assert cli.main(argv + (["--out", str(out)] if to_file else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "framekit: cannot serialize a non-finite float\n"
+    assert out.read_text(encoding="utf-8") == "earlier report\n"
+
+
+def test_commands_peak_memory_stays_below_the_instance_size(tmp_path):
+    # the streamed reader and writer hold one atom and one chunk of text at a
+    # time; holding the file's text, its decoded document or a whole report
+    # string takes the peak past 1.5x the instance size (3.6-4.75x before)
+    gen = ["gen", "--family", "in-duality", "--atoms", "300", "--dim", "8", "--gens", "6", "--seed", "2"]
+    inst = tmp_path / "inst.json"
+    assert cli.main(gen + ["--out", str(inst)]) == 0
+    size = inst.stat().st_size
+    runs = {
+        "gen": gen,
+        "verify-thm1": ["verify-thm1", "--in", str(inst), "--seed", "1"],
+        "angles": ["angles", "--in", str(inst)],
+        "dual": ["dual", "--in", str(inst)],
+        "reconstruct": ["reconstruct", "--in", str(inst)],
+    }
+    peaks = {}
+    for name, argv in runs.items():
+        tracemalloc.start()
+        try:
+            assert cli.main(argv + ["--out", str(tmp_path / f"{name}.out")]) == 0
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert {name: round(peak / size, 2) for name, peak in peaks.items() if peak > 1.5 * size} == {}

@@ -1,7 +1,11 @@
 """Round trips and formatting guarantees of the JSON layer."""
 
+import io
 import json
+import pathlib
 import sys
+import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from framekit import cli, serialize
 from framekit.fiberframe import FiberSystem
 from framekit.generate import duality_instance, random_fibered_system
 from framekit.mispace import verify_duality
 from framekit.serialize import (
     DIAGNOSTICS_CSV_HEADER,
     _fmt_float,
+    check_serializable,
     diagnostics_to_csv,
+    dump,
     dumps,
     equivalence_report_to_json,
     fiber_system_from_json,
@@ -26,6 +33,7 @@ from framekit.serialize import (
     matrix_to_json,
     pair_from_json,
     pair_to_json,
+    read_pair,
     signal_from_json,
     signal_to_json,
     subspace_from_json,
@@ -35,6 +43,8 @@ from framekit.serialize import (
 )
 from framekit.subspace import Subspace
 from framekit.zak import cyclic_group, dihedral_group
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "cli"
 
 
 def test_dumps_is_deterministic_and_newline_terminated():
@@ -364,3 +374,234 @@ def test_parser_reports_integer_beyond_float_range(block):
     doc["atoms"][0]["weight"] = -(10**400)
     with pytest.raises(ValueError, match="atom 'x0': weight: number is out of float range"):
         pair_from_json(doc)
+
+
+# ---------------------------------------------------------------------------
+# Streamed writer: dump writes the bytes of dumps in chunks; check_serializable
+# raises what the writer raises, before anything is formatted.
+
+JSON_KEYS = st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FINITE | st.text(max_size=4) | FLOAT_ARRAYS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@BOUNDED
+@given(JSON_VALUES, st.sampled_from([1, 2, 1024]))
+def test_dump_to_file_matches_dumps(doc, pieces):
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryFile(
+        "w+", encoding="utf-8", newline=""
+    ) as fh:
+        mp.setattr(serialize, "_CHUNK_PIECES", pieces)
+        dump(doc, fh)
+        fh.seek(0)
+        text = fh.read()
+    assert text == dumps(doc)
+
+
+@BOUNDED
+@given(JSON_VALUES, st.sampled_from([float("nan"), float("inf"), {1: 0}, 1j, np.float32(1.0)]),
+       st.integers(0, 20))
+def test_check_serializable_raises_what_dumps_raises(doc, bad, where):
+    # plant the bad value at a leaf position of a list wrapped around doc
+    doc = [doc] * (where % 3) + [bad] + [doc]
+    with pytest.raises(ValueError) as expected:
+        dumps(doc)
+    with pytest.raises(ValueError) as got:
+        check_serializable(doc)
+    assert str(got.value) == str(expected.value)
+    check_serializable(doc[: where % 3])  # the part before the bad value passes
+
+
+# ---------------------------------------------------------------------------
+# Streamed reader: through the CLI's file path every instance parses to the
+# document, or fails with the message and exit code, of
+# pair_from_json(json.load(...)).
+
+
+def _oracle(path):
+    """(PairDocument, None) or (None, message) as json.load + pair_from_json give them."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            return None, f"{path}: invalid JSON ({exc})"
+    try:
+        return pair_from_json(doc), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _assert_same_pair(got, want):
+    assert got.measure.atoms == want.measure.atoms
+    assert np.array_equal(got.measure.weights, want.measure.weights)
+    for a, b in ((got.sa, want.sa), (got.sb, want.sb)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.matrices.flags.c_contiguous
+            assert a.matrices.tobytes() == b.matrices.tobytes()
+    assert (got.targets is None) == (want.targets is None)
+    for s, t in zip(got.targets or [], want.targets or []):
+        assert s.basis.tobytes() == t.basis.tobytes()
+    assert (got.probe is None) == (want.probe is None)
+    if got.probe is not None:
+        assert got.probe.values.tobytes() == want.probe.values.tobytes()
+    assert got.meta == want.meta
+
+
+def _rejected_docs():
+    """Every parser-rejection case above, as (id, mutation of _full_doc())."""
+    cases = []
+    for block in ENTRY_PATH:
+        for i, (entry, _) in enumerate(BAD_ENTRIES):
+            cases.append((f"entry-{block}-{i}", lambda d, b=block, e=entry: _pair_at(d, b).__setitem__(2, e)))
+        cases.append((f"huge-{block}", lambda d, b=block: _pair_at(d, b).__setitem__(2, [10**400, 0])))
+        cases.append((f"short-{block}", lambda d, b=block: _pair_at(d, b).pop()))
+    for block in ("A", "B"):
+        cases.append((f"count-{block}", lambda d, b=block: d["atoms"][1][b]["vectors"].append(
+            d["atoms"][1][b]["vectors"][0])))
+    cases += [
+        ("partial-B", lambda d: d["atoms"][1].pop("B")),
+        ("mixed-dims", lambda d: d["atoms"][0]["A"].__setitem__("dim", 5)),
+        ("bool-fiber-dim", lambda d: d.__setitem__("fiber_dim", True)),
+        ("bool-dim", lambda d: d["atoms"][0]["A"].__setitem__("dim", True)),
+        ("bool-ambient-dim", lambda d: d["atoms"][0]["W"].__setitem__("ambient_dim", True)),
+        ("bool-rows", lambda d: d["atoms"][1]["W"]["basis"].__setitem__("rows", True)),
+        ("huge-weight", lambda d: d["atoms"][0].__setitem__("weight", -(10**400))),
+        ("nan-weight", lambda d: d["atoms"][1].__setitem__("weight", float("nan"))),
+        ("no-atoms", lambda d: d.__setitem__("atoms", [])),
+        ("not-an-object", lambda d: d["atoms"].__setitem__(1, [])),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("mutate", [c[1] for c in _rejected_docs()], ids=[c[0] for c in _rejected_docs()])
+def test_cli_reader_rejects_like_json_load(mutate, tmp_path, capsys):
+    doc = _full_doc()
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    want, message = _oracle(path)
+    assert want is None
+    assert cli.main(["verify-thm2", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"framekit: {message}\n"
+
+
+def _full_text(**dump_args):
+    return json.dumps(_full_doc() | {"meta": {"family": "test"}}, **dump_args)
+
+
+MALFORMED = {
+    "empty": "",
+    "truncated": _full_text(indent=1)[:1500],
+    "trailing-data": _full_text() + " []",
+    "trailing-object": _full_text() + "{}",
+    "unclosed-atoms": _full_text()[: _full_text().rindex("]")],
+    "bom": "\ufeff" + _full_text(),
+    "top-level-list": "[" + _full_text() + "]",
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_cli_reader_malformed_text_like_json_load(name, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(MALFORMED[name], encoding="utf-8")
+    want, message = _oracle(path)
+    assert want is None
+    assert cli.main(["angles", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == f"framekit: {message}\n"
+
+
+def _streams(text):
+    """Whether the streamed reader takes the text itself (no json.load fallback)."""
+    try:
+        serialize._stream_pair(io.StringIO(text))
+    except ValueError:
+        return False
+    return True
+
+
+def _reordered(text, first):
+    doc = json.loads(text)
+    return json.dumps({first: doc[first]} | doc)
+
+
+ACCEPTED = {
+    # name: (text, taken by the streamed reader itself)
+    "indented": (_full_text(indent=2), True),
+    "compact": (_full_text(separators=(",", ":")), True),
+    "no-meta": (json.dumps(_full_doc()), True),
+    "whitespace": ("\n\t " + _full_text(indent="\t").replace(":", " \r\n:") + "\n\n", True),
+    "writer": (dumps(json.loads(_full_text())), True),
+    "atom-duplicate-key": (_full_text().replace('"weight": ', '"weight": 7.0, "weight": ', 1), True),
+    "meta-first": (_reordered(_full_text(), "meta"), False),
+    "atoms-first": (_reordered(_full_text(), "atoms"), False),
+    "duplicate-fiber-dim": ('{"fiber_dim": 3, ' + _full_text()[1:], False),
+    "extra-key": (_full_text()[:-1] + ', "note": null}', False),
+    "nonobject-meta": (_full_text().replace('{"family": "test"}', "[1]"), True),
+}
+
+
+@pytest.mark.parametrize("name", ACCEPTED)
+def test_cli_reader_accepts_like_json_load(name, tmp_path):
+    text, streamed = ACCEPTED[name]
+    path = tmp_path / "pair.json"
+    path.write_text(text, encoding="utf-8")
+    want, message = _oracle(path)
+    assert message is None
+    _assert_same_pair(cli._read_pair(SimpleNamespace(infile=str(path))), want)
+    assert _streams(text) == streamed
+
+
+def test_cli_reader_accepts_fixtures_like_json_load():
+    for name in ("gen-in-duality.json", "gen-near-threshold.json", "riesz-with-targets.json"):
+        path = FIXTURES / name
+        got = cli._read_pair(SimpleNamespace(infile=str(path)))
+        _assert_same_pair(got, _oracle(path)[0])
+        assert _streams(path.read_text(encoding="utf-8"))
+    assert got.targets is not None
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 100, 4096])
+def test_streamed_reader_atoms_straddling_chunks(chunk, monkeypatch):
+    # every atom, key and number of the file crosses some chunk boundary
+    monkeypatch.setattr(serialize, "_READ_CHUNK", chunk)
+    for name in ("gen-near-threshold.json", "riesz-with-targets.json"):
+        path = FIXTURES / name
+        with open(path, "r", encoding="utf-8") as fh:
+            got = serialize._stream_pair(fh)
+        _assert_same_pair(got, _oracle(path)[0])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 64])
+def test_scanner_never_takes_a_value_cut_at_a_chunk_boundary(chunk, monkeypatch):
+    monkeypatch.setattr(serialize, "_READ_CHUNK", chunk)
+    texts = ["12345", "-1.5e+10", "true", "null", '"ab\\"cd"', "[1, [22, 333]]", '{"k": 4444}']
+    scan = serialize._Scanner(io.StringIO(" , ".join(texts)))
+    for i, text in enumerate(texts):
+        assert scan.value() == json.loads(text)
+        assert scan.skip(",") == (i + 1 < len(texts))
+    assert scan.peek() == ""
+
+
+def test_reader_falls_back_from_where_the_file_was():
+    text = _reordered(_full_text(), "meta")
+    fh = io.StringIO("leading text" + text)
+    fh.seek(len("leading text"))
+    _assert_same_pair(read_pair(fh), pair_from_json(json.loads(text)))
+
+
+def test_reader_without_seek_uses_json_load():
+    text = _full_text()
+
+    class Pipe(io.StringIO):
+        def seekable(self):
+            return False
+
+    _assert_same_pair(read_pair(Pipe(text)), pair_from_json(json.loads(text)))
+    with pytest.raises(json.JSONDecodeError):
+        read_pair(Pipe(text + "x"))
