@@ -49,8 +49,8 @@ from .serialize import (
 )
 from .subspace import DEFAULT_ANGLE_TOL, Subspace
 from .zak import (
+    BUILTIN_PLANS,
     build_plan,
-    builtin_plan,
     cyclic_group,
     dihedral_group,
     tg_frame_bounds,
@@ -185,6 +185,8 @@ def _read_pair(ns):
             return read_pair(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{ns.infile}: invalid JSON ({exc})") from None
+        except RecursionError:
+            raise ValueError(f"{ns.infile}: invalid JSON (nested too deeply)") from None
 
 
 def _need_b(pair):
@@ -305,12 +307,9 @@ def _cmd_verify_thm2(ns):
 
 def _resolve_plan(group: str, subgroup_gen):
     key = group.strip().lower()
-    builtin_gens = {"z4": 2, "z12": 3, "d4": 1}
-    if key in builtin_gens:
-        if subgroup_gen is None:
-            return builtin_plan(key)
-        base = {"z4": cyclic_group(4), "z12": cyclic_group(12), "d4": dihedral_group(4)}[key]
-        return build_plan(base, subgroup_gen)
+    if key in BUILTIN_PLANS:
+        make, n, default_gen = BUILTIN_PLANS[key]
+        return build_plan(make(n), default_gen if subgroup_gen is None else subgroup_gen)
     if ":" in key:
         kind, _, arg = key.partition(":")
         try:
@@ -356,7 +355,7 @@ def _cmd_zak_demo(ns):
     zf = zak_forward(plan, f)
     back = zak_inverse(plan, zf)
     intertwine = verify_intertwine(plan, f)
-    measure = plan.measure()
+    measure = plan.measure
     system = tg_to_mg(plan, [f]) if np.abs(f).max() > 0 else None
     result = {
         "plan": plan_to_json(plan),
@@ -461,6 +460,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, ConstructionError, OSError) as exc:
         print(f"framekit: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("framekit: input is too large for available memory", file=sys.stderr)
         return 1
 
 

@@ -25,7 +25,6 @@ import numpy as np
 from .mispace import (
     _RANK_CONDITION_FAILS,
     ConstructionError,
-    _biorth_cos,
     _biorth_duals,
     _canonical_duals,
     _frame_bounds,
@@ -35,7 +34,7 @@ from .mispace import (
     alternate_dual_residuals,
 )
 from .numkernel import DEFAULT_TOL, Tolerance, as_matrix, ct, rank
-from .subspace import DEFAULT_ANGLE_TOL, Subspace
+from .subspace import DEFAULT_ANGLE_TOL, Subspace, _inf_cos_pair
 
 
 @dataclass(frozen=True)
@@ -208,6 +207,6 @@ def biorth_riesz_dual(
         raise ConstructionError("generators are not a Riesz sequence")
     if w.dim != a.count:
         raise ValueError(f"dim W = {w.dim} does not match the system length {a.count}")
-    if _biorth_cos(q, w.basis[None], a.count)[0] <= angle_tol:
+    if _inf_cos_pair(q, dim, w.basis[None], dim)[0][0] <= angle_tol:
         raise ConstructionError("subspaces are not in duality: a fiber angle is zero")
     return FiberSystem(_biorth_duals(a.matrix[None], w.basis[None])[0])

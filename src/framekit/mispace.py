@@ -45,7 +45,7 @@ from .numkernel import (
     solve,
     svd,
 )
-from .subspace import DEFAULT_ANGLE_TOL, _inf_cos_pair, clip_cos
+from .subspace import DEFAULT_ANGLE_TOL, _inf_cos_pair
 
 if TYPE_CHECKING:
     from .fiberframe import FiberSystem
@@ -284,12 +284,6 @@ def _pinv_dual_pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     h, _, keep = _pinv_dual(b, ct(b) @ a, tol)
     n_keep = keep.sum(axis=-1)
     return h, (rank(a, tol) == n_keep) & (rank(b, tol) == n_keep)
-
-
-def _biorth_cos(q, w, r: int) -> np.ndarray:
-    """Infimum cosine, the same both ways, between r-dimensional spans with
-    orthonormal bases q and w, per atom of a block."""
-    return clip_cos(singular_values(ct(w) @ q)[..., r - 1])
 
 
 def _biorth_duals(a, w) -> np.ndarray:
@@ -724,9 +718,11 @@ def verify_biorthogonality(
             raise ValueError(f"target at atom {atom!r} has dimension {w.dim}, expected {r}")
     w_all = np.stack([w.basis for w in targets])
 
-    cos = np.concatenate(
-        [_biorth_cos(basis[lo:hi], w_all[lo:hi], r) for lo, hi in _blocks(n_atoms)]
-    )
+    span_dims = np.full(n_atoms, r)
+    cos = np.concatenate([
+        _inf_cos_pair(basis[lo:hi], span_dims[lo:hi], w_all[lo:hi], span_dims[lo:hi])[0]
+        for lo, hi in _blocks(n_atoms)
+    ])
     rows = [
         BiorthRow(atom, c, c, c > angle_tol) for atom, c in zip(sa.measure.atoms, cos.tolist())
     ]

@@ -7,7 +7,8 @@ right coset of S:
 
     (Zf)(alpha)(Sx) = sum over gamma in S of f(gamma . rep(Sx)) alpha(gamma^{-1})
 
-where rep picks the lexicographically least element of each coset.  With the
+where rep picks the lexicographically least element of each coset; per coset
+it is a DFT (np.fft.fft) along the powers g0^m of the generator.  With the
 character atoms weighted 1/q this map is unitary onto the fibered function
 space of dimension p = N/q per atom, it intertwines translation by gamma with
 multiplication by the scalar function alpha -> conj(alpha(gamma)), and it
@@ -142,8 +143,9 @@ class ZakPlan:
     powers lists the subgroup as consecutive powers of the generator,
     subgroup is the same set sorted by element index, section holds the
     lexicographically least representative of each right coset in ascending
-    order, and characters[k][m] = exp(2 pi i k m / q) pairs character k with
-    the m-th generator power.
+    order, cells[m, c] is the element (g0^m) . section[c], the (q, p) gather
+    table of every transform, and measure holds the q character atoms
+    alpha0..alpha{q-1}, weight 1/q each.
     """
 
     group: FiniteGroupSpec
@@ -151,8 +153,9 @@ class ZakPlan:
     powers: tuple[int, ...]
     subgroup: tuple[int, ...]
     section: tuple[int, ...]
-    characters: np.ndarray
     coset_of: np.ndarray
+    cells: np.ndarray
+    measure: MeasureModel
 
     @property
     def q(self) -> int:
@@ -161,12 +164,6 @@ class ZakPlan:
     @property
     def p(self) -> int:
         return len(self.section)
-
-    def measure(self) -> MeasureModel:
-        return MeasureModel(
-            tuple(f"alpha{k}" for k in range(self.q)),
-            np.full(self.q, 1.0 / self.q),
-        )
 
     def power_of(self, gamma: int) -> int:
         """Discrete log of a subgroup element with respect to the generator."""
@@ -189,23 +186,23 @@ def build_plan(group: FiniteGroupSpec, subgroup_generator: int) -> ZakPlan:
     # its least element
     reps = group.mul[powers].min(axis=0)
     section = np.unique(reps)
-    k = np.arange(len(powers))
+    q = len(powers)
     return ZakPlan(
         group=group,
         generator=g0,
         powers=tuple(powers),
         subgroup=tuple(sorted(powers)),
         section=tuple(section.tolist()),
-        characters=np.exp(2j * np.pi * k[:, None] * k[None, :] / len(powers)),
         coset_of=np.searchsorted(section, reps),
+        cells=group.mul[np.asarray(powers)[:, None], section[None, :]],
+        measure=MeasureModel(tuple(f"alpha{k}" for k in range(q)), np.full(q, 1.0 / q)),
     )
 
 
-def _gather_indices(plan: ZakPlan) -> np.ndarray:
-    """idx[m, c] = the group element (generator power m) . (coset rep c)."""
-    powers = np.asarray(plan.powers, dtype=np.int64)
-    section = np.asarray(plan.section, dtype=np.int64)
-    return plan.group.mul[powers[:, None], section[None, :]]
+def _modulation(q: int, m) -> np.ndarray:
+    """exp(-2 pi i k m / q) at the characters k = 0..q-1 (rows) and the powers
+    m (columns): the symbols alpha -> conj(alpha(g0^m)) of the translations."""
+    return np.exp(-2j * np.pi * (np.arange(q)[:, None] * np.asarray(m)[None, :] % q) / q)
 
 
 def zak_forward(plan: ZakPlan, signal) -> FiberedFunction:
@@ -213,20 +210,17 @@ def zak_forward(plan: ZakPlan, signal) -> FiberedFunction:
     character atoms (weight 1/q each, fiber dimension p).  Unitary: the
     weighted norm of the output equals the plain norm of the input."""
     f = as_signal(plan.group, signal)
-    vals = f[_gather_indices(plan)]  # (q_powers, p), rows indexed by m
-    z = plan.characters.conj() @ vals
-    return FiberedFunction(plan.measure(), z)
+    return FiberedFunction(plan.measure, np.fft.fft(f[plan.cells], axis=0))
 
 
 def zak_inverse(plan: ZakPlan, zf: FiberedFunction) -> np.ndarray:
-    """Inverse transform: average the characters back per coset."""
+    """Inverse transform: an inverse DFT over the characters per coset."""
     if zf.values.shape != (plan.q, plan.p):
         raise ValueError(
             f"fibered function has shape {zf.values.shape}, expected {(plan.q, plan.p)}"
         )
-    vals = (plan.characters.T @ zf.values) / plan.q  # (m, c)
     f = np.empty(plan.group.order, dtype=np.complex128)
-    f[_gather_indices(plan)] = vals
+    f[plan.cells] = np.fft.ifft(zf.values, axis=0)
     return f
 
 
@@ -243,37 +237,38 @@ def verify_intertwine(plan: ZakPlan, signal) -> float:
     """Max absolute deviation between Z(L_gamma f) and the modulated Z f over
     every subgroup element gamma.  The translates are gathered straight into
     the Zak layout, a block of subgroup elements at a time, and each block is
-    transformed by one product with the characters."""
-    g, conj = plan.group, plan.characters.conj()
+    transformed by one FFT along the powers axis."""
+    g = plan.group
     f = as_signal(g, signal)
     zf = zak_forward(plan, f).values
-    inverses, cells = g.inverse[list(plan.powers)], _gather_indices(plan)
+    inverses = g.inverse[list(plan.powers)]
     step = max(1, _INTERTWINE_BLOCK // g.order)
     worst = 0.0
     for lo in range(0, plan.q, step):
-        # t[j, m, c] = (L_gamma f)(g0^j rep_c) for gamma = g0^(lo + m)
-        t = f[g.mul[inverses[None, lo : lo + step, None], cells[:, None, :]]]
-        z = (conj @ t.reshape(plan.q, -1)).reshape(t.shape)
-        z -= conj[:, lo : lo + step, None] * zf[:, None, :]
+        m = np.arange(lo, min(lo + step, plan.q))
+        # t[j, i, c] = (L_gamma f)(g0^j rep_c) for gamma = g0^m[i]
+        t = f[g.mul[inverses[None, m, None], plan.cells[:, None, :]]]
+        z = np.fft.fft(t, axis=0)
+        z -= _modulation(plan.q, m)[:, :, None] * zf[:, None, :]
         worst = max(worst, float(np.abs(z).max()))
     return worst
 
 
 def tg_to_mg(plan: ZakPlan, generators) -> FiberedSystem:
     """Fiberize a translation-generated system: generator signals become, at
-    each character atom, the fiber system of their Zak images."""
-    gens = [as_signal(plan.group, g) for g in generators]
-    if not gens:
+    each character atom, the fiber system of their Zak images, all J
+    generators transformed in one FFT over a (q, p, J) gather."""
+    f = np.array([as_signal(plan.group, g) for g in generators], dtype=np.complex128)
+    if not len(f):
         raise ValueError("need at least one generator signal")
-    images = [zak_forward(plan, g).values for g in gens]
-    return FiberedSystem(plan.measure(), np.stack(images, axis=-1))
+    return FiberedSystem(plan.measure, np.fft.fft(f.T[plan.cells], axis=0))
 
 
 def determining_table(plan: ZakPlan) -> DeterminingSet:
     """The subgroup's own symbol family as a determining set on the character
     atoms: row m holds gamma = g0^m acting as alpha -> conj(alpha(gamma)).
     Parseval holds exactly by character orthogonality."""
-    return DeterminingSet(plan.measure(), plan.characters.conj().T)
+    return DeterminingSet(plan.measure, _modulation(plan.q, np.arange(plan.q)))
 
 
 def tg_frame_bounds(plan: ZakPlan, generators) -> tuple[float, float, bool]:
@@ -287,13 +282,14 @@ def tg_frame_bounds(plan: ZakPlan, generators) -> tuple[float, float, bool]:
     return global_frame_bounds(FiberedSystem(MeasureModel(("G",), np.ones(1)), t[None]))
 
 
+# name -> (group constructor, its argument, default subgroup generator)
+BUILTIN_PLANS = {"z4": (cyclic_group, 4, 2), "z12": (cyclic_group, 12, 3), "d4": (dihedral_group, 4, 1)}
+
+
 def builtin_plan(name: str) -> ZakPlan:
     """Three ready-made plans used across tests and the demo subcommand."""
     key = name.strip().lower()
-    if key == "z4":
-        return build_plan(cyclic_group(4), 2)
-    if key == "z12":
-        return build_plan(cyclic_group(12), 3)
-    if key == "d4":
-        return build_plan(dihedral_group(4), 1)
-    raise ValueError(f"unknown builtin plan {name!r} (choose z4, z12, d4)")
+    if key not in BUILTIN_PLANS:
+        raise ValueError(f"unknown builtin plan {name!r} (choose {', '.join(BUILTIN_PLANS)})")
+    make, n, g0 = BUILTIN_PLANS[key]
+    return build_plan(make(n), g0)

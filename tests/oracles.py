@@ -240,5 +240,6 @@ def translate(plan, signal, gamma: int) -> np.ndarray:
 
 def modulation_symbol(plan, gamma: int) -> np.ndarray:
     """The scalar function on character atoms that Zak intertwines with
-    translation by gamma: value conj(alpha_k(gamma)) at atom k."""
-    return plan.characters[:, plan.power_of(gamma)].conj()
+    translation by gamma: value conj(alpha_k(gamma)) = exp(-2 pi i k m / q) at
+    atom k, for gamma = g0^m."""
+    return np.exp(-2j * np.pi * np.arange(plan.q) * plan.power_of(gamma) / plan.q)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from framekit import cli
-from framekit.serialize import pair_to_json
+from framekit.serialize import pair_to_json, plan_to_json
+from framekit.zak import build_plan, dihedral_group
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "cli"
 
@@ -223,14 +224,22 @@ def test_zak_demo_dihedral():
     result = json.loads(proc.stdout)["result"]
     assert result["unitarity_residual"] <= 1e-12
     assert result["intertwine_max_residual"] <= 1e-12
+    # a built-in group with an explicit generator: the reflection s
+    proc = run_cli("zak-demo", "--group", "d4", "--subgroup-gen", "4", check_rc=0)
+    assert json.loads(proc.stdout)["result"]["plan"] == plan_to_json(build_plan(dihedral_group(4), 4))
 
 
 def test_bad_json_exits_one(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{broken", encoding="utf-8")
-    proc = run_cli("angles", "--in", str(path))
-    assert proc.returncode == 1
-    assert "invalid JSON" in proc.stderr
+    for text in (
+        "{broken",
+        # nested past the recursion limit of both the streamed reader and json.load
+        '{"fiber_dim": 1, "atoms": [' + "[" * 100_000 + "]" * 100_000 + "]}",
+    ):
+        path.write_text(text, encoding="utf-8")
+        proc = run_cli("angles", "--in", str(path))
+        _assert_input_error(proc)
+        assert "invalid JSON" in proc.stderr
 
 
 def test_missing_file_exits_one():
@@ -346,6 +355,8 @@ def _limit_address_space():
     (["--atoms", "20", "--dim", "48", "--gens", "48", "--seed", "1"], "condition number"),
     # a 30000 x 30000 draw: refused before the random generator is seeded
     (["--atoms", "1", "--dim", "30000", "--gens", "1"], "--atoms * --dim * max(--dim, --gens)"),
+    # inside the size cap, but its 8000 x 8000 complex draw does not fit in the address space
+    (["--atoms", "1", "--dim", "8000", "--gens", "1"], "too large for available memory"),
 ])
 def test_gen_rejects_unbounded_work_from_argv(args, reason, tmp_path):
     # the limits make a missing check fail fast instead of hanging or swapping

@@ -1,5 +1,7 @@
 """Finite-group Zak transform: exactness, unitarity, intertwining, fiberization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,6 @@ def test_build_plan_z4():
     assert plan.powers == (0, 2)
     assert plan.subgroup == (0, 2)
     assert plan.section == (0, 1)
-    assert np.allclose(plan.characters, [[1.0, 1.0], [1.0, -1.0]])
     assert list(plan.coset_of) == [0, 1, 0, 1]
 
 
@@ -179,7 +180,8 @@ def test_intertwine_random_signals():
 def test_intertwine_matches_per_element_loop():
     # blocked transforms of the gathered translates against one Zak transform
     # per translate, as the identity is stated, on plans of every kind; the
-    # last two take 2 and 4 blocks of subgroup elements
+    # two after the explicit table take 2 and 4 blocks of subgroup elements,
+    # then a prime q and the trivial q = 1
     rng = np.random.default_rng(173)
     table, gen = relabelled_product(np.random.default_rng(149), 4, 4)
     plans = [
@@ -188,6 +190,8 @@ def test_intertwine_matches_per_element_loop():
         build_plan(explicit_group(table), gen),
         build_plan(cyclic_group(128), 1),
         build_plan(cyclic_group(256), 2),
+        build_plan(cyclic_group(97), 1),
+        build_plan(cyclic_group(6), 0),
     ]
     for plan in plans:
         f = complex_gaussian(rng, plan.group.order)
@@ -212,6 +216,22 @@ def test_tg_to_mg_examples():
     ones = tg_to_mg(plan, [np.ones(4)])
     assert np.allclose(ones.fibers[0].matrix, [[2.0], [2.0]])
     assert np.allclose(ones.fibers[1].matrix, [[0.0], [0.0]])
+
+    # all generators in one transform give each generator's own Zak image, bit for bit
+    rng = np.random.default_rng(179)
+    for plan in (builtin_plan("d4"), build_plan(cyclic_group(64), 4)):
+        gens = [complex_gaussian(rng, plan.group.order) for _ in range(3)]
+        images = np.stack([zak_forward(plan, g).values for g in gens], axis=-1)
+        assert np.array_equal(tg_to_mg(plan, gens).matrices, images)
+
+
+def test_plan_holds_no_array_larger_than_the_group():
+    # the transform is an FFT over the powers: no q x q character table is stored
+    plan = build_plan(cyclic_group(1024), 1)
+    arrays = [getattr(plan, f.name) for f in dataclasses.fields(plan) if f.name != "group"]
+    arrays.append(plan.measure.weights)
+    sizes = [a.size for a in arrays if isinstance(a, np.ndarray)]
+    assert len(sizes) >= 3 and max(sizes) <= plan.group.order
 
 
 def test_tg_frame_bounds_hand_case():
@@ -272,7 +292,7 @@ def test_biorthogonality_transfers_to_group_side():
     duals = []
     for i in range(r):
         vals = np.stack([report.dual.fibers[k].matrix[:, i] for k in range(plan.q)])
-        duals.append(zak_inverse(plan, FiberedFunction(plan.measure(), vals)))
+        duals.append(zak_inverse(plan, FiberedFunction(plan.measure, vals)))
     assert tg_biorthogonality_deviation(plan, gens, duals) <= 1e-8
 
 
@@ -289,7 +309,7 @@ def test_signal_validation():
     with pytest.raises(ValueError):
         zak_forward(plan, [np.nan, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        zak_inverse(plan, FiberedFunction(plan.measure(), np.zeros((2, 3))))
+        zak_inverse(plan, FiberedFunction(plan.measure, np.zeros((2, 3))))
 
 
 def test_group_spec_shape_errors():
