@@ -40,11 +40,10 @@ from .serialize import (
     diagnostics_to_csv,
     dump,
     equivalence_report_to_json,
-    fibered_system_to_json,
     pair_to_json,
     plan_to_json,
     read_pair,
-    signal_to_json,
+    table_rows,
     vector_to_json,
 )
 from .subspace import DEFAULT_ANGLE_TOL, Subspace
@@ -220,16 +219,7 @@ def _cmd_angles(ns):
         "angles_global": [report.angles_global[0], report.angles_global[1]],
         "global_angles_positive": report.global_angles_positive,
         "fiber_angles_positive": report.fiber_angles_positive,
-        "per_atom": [
-            {
-                "atom": d.atom,
-                "dim_ja": d.dim_ja,
-                "dim_jb": d.dim_jb,
-                "r_ab": d.r_ab,
-                "r_ba": d.r_ba,
-            }
-            for d in report.diagnostics
-        ],
+        "per_atom": table_rows(report.diagnostics, ("atom", "dim_ja", "dim_jb", "r_ab", "r_ba")),
     }
     return _envelope(ns, result, angle=True)
 
@@ -251,7 +241,7 @@ def _cmd_dual(ns):
         "is_alternate_dual_backward": bool(ok_bwd.all()),
         "max_residual_forward": float(resid_fwd.max()),
         "max_residual_backward": float(resid_bwd.max()),
-        "dual": fibered_system_to_json(dual),
+        "dual": pair_to_json(dual),
     }
     return _envelope(ns, result)
 
@@ -355,21 +345,16 @@ def _cmd_zak_demo(ns):
     zf = zak_forward(plan, f)
     back = zak_inverse(plan, zf)
     intertwine = verify_intertwine(plan, f)
-    measure = plan.measure
     system = tg_to_mg(plan, [f]) if np.abs(f).max() > 0 else None
+    atoms = {
+        "id": plan.measure.atoms,
+        "weight": plan.measure.weights,
+        "values": [vector_to_json(v) for v in zf.values],
+    }
     result = {
         "plan": plan_to_json(plan),
-        "signal": signal_to_json(f),
-        "zak": {
-            "atoms": [
-                {
-                    "id": measure.atoms[k],
-                    "weight": float(measure.weights[k]),
-                    "values": vector_to_json(zf.values[k]),
-                }
-                for k in range(plan.q)
-            ]
-        },
+        "signal": vector_to_json(f),
+        "zak": {"atoms": table_rows(atoms)},
         "norm_signal": float(np.linalg.norm(f)),
         "norm_zak": zf.norm(),
         "unitarity_residual": abs(zf.norm() - float(np.linalg.norm(f))),
@@ -402,16 +387,14 @@ def _cmd_reconstruct(ns):
         dual = canonical_duals(pair.sa, tol)
         source = "canonical dual"
     fhat, resid = reconstruct(pair.sa, dual, pair.probe)
-    per_atom = []
-    for k, atom in enumerate(pair.measure.atoms):
-        diff = float(np.linalg.norm(fhat.values[k] - pair.probe.values[k]))
-        per_atom.append({"atom": atom, "abs_residual": diff})
+    # one norm per atom: a norm along an axis of the stack rounds differently
+    residuals = [float(np.linalg.norm(d)) for d in fhat.values - pair.probe.values]
     result = {
         "ok": True,
         "dual_source": source,
         "rel_residual": float(resid),
         "norm_f": pair.probe.norm(),
-        "per_atom": per_atom,
+        "per_atom": table_rows({"atom": pair.measure.atoms, "abs_residual": residuals}),
     }
     return _envelope(ns, result)
 

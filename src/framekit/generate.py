@@ -38,15 +38,16 @@ def random_unitary(rng, d: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :].conj()
 
 
-# Draws well_conditioned_coefficients makes before giving up.  Square k x k
-# Gaussian blocks pass cond <= 20 about 63% of the time at k = 8 and 12% at
-# k = 16, so 1000 draws fail there with probability below 1e-50; at k = 32
-# none of 2000 draws passed.
+# Draws well_conditioned_coefficients makes before giving up, and the largest
+# condition number it accepts.  Square k x k Gaussian blocks pass cond <= 20
+# about 63% of the time at k = 8 and 12% at k = 16, so 1000 draws fail there
+# with probability below 1e-50; at k = 32 none of 2000 draws passed.
 MAX_COEFFICIENT_DRAWS = 1000
+MAX_COND = 20.0
 
 
-def well_conditioned_coefficients(rng, k: int, r: int, max_cond: float = 20.0) -> np.ndarray:
-    """A k x r block (k <= r) with condition number at most max_cond.
+def well_conditioned_coefficients(rng, k: int, r: int) -> np.ndarray:
+    """A k x r block (k <= r) with condition number at most MAX_COND.
 
     Raises ValueError when MAX_COEFFICIENT_DRAWS Gaussian draws all fail.
     """
@@ -55,10 +56,10 @@ def well_conditioned_coefficients(rng, k: int, r: int, max_cond: float = 20.0) -
     for _ in range(MAX_COEFFICIENT_DRAWS):
         c = complex_gaussian(rng, k, r)
         s = singular_values(c)
-        if s[-1] > 0.0 and s[0] / s[-1] <= max_cond:
+        if s[-1] > 0.0 and s[0] / s[-1] <= MAX_COND:
             return c
     raise ValueError(
-        f"no {k} x {r} coefficient block with condition number <= {max_cond:g} "
+        f"no {k} x {r} coefficient block with condition number <= {MAX_COND:g} "
         f"in {MAX_COEFFICIENT_DRAWS} draws"
     )
 

@@ -28,7 +28,7 @@ target subspaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -437,17 +437,6 @@ def fourier_determining_set(measure: MeasureModel) -> DeterminingSet:
 
 
 @dataclass(frozen=True)
-class FiberDiagnostic:
-    atom: str
-    dim_ja: int
-    dim_jb: int
-    r_ab: float
-    r_ba: float
-    rank_mixed: int
-    pinv_norm: float
-
-
-@dataclass(frozen=True)
 class EquivalenceReport:
     """Outcome of the four-statement duality check for a pair of fibered systems.
 
@@ -456,6 +445,11 @@ class EquivalenceReport:
     fiberwise dual pairs exist on every atom, and both fiber angles are
     positive on every atom.  For genuine frames the four agree; the checker
     reports them independently.
+
+    diagnostics holds the per-atom results as columns in measure order:
+    atom (the measure's ids), dim_ja, dim_jb, r_ab, r_ba, rank_mixed and
+    pinv_norm, as the writers emit them.  worst_fiber is the index of the
+    atom with the smallest fiber cosine.
     """
 
     global_duals_exist: bool
@@ -463,8 +457,8 @@ class EquivalenceReport:
     fiber_duals_exist: bool
     fiber_angles_positive: bool
     angles_global: tuple[float, float]
-    worst_fiber: FiberDiagnostic
-    diagnostics: list[FiberDiagnostic]
+    worst_fiber: int
+    diagnostics: dict[str, tuple | np.ndarray]
     witness_status: str  # "verified", "constructed, unverified-bound", "not constructed"
     witnesses: tuple[FiberedSystem, FiberedSystem] | None
     max_local_residual: float | None
@@ -480,6 +474,15 @@ class EquivalenceReport:
             and self.fiber_duals_exist
             and self.fiber_angles_positive
         )
+
+
+def _columns(**columns) -> dict:
+    """A per-atom column table: the keyword columns in order, each array
+    made read-only."""
+    for column in columns.values():
+        if isinstance(column, np.ndarray):
+            column.flags.writeable = False
+    return columns
 
 
 def _probe_block(rng, m: np.ndarray, extra: int) -> np.ndarray:
@@ -502,7 +505,7 @@ def _max_ratio(num: np.ndarray, den: np.ndarray) -> float:
     return float((num[live] / den[live]).max()) if np.any(live) else 0.0
 
 
-def _certify_witnesses(a, b, w, tight, dual, probe_seed, probe_count):
+def _certify_witnesses(a, b, w, tight, dual, probe_seed):
     """Drive probe functions through the witness pair (tight, dual) fiberwise
     and in the w-weighted norm; a and b are the systems' stacks padded alike.
 
@@ -513,14 +516,14 @@ def _certify_witnesses(a, b, w, tight, dual, probe_seed, probe_count):
     n_atoms, r = tight.shape[0], tight.shape[2]
     rng = np.random.default_rng(probe_seed)
     max_local = 0.0
-    num = np.zeros((2, r + probe_count))
-    den = np.zeros((2, r + probe_count))
+    num = np.zeros((2, r + PROBE_COUNT))
+    den = np.zeros((2, r + PROBE_COUNT))
     wit_s = np.empty((2, n_atoms, min(tight.shape[1:])))
     for lo, hi in _blocks(n_atoms):
         wa, wb = tight[lo:hi], dual[lo:hi]
         sides = ((a[lo:hi], wa, wb), (b[lo:hi], wb, wa))
         for side, (m, synth, analysis) in enumerate(sides):
-            res, nrm = _residuals(synth, analysis, _probe_block(rng, m, probe_count))
+            res, nrm = _residuals(synth, analysis, _probe_block(rng, m, PROBE_COUNT))
             max_local = max(max_local, _max_ratio(res, nrm))
             num[side] += w[lo:hi] @ res**2
             den[side] += w[lo:hi] @ nrm**2
@@ -536,7 +539,6 @@ def verify_duality(
     angle_tol: float = DEFAULT_ANGLE_TOL,
     c_max: float = DEFAULT_C_MAX,
     probe_seed: int = 0,
-    probe_count: int = PROBE_COUNT,
 ) -> EquivalenceReport:
     """Evaluate the duality equivalences for the pair (SA, SB).
 
@@ -591,25 +593,22 @@ def verify_duality(
     if not bounds_b[2]:
         raise ValueError("second system is not a frame for its span")
 
-    diagnostics = [
-        FiberDiagnostic(*row)
-        for row in zip(
-            sa.measure.atoms,
-            dim_a.tolist(),
-            dim_b.tolist(),
-            r_ab.tolist(),
-            r_ba.tolist(),
-            rank_mixed.tolist(),
-            pinv_norm.tolist(),
-        )
-    ]
+    diagnostics = _columns(
+        atom=sa.measure.atoms,
+        dim_ja=dim_a,
+        dim_jb=dim_b,
+        r_ab=r_ab,
+        r_ba=r_ba,
+        rank_mixed=rank_mixed,
+        pinv_norm=pinv_norm,
+    )
     fiber_angles_positive = bool(np.all((r_ab > angle_tol) & (r_ba > angle_tol)))
     angles_global = (
         float(r_ab[dim_a > 0].min()) if np.any(dim_a > 0) else 1.0,
         float(r_ba[dim_b > 0].min()) if np.any(dim_b > 0) else 1.0,
     )
     global_angles_positive = angles_global[0] > angle_tol and angles_global[1] > angle_tol
-    worst = diagnostics[int(np.argmin(np.minimum(r_ab, r_ba)))]
+    worst = int(np.argmin(np.minimum(r_ab, r_ba)))
 
     witnesses = None
     witness_status = "not constructed"
@@ -621,7 +620,7 @@ def verify_duality(
     if feasible and np.all(dualisable):
         witnesses = (FiberedSystem(sa.measure, tight), FiberedSystem(sa.measure, dual))
         max_local, max_global, wit_s = _certify_witnesses(
-            a_all, b_all, sa.measure.weights, tight, dual, probe_seed, probe_count
+            a_all, b_all, sa.measure.weights, tight, dual, probe_seed
         )
         # Witness sanity: spans match fiberwise and both are frames.
         spans_ok = all(
@@ -657,24 +656,26 @@ def verify_duality(
 
 
 @dataclass(frozen=True)
-class BiorthRow:
-    atom: str
-    r_aw: float
-    r_wa: float
-    ok: bool
-
-
-@dataclass(frozen=True)
 class BiorthogonalityReport:
-    """Outcome of the fiberwise biorthogonal-dual construction."""
+    """Outcome of the fiberwise biorthogonal-dual construction.
+
+    rows holds the per-atom results as columns in measure order: atom (the
+    measure's ids), the cosines r_aw and r_wa, and ok, whether they clear
+    the angle tolerance.  The dual and its residuals are None unless every
+    atom is ok.
+    """
 
     holds: bool
-    rows: list[BiorthRow]
+    rows: dict[str, tuple | np.ndarray]
     riesz_bounds: tuple[float, float]
-    dual: FiberedSystem | None
-    biorth_deviation: float | None
-    repro_residual: float | None
-    failed_atoms: list[str] = field(default_factory=list)
+    dual: FiberedSystem | None = None
+    biorth_deviation: float | None = None
+    repro_residual: float | None = None
+
+    @property
+    def failed_atoms(self) -> list[str]:
+        """Ids of the atoms that are not ok, in measure order."""
+        return [self.rows["atom"][k] for k in np.flatnonzero(~self.rows["ok"])]
 
 
 def verify_biorthogonality(
@@ -683,7 +684,6 @@ def verify_biorthogonality(
     tol: Tolerance = DEFAULT_TOL,
     angle_tol: float = DEFAULT_ANGLE_TOL,
     probe_seed: int = 0,
-    probe_count: int = PROBE_COUNT,
 ) -> BiorthogonalityReport:
     """Check fiberwise duality of a Riesz family against target subspaces and
     construct the biorthogonal dual family when every fiber passes.
@@ -723,20 +723,9 @@ def verify_biorthogonality(
         _inf_cos_pair(basis[lo:hi], span_dims[lo:hi], w_all[lo:hi], span_dims[lo:hi])[0]
         for lo, hi in _blocks(n_atoms)
     ])
-    rows = [
-        BiorthRow(atom, c, c, c > angle_tol) for atom, c in zip(sa.measure.atoms, cos.tolist())
-    ]
-    failed = [row.atom for row in rows if not row.ok]
-    if failed:
-        return BiorthogonalityReport(
-            holds=False,
-            rows=rows,
-            riesz_bounds=riesz_bounds,
-            dual=None,
-            biorth_deviation=None,
-            repro_residual=None,
-            failed_atoms=failed,
-        )
+    rows = _columns(atom=sa.measure.atoms, r_aw=cos, r_wa=cos, ok=cos > angle_tol)
+    if not rows["ok"].all():
+        return BiorthogonalityReport(holds=False, rows=rows, riesz_bounds=riesz_bounds)
 
     rng = np.random.default_rng(probe_seed)
     eye = np.eye(r, dtype=np.complex128)
@@ -746,8 +735,8 @@ def verify_biorthogonality(
         a, wb = a_all[lo:hi], w_all[lo:hi]
         h = dual[lo:hi] = _biorth_duals(a, wb)
         dev = max(dev, float(np.abs((ct(h) @ a).swapaxes(-1, -2) - eye).max()))
-        probes_a = _probe_block(rng, a, probe_count)
-        probes_w = _probe_block(rng, wb, probe_count)
+        probes_a = _probe_block(rng, a, PROBE_COUNT)
+        probes_w = _probe_block(rng, wb, PROBE_COUNT)
         repro = max(repro, _max_ratio(*_residuals(a, h, probes_a)))
         repro = max(repro, _max_ratio(*_residuals(h, a, probes_w)))
     return BiorthogonalityReport(
@@ -757,5 +746,4 @@ def verify_biorthogonality(
         dual=FiberedSystem(sa.measure, dual),
         biorth_deviation=dev,
         repro_residual=repro,
-        failed_atoms=[],
     )

@@ -214,8 +214,8 @@ def _is_int(obj) -> bool:
 
 
 def _as_list(doc):
-    """A float array (as the *_to_json functions build) is read as the nested
-    lists it is written as; anything else is returned unchanged."""
+    """An array (a float array of a *_to_json function, or a report column)
+    is read as the nested lists it is written as; anything else is unchanged."""
     return doc.tolist() if isinstance(doc, np.ndarray) else doc
 
 
@@ -576,10 +576,6 @@ def read_pair(fh) -> PairDocument:
     return pair_from_json(json.load(fh))
 
 
-def fibered_system_to_json(s: FiberedSystem) -> dict:
-    return pair_to_json(s)
-
-
 # ---------------------------------------------------------------------------
 # Groups, plans, signals.
 
@@ -626,10 +622,6 @@ def plan_to_json(plan: ZakPlan) -> dict:
     }
 
 
-def signal_to_json(f) -> list:
-    return vector_to_json(f)
-
-
 def signal_from_json(doc, order: int, where: str = "signal") -> np.ndarray:
     v = vector_from_json(doc, where)
     if v.shape != (order,):
@@ -641,19 +633,18 @@ def signal_from_json(doc, order: int, where: str = "signal") -> np.ndarray:
 # Reports.
 
 
-def _diag_row(d) -> dict:
-    return {
-        "atom": d.atom,
-        "dim_ja": d.dim_ja,
-        "dim_jb": d.dim_jb,
-        "r_ab": d.r_ab,
-        "r_ba": d.r_ba,
-        "rank_mixed": d.rank_mixed,
-        "pinv_norm": d.pinv_norm,
-    }
+def table_rows(table: dict, keys=None) -> list[dict]:
+    """Rows of a column table, the dict from key to per-atom column in which
+    reports hold their per-atom results: one dict per atom with the given
+    keys, or every key in order when keys is None.  Array columns give
+    Python scalars."""
+    keys = tuple(table) if keys is None else tuple(keys)
+    columns = [_as_list(table[key]) for key in keys]
+    return [dict(zip(keys, values)) for values in zip(*columns)]
 
 
 def equivalence_report_to_json(report: EquivalenceReport, include_witnesses: bool = True) -> dict:
+    rows = table_rows(report.diagnostics)
     doc = {
         "global_duals_exist": report.global_duals_exist,
         "global_angles_positive": report.global_angles_positive,
@@ -661,18 +652,18 @@ def equivalence_report_to_json(report: EquivalenceReport, include_witnesses: boo
         "fiber_angles_positive": report.fiber_angles_positive,
         "all_hold": report.all_hold,
         "angles_global": [report.angles_global[0], report.angles_global[1]],
-        "worst_fiber": _diag_row(report.worst_fiber),
+        "worst_fiber": rows[report.worst_fiber],
         "witness_status": report.witness_status,
         "max_local_residual": report.max_local_residual,
         "max_global_residual": report.max_global_residual,
         "frame_bounds_a": list(report.frame_bounds_a),
         "frame_bounds_b": list(report.frame_bounds_b),
-        "diagnostics": [_diag_row(d) for d in report.diagnostics],
+        "diagnostics": rows,
     }
     if include_witnesses and report.witnesses is not None:
         doc["witnesses"] = {
-            "A": fibered_system_to_json(report.witnesses[0]),
-            "B": fibered_system_to_json(report.witnesses[1]),
+            "A": pair_to_json(report.witnesses[0]),
+            "B": pair_to_json(report.witnesses[1]),
         }
     return doc
 
@@ -681,36 +672,23 @@ DIAGNOSTICS_CSV_HEADER = "atom,dim_ja,dim_jb,r_ab,r_ba,rank_mixed,pinv_norm"
 
 
 def diagnostics_to_csv(report: EquivalenceReport) -> str:
-    lines = [DIAGNOSTICS_CSV_HEADER]
-    for d in report.diagnostics:
+    lines = [",".join(report.diagnostics)]
+    for row in table_rows(report.diagnostics):
         lines.append(
-            ",".join(
-                [
-                    d.atom,
-                    str(d.dim_ja),
-                    str(d.dim_jb),
-                    _fmt_float(d.r_ab),
-                    _fmt_float(d.r_ba),
-                    str(d.rank_mixed),
-                    _fmt_float(d.pinv_norm),
-                ]
-            )
+            ",".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in row.values())
         )
     return "\n".join(lines) + "\n"
 
 
-def biorth_report_to_json(report: BiorthogonalityReport, include_dual: bool = True) -> dict:
+def biorth_report_to_json(report: BiorthogonalityReport) -> dict:
     doc = {
         "holds": report.holds,
         "riesz_bounds": [report.riesz_bounds[0], report.riesz_bounds[1]],
         "failed_atoms": list(report.failed_atoms),
         "biorth_deviation": report.biorth_deviation,
         "repro_residual": report.repro_residual,
-        "rows": [
-            {"atom": r.atom, "r_aw": r.r_aw, "r_wa": r.r_wa, "ok": r.ok}
-            for r in report.rows
-        ],
+        "rows": table_rows(report.rows),
     }
-    if include_dual and report.dual is not None:
-        doc["dual"] = fibered_system_to_json(report.dual)
+    if report.dual is not None:
+        doc["dual"] = pair_to_json(report.dual)
     return doc

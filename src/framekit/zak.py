@@ -18,7 +18,7 @@ system whose per-character fibers carry all frame information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .mispace import DeterminingSet, FiberedFunction, FiberedSystem, MeasureMode
 _INTERTWINE_BLOCK = 1 << 13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroupSpec:
     """A finite group as an explicit multiplication table.
 
@@ -40,13 +40,14 @@ class FiniteGroupSpec:
     validated on construction: identity row and column, a two-sided inverse
     for every element, and associativity by Light's test over a greedy
     generating set (Clifford & Preston, The Algebraic Theory of Semigroups I,
-    1961, sec. 1.2), O(order^2) time and memory per generator.
+    1961, sec. 1.2), O(order^2) time and memory per generator.  The tables
+    are read-only, and specs compare and hash by identity.
     """
 
     kind: str
     order: int
     mul: np.ndarray
-    inverse: np.ndarray | None = None
+    inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.kind not in ("cyclic", "dihedral", "explicit"):
@@ -136,7 +137,7 @@ def as_signal(group: FiniteGroupSpec, values) -> np.ndarray:
     return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZakPlan:
     """Everything the transform needs for one (group, cyclic subgroup) choice.
 
@@ -145,7 +146,8 @@ class ZakPlan:
     lexicographically least representative of each right coset in ascending
     order, cells[m, c] is the element (g0^m) . section[c], the (q, p) gather
     table of every transform, and measure holds the q character atoms
-    alpha0..alpha{q-1}, weight 1/q each.
+    alpha0..alpha{q-1}, weight 1/q each.  The arrays are read-only, and
+    plans compare and hash by identity.
     """
 
     group: FiniteGroupSpec
@@ -187,14 +189,18 @@ def build_plan(group: FiniteGroupSpec, subgroup_generator: int) -> ZakPlan:
     reps = group.mul[powers].min(axis=0)
     section = np.unique(reps)
     q = len(powers)
+    coset_of = np.searchsorted(section, reps)
+    cells = group.mul[np.asarray(powers)[:, None], section[None, :]]
+    coset_of.flags.writeable = False
+    cells.flags.writeable = False
     return ZakPlan(
         group=group,
         generator=g0,
         powers=tuple(powers),
         subgroup=tuple(sorted(powers)),
         section=tuple(section.tolist()),
-        coset_of=np.searchsorted(section, reps),
-        cells=group.mul[np.asarray(powers)[:, None], section[None, :]],
+        coset_of=coset_of,
+        cells=cells,
         measure=MeasureModel(tuple(f"alpha{k}" for k in range(q)), np.full(q, 1.0 / q)),
     )
 

@@ -34,6 +34,7 @@ CASES = [
     ("verify-thm1.json", ["verify-thm1", "--in", PAIR, "--seed", "1"]),
     ("verify-thm1.csv", ["verify-thm1", "--in", PAIR, "--seed", "1", "--format", "csv"]),
     ("angles.json", ["angles", "--in", PAIR]),
+    ("angles.csv", ["angles", "--in", PAIR, "--format", "csv"]),
     ("dual.json", ["dual", "--in", PAIR]),
     ("reconstruct.json", ["reconstruct", "--in", PAIR]),
     ("verify-thm2.json", ["verify-thm2", "--in", RIESZ, "--seed", "1"]),

@@ -133,14 +133,16 @@ def assert_matches_oracle(sa, sb, **kwargs):
     )
     assert got == verdicts
     assert report.witness_status == status
-    assert report.worst_fiber.atom == worst
+    diag = report.diagnostics
+    assert diag["atom"][report.worst_fiber] == worst
     assert report.angles_global == pytest.approx(angles, abs=1e-12)
     angle_tol = kwargs.get("angle_tol", DEFAULT_ANGLE_TOL)
-    for d, row in zip(report.diagnostics, rows):
-        assert (d.atom, d.dim_ja, d.dim_jb, d.rank_mixed) == (row[0], row[1], row[2], row[5])
-        assert abs(d.r_ab - row[3]) <= 1e-12 and abs(d.r_ba - row[4]) <= 1e-12
+    for k, row in enumerate(rows):
+        got = tuple(diag[key][k] for key in ("atom", "dim_ja", "dim_jb", "rank_mixed"))
+        assert got == (row[0], row[1], row[2], row[5])
+        assert abs(diag["r_ab"][k] - row[3]) <= 1e-12 and abs(diag["r_ba"][k] - row[4]) <= 1e-12
         if min(row[3], row[4]) > angle_tol:
-            assert d.pinv_norm == pytest.approx(row[6], rel=1e-8)
+            assert diag["pinv_norm"][k] == pytest.approx(row[6], rel=1e-8)
     for got_b, want_b in zip((report.frame_bounds_a, report.frame_bounds_b), bounds):
         assert got_b[2] == want_b[2]
         assert got_b[:2] == pytest.approx(want_b[:2], rel=1e-9)
@@ -194,7 +196,8 @@ def test_zero_fibers_and_unequal_counts_match_oracle():
     # inactive on one side only: that atom decides the angle verdicts
     fa[_BLOCK + 1] = FiberSystem.zeros(5, 2)
     report = assert_matches_oracle(FiberedSystem(measure, tuple(fa)), sb)
-    assert report.worst_fiber.atom == f"x{_BLOCK + 1}" and not report.fiber_angles_positive
+    assert report.diagnostics["atom"][report.worst_fiber] == f"x{_BLOCK + 1}"
+    assert not report.fiber_angles_positive
 
 
 def test_singular_value_between_the_two_cutoffs():
@@ -211,8 +214,8 @@ def test_singular_value_between_the_two_cutoffs():
     sa = FiberedSystem(inst.sa.measure, inst.sa.fibers[:k] + (thin,) + inst.sa.fibers[k + 1:])
     sb = FiberedSystem(inst.sb.measure, inst.sb.fibers[:k] + (wide,) + inst.sb.fibers[k + 1:])
     report = assert_matches_oracle(sa, sb)
-    d = report.diagnostics[k]
-    assert (d.dim_ja, d.dim_jb, d.rank_mixed) == (2, 2, 2)
+    d = report.diagnostics
+    assert (d["dim_ja"][k], d["dim_jb"][k], d["rank_mixed"][k]) == (2, 2, 2)
     assert report.witness_status == "not constructed"
 
 
@@ -274,10 +277,11 @@ def test_verify_biorthogonality_matches_per_fiber():
     sa = FiberedSystem(measure, tuple(fibers))
     report = verify_biorthogonality(sa, targets)
     assert report.holds and report.repro_residual <= 1e-10
-    for fib, w, row, h in zip(sa.fibers, targets, report.rows, report.dual.fibers):
+    rows = report.rows
+    for k, (fib, w, h) in enumerate(zip(sa.fibers, targets, report.dual.fibers)):
         span = Subspace.span_of(fib.matrix)
-        assert row.r_aw == pytest.approx(oracles.inf_cos(span, w), abs=1e-12)
-        assert row.r_wa == pytest.approx(oracles.inf_cos(w, span), abs=1e-12)
+        assert rows["r_aw"][k] == pytest.approx(oracles.inf_cos(span, w), abs=1e-12)
+        assert rows["r_wa"][k] == pytest.approx(oracles.inf_cos(w, span), abs=1e-12)
         assert np.allclose(h.matrix, oracles.biorth_riesz_dual_via_projection(fib, w).matrix, atol=1e-10)
     lows = [oracles.frame_bounds(f)[0] for f in sa.fibers]
     assert report.riesz_bounds[0] == pytest.approx(min(lows), rel=1e-10)

@@ -22,6 +22,14 @@ from framekit.subspace import DEFAULT_ANGLE_TOL
 BOUNDED = settings(max_examples=20, deadline=None, database=None, derandomize=True)
 
 
+EXACT = ("atom", "dim_ja", "dim_jb", "rank_mixed")
+
+
+def at(table, k, keys):
+    """Entry k of the given columns of a report's column table."""
+    return tuple(table[key][k] for key in keys)
+
+
 def verdicts(report):
     return (
         report.global_duals_exist,
@@ -55,10 +63,11 @@ def test_atom_permutation(data):
     assert moved.angles_global == pytest.approx(base.angles_global, abs=1e-12)
     for got, want in ((moved.frame_bounds_a, base.frame_bounds_a), (moved.frame_bounds_b, base.frame_bounds_b)):
         assert got[2] == want[2] and got[:2] == pytest.approx(want[:2], rel=1e-12)
-    for d, i in zip(moved.diagnostics, perm):
-        want = base.diagnostics[i]
-        assert (d.atom, d.dim_ja, d.dim_jb, d.rank_mixed) == (want.atom, want.dim_ja, want.dim_jb, want.rank_mixed)
-        assert (d.r_ab, d.r_ba, d.pinv_norm) == pytest.approx((want.r_ab, want.r_ba, want.pinv_norm), rel=1e-12, abs=1e-12)
+    got, want = moved.diagnostics, base.diagnostics
+    floats = ("r_ab", "r_ba", "pinv_norm")
+    for k, i in enumerate(perm):
+        assert at(got, k, EXACT) == at(want, i, EXACT)
+        assert at(got, k, floats) == pytest.approx(at(want, i, floats), rel=1e-12, abs=1e-12)
 
 
 @BOUNDED
@@ -75,8 +84,9 @@ def test_unitary_change_of_basis(data):
     base, moved = verify_duality(inst.sa, inst.sb), verify_duality(turned(inst.sa), turned(inst.sb))
     assert verdicts(moved) == verdicts(base)
     assert moved.angles_global == pytest.approx(base.angles_global, abs=1e-12)
-    for d, want in zip(moved.diagnostics, base.diagnostics):
-        assert (d.r_ab, d.r_ba) == pytest.approx((want.r_ab, want.r_ba), abs=1e-12)
+    got, want = moved.diagnostics, base.diagnostics
+    for k in range(len(want["atom"])):
+        assert at(got, k, ("r_ab", "r_ba")) == pytest.approx(at(want, k, ("r_ab", "r_ba")), abs=1e-12)
 
 
 def assert_same_spans_report(moved, base):
@@ -86,11 +96,12 @@ def assert_same_spans_report(moved, base):
     assert moved.angles_global == pytest.approx(base.angles_global, abs=1e-12)
     for got, want in ((moved.frame_bounds_a, base.frame_bounds_a), (moved.frame_bounds_b, base.frame_bounds_b)):
         assert got[2] == want[2] and got[:2] == pytest.approx(want[:2], rel=1e-12)
-    for d, want in zip(moved.diagnostics, base.diagnostics):
-        assert (d.atom, d.dim_ja, d.dim_jb, d.rank_mixed) == (want.atom, want.dim_ja, want.dim_jb, want.rank_mixed)
-        assert (d.r_ab, d.r_ba) == pytest.approx((want.r_ab, want.r_ba), abs=1e-12)
-        if min(want.r_ab, want.r_ba) > DEFAULT_ANGLE_TOL:  # else pinv_norm inverts rounding noise
-            assert d.pinv_norm == pytest.approx(want.pinv_norm, rel=1e-9)
+    got, want = moved.diagnostics, base.diagnostics
+    for k in range(len(want["atom"])):
+        assert at(got, k, EXACT) == at(want, k, EXACT)
+        assert at(got, k, ("r_ab", "r_ba")) == pytest.approx(at(want, k, ("r_ab", "r_ba")), abs=1e-12)
+        if min(at(want, k, ("r_ab", "r_ba"))) > DEFAULT_ANGLE_TOL:  # else pinv_norm inverts rounding noise
+            assert got["pinv_norm"][k] == pytest.approx(want["pinv_norm"][k], rel=1e-9)
 
 
 @BOUNDED

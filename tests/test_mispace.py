@@ -238,7 +238,7 @@ def test_verify_duality_in_duality_family():
         assert report.max_local_residual <= 1e-8
         assert report.max_global_residual <= 1e-8
         assert report.angles_global[0] >= 0.1 - 1e-9
-        assert min(r.r_ab for r in report.diagnostics) == pytest.approx(
+        assert min(report.diagnostics["r_ab"]) == pytest.approx(
             inst.meta["min_cosine"], abs=1e-9
         )
 
@@ -255,9 +255,10 @@ def test_verify_duality_orthogonal_failure_family():
         assert report.witnesses is None
         # The planted atom is the worst fiber; its planted cosine is exactly 0
         # and the evaluated angle is zero to machine precision.
-        assert report.worst_fiber.atom == inst.meta["special_atom"]
+        diag, worst = report.diagnostics, report.worst_fiber
+        assert diag["atom"][worst] == inst.meta["special_atom"]
         assert inst.meta["min_cosine"] == 0.0
-        assert min(report.worst_fiber.r_ab, report.worst_fiber.r_ba) <= 1e-12
+        assert min(diag["r_ab"][worst], diag["r_ba"][worst]) <= 1e-12
 
 
 def test_verify_duality_decomposition_invariant():
@@ -342,7 +343,7 @@ def test_verify_biorthogonality_angle_failure_names_atom():
     assert not report.holds
     assert report.failed_atoms == ["x1"]
     assert report.dual is None
-    assert report.rows[1].r_aw <= 1e-12
+    assert report.rows["r_aw"][1] <= 1e-12
 
 
 def test_verify_biorthogonality_rejects_non_riesz():

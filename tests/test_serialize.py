@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from framekit import cli, serialize
 from framekit.fiberframe import FiberSystem
 from framekit.generate import duality_instance, random_fibered_system
-from framekit.mispace import verify_duality
+from framekit.mispace import FiberedSystem, MeasureModel, verify_biorthogonality, verify_duality
 from framekit.serialize import (
     DIAGNOSTICS_CSV_HEADER,
     _fmt_float,
@@ -35,7 +35,6 @@ from framekit.serialize import (
     pair_to_json,
     read_pair,
     signal_from_json,
-    signal_to_json,
     subspace_from_json,
     subspace_to_json,
     vector_from_json,
@@ -165,10 +164,10 @@ def test_group_round_trip_all_kinds():
 
 def test_signal_round_trip():
     f = np.array([1.0, -1j, 0.25 + 0.5j, 0.0])
-    back = signal_from_json(signal_to_json(f), 4)
+    back = signal_from_json(vector_to_json(f), 4)
     assert np.array_equal(back, f.astype(np.complex128))
     with pytest.raises(ValueError):
-        signal_from_json(signal_to_json(f), 5)
+        signal_from_json(vector_to_json(f), 5)
 
 
 def test_equivalence_report_json_and_csv():
@@ -187,8 +186,60 @@ def test_equivalence_report_json_and_csv():
     csv = diagnostics_to_csv(report)
     lines = csv.strip().split("\n")
     assert lines[0] == DIAGNOSTICS_CSV_HEADER
-    assert len(lines) == 1 + len(report.diagnostics)
+    assert len(lines) == 1 + len(report.diagnostics["atom"])
     assert lines[1].startswith("x0,")
+
+
+def _cli_out(tmp_path, name, *argv):
+    out = tmp_path / name
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+def test_writers_read_one_column_table(tmp_path):
+    # 70 atoms cross two 32-atom block edges of the fiber engine
+    pair = str(tmp_path / "pair.json")
+    assert cli.main(["gen", "--family", "orthogonal-failure", "--atoms", "70", "--dim", "4",
+                     "--gens", "3", "--seed", "4", "--out", pair]) == 0
+    doc = json.loads(_cli_out(tmp_path, "thm1.json", "verify-thm1", "--in", pair))["result"]
+    angles = json.loads(_cli_out(tmp_path, "angles.json", "angles", "--in", pair))["result"]
+    lines = _cli_out(tmp_path, "thm1.csv", "verify-thm1", "--in", pair, "--format", "csv").split("\n")
+    rows = doc["diagnostics"]
+    assert len(rows) == len(angles["per_atom"]) == 70
+    assert lines[0] == DIAGNOSTICS_CSV_HEADER and lines[71:] == [""]
+    floats = {"r_ab", "r_ba", "pinv_norm"}
+    for row, short, line in zip(rows, angles["per_atom"], lines[1:71]):
+        assert list(short.items()) == list(row.items())[:5]
+        want = [_fmt_float(v) if k in floats else str(v) for k, v in row.items()]
+        assert line == ",".join(want)
+    special = json.loads(pathlib.Path(pair).read_text(encoding="utf-8"))["meta"]["special_atom"]
+    assert doc["worst_fiber"] == next(row for row in rows if row["atom"] == special)
+
+    with open(pair, encoding="utf-8") as fh:
+        inst = read_pair(fh)
+    report = verify_duality(inst.sa, inst.sb)
+    assert list(report.diagnostics) == DIAGNOSTICS_CSV_HEADER.split(",")
+    with open(FIXTURES / "riesz-with-targets.json", encoding="utf-8") as fh:
+        riesz = read_pair(fh)
+    biorth = verify_biorthogonality(riesz.sa, riesz.targets).rows
+    assert list(biorth) == ["atom", "r_aw", "r_wa", "ok"]
+    for table, measure in ((report.diagnostics, inst.measure), (biorth, riesz.measure)):
+        assert table["atom"] == measure.atoms
+        for column in list(table.values())[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+
+def test_atom_ids_differing_in_a_trailing_nul_stay_distinct(tmp_path):
+    inst = duality_instance("in-duality", 2, 3, 2, seed=1)
+    measure = MeasureModel(("x", "x\x00"), inst.sa.measure.weights)
+    pair = tmp_path / "pair.json"
+    pair.write_text(dumps(pair_to_json(FiberedSystem(measure, inst.sa.matrices),
+                                       FiberedSystem(measure, inst.sb.matrices))), encoding="utf-8")
+    doc = json.loads(_cli_out(tmp_path, "thm1.json", "verify-thm1", "--in", str(pair)))["result"]
+    assert [row["atom"] for row in doc["diagnostics"]] == ["x", "x\x00"]
+    csv = _cli_out(tmp_path, "thm1.csv", "verify-thm1", "--in", str(pair), "--format", "csv")
+    assert [line.split(",")[0] for line in csv.split("\n")[1:3]] == ["x", "x\x00"]
 
 
 # ---------------------------------------------------------------------------

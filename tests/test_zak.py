@@ -234,6 +234,18 @@ def test_plan_holds_no_array_larger_than_the_group():
     assert len(sizes) >= 3 and max(sizes) <= plan.group.order
 
 
+def test_plans_compare_by_identity_and_keep_their_arrays():
+    one, two = build_plan(cyclic_group(4), 2), build_plan(cyclic_group(4), 2)
+    assert one == one and one != two and one.group != two.group
+    assert len({one, two, one.group}) == 3
+    for array, index in ((one.cells, (0, 0)), (one.coset_of, 0), (one.group.mul, (0, 0))):
+        with pytest.raises(ValueError):
+            array[index] = 1
+    # the inverse table is derived from mul, never taken from the caller
+    with pytest.raises(TypeError):
+        FiniteGroupSpec("cyclic", 2, cyclic_group(2).mul, np.zeros(2, dtype=np.int64))
+
+
 def test_tg_frame_bounds_hand_case():
     plan = builtin_plan("z4")
     # Translates of delta_0 under {0, 2} are an orthonormal pair.
