@@ -65,9 +65,11 @@ from .zak import (
 # group-side frame bounds, O(order^3) time at q = order.
 MAX_GROUP_ORDER = 1024
 
-# Largest atoms * dim * max(dim, gens) gen accepts: per atom it draws a
-# dim x dim unitary and dim x gens coefficient blocks.  Ten times the
-# (1e5, 8, 6) instance.
+# Largest atoms * dim * max(dim, gens) gen accepts: it holds the instance's
+# (atoms, dim, gens) stacks, and draws the dim x dim unitaries and
+# min(dim, gens) x gens coefficient blocks for one block of
+# generate._GEN_BLOCK atoms at a time, so the draws' memory is per block,
+# not per atom.  Ten times the (1e5, 8, 6) instance.
 MAX_GEN_SIZE = 64_000_000
 
 

@@ -671,12 +671,25 @@ def equivalence_report_to_json(report: EquivalenceReport, include_witnesses: boo
 DIAGNOSTICS_CSV_HEADER = "atom,dim_ja,dim_jb,r_ab,r_ba,rank_mixed,pinv_norm"
 
 
+# Characters that make a CSV field need quoting (RFC 4180).
+_CSV_QUOTED = re.compile(r'[,"\r\n]')
+
+
+def _csv_cell(v) -> str:
+    """One CSV field: a float in the report format, a string that holds a
+    comma, a quote or a line break quoted with its quotes doubled (RFC 4180),
+    anything else as str()."""
+    if isinstance(v, float):
+        return _fmt_float(v)
+    if isinstance(v, str) and _CSV_QUOTED.search(v):
+        return '"' + v.replace('"', '""') + '"'
+    return str(v)
+
+
 def diagnostics_to_csv(report: EquivalenceReport) -> str:
     lines = [",".join(report.diagnostics)]
     for row in table_rows(report.diagnostics):
-        lines.append(
-            ",".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in row.values())
-        )
+        lines.append(",".join(map(_csv_cell, row.values())))
     return "\n".join(lines) + "\n"
 
 

@@ -9,7 +9,10 @@ pseudo-inverse, the infimum cosine from orthonormal bases one pair at a
 time, and the cross-check routes (biorthogonal duals through an oblique
 projection, modulation-side pairings, group-side biorthogonality, direct
 sums, translation and its modulation symbol one subgroup element at a
-time).  Nothing here imports framekit.mispace or calls a single-fiber
+time).  It also keeps the instance generator's draws one atom at a time
+(random_unitary, well_conditioned_coefficients, rotated_span_pair,
+fiber_pair), which the stacked generator must reproduce bit for bit on one
+atom.  Nothing here imports framekit.mispace or calls a single-fiber
 function that runs on the engine, so agreement with the engine is a real
 check.
 """
@@ -17,11 +20,13 @@ check.
 import numpy as np
 
 from framekit.fiberframe import ConstructionError, FiberSystem, pad_pair
+from framekit.generate import MAX_COEFFICIENT_DRAWS, MAX_COND, complex_gaussian
 from framekit.numkernel import (
     DEFAULT_TOL,
     NumericalError,
     Tolerance,
     as_matrix,
+    qr,
     rank,
     rank_mask,
     singular_values,
@@ -243,3 +248,54 @@ def modulation_symbol(plan, gamma: int) -> np.ndarray:
     translation by gamma: value conj(alpha_k(gamma)) = exp(-2 pi i k m / q) at
     atom k, for gamma = g0^m."""
     return np.exp(-2j * np.pi * np.arange(plan.q) * plan.power_of(gamma) / plan.q)
+
+
+def random_unitary(rng, d: int) -> np.ndarray:
+    """One d x d unitary: the Q of a Gaussian block with R's diagonal phases
+    moved into Q."""
+    q, r = qr(complex_gaussian(rng, d, d))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :].conj()
+
+
+def well_conditioned_coefficients(rng, k: int, r: int) -> np.ndarray:
+    """One k x r Gaussian block with condition number at most MAX_COND, drawn
+    again until it passes, at most MAX_COEFFICIENT_DRAWS times."""
+    if k > r:
+        raise ValueError("need k <= r for a full-row-rank coefficient block")
+    for _ in range(MAX_COEFFICIENT_DRAWS):
+        c = complex_gaussian(rng, k, r)
+        s = singular_values(c)
+        if s[-1] > 0.0 and s[0] / s[-1] <= MAX_COND:
+            return c
+    raise ValueError(
+        f"no {k} x {r} coefficient block with condition number <= {MAX_COND:g} "
+        f"in {MAX_COEFFICIENT_DRAWS} draws"
+    )
+
+
+def rotated_span_pair(rng, d: int, k: int, cosines):
+    """Orthonormal V and W (d x k) with the given principal cosines, the
+    directions past min(k, d - k) left unrotated.  Returns (V, W, cosines)."""
+    if not 1 <= k <= d:
+        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
+    q = random_unitary(rng, d)
+    v = q[:, :k]
+    compl = q[:, k:]
+    cos = np.asarray(cosines, dtype=float).copy()
+    if cos.shape != (k,):
+        raise ValueError(f"need {k} cosines, got shape {cos.shape}")
+    if np.any(cos < 0.0) or np.any(cos > 1.0):
+        raise ValueError("cosines must lie in [0, 1]")
+    m = min(k, d - k)
+    cos[m:] = 1.0
+    rot = np.concatenate([compl[:, :m], np.zeros((d, k - m))], axis=1)
+    w = v * cos + rot * np.sqrt(1.0 - cos**2)
+    return v, w, cos
+
+
+def fiber_pair(rng, d: int, r: int, k: int, cosines):
+    """One fiber of each system: spans of dimension k with prescribed angles."""
+    v, w, cos = rotated_span_pair(rng, d, k, cosines)
+    a = FiberSystem(v @ well_conditioned_coefficients(rng, k, r))
+    b = FiberSystem(w @ well_conditioned_coefficients(rng, k, r))
+    return a, b, cos

@@ -9,6 +9,11 @@ Regenerate the fixtures only on purpose, from the code whose output they
 should pin:
 
     PYTHONPATH=src python tests/test_cli_fixtures.py
+
+The script rewrites every output fixture and ``riesz-with-targets.json``.
+It does not rewrite ``pair-in-duality.json``: that is the checkers' input,
+an in-duality instance kept as committed so that a change to the
+generator's draws leaves the checker fixtures where they are.
 """
 
 import pathlib
@@ -20,7 +25,7 @@ import pytest
 from framekit import cli
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "cli"
-PAIR = "gen-in-duality.json"
+PAIR = "pair-in-duality.json"
 RIESZ = "riesz-with-targets.json"
 
 # (fixture name, argv without --out); an argv item naming a fixture is its path

@@ -1,5 +1,6 @@
 """Round trips and formatting guarantees of the JSON layer."""
 
+import csv
 import io
 import json
 import pathlib
@@ -240,6 +241,20 @@ def test_atom_ids_differing_in_a_trailing_nul_stay_distinct(tmp_path):
     assert [row["atom"] for row in doc["diagnostics"]] == ["x", "x\x00"]
     csv = _cli_out(tmp_path, "thm1.csv", "verify-thm1", "--in", str(pair), "--format", "csv")
     assert [line.split(",")[0] for line in csv.split("\n")[1:3]] == ["x", "x\x00"]
+
+
+def test_csv_quotes_atom_ids_that_need_it():
+    inst = duality_instance("in-duality", 5, 3, 2, seed=1)
+    ids = ("a,b", "c\nd", 'q"t', "e\rf", "plain")
+    measure = MeasureModel(ids, inst.sa.measure.weights)
+    report = verify_duality(FiberedSystem(measure, inst.sa.matrices),
+                            FiberedSystem(measure, inst.sb.matrices))
+    text = diagnostics_to_csv(report)
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == DIAGNOSTICS_CSV_HEADER.split(",")
+    assert [row[0] for row in rows[1:]] == list(ids)
+    assert {len(row) for row in rows} == {7}
+    assert text.split("\n")[-2].startswith("plain,")
 
 
 # ---------------------------------------------------------------------------
