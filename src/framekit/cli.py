@@ -33,7 +33,7 @@ from .mispace import (
     verify_biorthogonality,
     verify_duality,
 )
-from .numkernel import DEFAULT_TOL, NumericalError, Tolerance
+from .numkernel import DEFAULT_TOL, REL_RANK_TOL, NumericalError, Tolerance
 from .serialize import (
     biorth_report_to_json,
     check_serializable,
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"framekit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, tol=True, angle=False, seed=False, fmt=False):
+    def add_common(p, tol=False, angle=False, seed=False, fmt=False):
         p.add_argument("--out", help="output path (stdout when omitted)")
         if tol:
             p.add_argument("--tol", type=_UNIT, default=DEFAULT_TOL.eq_tol, help="equality tolerance")
@@ -124,20 +124,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", type=int, default=3)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--eps", type=float, default=1e-6)
-    add_common(p, tol=False, seed=True)
+    add_common(p, seed=True)
 
     p = sub.add_parser("angles", help="fiber and global cosine angles of a pair")
     p.add_argument("--in", dest="infile", required=True)
-    add_common(p, angle=True, fmt=True)
+    add_common(p, tol=True, angle=True, fmt=True)
 
     p = sub.add_parser("dual", help="pseudo-inverse dual of a pair, fiber by fiber")
     p.add_argument("--in", dest="infile", required=True)
-    add_common(p)
+    add_common(p, tol=True)
 
     p = sub.add_parser("verify-thm1", help="duality equivalence report for a pair")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--cmax", type=_C_MAX, default=DEFAULT_C_MAX)
-    add_common(p, angle=True, seed=True, fmt=True)
+    add_common(p, tol=True, angle=True, seed=True, fmt=True)
 
     p = sub.add_parser("verify-thm2", help="biorthogonal dual report for a Riesz family")
     p.add_argument("--in", dest="infile", required=True)
@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default="z4", help="z4, z12, d4, cyclic:N, dihedral:N")
     p.add_argument("--subgroup-gen", dest="subgroup_gen", type=int, default=None)
     p.add_argument("--signal", default="delta0", help="deltaK, ones, or random")
-    add_common(p, tol=False, seed=True)
+    add_common(p, seed=True)
 
     p = sub.add_parser("reconstruct", help="reconstruct the embedded probe function")
     p.add_argument("--in", dest="infile", required=True)
@@ -160,8 +160,8 @@ def _tolerance(ns) -> Tolerance:
 
 
 def _tol_doc(ns, angle=False, cmax=False) -> dict:
-    tol = _tolerance(ns)
-    doc = {"rel_rank_tol": tol.rel_rank_tol, "eq_tol": tol.eq_tol}
+    # commands without --tol echo the default eq_tol, which they do not read
+    doc = {"rel_rank_tol": REL_RANK_TOL, "eq_tol": _tolerance(ns).eq_tol}
     if angle:
         doc["angle_tol"] = ns.angle_tol
     if cmax:
@@ -231,7 +231,7 @@ def _cmd_dual(ns):
     sb = _need_b(pair)
     tol = _tolerance(ns)
     try:
-        dual = pinv_dual(pair.sa, sb, tol)
+        dual = pinv_dual(pair.sa, sb)
     except ConstructionError as exc:
         return _envelope(ns, {"feasible": False, "reason": str(exc)})
     a, h = pair.sa.padded(dual.count).matrices, dual.matrices
@@ -264,11 +264,10 @@ def _cmd_verify_thm1(ns):
 
 def _cmd_verify_thm2(ns):
     pair = _read_pair(ns)
-    tol = _tolerance(ns)
     if pair.targets is not None:
         targets = pair.targets
     elif pair.sb is not None:
-        targets = [Subspace.span_of(m, tol) for m in pair.sb.matrices]
+        targets = [Subspace.span_of(m) for m in pair.sb.matrices]
     else:
         raise ValueError("instance needs target subspaces W or a system B to span them")
     for atom, t in zip(pair.measure.atoms, targets):
@@ -285,7 +284,7 @@ def _cmd_verify_thm2(ns):
             )
     try:
         report = verify_biorthogonality(
-            pair.sa, targets, tol=tol, angle_tol=ns.angle_tol, probe_seed=ns.seed
+            pair.sa, targets, angle_tol=ns.angle_tol, probe_seed=ns.seed
         )
     except ConstructionError as exc:
         return _envelope(
@@ -376,17 +375,16 @@ def _cmd_zak_demo(ns):
 
 def _cmd_reconstruct(ns):
     pair = _read_pair(ns)
-    tol = _tolerance(ns)
     if pair.probe is None:
         raise ValueError("instance has no probe function f on its atoms")
     if pair.sb is not None:
         try:
-            dual = pinv_dual(pair.sa, pair.sb, tol)
+            dual = pinv_dual(pair.sa, pair.sb)
         except ConstructionError as exc:
             return _envelope(ns, {"ok": False, "reason": str(exc)})
         source = "pseudo-inverse dual through B"
     else:
-        dual = canonical_duals(pair.sa, tol)
+        dual = canonical_duals(pair.sa)
         source = "canonical dual"
     fhat, resid = reconstruct(pair.sa, dual, pair.probe)
     # one norm per atom: a norm along an axis of the stack rounds differently

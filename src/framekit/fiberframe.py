@@ -60,10 +60,6 @@ class FiberSystem:
     def count(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def vectors(self) -> list[np.ndarray]:
-        return [self.matrix[:, i] for i in range(self.count)]
-
     @classmethod
     def from_vectors(cls, vectors) -> "FiberSystem":
         cols = [np.asarray(v, dtype=np.complex128) for v in vectors]
@@ -107,20 +103,13 @@ class GramianBundle:
     frame_upper: float
 
 
-def gramian(a: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> GramianBundle:
+def gramian(a: FiberSystem) -> GramianBundle:
     m = a.matrix
     g = m.conj().T @ m
     g = (g + g.conj().T) / 2.0
-    q, dim, s, _ = _spans(m[None], tol)
-    lower, upper = _frame_bounds(s, tol)
+    q, dim, s, _ = _spans(m[None])
+    lower, upper = _frame_bounds(s)
     return GramianBundle(g, Subspace(q[0, :, : dim[0]]), float(lower[0]), float(upper[0]))
-
-
-def dual_gramian(a: FiberSystem) -> np.ndarray:
-    """The d x d frame operator sum of v_i v_i^H."""
-    m = a.matrix
-    s = m @ m.conj().T
-    return (s + s.conj().T) / 2.0
 
 
 def mixed_gramian(a: FiberSystem, b: FiberSystem) -> np.ndarray:
@@ -130,13 +119,13 @@ def mixed_gramian(a: FiberSystem, b: FiberSystem) -> np.ndarray:
     return b.matrix.conj().T @ a.matrix
 
 
-def canonical_dual(a: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> FiberSystem:
+def canonical_dual(a: FiberSystem) -> FiberSystem:
     """Canonical dual system: the pseudo-inverse of the frame operator applied
     to each generator.  Reproduces every vector in the span of the system."""
-    return FiberSystem(_canonical_duals(a.matrix[None], tol)[0])
+    return FiberSystem(_canonical_duals(a.matrix[None])[0])
 
 
-def parsevalize(a: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> FiberSystem:
+def parsevalize(a: FiberSystem) -> FiberSystem:
     """Parseval tightening: multiply the coefficient side by the inverse
     square root of the Gramian on its support.
 
@@ -144,8 +133,8 @@ def parsevalize(a: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> FiberSystem:
     projection (eigenvalues 0 or 1), and the system is a Parseval frame for
     its span.
     """
-    q, _, s, v = _spans(a.matrix[None], tol)
-    u, v, _ = _tightened(q, s, v, tol)
+    q, _, s, v = _spans(a.matrix[None])
+    u, v, _ = _tightened(q, s, v)
     return FiberSystem((u @ ct(v))[0])
 
 
@@ -160,14 +149,14 @@ def is_alternate_dual(a: FiberSystem, aprime: FiberSystem, tol: Tolerance = DEFA
     return bool(alternate_dual_residuals(a.matrix[None], aprime.matrix[None], tol)[1][0])
 
 
-def rank_condition(a: FiberSystem, b: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> bool:
+def rank_condition(a: FiberSystem, b: FiberSystem) -> bool:
     """True iff rank G_{A,B} = dim span A = dim span B, the feasibility
     condition for a pseudo-inverse dual supported in span(B)."""
     a, b = pad_pair(a, b)
-    return bool(_pinv_dual_pair(a.matrix[None], b.matrix[None], tol)[1][0])
+    return bool(_pinv_dual_pair(a.matrix[None], b.matrix[None])[1][0])
 
 
-def dualise(a: FiberSystem, b: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> FiberSystem:
+def dualise(a: FiberSystem, b: FiberSystem) -> FiberSystem:
     """Build from the generators of B a dual of A supported in span(B).
 
     The coefficient matrix is the pseudo-inverse of the mixed Gramian:
@@ -176,22 +165,19 @@ def dualise(a: FiberSystem, b: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> Fib
     is in oblique duality between span(A) and span(B).
     """
     a, b = pad_pair(a, b)
-    h, feasible = _pinv_dual_pair(a.matrix[None], b.matrix[None], tol)
+    h, feasible = _pinv_dual_pair(a.matrix[None], b.matrix[None])
     if not feasible[0]:
         raise ConstructionError(_RANK_CONDITION_FAILS)
     return FiberSystem(h[0])
 
 
-def is_riesz(a: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_riesz(a: FiberSystem) -> bool:
     """True iff the generators are linearly independent (numerical rank r)."""
-    return rank(a.matrix, tol) == a.count
+    return rank(a.matrix) == a.count
 
 
 def biorth_riesz_dual(
-    a: FiberSystem,
-    w: Subspace,
-    tol: Tolerance = DEFAULT_TOL,
-    angle_tol: float = DEFAULT_ANGLE_TOL,
+    a: FiberSystem, w: Subspace, angle_tol: float = DEFAULT_ANGLE_TOL
 ) -> FiberSystem:
     """Biorthogonal dual of a Riesz sequence, supported in the subspace W.
 
@@ -202,7 +188,7 @@ def biorth_riesz_dual(
     """
     if w.ambient_dim != a.dim:
         raise ValueError(f"ambient dimensions differ: {w.ambient_dim} vs {a.dim}")
-    q, dim, _, _ = _spans(a.matrix[None], tol)
+    q, dim, _, _ = _spans(a.matrix[None])
     if dim[0] != a.count:
         raise ConstructionError("generators are not a Riesz sequence")
     if w.dim != a.count:

@@ -98,10 +98,6 @@ class MeasureModel:
     def count(self) -> int:
         return len(self.atoms)
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
 
 def _same_measure(m1: MeasureModel, m2: MeasureModel):
     if m1.atoms != m2.atoms or not np.array_equal(m1.weights, m2.weights):
@@ -210,25 +206,25 @@ def _blocks(n_atoms: int):
     return ((lo, min(lo + _BLOCK, n_atoms)) for lo in range(0, n_atoms, _BLOCK))
 
 
-def _spans(m: np.ndarray, tol: Tolerance):
+def _spans(m: np.ndarray):
     """Batched span SVDs of an (atoms, d, r) stack.  Returns the left singular
     vectors with the columns past each span dimension zeroed (orthonormal
     span bases padded with zero columns), the span dimensions, and the
     singular values and right singular vectors."""
     u, s, v = svd(m)
-    keep = rank_mask(s, tol.rel_rank_tol)
+    keep = rank_mask(s)
     return u * keep[..., None, :], keep.sum(axis=-1), s, v
 
 
-def _frame_bounds(s: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+def _frame_bounds(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-fiber spectral frame bounds from the singular values s (atoms, k).
 
     The Gramian eigenvalues are s^2; the bounds are the smallest and largest
-    of them on the Gramian support s^2 > rel_rank_tol * s_0^2, and the
+    of them on the Gramian support s^2 > REL_RANK_TOL * s_0^2, and the
     vacuous 1 where that support is empty.
     """
     ev = s**2
-    support = rank_mask(ev, tol.rel_rank_tol)
+    support = rank_mask(ev)
     empty = ~support.any(axis=-1)
     lower = np.where(empty, 1.0, np.where(support, ev, np.inf).min(axis=-1))
     return lower, np.where(empty, 1.0, ev[..., 0])
@@ -243,26 +239,26 @@ def _global_bounds(
     return lo, hi, bool(lo > tol.eq_tol)
 
 
-def _tightened(q, s, v, tol: Tolerance):
+def _tightened(q, s, v):
     """Parseval tightening U_p V_p^H of a block from its span factors: the
     span bases q and right singular vectors v of _spans with the columns off
-    the Gramian support s^2 > rel_rank_tol s_0^2 zeroed, and that support.
+    the Gramian support s^2 > REL_RANK_TOL s_0^2 zeroed, and that support.
     The Gramian support is a prefix of the span support, so masking the span
     bases again gives the tightened ones."""
-    keep = rank_mask(s**2, tol.rel_rank_tol)
+    keep = rank_mask(s**2)
     return q * keep[..., None, :], v * keep[..., None, :], keep
 
 
-def _canonical_duals(m: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _canonical_duals(m: np.ndarray) -> np.ndarray:
     """Canonical duals U_p S_p^-1 V_p^H of an (atoms, d, r) block: the
     pseudo-inverse of the frame operator M M^H applied to M, on the Gramian
     support of the Parseval tightening."""
-    q, _, s, v = _spans(m, tol)
-    u, v, keep = _tightened(q, s, v, tol)
+    q, _, s, v = _spans(m)
+    u, v, keep = _tightened(q, s, v)
     return (u * np.divide(1.0, s, out=np.zeros_like(s), where=keep)[..., None, :]) @ ct(v)
 
 
-def _pinv_dual(b, g, tol: Tolerance, right=None):
+def _pinv_dual(b, g, right=None):
     """B U S^+ (R V)^H for the SVD U S V^H of g, R the identity when right is
     None, together with S^+ and the rank support of S.
 
@@ -272,18 +268,18 @@ def _pinv_dual(b, g, tol: Tolerance, right=None):
     right = V_A,p, without forming the r x r mixed Gramian.
     """
     u, s, v = svd(g)
-    keep = rank_mask(s, tol.rel_rank_tol)
+    keep = rank_mask(s)
     s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     return b @ (u * s_inv[..., None, :]) @ ct(v if right is None else right @ v), s_inv, keep
 
 
-def _pinv_dual_pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+def _pinv_dual_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Pseudo-inverse duals of A in span(B) for a block pair of equal length,
     and per atom the rank condition rank B^H A = rank A = rank B under which
     each is an alternate dual of A."""
-    h, _, keep = _pinv_dual(b, ct(b) @ a, tol)
+    h, _, keep = _pinv_dual(b, ct(b) @ a)
     n_keep = keep.sum(axis=-1)
-    return h, (rank(a, tol) == n_keep) & (rank(b, tol) == n_keep)
+    return h, (rank(a) == n_keep) & (rank(b) == n_keep)
 
 
 def _biorth_duals(a, w) -> np.ndarray:
@@ -320,12 +316,10 @@ def global_frame_bounds(
     sv = np.concatenate(
         [singular_values(s.matrices[lo:hi]) for lo, hi in _blocks(s.measure.count)]
     )
-    return _global_bounds(sv[:, 0] > 0.0, *_frame_bounds(sv, tol), tol)
+    return _global_bounds(sv[:, 0] > 0.0, *_frame_bounds(sv), tol)
 
 
-def global_inf_cos(
-    sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def global_inf_cos(sa: FiberedSystem, sb: FiberedSystem) -> float:
     """Infimum cosine angle of the span of SA against the span of SB, which is
     the minimum fiber angle over atoms where SA is active (1 if there are none)."""
     _same_measure(sa.measure, sb.measure)
@@ -333,8 +327,8 @@ def global_inf_cos(
         raise ValueError("fiber dimensions differ")
     worst = 1.0
     for lo, hi in _blocks(sa.measure.count):
-        qa, dim_a, _, _ = _spans(sa.matrices[lo:hi], tol)
-        qb, dim_b, _, _ = _spans(sb.matrices[lo:hi], tol)
+        qa, dim_a, _, _ = _spans(sa.matrices[lo:hi])
+        qb, dim_b, _, _ = _spans(sb.matrices[lo:hi])
         worst = min(worst, float(_inf_cos_pair(qa, dim_a, qb, dim_b)[0].min()))
     return worst
 
@@ -355,9 +349,7 @@ def apply_mixed_frame_operator(
     return FiberedFunction(f.measure, out)
 
 
-def pinv_dual(
-    sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance = DEFAULT_TOL
-) -> FiberedSystem:
+def pinv_dual(sa: FiberedSystem, sb: FiberedSystem) -> FiberedSystem:
     """Fiberwise pseudo-inverse dual of SA supported in the span of SB, the
     stacked form of fiberframe.dualise: on every atom H = B U S^+ V^H for the
     SVD U S V^H of the mixed Gramian B^H A, both zero-padded to a common
@@ -366,19 +358,19 @@ def pinv_dual(
     a_all, b_all = _padded_pair(sa, sb)
     out = np.empty_like(b_all)
     for lo, hi in _blocks(sa.measure.count):
-        out[lo:hi], feasible = _pinv_dual_pair(a_all[lo:hi], b_all[lo:hi], tol)
+        out[lo:hi], feasible = _pinv_dual_pair(a_all[lo:hi], b_all[lo:hi])
         if not feasible.all():
             raise ConstructionError(_RANK_CONDITION_FAILS)
     return FiberedSystem(sa.measure, out)
 
 
-def canonical_duals(sa: FiberedSystem, tol: Tolerance = DEFAULT_TOL) -> FiberedSystem:
+def canonical_duals(sa: FiberedSystem) -> FiberedSystem:
     """Fiberwise canonical duals, the stacked form of fiberframe.canonical_dual:
     on every atom the pseudo-inverse of the frame operator applied to the
     generators.  Reproduces every function with values in the fiber spans."""
     out = np.empty_like(sa.matrices)
     for lo, hi in _blocks(sa.measure.count):
-        out[lo:hi] = _canonical_duals(sa.matrices[lo:hi], tol)
+        out[lo:hi] = _canonical_duals(sa.matrices[lo:hi])
     return FiberedSystem(sa.measure, out)
 
 
@@ -556,13 +548,13 @@ def verify_duality(
     masked cross product Qb^H Qa (both infimum cosines) and of B^H A
     (rank_mixed), and the SVD X S Y^H of the cross product of the tightened
     systems.  Parseval tightening of M = U S V^H is U_p V_p^H, U_p the
-    singular vectors on the Gramian support s^2 > rel_rank_tol s_0^2, so that
+    singular vectors on the Gramian support s^2 > REL_RANK_TOL s_0^2, so that
     cross product is Ub_p^H Ua_p; its smallest kept singular value gives
     pinv_norm, and the pseudo-inverse dual of the tightened pair is
     Ub_p X S^+ Y^H Va_p^H.
     """
     a_all, b_all = _padded_pair(sa, sb)
-    n_atoms, rel = sa.measure.count, tol.rel_rank_tol
+    n_atoms = sa.measure.count
     dim_a, dim_b, rank_mixed = (np.empty(n_atoms, dtype=np.int64) for _ in range(3))
     r_ab, r_ba, pinv_norm = (np.empty(n_atoms) for _ in range(3))
     bounds = np.empty((4, n_atoms))  # lower and upper frame bounds of A, then of B
@@ -571,16 +563,16 @@ def verify_duality(
     dual = np.empty_like(a_all)
     for lo, hi in _blocks(n_atoms):
         a, b = a_all[lo:hi], b_all[lo:hi]
-        qa, dim_a[lo:hi], s_a, v_a = _spans(a, tol)
-        qb, dim_b[lo:hi], s_b, v_b = _spans(b, tol)
-        bounds[0:2, lo:hi] = _frame_bounds(s_a, tol)
-        bounds[2:4, lo:hi] = _frame_bounds(s_b, tol)
+        qa, dim_a[lo:hi], s_a, v_a = _spans(a)
+        qb, dim_b[lo:hi], s_b, v_b = _spans(b)
+        bounds[0:2, lo:hi] = _frame_bounds(s_a)
+        bounds[2:4, lo:hi] = _frame_bounds(s_b)
         r_ab[lo:hi], r_ba[lo:hi] = _inf_cos_pair(qa, dim_a[lo:hi], qb, dim_b[lo:hi])
-        rank_mixed[lo:hi] = rank(ct(b) @ a, tol)
-        ua, va, keep_a = _tightened(qa, s_a, v_a, tol)
-        ub, _, keep_b = _tightened(qb, s_b, v_b, tol)
+        rank_mixed[lo:hi] = rank(ct(b) @ a)
+        ua, va, keep_a = _tightened(qa, s_a, v_a)
+        ub, _, keep_b = _tightened(qb, s_b, v_b)
         tight[lo:hi] = ua @ ct(va)
-        dual[lo:hi], sig_inv, keep = _pinv_dual(ub, ct(ub) @ ua, tol, right=va)
+        dual[lo:hi], sig_inv, keep = _pinv_dual(ub, ct(ub) @ ua, right=va)
         pinv_norm[lo:hi] = sig_inv.max(axis=-1)
         # the rank condition of the pseudo-inverse dual of the tightened pair
         n_keep = keep.sum(axis=-1)
@@ -624,11 +616,11 @@ def verify_duality(
         )
         # Witness sanity: spans match fiberwise and both are frames.
         spans_ok = all(
-            np.array_equal(rank_mask(s, rel).sum(axis=-1), dims)
+            np.array_equal(rank_mask(s).sum(axis=-1), dims)
             for s, dims in zip(wit_s, (dim_a, dim_b))
         )
         frames_ok = all(
-            _global_bounds(s[:, 0] > 0.0, *_frame_bounds(s, tol), tol)[2] for s in wit_s
+            _global_bounds(s[:, 0] > 0.0, *_frame_bounds(s), tol)[2] for s in wit_s
         )
         fiber_duals_exist = max_local <= tol.eq_tol
         global_duals_exist = (
@@ -681,7 +673,6 @@ class BiorthogonalityReport:
 def verify_biorthogonality(
     sa: FiberedSystem,
     targets: list[Subspace],
-    tol: Tolerance = DEFAULT_TOL,
     angle_tol: float = DEFAULT_ANGLE_TOL,
     probe_seed: int = 0,
 ) -> BiorthogonalityReport:
@@ -705,11 +696,11 @@ def verify_biorthogonality(
     basis = np.empty((n_atoms, d, min(d, r)), dtype=np.complex128)
     lowers, uppers = np.empty(n_atoms), np.empty(n_atoms)
     for lo, hi in _blocks(n_atoms):
-        basis[lo:hi], dims, s, _ = _spans(a_all[lo:hi], tol)
+        basis[lo:hi], dims, s, _ = _spans(a_all[lo:hi])
         if np.any(dims != r):
             atom = sa.measure.atoms[lo + int(np.argmax(dims != r))]
             raise ConstructionError(f"fiber at atom {atom!r} is not a Riesz sequence")
-        lowers[lo:hi], uppers[lo:hi] = _frame_bounds(s, tol)
+        lowers[lo:hi], uppers[lo:hi] = _frame_bounds(s)
     riesz_bounds = (float(lowers.min()), float(uppers.max()))
     for atom, w in zip(sa.measure.atoms, targets):
         if w.ambient_dim != d:

@@ -1,8 +1,10 @@
 """Deterministic dense linear algebra kernel.
 
-All higher layers funnel their numerics through this module so that rank
-decisions and spans are taken with one shared tolerance policy; it is the
-only module that calls a numpy.linalg factorization.  Matrices are dense
+All higher layers funnel their numerics through this module so that every
+rank decision (spans, pseudo-inverse supports, Gramian supports) is taken
+with the one relative cutoff REL_RANK_TOL, a constant; it is the only module
+that calls a numpy.linalg factorization.  The one settable tolerance is
+Tolerance.eq_tol, the slack of identity tests.  Matrices are dense
 complex128 throughout; inputs are validated (shape, finiteness) before any
 factorization runs.
 """
@@ -18,25 +20,25 @@ class NumericalError(RuntimeError):
     """A factorization failed to converge or produced unusable output."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Shared tolerance policy.
+# Singular values at most REL_RANK_TOL * sigma_max count as zero when deciding
+# rank, truncating pseudo-inverses, or selecting spectral supports.
+REL_RANK_TOL = 1e-10
 
-    rel_rank_tol: singular values below rel_rank_tol * sigma_max are treated
-        as zero when deciding rank, truncating pseudo-inverses, or selecting
-        spectral supports.
+
+@dataclass(frozen=True, kw_only=True)
+class Tolerance:
+    """The settable tolerance, given by keyword.
+
     eq_tol: absolute/relative slack used when testing algebraic identities
-        (Hermitian symmetry, biorthogonality, residuals).
+        (orthonormality, frame bounds, residuals).  Rank decisions use
+        the fixed cutoff REL_RANK_TOL instead.
     """
 
-    rel_rank_tol: float = 1e-10
     eq_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rel_rank_tol", "eq_tol"):
-            value = getattr(self, name)
-            if not (0.0 < value < 1.0):
-                raise ValueError(f"{name} must lie strictly between 0 and 1, got {value!r}")
+        if not (0.0 < self.eq_tol < 1.0):
+            raise ValueError(f"eq_tol must lie strictly between 0 and 1, got {self.eq_tol!r}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -90,28 +92,28 @@ def singular_values(m) -> np.ndarray:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
 
 
-def rank_mask(s: np.ndarray, rel_tol: float) -> np.ndarray:
+def rank_mask(s: np.ndarray) -> np.ndarray:
     """Per-matrix support of non-increasing singular values s (..., k): True
-    where s > rel_tol * s[..., 0]; all False for a zero matrix."""
+    where s > REL_RANK_TOL * s[..., 0]; all False for a zero matrix."""
     top = s[..., :1]
-    return (s > rel_tol * top) & (top > 0.0)
+    return (s > REL_RANK_TOL * top) & (top > 0.0)
 
 
-def rank(m, tol: Tolerance = DEFAULT_TOL):
-    """Numerical rank with the relative cutoff tol.rel_rank_tol * sigma_max,
-    an int for a matrix and an int array for a (..., m, n) stack."""
-    r = rank_mask(singular_values(m), tol.rel_rank_tol).sum(axis=-1)
+def rank(m):
+    """Numerical rank with the relative cutoff REL_RANK_TOL * sigma_max, an
+    int for a matrix and an int array for a (..., m, n) stack."""
+    r = rank_mask(singular_values(m)).sum(axis=-1)
     return int(r) if r.ndim == 0 else r
 
 
-def orth(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def orth(m) -> np.ndarray:
     """Orthonormal basis for the column space, as matrix columns.
 
     The basis has exactly rank(m) columns; a zero or empty input yields a
     d x 0 matrix.
     """
     u, s, _ = svd(as_matrix(m))
-    return np.ascontiguousarray(u[:, rank_mask(s, tol.rel_rank_tol)])
+    return np.ascontiguousarray(u[:, rank_mask(s)])
 
 
 def qr(m) -> tuple[np.ndarray, np.ndarray]:

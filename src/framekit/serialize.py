@@ -303,10 +303,6 @@ def matrix_from_json(doc, where: str = "matrix") -> np.ndarray:
 # Domain objects.
 
 
-def fiber_system_to_json(f: FiberSystem) -> dict:
-    return {"dim": f.dim, "vectors": _pairs(f.matrix.T)}
-
-
 def fiber_system_from_json(doc, where: str = "system") -> FiberSystem:
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object with dim/vectors")
@@ -369,7 +365,7 @@ def pair_to_json(
     meta: dict | None = None,
 ) -> dict:
     measure, d = sa.measure, sa.fiber_dim
-    # every atom's "vectors" block at once, as fiber_system_to_json writes one
+    # every atom's "vectors" block at once: row i of a block is generator i
     vectors_a = _pairs(sa.matrices.swapaxes(-1, -2))
     vectors_b = None if sb is None else _pairs(sb.matrices.swapaxes(-1, -2))
     atoms = []

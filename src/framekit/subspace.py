@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import DEFAULT_TOL, Tolerance, as_matrix, ct, orth, singular_values, svd
+from .numkernel import DEFAULT_TOL, as_matrix, ct, orth, singular_values, svd
 
 DEFAULT_ANGLE_TOL = 1e-8
 
@@ -55,9 +55,9 @@ class Subspace:
         return self.basis.shape[1]
 
     @classmethod
-    def span_of(cls, columns, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
+    def span_of(cls, columns) -> "Subspace":
         """Span of the given matrix columns (a d x 0 input gives the zero subspace)."""
-        return cls(orth(as_matrix(columns), tol))
+        return cls(orth(as_matrix(columns)))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -122,7 +122,7 @@ def sup_cos(v: Subspace, w: Subspace) -> float:
     return float(clip_cos(s[0]))
 
 
-def ortho_complement(w: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def ortho_complement(w: Subspace) -> Subspace:
     """Orthogonal complement of W inside its ambient space.
 
     Computed by completing the orthonormal basis of W to a unitary, so the

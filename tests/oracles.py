@@ -23,6 +23,7 @@ from framekit.fiberframe import ConstructionError, FiberSystem, pad_pair
 from framekit.generate import MAX_COEFFICIENT_DRAWS, MAX_COND, complex_gaussian
 from framekit.numkernel import (
     DEFAULT_TOL,
+    REL_RANK_TOL,
     NumericalError,
     Tolerance,
     as_matrix,
@@ -36,10 +37,10 @@ from framekit.subspace import DEFAULT_ANGLE_TOL, Subspace, clip_cos, ortho_compl
 from framekit.zak import _translates, as_signal
 
 
-def pinv(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def pinv(m) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the shared rank cutoff."""
     u, s, v = svd(as_matrix(m))
-    keep = rank_mask(s, tol.rel_rank_tol)
+    keep = rank_mask(s)
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (v * inv) @ u.conj().T
@@ -72,20 +73,20 @@ def psd_power(m, power: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if float(eigvals[0]) < -tol.eq_tol * max(1.0, top):
         raise ValueError(f"matrix is not positive semidefinite (eigenvalue {eigvals[0]:.3e})")
     eigvals = np.clip(eigvals, 0.0, None)
-    support = eigvals > tol.rel_rank_tol * top if top > 0.0 else np.zeros(n, dtype=bool)
+    support = eigvals > REL_RANK_TOL * top if top > 0.0 else np.zeros(n, dtype=bool)
     powered = np.zeros(n)
     powered[support] = eigvals[support] ** power
     out = (eigvecs * powered) @ eigvecs.conj().T
     return (out + out.conj().T) / 2.0
 
 
-def frame_bounds(a: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
+def frame_bounds(a: FiberSystem) -> tuple[float, float]:
     """Smallest nonzero and largest eigenvalue of the Gramian M^H M, the
     vacuous (1, 1) for the zero system."""
     g = a.matrix.conj().T @ a.matrix
     eigvals = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
     top = max(float(eigvals[-1]), 0.0)
-    active = eigvals > tol.rel_rank_tol * top if top > 0.0 else np.zeros(0, dtype=bool)
+    active = eigvals > REL_RANK_TOL * top if top > 0.0 else np.zeros(0, dtype=bool)
     if np.any(active):
         return float(eigvals[active].min()), top
     return 1.0, 1.0
@@ -97,22 +98,22 @@ def parsevalize(a: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> FiberSystem:
     return FiberSystem(a.matrix @ psd_power(g, -0.5, tol))
 
 
-def canonical_dual(a: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> FiberSystem:
+def canonical_dual(a: FiberSystem) -> FiberSystem:
     """The pseudo-inverse of the frame operator M M^H applied to M."""
     m = a.matrix
-    return FiberSystem(pinv(m @ m.conj().T, tol) @ m)
+    return FiberSystem(pinv(m @ m.conj().T) @ m)
 
 
-def dualise(a: FiberSystem, b: FiberSystem, tol: Tolerance = DEFAULT_TOL) -> FiberSystem:
+def dualise(a: FiberSystem, b: FiberSystem) -> FiberSystem:
     """Pseudo-inverse dual of A supported in span(B): h_i = sum_j conj(D[i][j])
     b_j with D = pinv(B^H A), after checking rank B^H A = rank A = rank B."""
     a, b = pad_pair(a, b)
     g = b.matrix.conj().T @ a.matrix
-    if not rank(g, tol) == rank(a.matrix, tol) == rank(b.matrix, tol):
+    if not rank(g) == rank(a.matrix) == rank(b.matrix):
         raise ConstructionError(
             "rank condition fails: rank of the mixed Gramian must equal both span dimensions"
         )
-    return FiberSystem(b.matrix @ pinv(g, tol).conj().T)
+    return FiberSystem(b.matrix @ pinv(g).conj().T)
 
 
 def inf_cos(v: Subspace, w: Subspace) -> float:
@@ -134,21 +135,18 @@ def project(w: Subspace, vec) -> np.ndarray:
     return w.basis @ (w.basis.conj().T @ v)
 
 
-def direct_sum_test(v: Subspace, w: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+def direct_sum_test(v: Subspace, w: Subspace) -> bool:
     """True iff the ambient space is V (+) W-perp, i.e. the pair suits oblique
     projection onto V along W-perp."""
-    wp = ortho_complement(w, tol)
+    wp = ortho_complement(w)
     if v.dim + wp.dim != v.ambient_dim:
         return False
     stacked = np.concatenate([v.basis, wp.basis], axis=1)
-    return rank(stacked, tol) == v.ambient_dim
+    return rank(stacked) == v.ambient_dim
 
 
 def biorth_riesz_dual_via_projection(
-    a: FiberSystem,
-    w: Subspace,
-    tol: Tolerance = DEFAULT_TOL,
-    angle_tol: float = DEFAULT_ANGLE_TOL,
+    a: FiberSystem, w: Subspace, angle_tol: float = DEFAULT_ANGLE_TOL
 ) -> FiberSystem:
     """The biorthogonal dual of a Riesz sequence in W, built through the
     canonical dual and an oblique projection.
@@ -157,14 +155,14 @@ def biorth_riesz_dual_via_projection(
     inverts the restriction of the orthogonal projection P_span(A) to W.
     Agrees with biorth_riesz_dual by uniqueness of the biorthogonal dual.
     """
-    if rank(a.matrix, tol) != a.count:
+    if rank(a.matrix) != a.count:
         raise ConstructionError("generators are not a Riesz sequence")
     if w.dim != a.count:
         raise ValueError(f"dim W = {w.dim} does not match the system length {a.count}")
-    span_a = Subspace.span_of(a.matrix, tol)
+    span_a = Subspace.span_of(a.matrix)
     if inf_cos(span_a, w) <= angle_tol or inf_cos(w, span_a) <= angle_tol:
         raise ConstructionError("subspaces are not in duality: a fiber angle is zero")
-    canon = canonical_dual(a, tol).matrix
+    canon = canonical_dual(a).matrix
     q = span_a.basis
     # Restrict P_span(A) to W, invert, and push the canonical dual through.
     coeff = np.linalg.solve(q.conj().T @ w.basis, q.conj().T @ canon)

@@ -314,6 +314,28 @@ def test_tol_outside_unit_interval_is_input_error(value):
     assert "--tol" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, infile", [("reconstruct", "pair-in-duality.json"), ("verify-thm2", "riesz-with-targets.json")]
+)
+def test_tol_is_rejected_where_eq_tol_is_not_read(command, infile):
+    proc = run_cli(command, "--in", str(FIXTURES / infile), "--tol", "1e-6")
+    _assert_input_error(proc)
+    assert "--tol" in proc.stderr
+
+
+def test_dual_takes_tol():
+    run_cli("dual", "--in", str(FIXTURES / "pair-in-duality.json"), "--tol", "1e-6", check_rc=0)
+
+
+def test_tol_flag_exists_on_exactly_the_commands_that_read_eq_tol():
+    with_tol = {
+        name
+        for name, sub in cli.build_parser()._subparsers._group_actions[0].choices.items()
+        if any("--tol" in a.option_strings for a in sub._actions)
+    }
+    assert with_tol == {"angles", "dual", "verify-thm1"}
+
+
 @pytest.mark.parametrize("value", ["nan", "0", "-1"])
 def test_cmax_not_finite_positive_is_input_error(value):
     proc = run_cli("verify-thm1", "--in", str(FIXTURES / "gen-in-duality.json"),

@@ -48,7 +48,7 @@ from framekit.mispace import (
     verify_biorthogonality,
     verify_duality,
 )
-from framekit.numkernel import DEFAULT_TOL, rank, singular_values
+from framekit.numkernel import DEFAULT_TOL, REL_RANK_TOL, rank, singular_values
 from framekit.subspace import DEFAULT_ANGLE_TOL, Subspace, inf_cos
 from framekit.zak import build_plan, cyclic_group, tg_to_mg
 
@@ -63,18 +63,18 @@ def oracle_duality(sa, sb, tol=DEFAULT_TOL, angle_tol=DEFAULT_ANGLE_TOL, c_max=D
     rows, tight = [], []
     feasible = True
     for atom, fa, fb in zip(sa.measure.atoms, fa_all, fb_all):
-        ja, jb = Subspace.span_of(fa.matrix, tol), Subspace.span_of(fb.matrix, tol)
-        rank_mixed = rank(mixed_gramian(fa, fb), tol)
+        ja, jb = Subspace.span_of(fa.matrix), Subspace.span_of(fb.matrix)
+        rank_mixed = rank(mixed_gramian(fa, fb))
         pa, pb = oracles.parsevalize(fa, tol), oracles.parsevalize(fb, tol)
         s = singular_values(mixed_gramian(pa, pb))
-        keep = s > tol.rel_rank_tol * s[0] if s[0] > 0 else np.zeros(s.shape, dtype=bool)
+        keep = s > REL_RANK_TOL * s[0] if s[0] > 0 else np.zeros(s.shape, dtype=bool)
         pinv_norm = float(1.0 / s[keep].min()) if keep.any() else 0.0
         rows.append((atom, ja.dim, jb.dim, oracles.inf_cos(ja, jb), oracles.inf_cos(jb, ja), rank_mixed, pinv_norm))
         tight.append((pa, pb))
         feasible = feasible and rank_mixed == ja.dim == jb.dim
 
     def bounds(fibers):
-        act = [oracles.frame_bounds(f, tol) for f in fibers if rank(f.matrix, tol) > 0]
+        act = [oracles.frame_bounds(f) for f in fibers if rank(f.matrix) > 0]
         if not act:
             return 1.0, 1.0, True
         lo = min(b[0] for b in act)
@@ -89,7 +89,7 @@ def oracle_duality(sa, sb, tol=DEFAULT_TOL, angle_tol=DEFAULT_ANGLE_TOL, c_max=D
     duals = None
     if feasible:
         try:
-            duals = [oracles.dualise(pa, pb, tol) for pa, pb in tight]
+            duals = [oracles.dualise(pa, pb) for pa, pb in tight]
         except ConstructionError:
             duals = None
     if duals is not None:
@@ -111,7 +111,7 @@ def oracle_duality(sa, sb, tol=DEFAULT_TOL, angle_tol=DEFAULT_ANGLE_TOL, c_max=D
         live = den > 0
         glob = float(np.sqrt(num[live] / den[live]).max()) if live.any() else 0.0
         spans_ok = all(
-            rank(pa.matrix, tol) == row[1] and rank(h.matrix, tol) == row[2]
+            rank(pa.matrix) == row[1] and rank(h.matrix) == row[2]
             for (pa, _), h, row in zip(tight, duals, rows)
         )
         frames_ok = bounds([pa for pa, _ in tight])[2] and bounds(duals)[2]

@@ -8,7 +8,6 @@ from framekit.fiberframe import (
     FiberSystem,
     biorth_riesz_dual,
     canonical_dual,
-    dual_gramian,
     dualise,
     gramian,
     is_alternate_dual,
@@ -52,7 +51,7 @@ def rotated_span_pair(rng, d, k, cosines):
 def test_fiber_system_basics():
     a = FiberSystem.from_vectors([E1, E1 + E2])
     assert a.dim == 2 and a.count == 2
-    assert np.allclose(a.vectors[1], [1.0, 1.0])
+    assert np.allclose(a.matrix[:, 1], [1.0, 1.0])
     with pytest.raises(ValueError):
         FiberSystem(np.zeros((2, 0)))
     with pytest.raises(ValueError):
@@ -77,11 +76,6 @@ def test_gramian_zero_system():
     b = gramian(FiberSystem.zeros(3, 2))
     assert b.frame_lower == 1.0 and b.frame_upper == 1.0
     assert b.span.dim == 0
-
-
-def test_dual_gramian_example():
-    a = FiberSystem.from_vectors([np.array([1.0, 1.0]) / np.sqrt(2.0)])
-    assert np.allclose(dual_gramian(a), np.ones((2, 2)) / 2.0)
 
 
 def test_mixed_gramian_orientation():

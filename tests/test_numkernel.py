@@ -28,10 +28,19 @@ def random_complex(rng, *shape):
 
 
 def test_tolerance_validation():
-    Tolerance(1e-12, 1e-6)
-    for bad in ({"rel_rank_tol": 0.0}, {"rel_rank_tol": 1.0}, {"eq_tol": -1e-8}, {"eq_tol": 2.0}):
+    Tolerance(eq_tol=1e-6)
+    for bad in ({"eq_tol": -1e-8}, {"eq_tol": 2.0}):
         with pytest.raises(ValueError):
             Tolerance(**bad)
+
+
+def test_tolerance_is_keyword_only():
+    # a positional call written for the old (rel_rank_tol, eq_tol) form must
+    # not silently set eq_tol, and the rank cutoff is no longer a field
+    assert Tolerance(eq_tol=1e-6).eq_tol == 1e-6
+    for args, kwargs in (((1e-6,), {}), ((1e-12, 1e-6), {}), ((), {"rel_rank_tol": 1e-12})):
+        with pytest.raises(TypeError):
+            Tolerance(*args, **kwargs)
 
 
 def test_as_matrix_rejects_bad_input():
@@ -228,3 +237,29 @@ def test_numkernel_is_the_only_factorization_caller():
             ):
                 offenders.append(f"{path.name}:{node.lineno} calls linalg.{func.attr}")
     assert offenders == []
+
+
+def test_every_tolerance_parameter_is_read():
+    """A function of the package that takes a tolerance (a parameter named
+    tol or ending in _tol) reads it, so no tolerance is a setting without
+    effect.  A function that passes it on is checked again at the callee, so
+    the rank cutoff, the constant REL_RANK_TOL, cannot hide behind one."""
+    unread = []
+    for path in sorted(pathlib.Path(framekit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = {
+                a.arg
+                for a in args.posonlyargs + args.args + args.kwonlyargs
+                if a.arg == "tol" or a.arg.endswith("_tol")
+            }
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [f"{path.name}:{node.lineno} {node.name}({p})" for p in sorted(params - read)]
+    assert unread == []

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from framekit import cli, serialize
-from framekit.fiberframe import FiberSystem
 from framekit.generate import duality_instance, random_fibered_system
 from framekit.mispace import FiberedSystem, MeasureModel, verify_biorthogonality, verify_duality
 from framekit.serialize import (
@@ -26,8 +25,6 @@ from framekit.serialize import (
     dump,
     dumps,
     equivalence_report_to_json,
-    fiber_system_from_json,
-    fiber_system_to_json,
     group_from_json,
     group_to_json,
     matrix_from_json,
@@ -98,13 +95,6 @@ def test_matrix_from_json_rejects_bad_shape():
     doc["rows"] = 3
     with pytest.raises(ValueError, match="matrix"):
         matrix_from_json(doc)
-
-
-def test_fiber_system_round_trip():
-    rng = np.random.default_rng(1)
-    f = FiberSystem(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-    back = fiber_system_from_json(fiber_system_to_json(f))
-    assert np.array_equal(back.matrix, f.matrix)
 
 
 def test_subspace_round_trip():
@@ -302,7 +292,8 @@ def test_to_json_arrays_write_as_pair_lists():
 
     assert dumps(vector_to_json(m[0])) == dumps(pairs(m[0]))
     assert dumps(matrix_to_json(m)["data"]) == dumps(pairs(m.reshape(-1)))
-    assert dumps(fiber_system_to_json(FiberSystem(m))) == dumps(
+    one_atom = FiberedSystem(MeasureModel(("x",), np.ones(1)), m[None])
+    assert dumps(pair_to_json(one_atom)["atoms"][0]["A"]) == dumps(
         {"dim": 2, "vectors": [pairs(col) for col in m.T]}
     )
 
