@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import shutil
 import sys
+import tempfile
 from contextlib import nullcontext
 
 import numpy as np
@@ -36,7 +38,6 @@ from .mispace import (
 from .numkernel import DEFAULT_TOL, REL_RANK_TOL, NumericalError, Tolerance
 from .serialize import (
     biorth_report_to_json,
-    check_serializable,
     diagnostics_to_csv,
     dump,
     equivalence_report_to_json,
@@ -412,15 +413,17 @@ _DISPATCH = {
 
 def _emit(report, out_path: str | None):
     """Write a report, a JSON document or CSV text, to out_path or stdout.
-    A document is checked first: one the writer rejects writes nothing and
-    leaves out_path as it was."""
-    if not isinstance(report, str):
-        check_serializable(report)
-    with open(out_path, "w", encoding="utf-8", newline="") if out_path else nullcontext(sys.stdout) as fh:
+    The report is written to a temporary file first and copied across only
+    once the writer has taken all of it: one it rejects writes nothing and
+    leaves out_path as it was, or absent."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as tmp:
         if isinstance(report, str):
-            fh.write(report)
+            tmp.write(report)
         else:
-            dump(report, fh)
+            dump(report, tmp)
+        tmp.seek(0)
+        with open(out_path, "w", encoding="utf-8", newline="") if out_path else nullcontext(sys.stdout) as fh:
+            shutil.copyfileobj(tmp, fh)
 
 
 @functools.cache

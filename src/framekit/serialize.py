@@ -13,7 +13,7 @@ types of a whole block (one vector, one fiber system, one matrix) at once and
 convert it with one ``np.array`` call; any irregular block is walked again
 pair by pair, which raises the same errors as before.
 
-Files are streamed.  ``dump`` writes a document to a file in bounded chunks,
+Files are streamed.  ``dump`` writes a document to a file piece by piece,
 and ``read_pair`` decodes an instance file one atom at a time, so neither
 holds the whole text of a file.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import numbers
 import re
 from dataclasses import dataclass, field
@@ -62,131 +61,76 @@ def _array_template(shape: tuple[int, ...], indent: int) -> str:
     return "[\n" + ",\n".join([row] * shape[0]) + "\n" + pad + "]"
 
 
-def _write_array(a: np.ndarray, lines: list[str], indent: int):
+def _write_array(a: np.ndarray, write, indent: int):
     if a.ndim == 0 or 0 in a.shape:
-        _write(a.tolist(), lines, indent)
+        _write(a.tolist(), write, indent)
         return
     if not np.isfinite(a).all():
         raise ValueError("cannot serialize a non-finite float")
     # '%.17g' formats a float exactly as format(x, ".17g") in _fmt_float
-    lines.append(_array_template(a.shape, indent) % tuple(a.ravel().tolist()))
+    write(_array_template(a.shape, indent) % tuple(a.ravel().tolist()))
 
 
 def _is_scalar(obj) -> bool:
     return obj is None or isinstance(obj, (bool, str, numbers.Integral, float))
 
 
-def _write(obj, lines: list[str], indent: int):
+def _write(obj, write, indent: int):
     pad = "  " * indent
     if obj is None:
-        lines.append("null")
+        write("null")
     elif isinstance(obj, bool):
-        lines.append("true" if obj else "false")
+        write("true" if obj else "false")
     elif isinstance(obj, str):
-        lines.append(json.dumps(obj))
+        write(json.dumps(obj))
     elif isinstance(obj, numbers.Integral):
-        lines.append(str(int(obj)))
+        write(str(int(obj)))
     elif isinstance(obj, float):
-        lines.append(_fmt_float(obj))
+        write(_fmt_float(obj))
     elif isinstance(obj, np.ndarray) and obj.dtype == np.float64:
-        _write_array(obj, lines, indent)
+        _write_array(obj, write, indent)
     elif isinstance(obj, dict):
         if not obj:
-            lines.append("{}")
+            write("{}")
             return
-        lines.append("{\n")
+        write("{\n")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise ValueError(f"JSON object keys must be strings, got {key!r}")
-            lines.append(f"{pad}  {json.dumps(key)}: ")
-            _write(value, lines, indent + 1)
-            lines.append(",\n" if i + 1 < len(obj) else "\n")
-            if len(lines) >= _CHUNK_PIECES:
-                lines.flush()
-        lines.append(pad + "}")
+            write(f"{pad}  {json.dumps(key)}: ")
+            _write(value, write, indent + 1)
+            write(",\n" if i + 1 < len(obj) else "\n")
+        write(pad + "}")
     elif isinstance(obj, (list, tuple)):
         items = list(obj)
         if not items:
-            lines.append("[]")
+            write("[]")
             return
         if all(_is_scalar(v) for v in items):
             parts: list[str] = []
             for v in items:
-                _write(v, parts, 0)
-            lines.append("[" + ", ".join(parts) + "]")
+                _write(v, parts.append, 0)
+            write("[" + ", ".join(parts) + "]")
             return
-        lines.append("[\n")
+        write("[\n")
         for i, value in enumerate(items):
-            lines.append(pad + "  ")
-            _write(value, lines, indent + 1)
-            lines.append(",\n" if i + 1 < len(items) else "\n")
-            if len(lines) >= _CHUNK_PIECES:
-                lines.flush()
-        lines.append(pad + "]")
+            write(pad + "  ")
+            _write(value, write, indent + 1)
+            write(",\n" if i + 1 < len(items) else "\n")
+        write(pad + "]")
     else:
         raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-# Exact types the writer takes as they are: check_serializable passes them
-# over without a call, which keeps its walk well below the writer's time.
-_PLAIN = frozenset({str, int, bool, type(None)})
-
-
-def check_serializable(obj):
-    """Raise the ValueError that dump would raise on obj, formatting nothing.
-
-    Walks the document in the order dump writes it, so the first offending
-    key or value gives the same message.  Call it before opening the output
-    to write all of a document or none of it.
-    """
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise ValueError(f"JSON object keys must be strings, got {key!r}")
-            if type(value) not in _PLAIN:
-                check_serializable(value)
-    elif isinstance(obj, (list, tuple)):
-        for value in obj:
-            if type(value) not in _PLAIN:
-                check_serializable(value)
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError("cannot serialize a non-finite float")
-    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64:
-        if not np.isfinite(obj).all():
-            raise ValueError("cannot serialize a non-finite float")
-    elif not (obj is None or isinstance(obj, (bool, str, numbers.Integral))):
-        raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-class _Chunks(list):
-    """The pending pieces of a document; _write's container loops pass them
-    to write once _CHUNK_PIECES have accumulated."""
-
-    def __init__(self, write):
-        super().__init__()
-        self.write = write
-
-    def flush(self):
-        self.write("".join(self))
-        self.clear()
-
-
-# Pieces held before a flush.  A piece is at most one scalar, key or array,
-# so a chunk stays bounded whatever the size of the document.
-_CHUNK_PIECES = 1024
-
-
 def dump(obj, fh):
-    """Write dumps(obj) to the text file fh in bounded chunks.
+    """Write dumps(obj) to the text file fh, one piece (a key, a scalar, a
+    whole array) at a time.
 
-    On a value dumps rejects, part of the text may already be written; run
-    check_serializable(obj) first to write all or nothing.
+    On a value dumps rejects, the text before it is already written; write
+    to a temporary file first to write all of a document or none of it.
     """
-    chunks = _Chunks(fh.write)
-    _write(obj, chunks, 0)
-    chunks.append("\n")
-    chunks.flush()
+    _write(obj, fh.write, 0)
+    fh.write("\n")
 
 
 def dumps(obj) -> str:

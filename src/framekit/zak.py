@@ -76,30 +76,24 @@ class FiniteGroupSpec:
         m.flags.writeable = False
         inv.flags.writeable = False
 
-    def element_order(self, g: int) -> int:
-        if not 0 <= g < self.order:
-            raise ValueError(f"element {g} out of range")
-        k, cur = 1, g
-        while cur != 0:
-            cur = int(self.mul[cur, g])
-            k += 1
-        return k
-
 
 def _generating_set(m: np.ndarray) -> list[int]:
     """Greedy generators of the table: the least element not yet reached,
-    then the reached set closed under products.  Every reached element is a
-    product of generators, and a group needs at most log2(order) of them."""
+    then the reached set closed under right multiplication by the generators
+    so far, each element multiplied once by each generator.  Every reached
+    element is a product of generators, and a group needs at most
+    log2(order) of them."""
     reached = np.arange(m.shape[0]) == 0
     gens = []
     while not reached.all():
-        new = np.array([np.argmin(reached)])
-        gens.append(int(new[0]))
-        while new.size:
-            reached[new] = True
-            old = np.flatnonzero(reached)
-            prods = np.concatenate([m[np.ix_(old, new)].ravel(), m[np.ix_(new, old)].ravel()])
+        gens.append(int(np.argmin(reached)))
+        cols = m[:, gens]
+        # the elements reached so far have met every generator but the new one
+        prods = cols[reached, -1]
+        while prods.size:
             new = np.unique(prods[~reached[prods]])
+            reached[new] = True
+            prods = cols[new].ravel()
     return gens
 
 
@@ -166,13 +160,6 @@ class ZakPlan:
     @property
     def p(self) -> int:
         return len(self.section)
-
-    def power_of(self, gamma: int) -> int:
-        """Discrete log of a subgroup element with respect to the generator."""
-        try:
-            return self.powers.index(int(gamma))
-        except ValueError:
-            raise ValueError(f"element {gamma} is not in the subgroup") from None
 
 
 def build_plan(group: FiniteGroupSpec, subgroup_generator: int) -> ZakPlan:

@@ -234,10 +234,18 @@ def tg_biorthogonality_deviation(plan, generators, duals) -> float:
     return float(np.abs(th.conj().T @ tf - np.eye(tf.shape[1])).max(initial=0.0))
 
 
+def _power_of(plan, gamma: int) -> int:
+    """The m with gamma = g0^m, the discrete log of a subgroup element."""
+    try:
+        return plan.powers.index(int(gamma))
+    except ValueError:
+        raise ValueError(f"element {gamma} is not in the subgroup") from None
+
+
 def translate(plan, signal, gamma: int) -> np.ndarray:
     """Left translation by a subgroup element: (L_gamma f)(g) = f(gamma^{-1} g)."""
     f = as_signal(plan.group, signal)
-    plan.power_of(gamma)  # domain check: only subgroup translations fiberize
+    _power_of(plan, gamma)  # domain check: only subgroup translations fiberize
     return f[plan.group.mul[plan.group.inverse[int(gamma)]]]
 
 
@@ -245,7 +253,7 @@ def modulation_symbol(plan, gamma: int) -> np.ndarray:
     """The scalar function on character atoms that Zak intertwines with
     translation by gamma: value conj(alpha_k(gamma)) = exp(-2 pi i k m / q) at
     atom k, for gamma = g0^m."""
-    return np.exp(-2j * np.pi * np.arange(plan.q) * plan.power_of(gamma) / plan.q)
+    return np.exp(-2j * np.pi * np.arange(plan.q) * _power_of(plan, gamma) / plan.q)
 
 
 def random_unitary(rng, d: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface, through subprocesses and,
 where a check needs to patch or measure the process, in-process."""
 
+import ast
 import json
 import pathlib
 import resource
@@ -423,14 +424,59 @@ def test_unserializable_report_writes_nothing(to_file, monkeypatch, tmp_path, ca
         return doc
 
     monkeypatch.setattr(cli, "pair_to_json", nan_in_last_atom)
-    out = tmp_path / "report.json"
+    out, absent = tmp_path / "report.json", tmp_path / "absent.json"
     out.write_text("earlier report\n", encoding="utf-8")
     argv = ["gen", "--family", "in-duality", "--atoms", "40", "--seed", "3"]
-    assert cli.main(argv + (["--out", str(out)] if to_file else [])) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "framekit: cannot serialize a non-finite float\n"
+    for target in (out, absent) if to_file else (None,):
+        assert cli.main(argv + (["--out", str(target)] if target else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "framekit: cannot serialize a non-finite float\n"
     assert out.read_text(encoding="utf-8") == "earlier report\n"
+    assert not absent.exists()
+
+
+# Calls that open a file for writing whatever their arguments; open() does
+# when its mode is not a constant without w, a, x and +.
+WRITING_CALLS = {"write_text", "write_bytes", "TemporaryFile", "NamedTemporaryFile",
+                 "SpooledTemporaryFile", "mkstemp", "save", "savez", "savez_compressed",
+                 "savetxt", "tofile"}
+
+
+def _opens_for_writing(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in WRITING_CALLS:
+        return True
+    if name != "open":
+        return False
+    # open(file, mode) and io.open(file, mode), but path.open(mode)
+    at = 0 if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) != "io" else 1
+    modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[at : at + 1]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or bool(
+        set(mode.value) & set("wax+")
+    )
+
+
+def test_only_emit_opens_a_file_for_writing():
+    """In the package, only cli._emit opens a file for writing, so every
+    report goes through its one all-or-nothing path."""
+    writes = {}
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        emit = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_emit"]
+        allowed = {id(n) for n in ast.walk(emit[0])} if path.name == "cli.py" else set()
+        for node in ast.walk(tree):
+            if _opens_for_writing(node):
+                where = "_emit" if id(node) in allowed else "elsewhere"
+                writes.setdefault(where, []).append(f"{path.name}:{node.lineno}")
+    assert "elsewhere" not in writes, writes["elsewhere"]
+    assert len(writes["_emit"]) == 2  # the temporary file and --out
 
 
 def test_commands_peak_memory_stays_below_the_instance_size(tmp_path):

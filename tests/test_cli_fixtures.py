@@ -48,16 +48,20 @@ CASES = [
 ]
 
 
-def _argv(argv, out):
+def _argv(argv, out=None):
     inputs = {PAIR, RIESZ}
-    return [str(FIXTURES / a) if a in inputs else a for a in argv] + ["--out", str(out)]
+    return [str(FIXTURES / a) if a in inputs else a for a in argv] + (["--out", str(out)] if out else [])
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
-def test_cli_output_matches_fixture(name, argv, tmp_path):
+def test_cli_output_matches_fixture(name, argv, tmp_path, capsys):
+    # both routes out of the CLI: the --out file and stdout
     out = tmp_path / name
     assert cli.main(_argv(argv, out)) == 0
     assert out.read_bytes() == (FIXTURES / name).read_bytes()
+    capsys.readouterr()
+    assert cli.main(_argv(argv)) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (FIXTURES / name).read_bytes()
 
 
 def test_fixtures_stay_small():

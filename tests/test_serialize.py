@@ -20,7 +20,6 @@ from framekit.mispace import FiberedSystem, MeasureModel, verify_biorthogonality
 from framekit.serialize import (
     DIAGNOSTICS_CSV_HEADER,
     _fmt_float,
-    check_serializable,
     diagnostics_to_csv,
     dump,
     dumps,
@@ -70,6 +69,19 @@ def test_dumps_rejects_non_finite():
         dumps({"v": float("nan")})
     with pytest.raises(ValueError):
         dumps({"v": float("inf")})
+
+
+@pytest.mark.parametrize("bad,message", [
+    (float("-inf"), "cannot serialize a non-finite float"),
+    ({1: 0}, "JSON object keys must be strings, got 1"),
+    (1j, "cannot serialize object of type complex"),
+    (np.float32(1.0), "cannot serialize object of type float32"),
+])
+def test_dumps_names_what_it_rejects(bad, message):
+    for doc in (bad, [bad], [0, {"k": [1, {"v": bad}]}]):
+        with pytest.raises(ValueError) as exc:
+            dumps(doc)
+        assert str(exc.value) == message
 
 
 def test_scalar_lists_inline():
@@ -434,8 +446,7 @@ def test_parser_reports_integer_beyond_float_range(block):
 
 
 # ---------------------------------------------------------------------------
-# Streamed writer: dump writes the bytes of dumps in chunks; check_serializable
-# raises what the writer raises, before anything is formatted.
+# Streamed writer: dump writes the bytes of dumps, piece by piece.
 
 JSON_KEYS = st.text(max_size=4)
 JSON_VALUES = st.recursive(
@@ -446,30 +457,13 @@ JSON_VALUES = st.recursive(
 
 
 @BOUNDED
-@given(JSON_VALUES, st.sampled_from([1, 2, 1024]))
-def test_dump_to_file_matches_dumps(doc, pieces):
-    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryFile(
-        "w+", encoding="utf-8", newline=""
-    ) as fh:
-        mp.setattr(serialize, "_CHUNK_PIECES", pieces)
+@given(JSON_VALUES)
+def test_dump_to_file_matches_dumps(doc):
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as fh:
         dump(doc, fh)
         fh.seek(0)
         text = fh.read()
     assert text == dumps(doc)
-
-
-@BOUNDED
-@given(JSON_VALUES, st.sampled_from([float("nan"), float("inf"), {1: 0}, 1j, np.float32(1.0)]),
-       st.integers(0, 20))
-def test_check_serializable_raises_what_dumps_raises(doc, bad, where):
-    # plant the bad value at a leaf position of a list wrapped around doc
-    doc = [doc] * (where % 3) + [bad] + [doc]
-    with pytest.raises(ValueError) as expected:
-        dumps(doc)
-    with pytest.raises(ValueError) as got:
-        check_serializable(doc)
-    assert str(got.value) == str(expected.value)
-    check_serializable(doc[: where % 3])  # the part before the bad value passes
 
 
 # ---------------------------------------------------------------------------

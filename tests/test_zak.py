@@ -14,6 +14,7 @@ from framekit.mispace import (
 from framekit.subspace import Subspace
 from framekit.zak import (
     FiniteGroupSpec,
+    _generating_set,
     _translates,
     build_plan,
     builtin_plan,
@@ -38,21 +39,30 @@ def delta(n, k):
     return f
 
 
+def element_order(g, x):
+    """The least k >= 1 with x^k the identity, from the table."""
+    k, cur = 1, x
+    while cur != 0:
+        cur = int(g.mul[cur, x])
+        k += 1
+    return k
+
+
 def test_cyclic_group_table():
     g = cyclic_group(4)
     assert g.order == 4
     assert g.mul[1, 3] == 0
     assert g.inverse[1] == 3
-    assert g.element_order(2) == 2
-    assert g.element_order(0) == 1
+    assert element_order(g, 2) == 2
+    assert element_order(g, 0) == 1
 
 
 def test_dihedral_group_relations():
     g = dihedral_group(4)
     assert g.order == 8
     r, s = 1, 4  # rotation r, reflection s
-    assert g.element_order(r) == 4
-    assert g.element_order(s) == 2
+    assert element_order(g, r) == 4
+    assert element_order(g, s) == 2
     # s r = r^{-1} s
     assert g.mul[s, r] == g.mul[g.inverse[r], s]
     # Non-abelian: r s != s r.
@@ -148,8 +158,8 @@ def test_translate_examples():
     plan = builtin_plan("z4")
     assert np.allclose(translate(plan, delta(4, 0), 2), delta(4, 2))
     assert np.allclose(translate(plan, delta(4, 1), 2), delta(4, 3))
-    with pytest.raises(ValueError):
-        translate(plan, delta(4, 0), 1)  # 1 is not in the subgroup {0, 2}
+    with pytest.raises(ValueError, match="element 1 is not in the subgroup"):
+        translate(plan, delta(4, 0), 1)  # the subgroup is {0, 2}
 
 
 def test_modulation_symbol_z4():
@@ -449,6 +459,20 @@ def test_light_test_matches_brute_force_on_groups_and_near_groups():
             near = swap_intercalate(m, rng)
             assert has_two_sided_inverses(near)
             assert_verdict_matches_oracle(near)
+
+
+def test_generating_set_is_greedy():
+    # each generator is the least element the earlier ones do not reach
+    rng = np.random.default_rng(151)
+    a = np.arange(8)
+    klein = np.bitwise_xor.outer(a[:4], a[:4])
+    z2_z4 = (a[:, None] // 4 + a[None, :] // 4) % 2 * 4 + (a[:, None] + a[None, :]) % 4
+    cases = [(cyclic_group(n).mul, [1] if n > 1 else []) for n in (1, 2, 3, 7, 16, 255, 1024)]
+    cases += [(dihedral_group(n).mul, [1, n] if n > 1 else [1]) for n in (1, 2, 3, 8, 50, 512)]
+    products = {(2, 2): [1, 2, 4], (3, 4): [1, 2, 3], (4, 4): [1, 2, 3, 6], (4, 8): [1, 2, 4]}
+    cases += [(relabelled_product(rng, m, c)[0], want) for (m, c), want in products.items()]
+    cases += [(klein, [1, 2]), (z2_z4, [1, 4])]
+    assert [_generating_set(m) for m, _ in cases] == [want for _, want in cases]
 
 
 # ---------------------------------------------------------------------------
