@@ -151,7 +151,9 @@ def is_alternate_dual(a: FiberSystem, aprime: FiberSystem, tol: Tolerance = DEFA
 
 def rank_condition(a: FiberSystem, b: FiberSystem) -> bool:
     """True iff rank G_{A,B} = dim span A = dim span B, the feasibility
-    condition for a pseudo-inverse dual supported in span(B)."""
+    condition for a pseudo-inverse dual supported in span(B).  The rank of
+    G_{A,B} is counted against the scale of A and B as well as its own, so
+    that orthogonal spans, whose mixed Gramian is rounding noise, fail."""
     a, b = pad_pair(a, b)
     return bool(_pinv_dual_pair(a.matrix[None], b.matrix[None])[1][0])
 

@@ -35,11 +35,11 @@ import numpy as np
 
 from .numkernel import (
     DEFAULT_TOL,
+    REL_RANK_TOL,
     Tolerance,
     as_matrix,
     as_stack,
     ct,
-    rank,
     rank_mask,
     singular_values,
     solve,
@@ -53,11 +53,21 @@ if TYPE_CHECKING:
 
 DEFAULT_C_MAX = 1e8
 PROBE_COUNT = 32
-# Atoms per batched factorization.  Blocks bound the stacked temporaries: on
-# the benchmark's fibers workload, unblocked stacks raised peak RSS from 59 to
-# 136 MB, 256-atom blocks gave 66 MB and 32-atom blocks 58.4 MB, at the same
-# speed.
-_BLOCK = 32
+# Atoms per block of the loops that draw no random numbers: span and cross
+# product SVDs, tightening, pseudo-inverse and canonical duals, and the
+# witnesses' singular values.  Each atom is factored on its own inside a
+# batch, so this size changes no result bit; larger blocks pay numpy's
+# per-call overhead fewer times and hold larger stacked temporaries.  Under
+# tracemalloc, CLI verify-thm1 on a (300, 8, 6) instance peaks at 1.00x the
+# instance file's size with 32-atom blocks, 1.18x with 128 and 1.80x with
+# 256, past the 1.5x that tests/test_cli.py holds every command to.
+_FACTOR_BLOCK = 128
+# Atoms per block of the probe loops.  Each block draws its probe
+# coefficients in one call and adds its residuals to the global sums, so
+# this size is part of the probe draw order and of those sums: changing it
+# changes every residual.  The probe stacks, (atoms, d, r + PROBE_COUNT), are
+# the widest; at 128 they would take that verify-thm1 peak to 2.06x.
+_PROBE_BLOCK = 32
 # DeterminingSet accepts a table whose analysis map deviates from an isometry
 # by at most this much.  The tables built here are Parseval to rounding, and a
 # looser bound would let through families for which modulation-side sums no
@@ -201,9 +211,9 @@ def weighted_inner(f: FiberedFunction, g: FiberedFunction) -> complex:
     return complex((w * (f.values * g.values.conj()).sum(axis=1)).sum())
 
 
-def _blocks(n_atoms: int):
-    """Atom ranges (lo, hi) of at most _BLOCK atoms covering 0..n_atoms-1."""
-    return ((lo, min(lo + _BLOCK, n_atoms)) for lo in range(0, n_atoms, _BLOCK))
+def _blocks(n_atoms: int, size: int):
+    """Atom ranges (lo, hi) of at most size atoms covering 0..n_atoms-1."""
+    return ((lo, min(lo + size, n_atoms)) for lo in range(0, n_atoms, size))
 
 
 def _spans(m: np.ndarray):
@@ -249,18 +259,23 @@ def _tightened(q, s, v):
     return q * keep[..., None, :], v * keep[..., None, :], keep
 
 
+def _inverse_on(s: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """1 / s where keep, 0 elsewhere."""
+    return np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+
+
 def _canonical_duals(m: np.ndarray) -> np.ndarray:
     """Canonical duals U_p S_p^-1 V_p^H of an (atoms, d, r) block: the
     pseudo-inverse of the frame operator M M^H applied to M, on the Gramian
     support of the Parseval tightening."""
     q, _, s, v = _spans(m)
     u, v, keep = _tightened(q, s, v)
-    return (u * np.divide(1.0, s, out=np.zeros_like(s), where=keep)[..., None, :]) @ ct(v)
+    return (u * _inverse_on(s, keep)[..., None, :]) @ ct(v)
 
 
 def _pinv_dual(b, g, right=None):
     """B U S^+ (R V)^H for the SVD U S V^H of g, R the identity when right is
-    None, together with S^+ and the rank support of S.
+    None, together with the singular values S and their rank support.
 
     With g the mixed Gramian B^H A this is the pseudo-inverse dual of A
     supported in span(B).  For Parseval-tightened systems U_B,p V_B,p^H and
@@ -269,17 +284,28 @@ def _pinv_dual(b, g, right=None):
     """
     u, s, v = svd(g)
     keep = rank_mask(s)
-    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    return b @ (u * s_inv[..., None, :]) @ ct(v if right is None else right @ v), s_inv, keep
+    h = b @ (u * _inverse_on(s, keep)[..., None, :]) @ ct(v if right is None else right @ v)
+    return h, s, keep
 
 
 def _pinv_dual_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Pseudo-inverse duals of A in span(B) for a block pair of equal length,
     and per atom the rank condition rank B^H A = rank A = rank B under which
-    each is an alternate dual of A."""
-    h, _, keep = _pinv_dual(b, ct(b) @ a)
+    each is an alternate dual of A.
+
+    The rank of B^H A is counted twice, and both counts must equal the span
+    dimensions: against its own largest singular value, the support of the
+    pseudo-inverse, and against REL_RANK_TOL s_0(A) s_0(B), with s_0 the
+    largest singular values of A and B.  The second count is what rejects a
+    mixed Gramian of orthogonal spans, whose singular values are all rounding
+    noise and so all alike.
+    """
+    s_a, s_b = singular_values(a), singular_values(b)
+    h, s, keep = _pinv_dual(b, ct(b) @ a)
+    dim_a, dim_b = rank_mask(s_a).sum(axis=-1), rank_mask(s_b).sum(axis=-1)
     n_keep = keep.sum(axis=-1)
-    return h, (rank(a) == n_keep) & (rank(b) == n_keep)
+    n_scaled = (s > REL_RANK_TOL * s_a[..., :1] * s_b[..., :1]).sum(axis=-1)
+    return h, (dim_a == n_keep) & (dim_b == n_keep) & (dim_a == n_scaled)
 
 
 def _biorth_duals(a, w) -> np.ndarray:
@@ -313,9 +339,8 @@ def global_frame_bounds(
     largest; with no active fiber both are the vacuous 1.  is_frame asks the
     lower bound to clear eq_tol.
     """
-    sv = np.concatenate(
-        [singular_values(s.matrices[lo:hi]) for lo, hi in _blocks(s.measure.count)]
-    )
+    blocks = _blocks(s.measure.count, _FACTOR_BLOCK)
+    sv = np.concatenate([singular_values(s.matrices[lo:hi]) for lo, hi in blocks])
     return _global_bounds(sv[:, 0] > 0.0, *_frame_bounds(sv), tol)
 
 
@@ -326,7 +351,7 @@ def global_inf_cos(sa: FiberedSystem, sb: FiberedSystem) -> float:
     if sa.fiber_dim != sb.fiber_dim:
         raise ValueError("fiber dimensions differ")
     worst = 1.0
-    for lo, hi in _blocks(sa.measure.count):
+    for lo, hi in _blocks(sa.measure.count, _FACTOR_BLOCK):
         qa, dim_a, _, _ = _spans(sa.matrices[lo:hi])
         qb, dim_b, _, _ = _spans(sb.matrices[lo:hi])
         worst = min(worst, float(_inf_cos_pair(qa, dim_a, qb, dim_b)[0].min()))
@@ -343,7 +368,7 @@ def apply_mixed_frame_operator(
     if synth.fiber_dim != f.fiber_dim:
         raise ValueError("fiber dimensions differ")
     out = np.empty_like(f.values)
-    for lo, hi in _blocks(f.measure.count):
+    for lo, hi in _blocks(f.measure.count, _FACTOR_BLOCK):
         coeffs = ct(ana[lo:hi]) @ f.values[lo:hi, :, None]
         out[lo:hi] = (syn[lo:hi] @ coeffs)[..., 0]
     return FiberedFunction(f.measure, out)
@@ -357,7 +382,7 @@ def pinv_dual(sa: FiberedSystem, sb: FiberedSystem) -> FiberedSystem:
     every atom."""
     a_all, b_all = _padded_pair(sa, sb)
     out = np.empty_like(b_all)
-    for lo, hi in _blocks(sa.measure.count):
+    for lo, hi in _blocks(sa.measure.count, _FACTOR_BLOCK):
         out[lo:hi], feasible = _pinv_dual_pair(a_all[lo:hi], b_all[lo:hi])
         if not feasible.all():
             raise ConstructionError(_RANK_CONDITION_FAILS)
@@ -369,7 +394,7 @@ def canonical_duals(sa: FiberedSystem) -> FiberedSystem:
     on every atom the pseudo-inverse of the frame operator applied to the
     generators.  Reproduces every function with values in the fiber spans."""
     out = np.empty_like(sa.matrices)
-    for lo, hi in _blocks(sa.measure.count):
+    for lo, hi in _blocks(sa.measure.count, _FACTOR_BLOCK):
         out[lo:hi] = _canonical_duals(sa.matrices[lo:hi])
     return FiberedSystem(sa.measure, out)
 
@@ -510,8 +535,7 @@ def _certify_witnesses(a, b, w, tight, dual, probe_seed):
     max_local = 0.0
     num = np.zeros((2, r + PROBE_COUNT))
     den = np.zeros((2, r + PROBE_COUNT))
-    wit_s = np.empty((2, n_atoms, min(tight.shape[1:])))
-    for lo, hi in _blocks(n_atoms):
+    for lo, hi in _blocks(n_atoms, _PROBE_BLOCK):
         wa, wb = tight[lo:hi], dual[lo:hi]
         sides = ((a[lo:hi], wa, wb), (b[lo:hi], wb, wa))
         for side, (m, synth, analysis) in enumerate(sides):
@@ -519,7 +543,9 @@ def _certify_witnesses(a, b, w, tight, dual, probe_seed):
             max_local = max(max_local, _max_ratio(res, nrm))
             num[side] += w[lo:hi] @ res**2
             den[side] += w[lo:hi] @ nrm**2
-        wit_s[0, lo:hi], wit_s[1, lo:hi] = singular_values(wa), singular_values(wb)
+    wit_s = np.empty((2, n_atoms, min(tight.shape[1:])))
+    for lo, hi in _blocks(n_atoms, _FACTOR_BLOCK):
+        wit_s[:, lo:hi] = singular_values(tight[lo:hi]), singular_values(dual[lo:hi])
     max_global = float(np.sqrt(max(_max_ratio(num[0], den[0]), _max_ratio(num[1], den[1]))))
     return max_local, max_global, wit_s
 
@@ -543,15 +569,20 @@ def verify_duality(
     whose mixed-Gramian pseudo-inverse exceeds c_max downgrades the witness
     to "constructed, unverified-bound".
 
-    Atoms are processed in blocks, each factored once.  Per block: the span
-    SVDs of A and B (spans, ranks, frame bounds), the singular values of the
-    masked cross product Qb^H Qa (both infimum cosines) and of B^H A
-    (rank_mixed), and the SVD X S Y^H of the cross product of the tightened
-    systems.  Parseval tightening of M = U S V^H is U_p V_p^H, U_p the
-    singular vectors on the Gramian support s^2 > REL_RANK_TOL s_0^2, so that
-    cross product is Ub_p^H Ua_p; its smallest kept singular value gives
+    Atoms are processed in blocks of _FACTOR_BLOCK, each factored once.  Per
+    block: the span SVDs of A and B (spans, ranks, frame bounds), the
+    singular values of the masked cross product Qb^H Qa, and the SVD
+    X S Y^H of the cross product of the tightened systems.  The singular
+    values of Qb^H Qa are the principal cosines between the spans; the
+    smallest gives both infimum cosines, and rank_mixed, the rank of B^H A,
+    is the number of them above REL_RANK_TOL (Bjorck & Golub, Math. Comp.
+    27, 1973), a cutoff on the scale of A and B rather than of B^H A.
+    Parseval tightening of M = U S V^H is U_p V_p^H, U_p the singular
+    vectors on the Gramian support s^2 > REL_RANK_TOL s_0^2, so that cross
+    product is Ub_p^H Ua_p; its smallest kept singular value gives
     pinv_norm, and the pseudo-inverse dual of the tightened pair is
-    Ub_p X S^+ Y^H Va_p^H.
+    Ub_p X S^+ Y^H Va_p^H.  The witnesses' singular values are taken in the
+    same blocks, and the probes in blocks of _PROBE_BLOCK.
     """
     a_all, b_all = _padded_pair(sa, sb)
     n_atoms = sa.measure.count
@@ -561,19 +592,19 @@ def verify_duality(
     dualisable = np.empty(n_atoms, dtype=bool)
     tight = np.empty_like(a_all)
     dual = np.empty_like(a_all)
-    for lo, hi in _blocks(n_atoms):
+    for lo, hi in _blocks(n_atoms, _FACTOR_BLOCK):
         a, b = a_all[lo:hi], b_all[lo:hi]
         qa, dim_a[lo:hi], s_a, v_a = _spans(a)
         qb, dim_b[lo:hi], s_b, v_b = _spans(b)
         bounds[0:2, lo:hi] = _frame_bounds(s_a)
         bounds[2:4, lo:hi] = _frame_bounds(s_b)
-        r_ab[lo:hi], r_ba[lo:hi] = _inf_cos_pair(qa, dim_a[lo:hi], qb, dim_b[lo:hi])
-        rank_mixed[lo:hi] = rank(ct(b) @ a)
+        r_ab[lo:hi], r_ba[lo:hi], cos = _inf_cos_pair(qa, dim_a[lo:hi], qb, dim_b[lo:hi])
+        rank_mixed[lo:hi] = (cos > REL_RANK_TOL).sum(axis=-1)
         ua, va, keep_a = _tightened(qa, s_a, v_a)
         ub, _, keep_b = _tightened(qb, s_b, v_b)
         tight[lo:hi] = ua @ ct(va)
-        dual[lo:hi], sig_inv, keep = _pinv_dual(ub, ct(ub) @ ua, right=va)
-        pinv_norm[lo:hi] = sig_inv.max(axis=-1)
+        dual[lo:hi], sig, keep = _pinv_dual(ub, ct(ub) @ ua, right=va)
+        pinv_norm[lo:hi] = _inverse_on(sig, keep).max(axis=-1)
         # the rank condition of the pseudo-inverse dual of the tightened pair
         n_keep = keep.sum(axis=-1)
         dualisable[lo:hi] = (keep_a.sum(axis=-1) == n_keep) & (keep_b.sum(axis=-1) == n_keep)
@@ -684,18 +715,19 @@ def verify_biorthogonality(
     are evaluated per atom; failures are reported by atom id instead of
     raising, since a negative answer is a result.
 
-    Each block of atoms is factored once: the span SVD of A gives the Riesz
-    test, the bounds and the span basis Q, and the singular values of W^H Q
-    the angles, which coincide in both directions because both spans have
-    dimension r.  The dual h_j = W c_j solves <a_i, h_j> = delta_ij, one
-    batched solve of (W^H A)^T C = I per block.
+    Each block of _FACTOR_BLOCK atoms is factored once: the span SVD of A
+    gives the Riesz test, the bounds and the span basis Q, and the singular
+    values of W^H Q the angles, which coincide in both directions because
+    both spans have dimension r.  The dual h_j = W c_j solves
+    <a_i, h_j> = delta_ij, one batched solve of (W^H A)^T C = I per block of
+    _PROBE_BLOCK atoms, the blocks its probes are drawn for.
     """
     a_all, (n_atoms, d, r) = sa.matrices, sa.matrices.shape
     if len(targets) != n_atoms:
         raise ValueError(f"got {len(targets)} target subspaces for {n_atoms} atoms")
     basis = np.empty((n_atoms, d, min(d, r)), dtype=np.complex128)
     lowers, uppers = np.empty(n_atoms), np.empty(n_atoms)
-    for lo, hi in _blocks(n_atoms):
+    for lo, hi in _blocks(n_atoms, _FACTOR_BLOCK):
         basis[lo:hi], dims, s, _ = _spans(a_all[lo:hi])
         if np.any(dims != r):
             atom = sa.measure.atoms[lo + int(np.argmax(dims != r))]
@@ -712,7 +744,7 @@ def verify_biorthogonality(
     span_dims = np.full(n_atoms, r)
     cos = np.concatenate([
         _inf_cos_pair(basis[lo:hi], span_dims[lo:hi], w_all[lo:hi], span_dims[lo:hi])[0]
-        for lo, hi in _blocks(n_atoms)
+        for lo, hi in _blocks(n_atoms, _FACTOR_BLOCK)
     ])
     rows = _columns(atom=sa.measure.atoms, r_aw=cos, r_wa=cos, ok=cos > angle_tol)
     if not rows["ok"].all():
@@ -722,7 +754,7 @@ def verify_biorthogonality(
     eye = np.eye(r, dtype=np.complex128)
     dual = np.empty((n_atoms, d, r), dtype=np.complex128)
     dev = repro = 0.0
-    for lo, hi in _blocks(n_atoms):
+    for lo, hi in _blocks(n_atoms, _PROBE_BLOCK):
         a, wb = a_all[lo:hi], w_all[lo:hi]
         h = dual[lo:hi] = _biorth_duals(a, wb)
         dev = max(dev, float(np.abs((ct(h) @ a).swapaxes(-1, -2) - eye).max()))

@@ -33,8 +33,10 @@ from framekit.generate import (
     random_unitary,
     rotated_span_pair,
 )
+from framekit import mispace
 from framekit.mispace import (
-    _BLOCK,
+    _FACTOR_BLOCK,
+    _PROBE_BLOCK,
     DEFAULT_C_MAX,
     FiberedFunction,
     FiberedSystem,
@@ -64,7 +66,8 @@ def oracle_duality(sa, sb, tol=DEFAULT_TOL, angle_tol=DEFAULT_ANGLE_TOL, c_max=D
     feasible = True
     for atom, fa, fb in zip(sa.measure.atoms, fa_all, fb_all):
         ja, jb = Subspace.span_of(fa.matrix), Subspace.span_of(fb.matrix)
-        rank_mixed = rank(mixed_gramian(fa, fb))
+        # rank B^H A = rank Jb^H Ja: the principal cosines above the cutoff
+        rank_mixed = int((singular_values(jb.basis.conj().T @ ja.basis) > REL_RANK_TOL).sum())
         pa, pb = oracles.parsevalize(fa, tol), oracles.parsevalize(fb, tol)
         s = singular_values(mixed_gramian(pa, pb))
         keep = s > REL_RANK_TOL * s[0] if s[0] > 0 else np.zeros(s.shape, dtype=bool)
@@ -162,12 +165,14 @@ def assert_matches_oracle(sa, sb, **kwargs):
 )
 def test_families_match_oracle(family, shape):
     for seed in range(3):
-        n_atoms = (_BLOCK + 7, 2 * _BLOCK + 1, 11)[seed]
+        n_atoms = (_PROBE_BLOCK + 7, 2 * _PROBE_BLOCK + 1, 11)[seed]
         inst = duality_instance(family, n_atoms, *shape, seed=seed, eps=1e-6)
         assert_matches_oracle(inst.sa, inst.sb)
 
 
-@pytest.mark.parametrize("n_atoms", [1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize(
+    "n_atoms", [1, _PROBE_BLOCK, _PROBE_BLOCK + 1, _FACTOR_BLOCK, _FACTOR_BLOCK + 1]
+)
 def test_block_edges_match_oracle(n_atoms):
     for family in ("in-duality", "orthogonal-failure", "near-threshold"):
         inst = duality_instance(family, n_atoms, 4, 3, seed=n_atoms, eps=1e-4)
@@ -180,7 +185,7 @@ def _measure(n_atoms, rng):
 
 def test_zero_fibers_and_unequal_counts_match_oracle():
     rng = np.random.default_rng(5)
-    n_atoms = _BLOCK + 3
+    n_atoms = _PROBE_BLOCK + 3
     measure = _measure(n_atoms, rng)
     fa, fb = [], []
     for k in range(n_atoms):
@@ -188,15 +193,15 @@ def test_zero_fibers_and_unequal_counts_match_oracle():
         fa.append(FiberSystem(v @ complex_gaussian(rng, 2, 2)))
         fb.append(FiberSystem(w @ complex_gaussian(rng, 2, 4)))
     # inactive on both sides, at both ends of the first block
-    for k in (0, _BLOCK - 1):
+    for k in (0, _PROBE_BLOCK - 1):
         fa[k], fb[k] = FiberSystem.zeros(5, 2), FiberSystem.zeros(5, 4)
     sa, sb = FiberedSystem(measure, tuple(fa)), FiberedSystem(measure, tuple(fb))
     report = assert_matches_oracle(sa, sb)
     assert report.all_hold and report.witnesses[1].count == 4
     # inactive on one side only: that atom decides the angle verdicts
-    fa[_BLOCK + 1] = FiberSystem.zeros(5, 2)
+    fa[_PROBE_BLOCK + 1] = FiberSystem.zeros(5, 2)
     report = assert_matches_oracle(FiberedSystem(measure, tuple(fa)), sb)
-    assert report.diagnostics["atom"][report.worst_fiber] == f"x{_BLOCK + 1}"
+    assert report.diagnostics["atom"][report.worst_fiber] == f"x{_PROBE_BLOCK + 1}"
     assert not report.fiber_angles_positive
 
 
@@ -205,12 +210,12 @@ def test_singular_value_between_the_two_cutoffs():
     # cutoff (s^2 / s0^2 > 1e-10): the span keeps the direction, Parseval
     # tightening drops it, and the tightened pair fails dualise's rank test.
     rng = np.random.default_rng(17)
-    n_atoms = _BLOCK + 2
+    n_atoms = _PROBE_BLOCK + 2
     inst = duality_instance("in-duality", n_atoms, 4, 3, seed=3)
     q = random_unitary(rng, 4)[:, :2]
     thin = FiberSystem(q @ np.diag([1.0, 1e-7]) @ random_unitary(rng, 3)[:2, :])
     wide = FiberSystem(q @ complex_gaussian(rng, 2, 3))
-    k = _BLOCK
+    k = _PROBE_BLOCK
     sa = FiberedSystem(inst.sa.measure, inst.sa.fibers[:k] + (thin,) + inst.sa.fibers[k + 1:])
     sb = FiberedSystem(inst.sb.measure, inst.sb.fibers[:k] + (wide,) + inst.sb.fibers[k + 1:])
     report = assert_matches_oracle(sa, sb)
@@ -236,7 +241,7 @@ def test_verify_duality_svd_calls_are_batched(monkeypatch):
 
 
 def test_pinv_dual_matches_dualise():
-    inst = duality_instance("in-duality", _BLOCK + 5, 5, 3, seed=8)
+    inst = duality_instance("in-duality", _FACTOR_BLOCK + 5, 5, 3, seed=8)
     sb = FiberedSystem(inst.sb.measure, tuple(f.padded(4) for f in inst.sb.fibers))
     dual = pinv_dual(inst.sa, sb)
     for fa, fb, h in zip(inst.sa.fibers, sb.fibers, dual.fibers):
@@ -246,10 +251,71 @@ def test_pinv_dual_matches_dualise():
         pinv_dual(bad.sa, bad.sb)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_orthogonal_spans_fail_the_rank_condition(seed):
+    # B^H A of orthogonal spans is rounding noise, its singular values all
+    # alike; against its own largest one it would count as full rank
+    a, b, _ = fiber_pair(np.random.default_rng(seed), 4, 2, 2, [0, 0])
+    assert not rank_condition(a, b)
+    with pytest.raises(ConstructionError, match="rank condition"):
+        dualise(a, b)
+    measure = MeasureModel(("x0",), np.ones(1))
+    sa, sb = FiberedSystem(measure, (a,)), FiberedSystem(measure, (b,))
+    with pytest.raises(ConstructionError, match="rank condition"):
+        pinv_dual(sa, sb)
+    report = verify_duality(sa, sb)
+    assert report.diagnostics["rank_mixed"][0] == 0
+    assert report.witness_status == "not constructed"
+
+
+def _bits(x):
+    """x with every array replaced by its dtype, shape and bytes, so that
+    == compares bit for bit."""
+    if isinstance(x, FiberedSystem):
+        return _bits(x.matrices)
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, dict):
+        return tuple((k, _bits(v)) for k, v in x.items())
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(v) for v in x)
+    return x
+
+
+def test_factor_block_size_changes_no_bit(monkeypatch):
+    """Each atom is factored alone inside a batch, so the factor loops give
+    the same bits at any block size."""
+    n_atoms = _FACTOR_BLOCK + 9
+    inst = duality_instance("in-duality", n_atoms, 4, 3, seed=4)
+    fail = duality_instance("orthogonal-failure", n_atoms, 4, 3, seed=5)
+    rng = np.random.default_rng(47)
+    fibers, targets = [], []
+    for _ in range(n_atoms):
+        v, w, _ = rotated_span_pair(rng, 5, 2, rng.uniform(0.2, 1.0, 2))
+        fibers.append(FiberSystem(v @ (np.eye(2) + 0.3 * complex_gaussian(rng, 2, 2))))
+        targets.append(Subspace(w))
+    riesz = FiberedSystem(_measure(n_atoms, rng), fibers)
+
+    def results():
+        return _bits([
+            [vars(verify_duality(i.sa, i.sb, probe_seed=3)) for i in (inst, fail)],
+            vars(verify_biorthogonality(riesz, targets, probe_seed=3)),
+            pinv_dual(inst.sa, inst.sb),
+            canonical_duals(inst.sa),
+            global_frame_bounds(inst.sa),
+        ])
+
+    want = results()
+    assert vars(verify_duality(inst.sa, inst.sb))["witness_status"] == "verified"
+    for size in (1, 7):
+        monkeypatch.setattr(mispace, "_FACTOR_BLOCK", size)
+        assert results() == want
+
+
 def test_global_reductions_match_per_fiber():
     rng = np.random.default_rng(31)
-    sa = random_fibered_system(rng, 2 * _BLOCK + 3, 4, 2)
-    sb = FiberedSystem(sa.measure, random_fibered_system(rng, 2 * _BLOCK + 3, 4, 3).fibers)
+    sa = random_fibered_system(rng, 2 * _FACTOR_BLOCK + 3, 4, 2)
+    sb = FiberedSystem(sa.measure, random_fibered_system(rng, 2 * _FACTOR_BLOCK + 3, 4, 3).fibers)
     lows, highs = zip(*(oracles.frame_bounds(f) for f in sa.fibers))
     lo, hi, _ = global_frame_bounds(sa)
     assert (lo, hi) == pytest.approx((min(lows), max(highs)), rel=1e-10)
@@ -267,7 +333,7 @@ def test_global_reductions_match_per_fiber():
 
 def test_verify_biorthogonality_matches_per_fiber():
     rng = np.random.default_rng(37)
-    n_atoms, d, r = _BLOCK + 4, 5, 2
+    n_atoms, d, r = _FACTOR_BLOCK + 4, 5, 2
     measure = _measure(n_atoms, rng)
     fibers, targets = [], []
     for _ in range(n_atoms):
@@ -287,8 +353,8 @@ def test_verify_biorthogonality_matches_per_fiber():
     assert report.riesz_bounds[0] == pytest.approx(min(lows), rel=1e-10)
     # a non-Riesz fiber in the second block is named
     bad = list(fibers)
-    bad[_BLOCK + 2] = FiberSystem(np.repeat(fibers[0].matrix[:, :1], 2, axis=1))
-    with pytest.raises(ConstructionError, match=f"x{_BLOCK + 2}"):
+    bad[_FACTOR_BLOCK + 2] = FiberSystem(np.repeat(fibers[0].matrix[:, :1], 2, axis=1))
+    with pytest.raises(ConstructionError, match=f"x{_FACTOR_BLOCK + 2}"):
         verify_biorthogonality(FiberedSystem(measure, tuple(bad)), targets)
 
 
@@ -334,7 +400,7 @@ def test_single_fiber_functions_match_oracles():
 def test_stacked_paths_build_no_fiber_objects(monkeypatch):
     """The checkers and constructions work on the (atoms, d, r) stack from
     input to result: no FiberSystem is built per atom on the way."""
-    n_atoms = 2 * _BLOCK + 3
+    n_atoms = 2 * _PROBE_BLOCK + 3
     inst = duality_instance("in-duality", n_atoms, 4, 3, seed=12)
     rng = np.random.default_rng(41)
     fibers, targets = [], []

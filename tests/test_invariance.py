@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from framekit.fiberframe import FiberSystem
 from framekit.generate import FAMILIES, duality_instance, random_unitary
-from framekit.mispace import _BLOCK, FiberedSystem, MeasureModel, verify_duality
+from framekit.mispace import _PROBE_BLOCK, FiberedSystem, MeasureModel, verify_duality
 from framekit.subspace import DEFAULT_ANGLE_TOL
 
 # a few examples of up to ~2.5 blocks keep each property near one second
@@ -42,7 +42,7 @@ def verdicts(report):
 @st.composite
 def instances(draw):
     family = draw(st.sampled_from(FAMILIES))
-    n_atoms = draw(st.integers(_BLOCK + 1, 2 * _BLOCK + 20))
+    n_atoms = draw(st.integers(_PROBE_BLOCK + 1, 2 * _PROBE_BLOCK + 20))
     dim = draw(st.integers(2, 5))
     count = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**31 - 1))
