@@ -15,10 +15,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import shutil
+import stat
 import sys
 import tempfile
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .generate import FAMILIES, duality_instance
 from .mispace import (
     DEFAULT_C_MAX,
     ConstructionError,
+    _fiber_pass,
     alternate_dual_residuals,
     canonical_duals,
     global_frame_bounds,
@@ -214,15 +217,15 @@ def _cmd_gen(ns):
 def _cmd_angles(ns):
     pair = _read_pair(ns)
     sb = _need_b(pair)
-    tol = _tolerance(ns)
-    report = verify_duality(pair.sa, sb, tol=tol, angle_tol=ns.angle_tol)
+    # verify_duality's factor pass alone: no witness is built or certified
+    fields, _ = _fiber_pass(pair.sa, sb, _tolerance(ns), ns.angle_tol)
     if ns.format == "csv":
-        return diagnostics_to_csv(report)
+        return diagnostics_to_csv(fields["diagnostics"])
     result = {
-        "angles_global": [report.angles_global[0], report.angles_global[1]],
-        "global_angles_positive": report.global_angles_positive,
-        "fiber_angles_positive": report.fiber_angles_positive,
-        "per_atom": table_rows(report.diagnostics, ("atom", "dim_ja", "dim_jb", "r_ab", "r_ba")),
+        "angles_global": list(fields["angles_global"]),
+        "global_angles_positive": fields["global_angles_positive"],
+        "fiber_angles_positive": fields["fiber_angles_positive"],
+        "per_atom": table_rows(fields["diagnostics"], ("atom", "dim_ja", "dim_jb", "r_ab", "r_ba")),
     }
     return _envelope(ns, result, angle=True)
 
@@ -257,7 +260,7 @@ def _cmd_verify_thm1(ns):
         pair.sa, sb, tol=tol, angle_tol=ns.angle_tol, c_max=ns.cmax, probe_seed=ns.seed
     )
     if ns.format == "csv":
-        return diagnostics_to_csv(report)
+        return diagnostics_to_csv(report.diagnostics)
     return _envelope(
         ns, equivalence_report_to_json(report), seed=ns.seed, angle=True, cmax=True
     )
@@ -411,19 +414,51 @@ _DISPATCH = {
 }
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _emit(report, out_path: str | None):
-    """Write a report, a JSON document or CSV text, to out_path or stdout.
-    The report is written to a temporary file first and copied across only
-    once the writer has taken all of it: one it rejects writes nothing and
-    leaves out_path as it was, or absent."""
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as tmp:
-        if isinstance(report, str):
-            tmp.write(report)
-        else:
-            dump(report, tmp)
-        tmp.seek(0)
-        with open(out_path, "w", encoding="utf-8", newline="") if out_path else nullcontext(sys.stdout) as fh:
-            shutil.copyfileobj(tmp, fh)
+    """Write a report, a JSON document or CSV text, to out_path or stdout,
+    all or nothing: one the writer rejects writes nothing and leaves out_path
+    as it was, or absent.
+
+    The report is written once, through a write-only handle, to a temporary
+    file.  When out_path is a regular file, or absent, the temporary file is
+    made next to it, given the mode bits open(out_path, "w") would leave (the
+    file's own, or the default under the umask) and moved over it.  Stdout,
+    or an out_path that is not a regular file (a device, a pipe), gets a copy.
+    """
+    target, mode = None, None
+    if out_path:
+        target = os.path.realpath(out_path)
+        if os.path.isfile(target):
+            mode = stat.S_IMODE(os.stat(target).st_mode)
+        elif not os.path.exists(target):
+            mode = 0o666 & ~_umask()
+    tmp = tempfile.NamedTemporaryFile(
+        "w", encoding="utf-8", newline="", delete=False,
+        dir=None if mode is None else os.path.dirname(target),
+    )
+    try:
+        with tmp.file as fh:
+            if isinstance(report, str):
+                fh.write(report)
+            else:
+                dump(report, fh)
+        if mode is not None:
+            os.chmod(tmp.name, mode)
+            os.replace(tmp.name, target)
+            return
+        with open(tmp.name, encoding="utf-8", newline="") as src, (
+            open(out_path, "w", encoding="utf-8", newline="") if out_path else nullcontext(sys.stdout)
+        ) as fh:
+            shutil.copyfileobj(src, fh)
+    finally:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp.name)
 
 
 @functools.cache

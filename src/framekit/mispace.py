@@ -273,25 +273,11 @@ def _canonical_duals(m: np.ndarray) -> np.ndarray:
     return (u * _inverse_on(s, keep)[..., None, :]) @ ct(v)
 
 
-def _pinv_dual(b, g, right=None):
-    """B U S^+ (R V)^H for the SVD U S V^H of g, R the identity when right is
-    None, together with the singular values S and their rank support.
-
-    With g the mixed Gramian B^H A this is the pseudo-inverse dual of A
-    supported in span(B).  For Parseval-tightened systems U_B,p V_B,p^H and
-    U_A,p V_A,p^H it is that dual with b = U_B,p, g = U_B,p^H U_A,p and
-    right = V_A,p, without forming the r x r mixed Gramian.
-    """
-    u, s, v = svd(g)
-    keep = rank_mask(s)
-    h = b @ (u * _inverse_on(s, keep)[..., None, :]) @ ct(v if right is None else right @ v)
-    return h, s, keep
-
-
 def _pinv_dual_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse duals of A in span(B) for a block pair of equal length,
-    and per atom the rank condition rank B^H A = rank A = rank B under which
-    each is an alternate dual of A.
+    """Pseudo-inverse duals B U S^+ V^H of A in span(B), for the SVD U S V^H
+    of the mixed Gramian B^H A, for a block pair of equal length, and per atom
+    the rank condition rank B^H A = rank A = rank B under which each is an
+    alternate dual of A.
 
     The rank of B^H A is counted twice, and both counts must equal the span
     dimensions: against its own largest singular value, the support of the
@@ -301,7 +287,9 @@ def _pinv_dual_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     noise and so all alike.
     """
     s_a, s_b = singular_values(a), singular_values(b)
-    h, s, keep = _pinv_dual(b, ct(b) @ a)
+    u, s, v = svd(ct(b) @ a)
+    keep = rank_mask(s)
+    h = b @ (u * _inverse_on(s, keep)[..., None, :]) @ ct(v)
     dim_a, dim_b = rank_mask(s_a).sum(axis=-1), rank_mask(s_b).sum(axis=-1)
     n_keep = keep.sum(axis=-1)
     n_scaled = (s > REL_RANK_TOL * s_a[..., :1] * s_b[..., :1]).sum(axis=-1)
@@ -550,6 +538,93 @@ def _certify_witnesses(a, b, w, tight, dual, probe_seed):
     return max_local, max_global, wit_s
 
 
+def _fiber_pass(sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance, angle_tol: float, witnesses=False):
+    """The factor pass of verify_duality, which the angles command runs on its
+    own: everything read off the span factors, with no witness built, no
+    probe drawn and no witness factored.
+
+    Returns the EquivalenceReport fields the pass decides, as keyword
+    arguments: both angle statements, angles_global, worst_fiber,
+    diagnostics and both frame bounds.  When witnesses is true it also
+    returns the witness material: the padded stacks of SA and SB, the
+    tightened SA, its pseudo-inverse dual in the tightened SB, and per atom
+    whether that pair meets the rank condition; None otherwise.  Raises
+    ValueError when either system is not a frame for its span.
+
+    Atoms are processed in blocks of _FACTOR_BLOCK, each factored once.  Per
+    block: the span SVDs of A and B (spans, ranks, frame bounds), the
+    singular values of the masked cross product Qb^H Qa, and the SVD
+    X S Y^H of the cross product of the tightened systems.  The singular
+    values of Qb^H Qa are the principal cosines between the spans; the
+    smallest gives both infimum cosines, and rank_mixed, the rank of B^H A,
+    is the number of them above REL_RANK_TOL (Bjorck & Golub, Math. Comp.
+    27, 1973), a cutoff on the scale of A and B rather than of B^H A.
+    Parseval tightening of M = U S V^H is U_p V_p^H, U_p the singular
+    vectors on the Gramian support s^2 > REL_RANK_TOL s_0^2, so that cross
+    product is Ub_p^H Ua_p, whose singular values are the principal cosines
+    of the tightened spans.  pinv_norm is 1 over the smallest of them above
+    REL_RANK_TOL, on the same scale as rank_mixed, and 0 when none is; the
+    pseudo-inverse dual of the tightened pair is Ub_p X S^+ Y^H Va_p^H.
+    """
+    a_all, b_all = _padded_pair(sa, sb)
+    n_atoms = sa.measure.count
+    dim_a, dim_b, rank_mixed = (np.empty(n_atoms, dtype=np.int64) for _ in range(3))
+    r_ab, r_ba, pinv_norm = (np.empty(n_atoms) for _ in range(3))
+    bounds = np.empty((4, n_atoms))  # lower and upper frame bounds of A, then of B
+    if witnesses:
+        dualisable = np.empty(n_atoms, dtype=bool)
+        tight = np.empty_like(a_all)
+        dual = np.empty_like(a_all)
+    for lo, hi in _blocks(n_atoms, _FACTOR_BLOCK):
+        qa, dim_a[lo:hi], s_a, v_a = _spans(a_all[lo:hi])
+        qb, dim_b[lo:hi], s_b, v_b = _spans(b_all[lo:hi])
+        bounds[0:2, lo:hi] = _frame_bounds(s_a)
+        bounds[2:4, lo:hi] = _frame_bounds(s_b)
+        r_ab[lo:hi], r_ba[lo:hi], cos = _inf_cos_pair(qa, dim_a[lo:hi], qb, dim_b[lo:hi])
+        rank_mixed[lo:hi] = (cos > REL_RANK_TOL).sum(axis=-1)
+        ua, va, keep_a = _tightened(qa, s_a, v_a)
+        ub, _, keep_b = _tightened(qb, s_b, v_b)
+        x, sig, y = svd(ct(ub) @ ua)
+        pinv_norm[lo:hi] = _inverse_on(sig, sig > REL_RANK_TOL).max(axis=-1)
+        if witnesses:
+            keep = rank_mask(sig)
+            tight[lo:hi] = ua @ ct(va)
+            dual[lo:hi] = ub @ (x * _inverse_on(sig, keep)[..., None, :]) @ ct(va @ y)
+            # the rank condition of the pseudo-inverse dual of the tightened pair
+            n_keep = keep.sum(axis=-1)
+            dualisable[lo:hi] = (keep_a.sum(axis=-1) == n_keep) & (keep_b.sum(axis=-1) == n_keep)
+
+    bounds_a = _global_bounds(dim_a > 0, bounds[0], bounds[1], tol)
+    bounds_b = _global_bounds(dim_b > 0, bounds[2], bounds[3], tol)
+    if not bounds_a[2]:
+        raise ValueError("first system is not a frame for its span")
+    if not bounds_b[2]:
+        raise ValueError("second system is not a frame for its span")
+
+    angles_global = (
+        float(r_ab[dim_a > 0].min()) if np.any(dim_a > 0) else 1.0,
+        float(r_ba[dim_b > 0].min()) if np.any(dim_b > 0) else 1.0,
+    )
+    fields = dict(
+        global_angles_positive=angles_global[0] > angle_tol and angles_global[1] > angle_tol,
+        fiber_angles_positive=bool(np.all((r_ab > angle_tol) & (r_ba > angle_tol))),
+        angles_global=angles_global,
+        worst_fiber=int(np.argmin(np.minimum(r_ab, r_ba))),
+        diagnostics=_columns(
+            atom=sa.measure.atoms,
+            dim_ja=dim_a,
+            dim_jb=dim_b,
+            r_ab=r_ab,
+            r_ba=r_ba,
+            rank_mixed=rank_mixed,
+            pinv_norm=pinv_norm,
+        ),
+        frame_bounds_a=bounds_a,
+        frame_bounds_b=bounds_b,
+    )
+    return fields, ((a_all, b_all, tight, dual, dualisable) if witnesses else None)
+
+
 def verify_duality(
     sa: FiberedSystem,
     sb: FiberedSystem,
@@ -569,69 +644,17 @@ def verify_duality(
     whose mixed-Gramian pseudo-inverse exceeds c_max downgrades the witness
     to "constructed, unverified-bound".
 
-    Atoms are processed in blocks of _FACTOR_BLOCK, each factored once.  Per
-    block: the span SVDs of A and B (spans, ranks, frame bounds), the
-    singular values of the masked cross product Qb^H Qa, and the SVD
-    X S Y^H of the cross product of the tightened systems.  The singular
-    values of Qb^H Qa are the principal cosines between the spans; the
-    smallest gives both infimum cosines, and rank_mixed, the rank of B^H A,
-    is the number of them above REL_RANK_TOL (Bjorck & Golub, Math. Comp.
-    27, 1973), a cutoff on the scale of A and B rather than of B^H A.
-    Parseval tightening of M = U S V^H is U_p V_p^H, U_p the singular
-    vectors on the Gramian support s^2 > REL_RANK_TOL s_0^2, so that cross
-    product is Ub_p^H Ua_p; its smallest kept singular value gives
-    pinv_norm, and the pseudo-inverse dual of the tightened pair is
-    Ub_p X S^+ Y^H Va_p^H.  The witnesses' singular values are taken in the
-    same blocks, and the probes in blocks of _PROBE_BLOCK.
+    The spans, angles, ranks and witnesses come from one factor pass over
+    blocks of _FACTOR_BLOCK atoms (_fiber_pass); the witnesses' singular
+    values are taken in the same blocks, and the probes in blocks of
+    _PROBE_BLOCK.
     """
-    a_all, b_all = _padded_pair(sa, sb)
-    n_atoms = sa.measure.count
-    dim_a, dim_b, rank_mixed = (np.empty(n_atoms, dtype=np.int64) for _ in range(3))
-    r_ab, r_ba, pinv_norm = (np.empty(n_atoms) for _ in range(3))
-    bounds = np.empty((4, n_atoms))  # lower and upper frame bounds of A, then of B
-    dualisable = np.empty(n_atoms, dtype=bool)
-    tight = np.empty_like(a_all)
-    dual = np.empty_like(a_all)
-    for lo, hi in _blocks(n_atoms, _FACTOR_BLOCK):
-        a, b = a_all[lo:hi], b_all[lo:hi]
-        qa, dim_a[lo:hi], s_a, v_a = _spans(a)
-        qb, dim_b[lo:hi], s_b, v_b = _spans(b)
-        bounds[0:2, lo:hi] = _frame_bounds(s_a)
-        bounds[2:4, lo:hi] = _frame_bounds(s_b)
-        r_ab[lo:hi], r_ba[lo:hi], cos = _inf_cos_pair(qa, dim_a[lo:hi], qb, dim_b[lo:hi])
-        rank_mixed[lo:hi] = (cos > REL_RANK_TOL).sum(axis=-1)
-        ua, va, keep_a = _tightened(qa, s_a, v_a)
-        ub, _, keep_b = _tightened(qb, s_b, v_b)
-        tight[lo:hi] = ua @ ct(va)
-        dual[lo:hi], sig, keep = _pinv_dual(ub, ct(ub) @ ua, right=va)
-        pinv_norm[lo:hi] = _inverse_on(sig, keep).max(axis=-1)
-        # the rank condition of the pseudo-inverse dual of the tightened pair
-        n_keep = keep.sum(axis=-1)
-        dualisable[lo:hi] = (keep_a.sum(axis=-1) == n_keep) & (keep_b.sum(axis=-1) == n_keep)
-
-    bounds_a = _global_bounds(dim_a > 0, bounds[0], bounds[1], tol)
-    bounds_b = _global_bounds(dim_b > 0, bounds[2], bounds[3], tol)
-    if not bounds_a[2]:
-        raise ValueError("first system is not a frame for its span")
-    if not bounds_b[2]:
-        raise ValueError("second system is not a frame for its span")
-
-    diagnostics = _columns(
-        atom=sa.measure.atoms,
-        dim_ja=dim_a,
-        dim_jb=dim_b,
-        r_ab=r_ab,
-        r_ba=r_ba,
-        rank_mixed=rank_mixed,
-        pinv_norm=pinv_norm,
+    fields, (a_all, b_all, tight, dual, dualisable) = _fiber_pass(
+        sa, sb, tol, angle_tol, witnesses=True
     )
-    fiber_angles_positive = bool(np.all((r_ab > angle_tol) & (r_ba > angle_tol)))
-    angles_global = (
-        float(r_ab[dim_a > 0].min()) if np.any(dim_a > 0) else 1.0,
-        float(r_ba[dim_b > 0].min()) if np.any(dim_b > 0) else 1.0,
-    )
-    global_angles_positive = angles_global[0] > angle_tol and angles_global[1] > angle_tol
-    worst = int(np.argmin(np.minimum(r_ab, r_ba)))
+    diagnostics = fields["diagnostics"]
+    dim_a, dim_b = diagnostics["dim_ja"], diagnostics["dim_jb"]
+    pinv_norm = diagnostics["pinv_norm"]
 
     witnesses = None
     witness_status = "not constructed"
@@ -639,7 +662,7 @@ def verify_duality(
     max_global = None
     fiber_duals_exist = False
     global_duals_exist = False
-    feasible = np.all((rank_mixed == dim_a) & (dim_a == dim_b))
+    feasible = np.all((diagnostics["rank_mixed"] == dim_a) & (dim_a == dim_b))
     if feasible and np.all(dualisable):
         witnesses = (FiberedSystem(sa.measure, tight), FiberedSystem(sa.measure, dual))
         max_local, max_global, wit_s = _certify_witnesses(
@@ -663,18 +686,12 @@ def verify_duality(
 
     return EquivalenceReport(
         global_duals_exist=global_duals_exist,
-        global_angles_positive=global_angles_positive,
         fiber_duals_exist=fiber_duals_exist,
-        fiber_angles_positive=fiber_angles_positive,
-        angles_global=angles_global,
-        worst_fiber=worst,
-        diagnostics=diagnostics,
         witness_status=witness_status,
         witnesses=witnesses,
         max_local_residual=max_local,
         max_global_residual=max_global,
-        frame_bounds_a=bounds_a,
-        frame_bounds_b=bounds_b,
+        **fields,
     )
 
 

@@ -9,23 +9,28 @@ Both directions work one array at a time.  The ``*_to_json`` functions hand
 complex data to ``dumps`` as float64 ``(..., 2)`` arrays of [re, im] pairs,
 which ``dumps`` formats with one %-template per array, laid out exactly as
 the equivalent nested lists.  The parsers check the structure and element
-types of a whole block (one vector, one fiber system, one matrix) at once and
-convert it with one ``np.array`` call; any irregular block is walked again
-pair by pair, which raises the same errors as before.
+types of a whole block (one vector, one matrix, or the A, B or f entries of
+_ATOM_BLOCK consecutive atoms) at once and convert it with one ``np.array``
+call; any irregular block is walked again atom by atom and pair by pair,
+which raises the same errors as before.
 
 Files are streamed.  ``dump`` writes a document to a file piece by piece,
-and ``read_pair`` decodes an instance file one atom at a time, so neither
-holds the whole text of a file.
+and ``read_pair`` decodes an instance file one atom at a time and converts
+it a block of atoms at a time, so neither holds the whole text of a file.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
+import math
 import numbers
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,13 +49,18 @@ from .zak import FiniteGroupSpec, ZakPlan, cyclic_group, dihedral_group, explici
 # Writer.
 
 
+# The text json.dumps gives a str, without its dispatch.
+_quote = encode_basestring_ascii
+
+
 def _fmt_float(x: float) -> str:
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("cannot serialize a non-finite float")
     return format(x, ".17g")
 
 
+@functools.lru_cache(maxsize=256)
 def _array_template(shape: tuple[int, ...], indent: int) -> str:
     """The %-template that lays out a float array of this shape as _write
     lays out the same values as nested lists."""
@@ -71,55 +81,71 @@ def _write_array(a: np.ndarray, write, indent: int):
     write(_array_template(a.shape, indent) % tuple(a.ravel().tolist()))
 
 
-def _is_scalar(obj) -> bool:
-    return obj is None or isinstance(obj, (bool, str, numbers.Integral, float))
+def _scalar(obj) -> str | None:
+    """The JSON text of a float, str, None, bool or integer; None for anything
+    else.  The numbers.Integral check (an ABC, so slow) comes last, after
+    bool, which it would also match."""
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, numbers.Integral):
+        return str(int(obj))
+    return None
+
+
+_CONTAINERS = (dict, list, tuple, np.ndarray)
 
 
 def _write(obj, write, indent: int):
     pad = "  " * indent
-    if obj is None:
-        write("null")
-    elif isinstance(obj, bool):
-        write("true" if obj else "false")
-    elif isinstance(obj, str):
-        write(json.dumps(obj))
-    elif isinstance(obj, numbers.Integral):
-        write(str(int(obj)))
-    elif isinstance(obj, float):
-        write(_fmt_float(obj))
-    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64:
-        _write_array(obj, write, indent)
-    elif isinstance(obj, dict):
+    if isinstance(obj, dict):
         if not obj:
             write("{}")
             return
         write("{\n")
+        last = len(obj) - 1
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise ValueError(f"JSON object keys must be strings, got {key!r}")
-            write(f"{pad}  {json.dumps(key)}: ")
-            _write(value, write, indent + 1)
-            write(",\n" if i + 1 < len(obj) else "\n")
+            head, sep = f"{pad}  {_quote(key)}: ", ",\n" if i < last else "\n"
+            # a scalar value goes out in one piece with its key
+            text = None if isinstance(value, _CONTAINERS) else _scalar(value)
+            if text is None:
+                write(head)
+                _write(value, write, indent + 1)
+                write(sep)
+            else:
+                write(head + text + sep)
         write(pad + "}")
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+        _write_array(obj, write, indent)
     elif isinstance(obj, (list, tuple)):
         items = list(obj)
         if not items:
             write("[]")
             return
-        if all(_is_scalar(v) for v in items):
-            parts: list[str] = []
-            for v in items:
-                _write(v, parts.append, 0)
-            write("[" + ", ".join(parts) + "]")
-            return
+        if not isinstance(items[0], _CONTAINERS):
+            parts = [_scalar(v) for v in items]
+            if None not in parts:
+                write("[" + ", ".join(parts) + "]")
+                return
         write("[\n")
+        last = len(items) - 1
         for i, value in enumerate(items):
             write(pad + "  ")
             _write(value, write, indent + 1)
-            write(",\n" if i + 1 < len(items) else "\n")
+            write(",\n" if i < last else "\n")
         write(pad + "]")
     else:
-        raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
+        text = _scalar(obj)
+        if text is None:
+            raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
+        write(text)
 
 
 def dump(obj, fh):
@@ -390,6 +416,123 @@ def _pair_document(fiber_dim: int, atoms: list[tuple], meta) -> PairDocument:
     return PairDocument(measure, sa, sb, target_list, probe, meta)
 
 
+# Atoms converted at a time by pair_from_json and read_pair.  A block's
+# vectors go through one _pair_block call per kind; larger blocks pay the
+# per-call overhead fewer times, and read_pair holds a block's decoded
+# entries at once.
+_ATOM_BLOCK = 32
+
+
+class _AtomBlock(NamedTuple):
+    """Consecutive atoms converted at once: ids, float64 weights, the A and B
+    stacks (atoms, fiber_dim, r), targets, and the f stack (atoms,
+    fiber_dim); None for a B, W or f that no atom of the block has."""
+
+    ids: list
+    weights: np.ndarray
+    a: np.ndarray
+    b: np.ndarray | None
+    targets: list | None
+    probe: np.ndarray | None
+
+
+def _system_block(docs: list, fiber_dim: int) -> np.ndarray | None:
+    """The A or B entries of a block as one (atoms, fiber_dim, r) stack, r the
+    first entry's vector count, or None unless every entry is
+    {"dim": fiber_dim, "vectors": r vectors of [re, im] pairs}."""
+    vectors = []
+    for doc in docs:
+        if type(doc) is not dict or type(doc.get("dim")) is not int or doc["dim"] != fiber_dim:
+            return None
+        vectors.append(_as_list(doc.get("vectors")))
+    if type(vectors[0]) is not list:
+        return None
+    block = _pair_block(vectors, (len(vectors), len(vectors[0]), fiber_dim))
+    # C order, as the per-atom path lays it out: the layout reaches BLAS and
+    # with it the rounding of every product downstream
+    return None if block is None else np.ascontiguousarray(block.swapaxes(1, 2))
+
+
+def _atom_block(entries: list, fiber_dim: int) -> _AtomBlock | None:
+    """Atom entries converted as one block, to the values _atom_from_json
+    gives them one at a time.  Returns None, raising nothing, unless every
+    entry is one _atom_from_json takes, with the keys and vector counts of
+    the first entry and B of dimension fiber_dim."""
+    first = entries[0]
+    if type(first) is not dict:
+        return None
+    keys = ("B" in first, "W" in first, "f" in first)
+    for entry in entries:
+        if type(entry) is not dict or ("B" in entry, "W" in entry, "f" in entry) != keys:
+            return None
+        atom_id = entry.get("id")
+        if type(atom_id) is not str or not atom_id:
+            return None
+    ids = [entry["id"] for entry in entries]
+    weights = [entry.get("weight") for entry in entries]
+    if not set(map(type, weights)) <= {float, int}:
+        return None
+    try:
+        weights = np.array(weights, dtype=np.float64)
+    except OverflowError:
+        return None
+    if not (np.isfinite(weights).all() and (weights > 0.0).all()):
+        return None
+    a = _system_block([entry.get("A") for entry in entries], fiber_dim)
+    b = _system_block([entry["B"] for entry in entries], fiber_dim) if keys[0] else None
+    probe = None
+    if keys[2]:
+        probe = _pair_block([_as_list(entry["f"]) for entry in entries], (len(entries), fiber_dim))
+    if a is None or (keys[0] and b is None) or (keys[2] and probe is None):
+        return None
+    targets = None
+    if keys[1]:
+        try:
+            targets = [subspace_from_json(entry["W"]) for entry in entries]
+        except ValueError:
+            return None
+        if any(t.ambient_dim != fiber_dim for t in targets):
+            return None
+    return _AtomBlock(ids, weights, a, b, targets, probe)
+
+
+def _atom_blocks(entries, fiber_dim: int) -> list[_AtomBlock] | None:
+    """The atom entries, an iterable, converted _ATOM_BLOCK at a time; None
+    as soon as one block is irregular (see _atom_block)."""
+    blocks, entries = [], iter(entries)
+    while batch := list(islice(entries, _ATOM_BLOCK)):
+        block = _atom_block(batch, fiber_dim)
+        if block is None:
+            return None
+        blocks.append(block)
+    return blocks
+
+
+def _stacked_document(blocks: list[_AtomBlock], meta) -> PairDocument | None:
+    """A PairDocument from converted atom blocks, stacked once, as
+    _pair_document makes it from the same atoms; None unless the blocks
+    agree in which of B, W and f they hold and in their vector counts."""
+    layouts = {
+        (blk.a.shape[1:], None if blk.b is None else blk.b.shape[1:], blk.targets is None, blk.probe is None)
+        for blk in blocks
+    }
+    if len(layouts) != 1:
+        return None
+    ids = tuple(chain.from_iterable(blk.ids for blk in blocks))
+    try:
+        measure = MeasureModel(ids, np.concatenate([blk.weights for blk in blocks]))
+    except ValueError as exc:
+        raise ValueError(f"inconsistent atoms: {exc}") from None
+    first = blocks[0]
+    sa = FiberedSystem(measure, np.concatenate([blk.a for blk in blocks]))
+    sb = None if first.b is None else FiberedSystem(measure, np.concatenate([blk.b for blk in blocks]))
+    targets = None if first.targets is None else [t for blk in blocks for t in blk.targets]
+    probe = None
+    if first.probe is not None:
+        probe = FiberedFunction(measure, np.concatenate([blk.probe for blk in blocks]))
+    return PairDocument(measure, sa, sb, targets, probe, meta if isinstance(meta, dict) else {})
+
+
 def pair_from_json(doc) -> PairDocument:
     if not isinstance(doc, dict):
         raise ValueError("instance file must be a JSON object")
@@ -397,6 +540,12 @@ def pair_from_json(doc) -> PairDocument:
     entries = doc.get("atoms")
     if not isinstance(entries, list) or not entries:
         raise ValueError("atoms must be a non-empty list")
+    blocks = _atom_blocks(entries, fiber_dim)
+    pair = None if blocks is None else _stacked_document(blocks, doc.get("meta"))
+    if pair is not None:
+        return pair
+    # some block is irregular: walk every atom, which raises the first
+    # atom's error, or the error between atoms, that the input holds
     atoms = [_atom_from_json(entry, k, fiber_dim) for k, entry in enumerate(entries)]
     return _pair_document(fiber_dim, atoms, doc.get("meta"))
 
@@ -404,6 +553,8 @@ def pair_from_json(doc) -> PairDocument:
 # Characters read from an instance file at a time by read_pair.
 _READ_CHUNK = 1 << 16
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
+_DIGITS = frozenset("0123456789")
+_NUMBER_GOES_ON = _DIGITS | frozenset(".eE")
 _DECODER = json.JSONDecoder()
 
 
@@ -416,7 +567,8 @@ class _Scanner:
     the unread rest of the last chunk plus the value being decoded."""
 
     def __init__(self, fh):
-        self.fh, self.buf, self.pos = fh, "", 0
+        # last: the length of the last value decoded
+        self.fh, self.buf, self.pos, self.last = fh, "", 0, 0
 
     def _fill(self, size: int) -> bool:
         chunk = self.fh.read(size)
@@ -448,15 +600,25 @@ class _Scanner:
         """The next value.  One that reaches the end of the buffer (a number
         cut at a chunk boundary, an unfinished object) is decoded again with
         more text; each retry reads twice as much, so a value costs time
-        linear in its length however many chunks it spans."""
+        linear in its length however many chunks it spans.  When less text is
+        left than the last value took, more is read before the first try: the
+        atoms of an instance are about equally long, so this spares decoding
+        most of an atom only to find it cut."""
         self.peek()
+        if len(self.buf) - self.pos <= self.last:
+            self._fill(max(_READ_CHUNK, self.last))
         size = _READ_CHUNK
         while True:
             try:
                 obj, end = _DECODER.raw_decode(self.buf, self.pos)
             except json.JSONDecodeError:
                 obj, end = None, None
-            if end is not None and end < len(self.buf):
+            # a number is taken only once the character after it is read and
+            # cannot go on with it: "1.5e" may be "1.5e+10" cut short
+            if end is not None and end < len(self.buf) and not (
+                self.buf[end - 1] in _DIGITS and self.buf[end] in _NUMBER_GOES_ON
+            ):
+                self.last = end - self.pos
                 self.pos = end
                 return obj
             if not self._fill(size):
@@ -474,8 +636,8 @@ class _Scanner:
 
 def _stream_pair(fh) -> PairDocument:
     """Parse an instance laid out as pair_to_json writes it (fiber_dim, atoms,
-    then an optional meta), one atom at a time.  Raises ValueError on anything
-    else, including input pair_from_json would accept."""
+    then an optional meta), one block of atoms at a time.  Raises ValueError
+    on anything else, including input pair_from_json would accept."""
     scan = _Scanner(fh)
     scan.expect("{")
     scan.key("fiber_dim")
@@ -483,9 +645,15 @@ def _stream_pair(fh) -> PairDocument:
     scan.expect(",")
     scan.key("atoms")
     scan.expect("[")
-    atoms = [_atom_from_json(scan.value(), 0, fiber_dim)]
-    while scan.skip(","):
-        atoms.append(_atom_from_json(scan.value(), len(atoms), fiber_dim))
+
+    def entries():
+        yield scan.value()
+        while scan.skip(","):
+            yield scan.value()
+
+    blocks = _atom_blocks(entries(), fiber_dim)
+    if blocks is None:
+        raise _Unrecognised("irregular atoms")
     scan.expect("]")
     meta = None
     if scan.skip(","):
@@ -494,7 +662,10 @@ def _stream_pair(fh) -> PairDocument:
     scan.expect("}")
     if scan.peek():
         raise _Unrecognised("data after the instance object")
-    return _pair_document(fiber_dim, atoms, meta)
+    pair = _stacked_document(blocks, meta)
+    if pair is None:
+        raise _Unrecognised("irregular atoms")
+    return pair
 
 
 def read_pair(fh) -> PairDocument:
@@ -626,9 +797,11 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def diagnostics_to_csv(report: EquivalenceReport) -> str:
-    lines = [",".join(report.diagnostics)]
-    for row in table_rows(report.diagnostics):
+def diagnostics_to_csv(table: dict) -> str:
+    """CSV text of a column table, such as EquivalenceReport.diagnostics: a
+    header of its keys, then one line per atom."""
+    lines = [",".join(table)]
+    for row in table_rows(table):
         lines.append(",".join(map(_csv_cell, row.values())))
     return "\n".join(lines) + "\n"
 

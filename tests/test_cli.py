@@ -3,8 +3,10 @@ where a check needs to patch or measure the process, in-process."""
 
 import ast
 import json
+import os
 import pathlib
 import resource
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -12,8 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from framekit import cli
-from framekit.serialize import pair_to_json, plan_to_json
+from framekit import cli, mispace
+from framekit.generate import duality_instance
+from framekit.mispace import FiberedSystem
+from framekit.serialize import dumps, pair_to_json, plan_to_json
 from framekit.zak import build_plan, dihedral_group
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "cli"
@@ -434,6 +438,72 @@ def test_unserializable_report_writes_nothing(to_file, monkeypatch, tmp_path, ca
         assert captured.err == "framekit: cannot serialize a non-finite float\n"
     assert out.read_text(encoding="utf-8") == "earlier report\n"
     assert not absent.exists()
+    # and no temporary file is left behind
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_out_file_mode_bits_are_those_open_gives(tmp_path):
+    argv = ["zak-demo", "--group", "z4", "--out"]
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "by-open.json", "w", encoding="utf-8"):
+            pass
+        assert cli.main(argv + [str(tmp_path / "new.json")]) == 0
+    finally:
+        os.umask(old)
+    mode = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert mode["new.json"] == mode["by-open.json"] == 0o640
+    # an existing file keeps its mode bits, and a link to it stays a link
+    existing, link = tmp_path / "existing.json", tmp_path / "link.json"
+    existing.write_text("earlier report\n", encoding="utf-8")
+    existing.chmod(0o604)
+    link.symlink_to(existing)
+    assert cli.main(argv + [str(link)]) == 0
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o604 and link.is_symlink()
+    assert existing.read_bytes() == (tmp_path / "new.json").read_bytes()
+    # a path that is not a regular file is written to, not replaced
+    assert cli.main(argv + [os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_stdout_report_is_the_out_file_bytes(tmp_path, capsys):
+    # a multi-block report, so that every piece of the writer reaches both routes
+    inst, out = tmp_path / "pair.json", tmp_path / "thm1.json"
+    gen = ["gen", "--family", "in-duality", "--atoms", "70", "--seed", "9"]
+    assert cli.main(gen + ["--out", str(inst)]) == 0
+    for argv in (gen, ["verify-thm1", "--in", str(inst), "--seed", "1"]):
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def test_angles_certifies_no_witness(monkeypatch, capsys):
+    """angles runs verify_duality's factor pass alone: no witness is
+    certified and no probe drawn, and its reports keep their bytes."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("angles certified a witness")
+
+    monkeypatch.setattr(mispace, "_certify_witnesses", forbidden)
+    monkeypatch.setattr(mispace, "_probe_block", forbidden)
+    pair = str(FIXTURES / "pair-in-duality.json")
+    for argv, name in ((["angles", "--in", pair], "angles.json"),
+                       (["angles", "--in", pair, "--format", "csv"], "angles.csv")):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (FIXTURES / name).read_bytes()
+
+
+def test_angles_on_a_non_frame_exits_one(tmp_path, capsys):
+    inst = duality_instance("in-duality", 3, 4, 2, seed=1)
+    tiny = FiberedSystem(inst.sa.measure, 1e-9 * inst.sa.matrices)
+    path = tmp_path / "tiny.json"
+    path.write_text(dumps(pair_to_json(tiny, inst.sb)), encoding="utf-8")
+    for command in ("angles", "verify-thm1"):
+        assert cli.main([command, "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "framekit: first system is not a frame for its span\n"
 
 
 # Calls that open a file for writing whatever their arguments; open() does

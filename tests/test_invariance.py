@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from framekit.fiberframe import FiberSystem
 from framekit.generate import FAMILIES, duality_instance, random_unitary
 from framekit.mispace import _PROBE_BLOCK, FiberedSystem, MeasureModel, verify_duality
-from framekit.subspace import DEFAULT_ANGLE_TOL
 
 # a few examples of up to ~2.5 blocks keep each property near one second
 BOUNDED = settings(max_examples=20, deadline=None, database=None, derandomize=True)
@@ -100,8 +99,7 @@ def assert_same_spans_report(moved, base):
     for k in range(len(want["atom"])):
         assert at(got, k, EXACT) == at(want, k, EXACT)
         assert at(got, k, ("r_ab", "r_ba")) == pytest.approx(at(want, k, ("r_ab", "r_ba")), abs=1e-12)
-        if min(at(want, k, ("r_ab", "r_ba"))) > DEFAULT_ANGLE_TOL:  # else pinv_norm inverts rounding noise
-            assert got["pinv_norm"][k] == pytest.approx(want["pinv_norm"][k], rel=1e-9)
+        assert got["pinv_norm"][k] == pytest.approx(want["pinv_norm"][k], rel=1e-9)
 
 
 @BOUNDED

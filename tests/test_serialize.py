@@ -186,7 +186,7 @@ def test_equivalence_report_json_and_csv():
         "all_hold",
     ]
     assert dumps(doc) == dumps(equivalence_report_to_json(report))
-    csv = diagnostics_to_csv(report)
+    csv = diagnostics_to_csv(report.diagnostics)
     lines = csv.strip().split("\n")
     assert lines[0] == DIAGNOSTICS_CSV_HEADER
     assert len(lines) == 1 + len(report.diagnostics["atom"])
@@ -251,7 +251,7 @@ def test_csv_quotes_atom_ids_that_need_it():
     measure = MeasureModel(ids, inst.sa.measure.weights)
     report = verify_duality(FiberedSystem(measure, inst.sa.matrices),
                             FiberedSystem(measure, inst.sb.matrices))
-    text = diagnostics_to_csv(report)
+    text = diagnostics_to_csv(report.diagnostics)
     rows = list(csv.reader(io.StringIO(text, newline="")))
     assert rows[0] == DIAGNOSTICS_CSV_HEADER.split(",")
     assert [row[0] for row in rows[1:]] == list(ids)
@@ -617,6 +617,79 @@ def test_cli_reader_accepts_fixtures_like_json_load():
     assert got.targets is not None
 
 
+BLOCK = serialize._ATOM_BLOCK
+
+
+def _walked(doc):
+    """The instance converted atom by atom, the reference for the block path."""
+    fiber_dim = doc["fiber_dim"]
+    atoms = [serialize._atom_from_json(e, k, fiber_dim) for k, e in enumerate(doc["atoms"])]
+    return serialize._pair_document(fiber_dim, atoms, doc.get("meta"))
+
+
+def _block_instance(path, n_atoms):
+    """An instance with A, B, W and f blocks on n_atoms atoms, written as dumps writes it."""
+    inst = duality_instance("in-duality", n_atoms, 4, 3, seed=n_atoms)
+    targets = [Subspace.span_of(m[:, :2]) for m in inst.sb.matrices]
+    meta = {"family": "in-duality"}
+    path.write_text(dumps(pair_to_json(inst.sa, inst.sb, targets, inst.probe, meta)), encoding="utf-8")
+
+
+@pytest.mark.parametrize("n_atoms", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_reader_block_edges_parse_like_json_load(n_atoms, tmp_path):
+    path = tmp_path / "pair.json"
+    _block_instance(path, n_atoms)
+    want, message = _oracle(path)
+    assert message is None
+    _assert_same_pair(want, _walked(json.loads(path.read_text(encoding="utf-8"))))
+    _assert_same_pair(cli._read_pair(SimpleNamespace(infile=str(path))), want)
+    assert _streams(path.read_text(encoding="utf-8"))
+
+
+BAD_VECTORS = [
+    (lambda v: v[0].__setitem__(2, [True, 0.0]), "A.vectors[0][2]: expected a number, got True"),
+    (lambda v: v[0].__setitem__(2, [0.0, "1.5"]), "A.vectors[0][2]: expected a number, got '1.5'"),
+    (lambda v: v[1].pop(), "A.vectors[1]: length 3, expected 4"),
+    (lambda v: v[0].__setitem__(2, [10**400, 0]), "A.vectors[0][2]: number is out of float range"),
+]
+
+
+@pytest.mark.parametrize("atom", [0, BLOCK - 1, BLOCK, 2 * BLOCK - 1])
+@pytest.mark.parametrize("mutate,reason", BAD_VECTORS, ids=["true", "quoted", "ragged", "huge"])
+def test_reader_rejects_bad_vectors_at_block_edges(atom, mutate, reason, tmp_path, capsys):
+    # the first and the last atom of the first two blocks
+    path = tmp_path / "pair.json"
+    _block_instance(path, 2 * BLOCK + 1)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    mutate(doc["atoms"][atom]["A"]["vectors"])
+    path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    message = f"atom 'x{atom}': {reason}"
+    assert _oracle(path) == (None, message)
+    assert cli.main(["angles", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"framekit: {message}\n")
+
+
+def test_streamed_reader_takes_every_gen_family_and_the_fixtures(tmp_path, monkeypatch):
+    """What gen writes never reaches the json.load fallback, which would read
+    the file a second time."""
+    from framekit.generate import FAMILIES
+
+    paths = [FIXTURES / "pair-in-duality.json", FIXTURES / "riesz-with-targets.json"]
+    for family in FAMILIES:
+        paths.append(tmp_path / f"{family}.json")
+        argv = ["gen", "--family", family, "--atoms", str(2 * BLOCK + 5), "--seed", "3"]
+        assert cli.main(argv + ["--out", str(paths[-1])]) == 0
+    wants = [_oracle(path)[0] for path in paths]
+
+    def no_fallback(fh, *args, **kwargs):
+        raise AssertionError(f"{fh.name} went to the json.load fallback")
+
+    monkeypatch.setattr(json, "load", no_fallback)
+    for path, want in zip(paths, wants):
+        _assert_same_pair(cli._read_pair(SimpleNamespace(infile=str(path))), want)
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 7, 100, 4096])
 def test_streamed_reader_atoms_straddling_chunks(chunk, monkeypatch):
     # every atom, key and number of the file crosses some chunk boundary
@@ -637,6 +710,14 @@ def test_scanner_never_takes_a_value_cut_at_a_chunk_boundary(chunk, monkeypatch)
         assert scan.value() == json.loads(text)
         assert scan.skip(",") == (i + 1 < len(texts))
     assert scan.peek() == ""
+
+
+def test_scanner_reads_on_past_a_number_cut_after_its_mantissa(monkeypatch):
+    # the first chunk ends in "-1.5e", which decodes as -1.5 with text left over
+    monkeypatch.setattr(serialize, "_READ_CHUNK", 5)
+    scan = serialize._Scanner(io.StringIO("-1.5e+10, 7"))
+    assert scan.value() == -1.5e10
+    assert scan.skip(",") and scan.value() == 7
 
 
 def test_reader_falls_back_from_where_the_file_was():
