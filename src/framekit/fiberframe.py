@@ -30,10 +30,9 @@ from .mispace import (
     _frame_bounds,
     _pinv_dual_pair,
     _spans,
-    _tightened,
     alternate_dual_residuals,
 )
-from .numkernel import DEFAULT_TOL, Tolerance, as_matrix, ct, rank
+from .numkernel import DEFAULT_TOL, Tolerance, as_matrix, ct, rank, singular_values
 from .subspace import DEFAULT_ANGLE_TOL, Subspace, _inf_cos_pair
 
 
@@ -92,9 +91,10 @@ def pad_pair(a: FiberSystem, b: FiberSystem) -> tuple[FiberSystem, FiberSystem]:
 class GramianBundle:
     """Gramian of a system together with its span and spectral frame bounds.
 
-    frame_lower is the smallest nonzero eigenvalue of the Gramian and
-    frame_upper the largest; for the zero system both default to 1, the
-    vacuous bounds of an empty sum.
+    frame_lower is the smallest eigenvalue of the Gramian on the span support
+    (the eigenvalues s^2 with s above the rank cutoff) and frame_upper the
+    largest; for the zero system both default to 1, the vacuous bounds of an
+    empty sum.
     """
 
     gram: np.ndarray
@@ -127,14 +127,13 @@ def canonical_dual(a: FiberSystem) -> FiberSystem:
 
 def parsevalize(a: FiberSystem) -> FiberSystem:
     """Parseval tightening: multiply the coefficient side by the inverse
-    square root of the Gramian on its support.
+    square root of the Gramian on its support, which is the span support.
 
     The output spans the same subspace, its Gramian is an orthogonal
     projection (eigenvalues 0 or 1), and the system is a Parseval frame for
     its span.
     """
-    q, _, s, v = _spans(a.matrix[None])
-    u, v, _ = _tightened(q, s, v)
+    u, _, _, v = _spans(a.matrix[None])
     return FiberSystem((u @ ct(v))[0])
 
 
@@ -195,6 +194,6 @@ def biorth_riesz_dual(
         raise ConstructionError("generators are not a Riesz sequence")
     if w.dim != a.count:
         raise ValueError(f"dim W = {w.dim} does not match the system length {a.count}")
-    if _inf_cos_pair(q, dim, w.basis[None], dim)[0][0] <= angle_tol:
+    if _inf_cos_pair(singular_values(ct(w.basis[None]) @ q), dim, dim)[0][0] <= angle_tol:
         raise ConstructionError("subspaces are not in duality: a fiber angle is zero")
     return FiberSystem(_biorth_duals(a.matrix[None], w.basis[None])[0])

@@ -1,10 +1,12 @@
 """Deterministic dense linear algebra kernel.
 
 All higher layers funnel their numerics through this module so that every
-rank decision (spans, pseudo-inverse supports, Gramian supports) is taken
-with the one relative cutoff REL_RANK_TOL, a constant; it is the only module
-that calls a numpy.linalg factorization.  The one settable tolerance is
-Tolerance.eq_tol, the slack of identity tests.  Matrices are dense
+rank decision is taken with the one relative cutoff REL_RANK_TOL, a
+constant: span dimensions, pseudo-inverse supports, and the Gramian
+supports behind frame bounds and Parseval tightening, which are the span
+supports themselves.  It is the only module that calls a numpy.linalg
+factorization.  The one settable tolerance is Tolerance.eq_tol, the slack
+of identity tests and of the scale-free frame test.  Matrices are dense
 complex128 throughout; inputs are validated (shape, finiteness) before any
 factorization runs.
 """
@@ -30,8 +32,9 @@ class Tolerance:
     """The settable tolerance, given by keyword.
 
     eq_tol: absolute/relative slack used when testing algebraic identities
-        (orthonormality, frame bounds, residuals).  Rank decisions use
-        the fixed cutoff REL_RANK_TOL instead.
+        (orthonormality, residuals), and the ratio lower / upper of frame
+        bounds that a frame must exceed.  Rank decisions use the fixed
+        cutoff REL_RANK_TOL instead.
     """
 
     eq_tol: float = 1e-8

@@ -79,23 +79,22 @@ def _check_same_ambient(v: Subspace, w: Subspace):
         )
 
 
-def _inf_cos_pair(qa, dim_a, qb, dim_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Infimum cosines R(Ja, Jb) and R(Jb, Ja) per atom of (atoms, d, k) stacks
-    of orthonormal span bases zero-padded to k >= 1 columns, dim_a and dim_b
-    the span dimensions, and the principal cosines themselves.
+def _inf_cos_pair(cos, dim_a, dim_b) -> tuple[np.ndarray, np.ndarray]:
+    """Infimum cosines R(Ja, Jb) and R(Jb, Ja) per atom from the principal
+    cosines cos (atoms, k), the non-increasing singular values of Qb^H Qa for
+    orthonormal span bases zero-padded to k >= 1 columns, and the span
+    dimensions dim_a and dim_b.
 
-    The principal cosines are the singular values of Qb^H Qa, non-increasing
-    (atoms, k); past the first min(dim_a, dim_b) of them they are zero up to
+    Past the first min(dim_a, dim_b) cosines the rest are zero up to
     rounding.  Both infimum cosines are the smallest of those first ones; a
     span meeting a smaller one gets 0 and a zero span gets 1, the
     conventions of inf_cos.
     """
-    s = singular_values(ct(qb) @ qa)
     k = np.maximum(np.minimum(dim_a, dim_b) - 1, 0)
-    cos = clip_cos(np.take_along_axis(s, k[:, None], axis=1)[:, 0])
-    r_ab = np.where(dim_a == 0, 1.0, np.where(dim_b < dim_a, 0.0, cos))
-    r_ba = np.where(dim_b == 0, 1.0, np.where(dim_a < dim_b, 0.0, cos))
-    return r_ab, r_ba, s
+    c = clip_cos(np.take_along_axis(cos, k[:, None], axis=1)[:, 0])
+    r_ab = np.where(dim_a == 0, 1.0, np.where(dim_b < dim_a, 0.0, c))
+    r_ba = np.where(dim_b == 0, 1.0, np.where(dim_a < dim_b, 0.0, c))
+    return r_ab, r_ba
 
 
 def _one_atom(v: Subspace) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +111,8 @@ def inf_cos(v: Subspace, w: Subspace) -> float:
     lost under projection).
     """
     _check_same_ambient(v, w)
-    return float(_inf_cos_pair(*_one_atom(v), *_one_atom(w))[0][0])
+    (qv, dim_v), (qw, dim_w) = _one_atom(v), _one_atom(w)
+    return float(_inf_cos_pair(singular_values(ct(qw) @ qv), dim_v, dim_w)[0][0])
 
 
 def sup_cos(v: Subspace, w: Subspace) -> float:

@@ -268,7 +268,9 @@ def tg_frame_bounds(plan: ZakPlan, generators) -> tuple[float, float, bool]:
     """Frame bounds of the translation-generated system, computed directly on
     the group side (no Zak transform): its frame operator is T T^H for the
     translates matrix T, whose nonzero eigenvalues are the squared singular
-    values of T, so the bounds are those of T as a one-atom fibered system."""
+    values of T, so the bounds are those of T as a one-atom fibered system:
+    the extreme s^2 on the span support, and the scale-free frame test
+    lower > eq_tol * upper."""
     t = _translates(plan, generators)
     if not t.size:
         raise ValueError("need at least one generator signal")

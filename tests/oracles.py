@@ -3,13 +3,14 @@
 framekit computes every fiber quantity with one stacked engine
 (framekit.mispace, and the single-fiber functions of fiberframe and
 subspace that run it on one-atom stacks).  This module keeps the independent
-routes: frame bounds from Gramian eigenvalues, Parseval tightening through a
-PSD matrix power, canonical and pseudo-inverse duals through an explicit
-pseudo-inverse, the infimum cosine from orthonormal bases one pair at a
-time, and the cross-check routes (biorthogonal duals through an oblique
-projection, modulation-side pairings, group-side biorthogonality, direct
-sums, translation and its modulation symbol one subgroup element at a
-time).  It also keeps the instance generator's draws one atom at a time
+routes: frame bounds from numpy's singular values, Parseval tightening
+through a PSD matrix power, canonical and pseudo-inverse duals through an
+explicit pseudo-inverse, the infimum cosine from orthonormal bases one pair
+at a time, the random-probe certificate of a witness dual pair, and the
+cross-check routes (biorthogonal duals through an oblique projection,
+modulation-side pairings, group-side biorthogonality, direct sums,
+translation and its modulation symbol one subgroup element at a time).  It
+also keeps the instance generator's draws one atom at a time
 (random_unitary, well_conditioned_coefficients, rotated_span_pair,
 fiber_pair), which the stacked generator must reproduce bit for bit on one
 atom.  Nothing here imports framekit.mispace or calls a single-fiber
@@ -81,14 +82,12 @@ def psd_power(m, power: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def frame_bounds(a: FiberSystem) -> tuple[float, float]:
-    """Smallest nonzero and largest eigenvalue of the Gramian M^H M, the
-    vacuous (1, 1) for the zero system."""
-    g = a.matrix.conj().T @ a.matrix
-    eigvals = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
-    top = max(float(eigvals[-1]), 0.0)
-    active = eigvals > REL_RANK_TOL * top if top > 0.0 else np.zeros(0, dtype=bool)
-    if np.any(active):
-        return float(eigvals[active].min()), top
+    """Smallest and largest eigenvalue s^2 of the Gramian M^H M on the span
+    support s > REL_RANK_TOL * s_0, with the singular values s taken from
+    numpy directly; the vacuous (1, 1) for the zero system."""
+    s = np.linalg.svd(a.matrix, compute_uv=False)
+    if s[0] > 0.0:
+        return float(s[s > REL_RANK_TOL * s[0]].min() ** 2), float(s[0] ** 2)
     return 1.0, 1.0
 
 
@@ -188,6 +187,33 @@ def reproduction_residual(synth: FiberSystem, analysis: FiberSystem, probes) -> 
     if not np.any(keep):
         return 0.0
     return float((resid[keep] / norms[keep]).max())
+
+
+def probe_residuals(a, b, weights, tight, dual, seed: int = 0, count: int = 32) -> tuple[float, float]:
+    """The random-probe certificate of a witness pair (tight, dual) for the
+    zero-padded (atoms, d, r) stacks a and b of two systems.
+
+    The probes on each atom are the generators of A plus count random
+    elements of span(A), pushed through u -> sum_i <u, dual_i> tight_i, and
+    alike on span(B) through u -> sum_i <u, tight_i> dual_i.  Returns the
+    largest relative residual over atoms and probes, and over probe columns
+    the largest residual relative to its norm in the weighted global norm.
+    """
+    rng = np.random.default_rng(seed)
+    n_atoms, _, r = a.shape
+    local = 0.0
+    num, den = np.zeros((2, r + count)), np.zeros((2, r + count))
+    for side, (m, synth, analysis) in enumerate(((a, tight, dual), (b, dual, tight))):
+        probes = np.concatenate([m, m @ complex_gaussian(rng, n_atoms, r, count)], axis=-1)
+        out = synth @ (analysis.conj().swapaxes(-1, -2) @ probes)
+        res, nrm = np.linalg.norm(out - probes, axis=-2), np.linalg.norm(probes, axis=-2)
+        live = nrm > 0.0
+        if live.any():
+            local = max(local, float((res[live] / nrm[live]).max()))
+        num[side], den[side] = weights @ res**2, weights @ nrm**2
+    live = den > 0.0
+    glob = float(np.sqrt((num[live] / den[live]).max())) if live.any() else 0.0
+    return local, glob
 
 
 def _modulation_coefficients(system, f, dset) -> np.ndarray:

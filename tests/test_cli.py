@@ -480,13 +480,12 @@ def test_stdout_report_is_the_out_file_bytes(tmp_path, capsys):
 
 def test_angles_certifies_no_witness(monkeypatch, capsys):
     """angles runs verify_duality's factor pass alone: no witness is
-    certified and no probe drawn, and its reports keep their bytes."""
+    certified, and its reports keep their bytes."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("angles certified a witness")
 
-    monkeypatch.setattr(mispace, "_certify_witnesses", forbidden)
-    monkeypatch.setattr(mispace, "_probe_block", forbidden)
+    monkeypatch.setattr(mispace, "_certificate", forbidden)
     pair = str(FIXTURES / "pair-in-duality.json")
     for argv, name in ((["angles", "--in", pair], "angles.json"),
                        (["angles", "--in", pair, "--format", "csv"], "angles.csv")):
@@ -495,15 +494,49 @@ def test_angles_certifies_no_witness(monkeypatch, capsys):
 
 
 def test_angles_on_a_non_frame_exits_one(tmp_path, capsys):
+    # A = Q diag(1, 1e-6) on every atom: lower / upper = 1e-12 fails the
+    # scale-free frame test, while a uniform 1e-9 scaling of A passes it
     inst = duality_instance("in-duality", 3, 4, 2, seed=1)
+    q = np.linalg.qr(inst.sa.matrices)[0]
+    ill = FiberedSystem(inst.sa.measure, q * [1.0, 1e-6])
     tiny = FiberedSystem(inst.sa.measure, 1e-9 * inst.sa.matrices)
-    path = tmp_path / "tiny.json"
-    path.write_text(dumps(pair_to_json(tiny, inst.sb)), encoding="utf-8")
-    for command in ("angles", "verify-thm1"):
-        assert cli.main([command, "--in", str(path)]) == 1
+    paths = {}
+    for name, sa in (("ill", ill), ("tiny", tiny), ("base", inst.sa)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(dumps(pair_to_json(sa, inst.sb)), encoding="utf-8")
+    verdict_keys = {
+        "angles": ("global_angles_positive", "fiber_angles_positive"),
+        "verify-thm1": ("global_duals_exist", "global_angles_positive", "fiber_duals_exist",
+                        "fiber_angles_positive", "witness_status"),
+    }
+    for command, keys in verdict_keys.items():
+        assert cli.main([command, "--in", str(paths["ill"])]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "framekit: first system is not a frame for its span\n"
+        verdicts = []
+        for name in ("tiny", "base"):
+            assert cli.main([command, "--in", str(paths[name])]) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            verdicts.append([result[key] for key in keys])
+        assert verdicts[0] == verdicts[1]
+
+
+@pytest.mark.parametrize("command,infile", [("verify-thm1", "pair-in-duality.json"),
+                                            ("verify-thm2", "riesz-with-targets.json")])
+def test_seed_is_echoed_and_changes_no_result(command, infile, tmp_path, capsys):
+    reports = {}
+    for seed in ("1", "3"):
+        out = tmp_path / f"{seed}.json"
+        assert cli.main([command, "--in", str(FIXTURES / infile), "--seed", seed, "--out", str(out)]) == 0
+        reports[seed] = out.read_bytes()
+        assert json.loads(reports[seed])["seed"] == int(seed)
+    # "result" is the envelope's last key, so its bytes are the report's tail
+    results = [r.split(b'"result":', 1)[1] for r in reports.values()]
+    assert results[0] == results[1]
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--help"])
+    assert "does not change the result" in " ".join(capsys.readouterr().out.split())
 
 
 # Calls that open a file for writing whatever their arguments; open() does

@@ -36,7 +36,6 @@ from framekit.generate import (
 from framekit import mispace
 from framekit.mispace import (
     _FACTOR_BLOCK,
-    _PROBE_BLOCK,
     DEFAULT_C_MAX,
     FiberedFunction,
     FiberedSystem,
@@ -53,8 +52,6 @@ from framekit.mispace import (
 from framekit.numkernel import DEFAULT_TOL, REL_RANK_TOL, rank, singular_values
 from framekit.subspace import DEFAULT_ANGLE_TOL, Subspace, inf_cos
 from framekit.zak import build_plan, cyclic_group, tg_to_mg
-
-PROBES = 8
 
 
 def oracle_duality(sa, sb, tol=DEFAULT_TOL, angle_tol=DEFAULT_ANGLE_TOL, c_max=DEFAULT_C_MAX):
@@ -81,8 +78,8 @@ def oracle_duality(sa, sb, tol=DEFAULT_TOL, angle_tol=DEFAULT_ANGLE_TOL, c_max=D
         act = [oracles.frame_bounds(f) for f in fibers if rank(f.matrix) > 0]
         if not act:
             return 1.0, 1.0, True
-        lo = min(b[0] for b in act)
-        return lo, max(b[1] for b in act), lo > tol.eq_tol
+        lo, hi = min(b[0] for b in act), max(b[1] for b in act)
+        return lo, hi, lo > tol.eq_tol * hi
 
     fiber_angles = all(row[3] > angle_tol and row[4] > angle_tol for row in rows)
     act_a = [row[3] for row in rows if row[1] > 0]
@@ -97,28 +94,27 @@ def oracle_duality(sa, sb, tol=DEFAULT_TOL, angle_tol=DEFAULT_ANGLE_TOL, c_max=D
         except ConstructionError:
             duals = None
     if duals is not None:
-        rng = np.random.default_rng(0)
-        w = sa.measure.weights
-        local = 0.0
-        num, den = np.zeros((2, r + PROBES)), np.zeros((2, r + PROBES))
-        for k, ((pa, _), h) in enumerate(zip(tight, duals)):
-            sides = ((fa_all[k].matrix, pa, h), (fb_all[k].matrix, h, pa))
-            for side, (m, synth, analysis) in enumerate(sides):
-                p = np.concatenate([m, m @ complex_gaussian(rng, r, PROBES)], axis=1)
-                res = np.linalg.norm(synth.matrix @ (analysis.matrix.conj().T @ p) - p, axis=0)
-                nrm = np.linalg.norm(p, axis=0)
-                live = nrm > 0
-                if live.any():
-                    local = max(local, float((res[live] / nrm[live]).max()))
-                num[side] += w[k] * res**2
-                den[side] += w[k] * nrm**2
-        live = den > 0
-        glob = float(np.sqrt(num[live] / den[live]).max()) if live.any() else 0.0
+        local, glob = oracles.probe_residuals(
+            sa.padded(r).matrices,
+            sb.padded(r).matrices,
+            sa.measure.weights,
+            np.stack([pa.matrix for pa, _ in tight]),
+            np.stack([h.matrix for h in duals]),
+        )
         spans_ok = all(
             rank(pa.matrix) == row[1] and rank(h.matrix) == row[2]
             for (pa, _), h, row in zip(tight, duals, rows)
         )
-        frames_ok = bounds([pa for pa, _ in tight])[2] and bounds(duals)[2]
+        # the witness bounds the engine takes from its construction: T is
+        # Parseval, and D has singular values 1 / cosine, so its bounds lie in
+        # [1, pinv_norm^2]
+        frames_ok = all(
+            np.allclose(oracles.frame_bounds(pa), 1.0, rtol=1e-9)
+            and oracles.frame_bounds(h)[0] >= 1.0 - 1e-9
+            and oracles.frame_bounds(h)[1] == pytest.approx(row[6] ** 2, rel=1e-6)
+            for (pa, _), h, row in zip(tight, duals, rows)
+            if row[1] > 0
+        )
         local_ok = local <= tol.eq_tol
         global_ok = local_ok and glob <= tol.eq_tol and spans_ok and frames_ok
         status = "verified" if all(row[6] <= c_max for row in rows) else "constructed, unverified-bound"
@@ -164,14 +160,12 @@ def assert_matches_oracle(sa, sb, **kwargs):
 )
 def test_families_match_oracle(family, shape):
     for seed in range(3):
-        n_atoms = (_PROBE_BLOCK + 7, 2 * _PROBE_BLOCK + 1, 11)[seed]
+        n_atoms = (_FACTOR_BLOCK + 7, 2 * _FACTOR_BLOCK + 1, 11)[seed]
         inst = duality_instance(family, n_atoms, *shape, seed=seed, eps=1e-6)
         assert_matches_oracle(inst.sa, inst.sb)
 
 
-@pytest.mark.parametrize(
-    "n_atoms", [1, _PROBE_BLOCK, _PROBE_BLOCK + 1, _FACTOR_BLOCK, _FACTOR_BLOCK + 1]
-)
+@pytest.mark.parametrize("n_atoms", [1, _FACTOR_BLOCK, _FACTOR_BLOCK + 1])
 def test_block_edges_match_oracle(n_atoms):
     for family in ("in-duality", "orthogonal-failure", "near-threshold"):
         inst = duality_instance(family, n_atoms, 4, 3, seed=n_atoms, eps=1e-4)
@@ -184,7 +178,7 @@ def _measure(n_atoms, rng):
 
 def test_zero_fibers_and_unequal_counts_match_oracle():
     rng = np.random.default_rng(5)
-    n_atoms = _PROBE_BLOCK + 3
+    n_atoms = _FACTOR_BLOCK + 3
     measure = _measure(n_atoms, rng)
     fa, fb = [], []
     for k in range(n_atoms):
@@ -192,35 +186,36 @@ def test_zero_fibers_and_unequal_counts_match_oracle():
         fa.append(FiberSystem(v @ complex_gaussian(rng, 2, 2)))
         fb.append(FiberSystem(w @ complex_gaussian(rng, 2, 4)))
     # inactive on both sides, at both ends of the first block
-    for k in (0, _PROBE_BLOCK - 1):
+    for k in (0, _FACTOR_BLOCK - 1):
         fa[k], fb[k] = FiberSystem.zeros(5, 2), FiberSystem.zeros(5, 4)
     sa, sb = FiberedSystem(measure, tuple(fa)), FiberedSystem(measure, tuple(fb))
     report = assert_matches_oracle(sa, sb)
     assert report.all_hold and report.witnesses[1].count == 4
     # inactive on one side only: that atom decides the angle verdicts
-    fa[_PROBE_BLOCK + 1] = FiberSystem.zeros(5, 2)
+    fa[_FACTOR_BLOCK + 1] = FiberSystem.zeros(5, 2)
     report = assert_matches_oracle(FiberedSystem(measure, tuple(fa)), sb)
-    assert report.diagnostics["atom"][report.worst_fiber] == f"x{_PROBE_BLOCK + 1}"
+    assert report.diagnostics["atom"][report.worst_fiber] == f"x{_FACTOR_BLOCK + 1}"
     assert not report.fiber_angles_positive
 
 
 def test_singular_value_between_the_two_cutoffs():
-    # s/s0 = 1e-7 lies above the rank cutoff (1e-10) and below the Gramian
-    # cutoff (s^2 / s0^2 > 1e-10): the span keeps the direction, Parseval
-    # tightening drops it, and the tightened pair fails dualise's rank test.
+    # s/s0 = 1e-7 lies above the rank cutoff (1e-10), so the span, the
+    # bounds and the tightening all keep the direction; a lower bound of
+    # 1e-14 s0^2 then fails the scale-free frame test lower > eq_tol * upper.
     rng = np.random.default_rng(17)
-    n_atoms = _PROBE_BLOCK + 2
+    n_atoms = _FACTOR_BLOCK + 2
     inst = duality_instance("in-duality", n_atoms, 4, 3, seed=3)
     q = random_unitary(rng, 4)[:, :2]
     thin = FiberSystem(q @ np.diag([1.0, 1e-7]) @ random_unitary(rng, 3)[:2, :])
     wide = FiberSystem(q @ complex_gaussian(rng, 2, 3))
-    k = _PROBE_BLOCK
+    k = _FACTOR_BLOCK
     sa = FiberedSystem(inst.sa.measure, inst.sa.fibers[:k] + (thin,) + inst.sa.fibers[k + 1:])
     sb = FiberedSystem(inst.sb.measure, inst.sb.fibers[:k] + (wide,) + inst.sb.fibers[k + 1:])
-    report = assert_matches_oracle(sa, sb)
-    d = report.diagnostics
-    assert (d["dim_ja"][k], d["dim_jb"][k], d["rank_mixed"][k]) == (2, 2, 2)
-    assert report.witness_status == "not constructed"
+    assert oracles.frame_bounds(thin) == pytest.approx((1e-14, 1.0), rel=1e-6)
+    with pytest.raises(ValueError, match="first system is not a frame for its span"):
+        verify_duality(sa, sb)
+    assert not global_frame_bounds(sa)[2]
+    assert global_frame_bounds(sb)[2]
 
 
 def test_verify_duality_svd_calls_are_batched(monkeypatch):
@@ -235,8 +230,48 @@ def test_verify_duality_svd_calls_are_batched(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     report = verify_duality(inst.sa, inst.sb)
     assert report.witness_status == "verified"
-    # 16 per atom when factored one atom at a time
-    assert len(calls) < 2000 / 4
+    # per block of _FACTOR_BLOCK atoms: the spans of A and of B, and Qb^H Qa
+    # (16 per atom when factored one atom at a time)
+    assert len(calls) == 3 * -(-2000 // _FACTOR_BLOCK) == 48
+
+
+def _witness_material(inst):
+    """verify_duality's report on an instance, the padded stacks of both
+    systems, and a copy of the witness pair's stacks."""
+    report = verify_duality(inst.sa, inst.sb)
+    a, b = mispace._padded_pair(inst.sa, inst.sb)
+    tight, dual = (w.matrices.copy() for w in report.witnesses)
+    return report, a, b, tight, dual
+
+
+@pytest.mark.parametrize("family", ["in-duality", "near-threshold"])
+@pytest.mark.parametrize("shape", [(4, 3), (8, 6)])
+def test_certificate_and_probe_oracle_agree(family, shape):
+    """The Frobenius certificate and the random-probe route of the oracles
+    decide the existence statements alike on the witnesses."""
+    for seed in range(3):
+        inst = duality_instance(family, _FACTOR_BLOCK + 9, *shape, seed=seed, eps=1e-6)
+        report, a, b, tight, dual = _witness_material(inst)
+        local, glob = oracles.probe_residuals(a, b, inst.sa.measure.weights, tight, dual, seed=seed)
+        assert report.fiber_duals_exist == (local <= DEFAULT_TOL.eq_tol)
+        assert report.global_duals_exist == (local <= DEFAULT_TOL.eq_tol and glob <= DEFAULT_TOL.eq_tol)
+        assert report.all_hold
+
+
+def test_certificate_sees_a_perturbed_dual():
+    """A dual moved by 1e-6 relative on one atom in the second block fails the
+    certificate, which stays at least the probe oracle's ratio."""
+    inst = duality_instance("in-duality", _FACTOR_BLOCK + 9, 4, 3, seed=2)
+    report, a, b, tight, dual = _witness_material(inst)
+    assert report.max_local_residual <= DEFAULT_TOL.eq_tol
+    k = _FACTOR_BLOCK + 4
+    e = complex_gaussian(np.random.default_rng(7), *dual[k].shape)
+    dual[k] += 1e-6 * np.linalg.norm(dual[k]) / np.linalg.norm(e) * e
+    qa, qb = mispace._spans(a)[0], mispace._spans(b)[0]
+    cert = np.stack(mispace._certificate(tight, dual, qa, qb))
+    local, _ = oracles.probe_residuals(a, b, inst.sa.measure.weights, tight, dual)
+    assert cert.max() > DEFAULT_TOL.eq_tol and cert.max() >= local
+    assert np.argmax(cert.max(axis=0)) == k
 
 
 def test_pinv_dual_matches_dualise():
@@ -299,8 +334,8 @@ def test_factor_block_size_changes_no_bit(monkeypatch):
 
     def results():
         return _bits([
-            [vars(verify_duality(i.sa, i.sb, probe_seed=3)) for i in (inst, fail)],
-            vars(verify_biorthogonality(riesz, targets, probe_seed=3)),
+            [vars(verify_duality(i.sa, i.sb)) for i in (inst, fail)],
+            vars(verify_biorthogonality(riesz, targets)),
             pinv_dual(inst.sa, inst.sb),
             canonical_duals(inst.sa),
             global_frame_bounds(inst.sa),
@@ -401,7 +436,7 @@ def test_single_fiber_functions_match_oracles():
 def test_stacked_paths_build_no_fiber_objects(monkeypatch):
     """The checkers and constructions work on the (atoms, d, r) stack from
     input to result: no FiberSystem is built per atom on the way."""
-    n_atoms = 2 * _PROBE_BLOCK + 3
+    n_atoms = 2 * _FACTOR_BLOCK + 3
     inst = duality_instance("in-duality", n_atoms, 4, 3, seed=12)
     rng = np.random.default_rng(41)
     fibers, targets = [], []

@@ -6,6 +6,9 @@ bounds alone; a unitary change of basis on each fiber, applied to both
 systems, leaves the verdicts and the angles alone.  Permuting the generators
 of either system, or appending zero generators to it, changes no span: the
 verdicts, the angles, the frame bounds and every per-atom diagnostic stay.
+Scaling either system changes no verdict, and a small singular value never
+splits the four statements: they agree, or the frame test refuses the
+system.
 """
 
 import numpy as np
@@ -13,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framekit.fiberframe import FiberSystem
+from framekit.fiberframe import FiberSystem, parsevalize
 from framekit.generate import FAMILIES, duality_instance, random_unitary
-from framekit.mispace import _PROBE_BLOCK, FiberedSystem, MeasureModel, verify_duality
+from framekit.mispace import _FACTOR_BLOCK, FiberedSystem, MeasureModel, verify_duality
+from framekit.numkernel import rank, singular_values
 
 # a few examples of up to ~2.5 blocks keep each property near one second
 BOUNDED = settings(max_examples=20, deadline=None, database=None, derandomize=True)
@@ -41,7 +45,7 @@ def verdicts(report):
 @st.composite
 def instances(draw):
     family = draw(st.sampled_from(FAMILIES))
-    n_atoms = draw(st.integers(_PROBE_BLOCK + 1, 2 * _PROBE_BLOCK + 20))
+    n_atoms = draw(st.integers(_FACTOR_BLOCK + 1, 2 * _FACTOR_BLOCK + 20))
     dim = draw(st.integers(2, 5))
     count = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**31 - 1))
@@ -55,8 +59,8 @@ def test_atom_permutation(data):
     perm = data.draw(st.permutations(range(inst.sa.measure.count)))
     m = inst.sa.measure
     measure = MeasureModel(tuple(m.atoms[i] for i in perm), m.weights[list(perm)])
-    sa = FiberedSystem(measure, tuple(inst.sa.fibers[i] for i in perm))
-    sb = FiberedSystem(measure, tuple(inst.sb.fibers[i] for i in perm))
+    sa = FiberedSystem(measure, inst.sa.matrices[list(perm)])
+    sb = FiberedSystem(measure, inst.sb.matrices[list(perm)])
     base, moved = verify_duality(inst.sa, inst.sb), verify_duality(sa, sb)
     assert verdicts(moved) == verdicts(base)
     assert moved.angles_global == pytest.approx(base.angles_global, abs=1e-12)
@@ -128,3 +132,59 @@ def test_zero_generators_appended(data):
     else:
         sb = sb.padded(sb.count + extra)
     assert_same_spans_report(verify_duality(sa, sb), verify_duality(inst.sa, inst.sb))
+
+
+SIGMAS = (1e-4, 1e-6, 1e-7, 1e-9, 1e-11)
+
+
+def _thin_pair(sigma, scale):
+    """One atom: A = Q diag(1, sigma) and B = Q for an orthonormal 4 x 2 Q,
+    both times scale."""
+    q = random_unitary(np.random.default_rng(3), 4)[:, :2]
+    measure = MeasureModel(("x0",), np.ones(1))
+    return (
+        FiberedSystem(measure, (scale * q * [1.0, sigma])[None]),
+        FiberedSystem(measure, (scale * q)[None]),
+    )
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_small_singular_value_never_splits_the_statements(sigma):
+    # one support for spans, bounds and tightening: the four statements agree
+    # at every scale, or the scale-free frame test refuses the system
+    outcomes = set()
+    for k in range(-6, 7):
+        try:
+            outcomes.add(verdicts(verify_duality(*_thin_pair(sigma, 10.0**k))))
+        except ValueError as exc:
+            assert str(exc) == "first system is not a frame for its span"
+            outcomes.add("not a frame")
+    assert all(outcome == "not a frame" or len(set(outcome)) == 1 for outcome in outcomes)
+    if sigma < 1e-10:  # below the rank cutoff: span(A) is a line inside span(B)
+        assert outcomes == {(False,) * 4}
+    elif sigma < 1e-4:  # lower / upper = sigma^2 < eq_tol
+        assert outcomes == {"not a frame"}
+    # at sigma = 1e-4, lower / upper = eq_tol up to rounding, so the frame
+    # test may go either way; all four statements hold where it passes
+
+
+@pytest.mark.parametrize("factor", [1e-5, 1e-9])
+def test_scaling_a_system_keeps_the_verdicts(factor):
+    inst = duality_instance("in-duality", 50, 6, 4, seed=0)
+    base = verify_duality(inst.sa, inst.sb)
+    assert base.all_hold
+    for sa, sb in ((FiberedSystem(inst.sa.measure, factor * inst.sa.matrices), inst.sb),
+                   (inst.sa, FiberedSystem(inst.sb.measure, factor * inst.sb.matrices))):
+        moved = verify_duality(sa, sb)
+        assert verdicts(moved) == verdicts(base)
+        assert moved.witness_status == base.witness_status
+        assert moved.angles_global == pytest.approx(base.angles_global, abs=1e-12)
+
+
+def test_parsevalize_keeps_a_small_singular_value():
+    # s / s0 = 1e-7 is on the span support, so the tightening keeps it
+    a = _thin_pair(1e-7, 1.0)[0].fibers[0]
+    tight = parsevalize(a)
+    assert rank(tight.matrix) == rank(a.matrix) == 2
+    assert singular_values(tight.matrix) == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert np.allclose(tight.matrix @ (tight.matrix.conj().T @ a.matrix), a.matrix, atol=1e-12)

@@ -231,7 +231,7 @@ def test_global_pairing_matches_fiberwise():
 def test_verify_duality_in_duality_family():
     for seed in range(20):
         inst = duality_instance("in-duality", 4, 5, 3, seed=seed, delta=0.1)
-        report = verify_duality(inst.sa, inst.sb, probe_seed=seed)
+        report = verify_duality(inst.sa, inst.sb)
         assert report.all_hold, (seed, report.witness_status)
         assert report.witness_status == "verified"
         assert report.max_local_residual <= 1e-8
@@ -245,7 +245,7 @@ def test_verify_duality_in_duality_family():
 def test_verify_duality_orthogonal_failure_family():
     for seed in range(20):
         inst = duality_instance("orthogonal-failure", 4, 4, 3, seed=seed)
-        report = verify_duality(inst.sa, inst.sb, probe_seed=seed)
+        report = verify_duality(inst.sa, inst.sb)
         assert not report.global_duals_exist
         assert not report.global_angles_positive
         assert not report.fiber_duals_exist
@@ -282,12 +282,24 @@ def test_verify_duality_zero_fiber_pair():
 
 
 def test_verify_duality_rejects_non_frame():
+    # the frame test is scale-free: lower / upper = 1e-12 fails it, while a
+    # uniform scaling by 1e-9 is a frame with the verdicts of the unscaled one
     m = two_atom_measure()
-    tiny = FiberSystem.from_vectors([1e-9 * E1])
-    sa = FiberedSystem(m, (tiny, tiny))
-    sb = FiberedSystem(m, (FiberSystem.from_vectors([E1]), FiberSystem.from_vectors([E1])))
-    with pytest.raises(ValueError):
-        verify_duality(sa, sb)
+    ill = FiberSystem.from_vectors([E1, 1e-6 * E2])
+    full = FiberSystem.from_vectors([E1, E2])
+    sb = FiberedSystem(m, (full, full))
+    with pytest.raises(ValueError, match="first system is not a frame for its span"):
+        verify_duality(FiberedSystem(m, (ill, ill)), sb)
+    with pytest.raises(ValueError, match="second system is not a frame for its span"):
+        verify_duality(sb, FiberedSystem(m, (ill, full)))
+    line = FiberSystem.from_vectors([E1])
+    one = FiberedSystem(m, (line, line))
+    tiny = FiberedSystem(m, (FiberSystem.from_vectors([1e-9 * E1]),) * 2)
+    base, scaled = verify_duality(one, one), verify_duality(tiny, one)
+    assert scaled.all_hold and base.all_hold
+    assert scaled.angles_global == base.angles_global == (1.0, 1.0)
+    lo, hi, is_frame = global_frame_bounds(tiny)
+    assert is_frame and (lo, hi) == pytest.approx((1e-18, 1e-18))
 
 
 def test_verify_duality_cmax_downgrade():
@@ -319,7 +331,7 @@ def test_verify_biorthogonality_happy_path():
             fibers.append(FiberSystem(v @ (np.eye(r) + 0.3 * complex_gaussian(rng, r, r))))
             targets.append(Subspace(w))
         sa = FiberedSystem(measure, tuple(fibers))
-        report = verify_biorthogonality(sa, targets, probe_seed=seed)
+        report = verify_biorthogonality(sa, targets)
         assert report.holds
         assert report.biorth_deviation <= 1e-8
         assert report.repro_residual <= 1e-8

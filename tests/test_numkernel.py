@@ -239,6 +239,36 @@ def test_numkernel_is_the_only_factorization_caller():
     assert offenders == []
 
 
+def test_only_the_generator_and_the_demo_signal_draw_random_numbers():
+    """A checker's result depends on its input alone: no module of the
+    package reaches numpy.random or the random module except the instance
+    generator and zak-demo's random signal (cli._resolve_signal)."""
+    allowed = {("generate.py", None), ("cli.py", "_resolve_signal")}
+    offenders = []
+
+    def visit(node, name, func):
+        if func is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        random_attr = (
+            isinstance(node, ast.Attribute)
+            and node.attr == "random"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        )
+        random_import = isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+            "random" in part
+            for part in [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+        )
+        if (random_attr or random_import) and (name, None) not in allowed and (name, func) not in allowed:
+            offenders.append(f"{name}:{node.lineno} in {func}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, func)
+
+    for path in sorted(pathlib.Path(framekit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+    assert offenders == []
+
+
 def test_every_tolerance_parameter_is_read():
     """A function of the package that takes a tolerance (a parameter named
     tol or ending in _tol) reads it, so no tolerance is a setting without
