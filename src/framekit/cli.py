@@ -5,7 +5,10 @@ reconstruct.  Every report embeds the tool version, the seed, and the
 tolerances in effect, and is written through the deterministic JSON writer,
 so a fixed command line reproduces output byte for byte.  Only gen and
 zak-demo's random signal draw from the seed; verify-thm1 and verify-thm2
-accept --seed and echo it, but their checks draw nothing.
+accept --seed and echo it, but their checks draw nothing.  gen writing to a
+regular file also writes the instance's binary companion beside it, which
+the commands that take --in load instead of parsing the JSON while its
+recorded sha256 matches (see _emit and _companion_pair).
 
 Exit codes: 0 when the computation ran (a false verdict or an infeasible
 construction is still a result), 1 for input or validation problems, 2 for
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import shutil
@@ -42,6 +46,9 @@ from .mispace import (
 )
 from .numkernel import DEFAULT_TOL, REL_RANK_TOL, NumericalError, Tolerance
 from .serialize import (
+    PairDocument,
+    _read_companion,
+    _write_companion,
     biorth_report_to_json,
     diagnostics_to_csv,
     dump,
@@ -77,6 +84,10 @@ MAX_GROUP_ORDER = 1024
 # generate._GEN_BLOCK atoms at a time, so the draws' memory is per block,
 # not per atom.  Ten times the (1e5, 8, 6) instance.
 MAX_GEN_SIZE = 64_000_000
+
+# Mode bits a binary companion may not have: gen clears them, and a reader
+# parses the JSON instead of trusting a companion that others may rewrite.
+_SHARED_WRITE = stat.S_IWGRP | stat.S_IWOTH
 
 
 class UsageError(Exception):
@@ -190,14 +201,65 @@ def _envelope(ns, result, seed=None, angle=False, cmax=False) -> dict:
     }
 
 
+def _sha256(fh) -> bytes:
+    """sha256 digest of the binary file fh from its start, read 1 MiB at a
+    time into one buffer."""
+    # imported here: hashlib loads OpenSSL, about 3.6 MB of resident memory
+    # that a command reading no companion and writing none does not need
+    import hashlib
+
+    fh.seek(0)
+    digest, buf = hashlib.sha256(), bytearray(1 << 20)
+    view = memoryview(buf)
+    while size := fh.readinto(buf):
+        digest.update(view[:size])
+    return digest.digest()
+
+
+def _companion_pair(path: str, fh):
+    """The instance in the binary companion of the instance file path, open
+    as the binary file fh, or None; fh is left at its start.
+
+    The companion is realpath(path) + ".npz", written by gen beside its
+    --out file.  It is read only when it is a regular file (not a link, a
+    directory, a FIFO or a device) with fh's owner that neither group nor
+    others may write, and serialize._read_companion takes it for fh's bytes.
+    """
+    own = os.fstat(fh.fileno())
+    if not stat.S_ISREG(own.st_mode):
+        return None
+    companion = os.path.realpath(path) + ".npz"
+    try:
+        seen = os.lstat(companion)
+        if not stat.S_ISREG(seen.st_mode):
+            return None
+        with open(companion, "rb") as cfh:
+            found = os.fstat(cfh.fileno())
+            if (
+                not os.path.samestat(found, seen)
+                or found.st_uid != own.st_uid
+                or found.st_mode & _SHARED_WRITE
+            ):
+                return None
+            return _read_companion(cfh, _sha256(fh), 4 * own.st_size)
+    except OSError:
+        return None
+    finally:
+        fh.seek(0)
+
+
 def _read_pair(ns):
-    with open(ns.infile, "r", encoding="utf-8") as fh:
-        try:
-            return read_pair(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{ns.infile}: invalid JSON ({exc})") from None
-        except RecursionError:
-            raise ValueError(f"{ns.infile}: invalid JSON (nested too deeply)") from None
+    with open(ns.infile, "rb") as raw:
+        pair = _companion_pair(ns.infile, raw)
+        if pair is not None:
+            return pair
+        with io.TextIOWrapper(raw, encoding="utf-8") as fh:
+            try:
+                return read_pair(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{ns.infile}: invalid JSON ({exc})") from None
+            except RecursionError:
+                raise ValueError(f"{ns.infile}: invalid JSON (nested too deeply)") from None
 
 
 def _need_b(pair):
@@ -217,7 +279,8 @@ def _cmd_gen(ns):
     )
     meta = dict(inst.meta)
     meta.update({"tool": "framekit", "version": __version__, "command": "gen"})
-    return pair_to_json(inst.sa, inst.sb, probe=inst.probe, meta=meta)
+    # _emit writes it as pair_to_json lays it out, with its binary companion
+    return PairDocument(inst.sa.measure, inst.sa, inst.sb, probe=inst.probe, meta=meta)
 
 
 def _cmd_angles(ns):
@@ -427,12 +490,26 @@ def _emit(report, out_path: str | None):
     all or nothing: one the writer rejects writes nothing and leaves out_path
     as it was, or absent.
 
-    The report is written once, through a write-only handle, to a temporary
-    file.  When out_path is a regular file, or absent, the temporary file is
-    made next to it, given the mode bits open(out_path, "w") would leave (the
-    file's own, or the default under the umask) and moved over it.  Stdout,
-    or an out_path that is not a regular file (a device, a pipe), gets a copy.
+    The report is written once, through a text layer over a binary handle,
+    to a temporary file.  When out_path is a regular file, or absent, the
+    temporary file is made next to it, given the mode bits open(out_path,
+    "w") would leave (the file's own, or the default under the umask) and
+    moved over it.  Stdout, or an out_path that is not a regular file (a
+    device, a pipe), gets a copy.
+
+    gen's instance, a PairDocument, is written as pair_to_json lays it out.
+    Moved into place, it also gets its binary companion, the same way, at
+    its path + ".npz": the sha256 of the bytes just written, taken before
+    the rename, and the arrays read_pair returns for them
+    (serialize._write_companion), with the instance's mode bits less group
+    and other write.  The document is dropped first, so the two are not
+    held at once.  A companion that cannot be written is left out, and
+    readers parse the JSON.
     """
+    pair = None
+    if isinstance(report, PairDocument):
+        pair = report
+        report = pair_to_json(pair.sa, pair.sb, pair.targets, pair.probe, pair.meta)
     target, mode = None, None
     if out_path:
         target = os.path.realpath(out_path)
@@ -440,27 +517,41 @@ def _emit(report, out_path: str | None):
             mode = stat.S_IMODE(os.stat(target).st_mode)
         elif not os.path.exists(target):
             mode = 0o666 & ~_umask()
-    tmp = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", newline="", delete=False,
-        dir=None if mode is None else os.path.dirname(target),
-    )
+
+    def temporary():
+        return tempfile.NamedTemporaryFile(delete=False, dir=None if mode is None else os.path.dirname(target))
+
+    tmp, companion = temporary(), None
     try:
-        with tmp.file as fh:
+        with tmp.file as raw:
+            fh = io.TextIOWrapper(raw, encoding="utf-8", newline="")
             if isinstance(report, str):
                 fh.write(report)
             else:
                 dump(report, fh)
+            fh.detach()  # flushed; raw stays open for the hash
+            digest = _sha256(raw) if pair is not None and mode is not None else None
+        del report
         if mode is not None:
             os.chmod(tmp.name, mode)
             os.replace(tmp.name, target)
+            if digest is not None:
+                with suppress(OSError):
+                    companion = temporary()
+                    with companion.file as raw:
+                        _write_companion(raw, digest, pair)
+                    os.chmod(companion.name, mode & ~_SHARED_WRITE)
+                    os.replace(companion.name, target + ".npz")
             return
         with open(tmp.name, encoding="utf-8", newline="") as src, (
             open(out_path, "w", encoding="utf-8", newline="") if out_path else nullcontext(sys.stdout)
         ) as fh:
             shutil.copyfileobj(src, fh)
     finally:
-        with suppress(FileNotFoundError):
-            os.unlink(tmp.name)
+        for written in (tmp, companion):
+            if written is not None:
+                with suppress(FileNotFoundError):
+                    os.unlink(written.name)
 
 
 @functools.cache

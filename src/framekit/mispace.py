@@ -500,11 +500,13 @@ def _fiber_pass(sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance, angle_tol:
 
     Returns the EquivalenceReport fields the pass decides, as keyword
     arguments: both angle statements, angles_global, worst_fiber,
-    diagnostics and both frame bounds.  When witnesses is true it also
+    diagnostics and both frame bounds.  When witnesses is true and the rank
+    condition rank_mixed = dim_ja = dim_jb holds on every atom, it also
     returns the witness pair and its certificate: the Parseval tightening T
     of SA, its pseudo-inverse dual D in span(SB), and the (2, atoms) norms of
-    _certificate; None otherwise.  Raises ValueError when either system is
-    not a frame for its span.
+    _certificate; None otherwise.  No witness is built from the first block
+    that fails the rank condition on.  Raises ValueError when either system
+    is not a frame for its span.
 
     Per block: the span SVDs of A and B, cut at the one support rank_mask,
     give the span bases Qa and Qb, the span dimensions and the frame bounds;
@@ -536,6 +538,10 @@ def _fiber_pass(sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance, angle_tol:
         rank_mixed[lo:hi] = keep.sum(axis=-1)
         inv = _inverse_on(sig, keep)
         pinv_norm[lo:hi] = inv.max(axis=-1)
+        # no witness is reported unless every block meets the rank condition
+        witnesses = witnesses and bool(
+            np.all((rank_mixed[lo:hi] == dim_a[lo:hi]) & (dim_a[lo:hi] == dim_b[lo:hi]))
+        )
         if witnesses:
             t = tight[lo:hi] = qa @ ct(va)
             d = dual[lo:hi] = qb @ (x * inv[..., None, :]) @ ct(va @ y)
@@ -603,21 +609,20 @@ def verify_duality(
     Everything comes from one factor pass over blocks of _FACTOR_BLOCK
     atoms (_fiber_pass), three SVDs per block, and no random draw.
     """
-    fields, (tight, dual, resid) = _fiber_pass(sa, sb, tol, angle_tol, witnesses=True)
-    diagnostics = fields["diagnostics"]
-    dim_a = diagnostics["dim_ja"]
+    fields, built = _fiber_pass(sa, sb, tol, angle_tol, witnesses=True)
 
     witnesses = max_local = max_global = None
     witness_status = "not constructed"
     fiber_duals_exist = global_duals_exist = False
-    if np.all((diagnostics["rank_mixed"] == dim_a) & (dim_a == diagnostics["dim_jb"])):
+    if built is not None:
+        tight, dual, resid = built
         witnesses = (FiberedSystem(sa.measure, tight), FiberedSystem(sa.measure, dual))
         max_local = float(resid.max())
         max_global = float(resid[:, sa.measure.weights > 0.0].max())
         fiber_duals_exist = max_local <= tol.eq_tol
         global_duals_exist = fiber_duals_exist and max_global <= tol.eq_tol
         witness_status = (
-            "verified" if np.all(diagnostics["pinv_norm"] <= c_max) else "constructed, unverified-bound"
+            "verified" if np.all(fields["diagnostics"]["pinv_norm"] <= c_max) else "constructed, unverified-bound"
         )
 
     return EquivalenceReport(

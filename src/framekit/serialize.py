@@ -17,6 +17,9 @@ which raises the same errors as before.
 Files are streamed.  ``dump`` writes a document to a file piece by piece,
 and ``read_pair`` decodes an instance file one atom at a time and converts
 it a block of atoms at a time, so neither holds the whole text of a file.
+The binary companion of an instance file (``_write_companion``,
+``_read_companion``) holds the arrays ``read_pair`` returns for it, so that
+the same text need not be decoded twice.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import json
 import math
 import numbers
 import re
+import zipfile
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
@@ -685,6 +689,159 @@ def read_pair(fh) -> PairDocument:
             pass
         fh.seek(start)
     return pair_from_json(json.load(fh))
+
+
+# ---------------------------------------------------------------------------
+# The binary companion of an instance file: an uncompressed .npz archive of
+# the arrays read_pair returns for that file, bound to it by the sha256 of
+# its bytes.  The JSON stays the interchange format; the companion only
+# spares a reader decoding the same text again.
+
+# The layout below; a companion of another format is not read.
+_COMPANION_FORMAT = 1
+# Member -> (dtype, rank).  ids and meta are the JSON text of the atom ids
+# and of meta; B and f are absent when the instance has none.
+_COMPANION_MEMBERS = {
+    "format": (np.dtype(np.int64), 0),
+    "sha256": (np.dtype(np.uint8), 1),
+    "ids": (np.dtype(np.uint8), 1),
+    "meta": (np.dtype(np.uint8), 1),
+    "weights": (np.dtype(np.float64), 1),
+    "A": (np.dtype(np.complex128), 3),
+    "B": (np.dtype(np.complex128), 3),
+    "f": (np.dtype(np.complex128), 2),
+}
+_COMPANION_OPTIONAL = {"B", "f"}
+# What a damaged or foreign companion can raise while it is read.
+_COMPANION_ERRORS = (
+    OSError, EOFError, ValueError, TypeError, KeyError, RecursionError, NotImplementedError, zipfile.BadZipFile
+)
+
+
+def _text_member(text: str) -> np.ndarray:
+    # dumps writes ASCII: _quote escapes every other character
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+
+
+def _npy(array: np.ndarray) -> bytearray:
+    """The .npy file of array, built in one buffer, every float stored as
+    x + 0.0: -0.0 is written to the JSON as "-0", which parses as the
+    integer 0, so 0.0 is the value read_pair reads back."""
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(head, np.lib.format.header_data_from_array_1_0(array))
+    out = bytearray(head.tell() + array.nbytes)
+    out[: head.tell()] = head.getvalue()
+    data = np.frombuffer(out, dtype=array.dtype, offset=head.tell()).reshape(array.shape)
+    data[...] = array
+    if array.dtype.kind in "fc":
+        data += 0.0
+    return out
+
+
+def _write_companion(fh, sha256: bytes, pair: PairDocument):
+    """Write to the binary file fh the companion of an instance file whose
+    bytes have the given sha256 digest and which holds pair, a document
+    without targets W, as gen writes it.
+
+    The archive is uncompressed and its entries carry a fixed date, so the
+    same instance gives the same bytes.  Each member is built just before it
+    is written, so the writer holds one member's bytes at a time.
+    """
+
+    def members():
+        yield "format", np.array(_COMPANION_FORMAT, dtype=np.int64)
+        yield "sha256", np.frombuffer(sha256, dtype=np.uint8)
+        yield "ids", _text_member(dumps(list(pair.measure.atoms)))
+        yield "meta", _text_member(dumps(pair.meta))
+        yield "weights", pair.measure.weights
+        yield "A", pair.sa.matrices
+        if pair.sb is not None:
+            yield "B", pair.sb.matrices
+        if pair.probe is not None:
+            yield "f", pair.probe.values
+
+    with zipfile.ZipFile(fh, "w") as zf:
+        for name, array in members():
+            zf.writestr(zipfile.ZipInfo(name + ".npy"), _npy(array))
+
+
+def _npy_header(fh) -> tuple:
+    """(shape, fortran_order, dtype) from the header of the .npy stream fh."""
+    version = np.lib.format.read_magic(fh)
+    if version == (1, 0):
+        return np.lib.format.read_array_header_1_0(fh)
+    if version == (2, 0):
+        return np.lib.format.read_array_header_2_0(fh)
+    raise ValueError(f"npy format version {version}")
+
+
+def _companion_shapes(headers: dict) -> bool:
+    """Whether the members' headers give the dtypes, ranks and C order of
+    _COMPANION_MEMBERS and shapes that fit one instance: A (K, d, r), B
+    (K, d, r'), f (K, d), K weights and a 32-byte digest."""
+    for name, (shape, fortran_order, dtype) in headers.items():
+        if (dtype, len(shape)) != _COMPANION_MEMBERS[name] or fortran_order or min(shape, default=0) < 0:
+            return False
+    k, d = headers["A"][0][:2]
+    return (
+        headers["sha256"][0] == (32,)
+        and headers["weights"][0] == (k,)
+        and ("B" not in headers or headers["B"][0][:2] == (k, d))
+        and ("f" not in headers or headers["f"][0] == (k, d))
+    )
+
+
+def _read_companion(fh, sha256: bytes, max_bytes: int) -> PairDocument | None:
+    """The instance in the companion open as the binary file fh, as
+    _write_companion wrote it for a file whose bytes have the digest sha256;
+    None, raising nothing, for anything else.
+
+    Every member's .npy header is read before any array data.  A companion
+    is taken only when the headers fit one instance and declare at most
+    max_bytes of arrays in all, its format is _COMPANION_FORMAT and its
+    recorded digest is sha256.  The arrays are read whole, so each member's
+    CRC is checked, and the document is built through MeasureModel,
+    FiberedSystem and FiberedFunction, which validate it as they do the
+    parsed text.
+    """
+    try:
+        with zipfile.ZipFile(fh) as zf:
+            infos = {info.filename.removesuffix(".npy"): info for info in zf.infolist()}
+            if not _COMPANION_MEMBERS.keys() - _COMPANION_OPTIONAL <= infos.keys() <= _COMPANION_MEMBERS.keys():
+                return None
+            # stored .npy entries with no flag set: no decompressor or password runs
+            if any(
+                info.filename != name + ".npy" or info.compress_type != zipfile.ZIP_STORED or info.flag_bits
+                for name, info in infos.items()
+            ):
+                return None
+            headers = {}
+            for name, info in infos.items():
+                with zf.open(info, mode="r") as member:
+                    headers[name] = _npy_header(member)
+            size = sum(math.prod(shape) * dtype.itemsize for shape, _, dtype in headers.values())
+            if not _companion_shapes(headers) or size > max_bytes:
+                return None
+            arrays = {}
+            for name, info in infos.items():
+                with zf.open(info, mode="r") as member:
+                    arrays[name] = np.lib.format.read_array(member, allow_pickle=False)
+                    if member.read(1):  # data after the array
+                        return None
+        if arrays["format"] != _COMPANION_FORMAT or arrays["sha256"].tobytes() != sha256:
+            return None
+        measure = MeasureModel(tuple(json.loads(arrays["ids"].tobytes())), arrays["weights"])
+        meta = json.loads(arrays["meta"].tobytes())
+        return PairDocument(
+            measure,
+            FiberedSystem(measure, arrays["A"]),
+            FiberedSystem(measure, arrays["B"]) if "B" in arrays else None,
+            None,
+            FiberedFunction(measure, arrays["f"]) if "f" in arrays else None,
+            meta if isinstance(meta, dict) else {},
+        )
+    except _COMPANION_ERRORS:
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -598,11 +598,22 @@ def test_commands_peak_memory_stays_below_the_instance_size(tmp_path):
         "reconstruct": ["reconstruct", "--in", str(inst)],
     }
     peaks = {}
-    for name, argv in runs.items():
+
+    def measure(label, argv):
         tracemalloc.start()
         try:
-            assert cli.main(argv + ["--out", str(tmp_path / f"{name}.out")]) == 0
-            peaks[name] = tracemalloc.get_traced_memory()[1]
+            assert cli.main(argv + ["--out", str(tmp_path / f"{label}.out")]) == 0
+            peaks[label] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    # the readers load the binary companion gen wrote beside the instance,
+    # then, with it deleted, parse the JSON
+    for name, argv in runs.items():
+        measure(name, argv)
+    companion = tmp_path / "inst.json.npz"
+    assert companion.is_file()
+    companion.unlink()
+    for name, argv in list(runs.items())[1:]:
+        measure(f"{name} (JSON)", argv)
     assert {name: round(peak / size, 2) for name, peak in peaks.items() if peak > 1.5 * size} == {}

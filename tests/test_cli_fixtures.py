@@ -10,19 +10,27 @@ should pin:
 
     PYTHONPATH=src python tests/test_cli_fixtures.py
 
-The script rewrites every output fixture and ``riesz-with-targets.json``.
+The script rewrites every output fixture and ``riesz-with-targets.json``,
+and removes the binary companions its ``gen`` cases write beside theirs.
 It does not rewrite ``pair-in-duality.json``: that is the checkers' input,
 an in-duality instance kept as committed so that a change to the
 generator's draws leaves the checker fixtures where they are.
+
+Every case that reads ``pair-in-duality.json`` also runs from a copy of it
+with a binary companion beside it, and must give the same bytes without
+parsing the JSON.
 """
 
+import hashlib
+import os
 import pathlib
+import shutil
 import sys
 
 import numpy as np
 import pytest
 
-from framekit import cli
+from framekit import cli, serialize
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "cli"
 PAIR = "pair-in-duality.json"
@@ -64,6 +72,29 @@ def test_cli_output_matches_fixture(name, argv, tmp_path, capsys):
     assert capsys.readouterr().out.encode("utf-8") == (FIXTURES / name).read_bytes()
 
 
+PAIR_CASES = [case for case in CASES if PAIR in case[1]]
+
+
+@pytest.mark.parametrize("name,argv", PAIR_CASES, ids=[c[0] for c in PAIR_CASES])
+def test_cli_output_matches_fixture_from_the_companion(name, argv, tmp_path, monkeypatch, capsys):
+    # the same bytes, with a companion written by the codec itself
+    pair = tmp_path / PAIR
+    shutil.copyfile(FIXTURES / PAIR, pair)
+    with open(pair, "r", encoding="utf-8") as fh:
+        doc = serialize.read_pair(fh)
+    with open(f"{pair}.npz", "wb") as fh:
+        serialize._write_companion(fh, hashlib.sha256(pair.read_bytes()).digest(), doc)
+    os.chmod(f"{pair}.npz", 0o644)  # the readers refuse a companion others may write
+
+    def forbidden(fh):
+        raise AssertionError("parsed the JSON")
+
+    monkeypatch.setattr(cli, "read_pair", forbidden)
+    argv = [str(pair) if a == PAIR else a for a in argv]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (FIXTURES / name).read_bytes()
+
+
 def test_fixtures_stay_small():
     assert sum(p.stat().st_size for p in FIXTURES.iterdir()) < 100_000
 
@@ -92,3 +123,5 @@ if __name__ == "__main__":
     for name, argv in CASES:
         if cli.main(_argv(argv, FIXTURES / name)) != 0:
             sys.exit(f"{name}: command failed")
+        # gen writes a binary companion beside its --out file; fixtures are JSON only
+        (FIXTURES / f"{name}.npz").unlink(missing_ok=True)

@@ -348,6 +348,39 @@ def test_factor_block_size_changes_no_bit(monkeypatch):
         assert results() == want
 
 
+def test_no_witness_is_built_after_a_block_fails_the_rank_condition(monkeypatch):
+    """verify_duality reports no witness unless the rank condition holds on
+    every atom, so the factor pass stops building and certifying witnesses
+    at the first block where it fails; the report keeps every bit."""
+    inst = duality_instance("orthogonal-failure", 3 * _FACTOR_BLOCK, 4, 3, seed=2)
+    assert int(inst.meta["special_atom"][1:]) < _FACTOR_BLOCK  # the failing atom is in block 0
+    calls = []
+    certificate = mispace._certificate
+
+    def counting(*args):
+        calls.append(1)
+        return certificate(*args)
+
+    monkeypatch.setattr(mispace, "_certificate", counting)
+    report = verify_duality(inst.sa, inst.sb)
+    assert len(calls) <= 1
+    # the report of the factor pass's fields and no witness, which it also
+    # was when every block's witnesses were built and then dropped
+    fields, built = mispace._fiber_pass(inst.sa, inst.sb, DEFAULT_TOL, DEFAULT_ANGLE_TOL)
+    assert built is None
+    want = mispace.EquivalenceReport(
+        global_duals_exist=False,
+        fiber_duals_exist=False,
+        witness_status="not constructed",
+        witnesses=None,
+        max_local_residual=None,
+        max_global_residual=None,
+        **fields,
+    )
+    assert _bits(vars(report)) == _bits(vars(want))
+    assert not report.fiber_angles_positive and report.diagnostics["rank_mixed"].min() == 0
+
+
 def test_global_reductions_match_per_fiber():
     rng = np.random.default_rng(31)
     sa = random_fibered_system(rng, 2 * _FACTOR_BLOCK + 3, 4, 2)
