@@ -8,7 +8,7 @@ zak-demo's random signal draw from the seed; verify-thm1 and verify-thm2
 accept --seed and echo it, but their checks draw nothing.  gen writing to a
 regular file also writes the instance's binary companion beside it, which
 the commands that take --in load instead of parsing the JSON while its
-recorded sha256 matches (see _emit and _companion_pair).
+recorded sha256 matches (see _write_instance and _companion_pair).
 
 Exit codes: 0 when the computation ran (a false verdict or an infeasible
 construction is still a result), 1 for input or validation problems, 2 for
@@ -216,6 +216,41 @@ def _sha256(fh) -> bytes:
     return digest.digest()
 
 
+class _Hashing(io.RawIOBase):
+    """A write-only binary file that passes every write on to the binary
+    file fh and into a sha256 digest."""
+
+    def __init__(self, fh):
+        import hashlib  # see _sha256
+
+        self.fh, self.sha256 = fh, hashlib.sha256()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.sha256.update(data)
+        return self.fh.write(data)
+
+
+def _write_instance(pair, fh):
+    """Write gen's instance pair to the binary file fh as pair_to_json lays
+    it out, and return what writes its binary companion beside it.
+
+    The sha256 the companion records is taken of the bytes as they are
+    written.  _emit calls the returned function only once the instance is in
+    place as a regular file, with its way to write one more file there; the
+    companion (serialize._write_companion) goes to the instance's path +
+    ".npz", with its mode bits less group and other write.  The document is
+    dropped by then, so the two are never held at once.  Written to stdout,
+    the instance gets no companion and its digest goes unused.
+    """
+    hashing = _Hashing(fh)
+    _write_report(pair_to_json(pair.sa, pair.sb, pair.targets, pair.probe, pair.meta), hashing)
+    companion = functools.partial(_write_companion, sha256=hashing.sha256.digest(), pair=pair)
+    return lambda place: place(".npz", companion, _SHARED_WRITE)
+
+
 def _companion_pair(path: str, fh):
     """The instance in the binary companion of the instance file path, open
     as the binary file fh, or None; fh is left at its start.
@@ -279,8 +314,9 @@ def _cmd_gen(ns):
     )
     meta = dict(inst.meta)
     meta.update({"tool": "framekit", "version": __version__, "command": "gen"})
-    # _emit writes it as pair_to_json lays it out, with its binary companion
-    return PairDocument(inst.sa.measure, inst.sa, inst.sb, probe=inst.probe, meta=meta)
+    return functools.partial(
+        _write_instance, PairDocument(inst.sa.measure, inst.sa, inst.sb, probe=inst.probe, meta=meta)
+    )
 
 
 def _cmd_angles(ns):
@@ -485,31 +521,41 @@ def _umask() -> int:
     return mask
 
 
+def _write_report(report, fh):
+    """Write report, CSV text or a document for dump, to the binary file fh
+    as UTF-8, leaving fh open."""
+    text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+    try:
+        if isinstance(report, str):
+            text.write(report)
+        else:
+            dump(report, text)
+    finally:
+        # flushed; a wrapper left attached would flush into fh once fh is closed
+        text.detach()
+
+
 def _emit(report, out_path: str | None):
-    """Write a report, a JSON document or CSV text, to out_path or stdout,
-    all or nothing: one the writer rejects writes nothing and leaves out_path
-    as it was, or absent.
+    """Write a report to out_path or stdout, all or nothing: one the writer
+    rejects writes nothing and leaves out_path as it was, or absent.
 
-    The report is written once, through a text layer over a binary handle,
-    to a temporary file.  When out_path is a regular file, or absent, the
-    temporary file is made next to it, given the mode bits open(out_path,
-    "w") would leave (the file's own, or the default under the umask) and
-    moved over it.  Stdout, or an out_path that is not a regular file (a
-    device, a pipe), gets a copy.
+    report is a JSON document, CSV text, or a writer: a callable that writes
+    the report to the binary file it is given and returns None or a function
+    that writes files to go with it (gen's instance, see _write_instance).
 
-    gen's instance, a PairDocument, is written as pair_to_json lays it out.
-    Moved into place, it also gets its binary companion, the same way, at
-    its path + ".npz": the sha256 of the bytes just written, taken before
-    the rename, and the arrays read_pair returns for them
-    (serialize._write_companion), with the instance's mode bits less group
-    and other write.  The document is dropped first, so the two are not
-    held at once.  A companion that cannot be written is left out, and
-    readers parse the JSON.
+    The report is written once, through a write-only handle, to a temporary
+    file.  When out_path is a regular file, or absent, the temporary file is
+    made next to it, given the mode bits open(out_path, "w") would leave (the
+    file's own, or the default under the umask) and moved over it.  Stdout,
+    or an out_path that is not a regular file (a device, a pipe), gets a copy.
+    Only a report moved into place gets files beside it: the function its
+    writer returned is called with place(suffix, write, drop), which writes
+    with write(fh) to the report's path + suffix the same way, under the
+    report's mode bits less drop.  A file that cannot be written there is
+    left out.
     """
-    pair = None
-    if isinstance(report, PairDocument):
-        pair = report
-        report = pair_to_json(pair.sa, pair.sb, pair.targets, pair.probe, pair.meta)
+    writer = report if callable(report) else functools.partial(_write_report, report)
+    del report
     target, mode = None, None
     if out_path:
         target = os.path.realpath(out_path)
@@ -518,40 +564,29 @@ def _emit(report, out_path: str | None):
         elif not os.path.exists(target):
             mode = 0o666 & ~_umask()
 
-    def temporary():
-        return tempfile.NamedTemporaryFile(delete=False, dir=None if mode is None else os.path.dirname(target))
+    def place(suffix, write, drop=0):
+        tmp = tempfile.NamedTemporaryFile(delete=False, dir=None if mode is None else os.path.dirname(target))
+        try:
+            with tmp.file as fh:
+                beside = write(fh)
+            if mode is not None:
+                os.chmod(tmp.name, mode & ~drop)
+                os.replace(tmp.name, target + suffix)
+                return beside
+            with open(tmp.name, encoding="utf-8", newline="") as src, (
+                open(out_path, "w", encoding="utf-8", newline="") if out_path else nullcontext(sys.stdout)
+            ) as fh:
+                shutil.copyfileobj(src, fh)
+            return None
+        finally:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp.name)
 
-    tmp, companion = temporary(), None
-    try:
-        with tmp.file as raw:
-            fh = io.TextIOWrapper(raw, encoding="utf-8", newline="")
-            if isinstance(report, str):
-                fh.write(report)
-            else:
-                dump(report, fh)
-            fh.detach()  # flushed; raw stays open for the hash
-            digest = _sha256(raw) if pair is not None and mode is not None else None
-        del report
-        if mode is not None:
-            os.chmod(tmp.name, mode)
-            os.replace(tmp.name, target)
-            if digest is not None:
-                with suppress(OSError):
-                    companion = temporary()
-                    with companion.file as raw:
-                        _write_companion(raw, digest, pair)
-                    os.chmod(companion.name, mode & ~_SHARED_WRITE)
-                    os.replace(companion.name, target + ".npz")
-            return
-        with open(tmp.name, encoding="utf-8", newline="") as src, (
-            open(out_path, "w", encoding="utf-8", newline="") if out_path else nullcontext(sys.stdout)
-        ) as fh:
-            shutil.copyfileobj(src, fh)
-    finally:
-        for written in (tmp, companion):
-            if written is not None:
-                with suppress(FileNotFoundError):
-                    os.unlink(written.name)
+    beside = place("", writer)
+    del writer
+    if beside is not None:
+        with suppress(OSError):
+            beside(place)
 
 
 @functools.cache

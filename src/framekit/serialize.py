@@ -723,29 +723,17 @@ def _text_member(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
 
 
-def _npy(array: np.ndarray) -> bytearray:
-    """The .npy file of array, built in one buffer, every float stored as
-    x + 0.0: -0.0 is written to the JSON as "-0", which parses as the
-    integer 0, so 0.0 is the value read_pair reads back."""
-    head = io.BytesIO()
-    np.lib.format.write_array_header_1_0(head, np.lib.format.header_data_from_array_1_0(array))
-    out = bytearray(head.tell() + array.nbytes)
-    out[: head.tell()] = head.getvalue()
-    data = np.frombuffer(out, dtype=array.dtype, offset=head.tell()).reshape(array.shape)
-    data[...] = array
-    if array.dtype.kind in "fc":
-        data += 0.0
-    return out
-
-
 def _write_companion(fh, sha256: bytes, pair: PairDocument):
     """Write to the binary file fh the companion of an instance file whose
     bytes have the given sha256 digest and which holds pair, a document
     without targets W, as gen writes it.
 
     The archive is uncompressed and its entries carry a fixed date, so the
-    same instance gives the same bytes.  Each member is built just before it
-    is written, so the writer holds one member's bytes at a time.
+    same instance gives the same bytes.  Each member is an npy 1.0 file,
+    built just before it is written, so the writer holds at most two copies
+    of one member at a time.  Every float is stored as x + 0.0: -0.0 is written to the
+    JSON as "-0", which parses as the integer 0, so 0.0 is the value
+    read_pair reads back.
     """
 
     def members():
@@ -762,17 +750,19 @@ def _write_companion(fh, sha256: bytes, pair: PairDocument):
 
     with zipfile.ZipFile(fh, "w") as zf:
         for name, array in members():
-            zf.writestr(zipfile.ZipInfo(name + ".npy"), _npy(array))
+            npy = io.BytesIO()
+            np.lib.format.write_array(npy, array + 0.0 if array.dtype.kind in "fc" else array, version=(1, 0))
+            zf.writestr(zipfile.ZipInfo(name + ".npy"), npy.getbuffer())
+            del npy
 
 
 def _npy_header(fh) -> tuple:
-    """(shape, fortran_order, dtype) from the header of the .npy stream fh."""
+    """(shape, fortran_order, dtype) from the header of the npy 1.0 stream
+    fh, the only version _write_companion writes."""
     version = np.lib.format.read_magic(fh)
-    if version == (1, 0):
-        return np.lib.format.read_array_header_1_0(fh)
-    if version == (2, 0):
-        return np.lib.format.read_array_header_2_0(fh)
-    raise ValueError(f"npy format version {version}")
+    if version != (1, 0):
+        raise ValueError(f"npy format version {version}")
+    return np.lib.format.read_array_header_1_0(fh)
 
 
 def _companion_shapes(headers: dict) -> bool:

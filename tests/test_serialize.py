@@ -680,6 +680,9 @@ def test_streamed_reader_takes_every_gen_family_and_the_fixtures(tmp_path, monke
         paths.append(tmp_path / f"{family}.json")
         argv = ["gen", "--family", family, "--atoms", str(2 * BLOCK + 5), "--seed", "3"]
         assert cli.main(argv + ["--out", str(paths[-1])]) == 0
+        # without its binary companion, so that the streamed reader parses it
+        pathlib.Path(f"{paths[-1]}.npz").unlink()
+    assert not list(tmp_path.glob("*.npz"))
     wants = [_oracle(path)[0] for path in paths]
 
     def no_fallback(fh, *args, **kwargs):
