@@ -565,7 +565,7 @@ def _emit(report, out_path: str | None):
             mode = 0o666 & ~_umask()
 
     def place(suffix, write, drop=0):
-        tmp = tempfile.NamedTemporaryFile(delete=False, dir=None if mode is None else os.path.dirname(target))
+        tmp = tempfile.NamedTemporaryFile("wb", delete=False, dir=None if mode is None else os.path.dirname(target))
         try:
             with tmp.file as fh:
                 beside = write(fh)

@@ -27,8 +27,9 @@ from .mispace import (
     ConstructionError,
     _biorth_duals,
     _canonical_duals,
+    _factor_pair,
     _frame_bounds,
-    _pinv_dual_pair,
+    _pinv_duals,
     _spans,
     alternate_dual_residuals,
 )
@@ -151,10 +152,10 @@ def is_alternate_dual(a: FiberSystem, aprime: FiberSystem, tol: Tolerance = DEFA
 def rank_condition(a: FiberSystem, b: FiberSystem) -> bool:
     """True iff rank G_{A,B} = dim span A = dim span B, the feasibility
     condition for a pseudo-inverse dual supported in span(B).  The rank of
-    G_{A,B} is counted against the scale of A and B as well as its own, so
-    that orthogonal spans, whose mixed Gramian is rounding noise, fail."""
+    G_{A,B} is verify_duality's rank_mixed, the number of principal cosines
+    above REL_RANK_TOL, so orthogonal spans fail at any scale of A or B."""
     a, b = pad_pair(a, b)
-    return bool(_pinv_dual_pair(a.matrix[None], b.matrix[None])[1][0])
+    return bool(_factor_pair(a.matrix[None], b.matrix[None]).feasible[0])
 
 
 def dualise(a: FiberSystem, b: FiberSystem) -> FiberSystem:
@@ -163,13 +164,14 @@ def dualise(a: FiberSystem, b: FiberSystem) -> FiberSystem:
     The coefficient matrix is the pseudo-inverse of the mixed Gramian:
     h_i = sum_j conj(D[i][j]) b_j with D = pinv(G_{A,B}).  Requires the rank
     condition; the result is then an alternate dual of A and the pair (A, H)
-    is in oblique duality between span(A) and span(B).
+    is in oblique duality between span(A) and span(B).  This is
+    mispace.pinv_dual on one atom, read off the same three SVDs.
     """
     a, b = pad_pair(a, b)
-    h, feasible = _pinv_dual_pair(a.matrix[None], b.matrix[None])
-    if not feasible[0]:
+    f = _factor_pair(a.matrix[None], b.matrix[None])
+    if not f.feasible[0]:
         raise ConstructionError(_RANK_CONDITION_FAILS)
-    return FiberSystem(h[0])
+    return FiberSystem(_pinv_duals(f)[0])
 
 
 def is_riesz(a: FiberSystem) -> bool:

@@ -19,8 +19,9 @@ constructing witness duals (Parseval tightening followed by a pseudo-inverse
 dual) and bounding the residual of their reproducing formulas on each span
 in the Frobenius norm, while the angle statements are read off the
 principal cosines.  Every fiber is factored once per system plus once for
-the pair, and every support is the one rank cutoff rank_mask.  Reports carry
-enough per-fiber diagnostics to locate any failure.
+the pair (_factor_pair), which pinv_dual reads too, and every support is
+the one rank cutoff rank_mask.  Reports carry enough per-fiber diagnostics
+to locate any failure.
 
 verify_biorthogonality does the analogue for Riesz generator families and a
 prescribed target subspace per fiber: it checks the angle conditions and, on
@@ -30,6 +31,7 @@ target subspaces.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -259,27 +261,32 @@ def _canonical_duals(m: np.ndarray) -> np.ndarray:
     return (u * _inverse_on(s, rank_mask(s))[..., None, :]) @ ct(v)
 
 
-def _pinv_dual_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse duals B U S^+ V^H of A in span(B), for the SVD U S V^H
-    of the mixed Gramian B^H A, for a block pair of equal length, and per atom
-    the rank condition rank B^H A = rank A = rank B under which each is an
-    alternate dual of A.
+_PairFactors = namedtuple("_PairFactors", "qa dim_a s_a va qb dim_b s_b x sig y inv rank_mixed feasible")
 
-    The rank of B^H A is counted twice, and both counts must equal the span
-    dimensions: against its own largest singular value, the support of the
-    pseudo-inverse, and against REL_RANK_TOL s_0(A) s_0(B), with s_0 the
-    largest singular values of A and B.  The second count is what rejects a
-    mixed Gramian of orthogonal spans, whose singular values are all rounding
-    noise and so all alike.
-    """
-    s_a, s_b = singular_values(a), singular_values(b)
-    u, s, v = svd(ct(b) @ a)
-    keep = rank_mask(s)
-    h = b @ (u * _inverse_on(s, keep)[..., None, :]) @ ct(v)
-    dim_a, dim_b = rank_mask(s_a).sum(axis=-1), rank_mask(s_b).sum(axis=-1)
-    n_keep = keep.sum(axis=-1)
-    n_scaled = (s > REL_RANK_TOL * s_a[..., :1] * s_b[..., :1]).sum(axis=-1)
-    return h, (dim_a == n_keep) & (dim_b == n_keep) & (dim_a == n_scaled)
+
+def _factor_pair(a, b) -> _PairFactors:
+    """Factor a block pair of equal length once, for the factor pass and the
+    pseudo-inverse dual alike: the span SVDs A = Qa Sa Va^H and B = Qb Sb
+    Vb^H cut at the one support (_spans), and the SVD X Sig Y^H of Qb^H Qa.
+    Sig holds the principal cosines; rank_mixed, the rank of B^H A, is the
+    number above REL_RANK_TOL, a cutoff that A's or B's conditioning does
+    not move; inv is 1 / Sig on those, 0 elsewhere; and feasible is the
+    rank condition rank_mixed = dim_a = dim_b."""
+    qa, dim_a, s_a, va = _spans(a)
+    qb, dim_b, s_b, _ = _spans(b)
+    x, sig, y = svd(ct(qb) @ qa)
+    keep = sig > REL_RANK_TOL
+    rank_mixed = keep.sum(axis=-1)
+    feasible = (rank_mixed == dim_a) & (dim_a == dim_b)
+    return _PairFactors(qa, dim_a, s_a, va, qb, dim_b, s_b, x, sig, y, _inverse_on(sig, keep), rank_mixed, feasible)
+
+
+def _pinv_duals(f: _PairFactors, tightened=False) -> np.ndarray:
+    """Pseudo-inverse duals Qb X Sig^+ Y^H Sa^+ Va^H of A in span(B) from
+    the factors f of a block pair (see pinv_dual); with tightened, those of
+    the Parseval tightening Qa Va^H of A, whose Sa is 1: Qb X Sig^+ Y^H Va^H."""
+    v = f.va if tightened else f.va * _inverse_on(f.s_a, rank_mask(f.s_a))[..., None, :]
+    return f.qb @ (f.x * f.inv[..., None, :]) @ ct(v @ f.y)
 
 
 def _certificate(t, h, qa, qb) -> tuple[np.ndarray, np.ndarray]:
@@ -335,21 +342,6 @@ def global_frame_bounds(
     return _global_bounds(sv[:, 0] > 0.0, *_frame_bounds(sv), tol)
 
 
-def global_inf_cos(sa: FiberedSystem, sb: FiberedSystem) -> float:
-    """Infimum cosine angle of the span of SA against the span of SB, which is
-    the minimum fiber angle over atoms where SA is active (1 if there are none)."""
-    _same_measure(sa.measure, sb.measure)
-    if sa.fiber_dim != sb.fiber_dim:
-        raise ValueError("fiber dimensions differ")
-    worst = 1.0
-    for lo, hi in _blocks(sa.measure.count, _FACTOR_BLOCK):
-        qa, dim_a, _, _ = _spans(sa.matrices[lo:hi])
-        qb, dim_b, _, _ = _spans(sb.matrices[lo:hi])
-        cos = singular_values(ct(qb) @ qa)
-        worst = min(worst, float(_inf_cos_pair(cos, dim_a, dim_b)[0].min()))
-    return worst
-
-
 def apply_mixed_frame_operator(
     synth: FiberedSystem, analysis: FiberedSystem, f: FiberedFunction
 ) -> FiberedFunction:
@@ -368,16 +360,29 @@ def apply_mixed_frame_operator(
 
 def pinv_dual(sa: FiberedSystem, sb: FiberedSystem) -> FiberedSystem:
     """Fiberwise pseudo-inverse dual of SA supported in the span of SB, the
-    stacked form of fiberframe.dualise: on every atom H = B U S^+ V^H for the
-    SVD U S V^H of the mixed Gramian B^H A, both zero-padded to a common
-    length.  Raises ConstructionError unless the rank condition holds on
-    every atom."""
+    stacked form of fiberframe.dualise: on every atom H = B ((B^H A)^+)^H,
+    both zero-padded to a common length.  Raises ConstructionError unless
+    the rank condition rank B^H A = dim span A = dim span B holds on every
+    atom, with rank_mixed counting the principal cosines as verify_duality
+    does.  Neither system needs to be a frame for its span.
+
+    H is read off the factor pass's three SVDs per block (_factor_pair),
+    not off a factorization of B^H A.  Write A = Qa Sa Va^H and
+    B = Qb Sb Vb^H on their supports and Qb^H Qa = X Sig Y^H.  Then
+    B^H A = (Vb Sb) (X Sig Y^H) (Sa Va^H), the first factor of full column
+    rank and the last of full row rank, and under the rank condition the
+    middle one is invertible on the kept cosines, so the pseudo-inverse
+    factors in reverse: (B^H A)^+ = Va Sa^+ Y Sig^+ X^H Sb^+ Vb^H, and
+    H = Qb X Sig^+ Y^H Sa^+ Va^H, Sig^+ on the kept cosines and Sa^+ on
+    rank_mask(Sa).
+    """
     a_all, b_all = _padded_pair(sa, sb)
     out = np.empty_like(b_all)
     for lo, hi in _blocks(sa.measure.count, _FACTOR_BLOCK):
-        out[lo:hi], feasible = _pinv_dual_pair(a_all[lo:hi], b_all[lo:hi])
-        if not feasible.all():
+        f = _factor_pair(a_all[lo:hi], b_all[lo:hi])
+        if not f.feasible.all():
             raise ConstructionError(_RANK_CONDITION_FAILS)
+        out[lo:hi] = _pinv_duals(f)
     return FiberedSystem(sa.measure, out)
 
 
@@ -508,15 +513,12 @@ def _fiber_pass(sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance, angle_tol:
     that fails the rank condition on.  Raises ValueError when either system
     is not a frame for its span.
 
-    Per block: the span SVDs of A and B, cut at the one support rank_mask,
-    give the span bases Qa and Qb, the span dimensions and the frame bounds;
-    then the SVD X Sig Y^H of Qb^H Qa.  Sig holds the principal cosines
-    between the spans (Bjorck & Golub, Math. Comp. 27, 1973): the smallest
-    gives both infimum cosines, rank_mixed, the rank of B^H A, is the number
-    of them above REL_RANK_TOL, a cutoff on the scale of A and B rather than
-    of B^H A, and pinv_norm is 1 over the smallest of those, 0 when none is.
-    With A = Qa Sa Va^H the witnesses are T = Qa Va^H and
-    D = Qb X Sig^+ Y^H Va^H, Sig^+ on that same cosine support.
+    Per block, _factor_pair gives the span bases Qa and Qb, the span
+    dimensions, the frame bounds, the principal cosines between the spans
+    (Bjorck & Golub, Math. Comp. 27, 1973), whose smallest gives both
+    infimum cosines, and rank_mixed; pinv_norm is 1 over the smallest kept
+    cosine, 0 when none is.  The witnesses are T = Qa Va^H and its
+    pseudo-inverse dual D = Qb X Sig^+ Y^H Va^H in span(SB).
     """
     a_all, b_all = _padded_pair(sa, sb)
     n_atoms = sa.measure.count
@@ -528,24 +530,18 @@ def _fiber_pass(sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance, angle_tol:
         dual = np.empty_like(a_all)
         resid = np.empty((2, n_atoms))
     for lo, hi in _blocks(n_atoms, _FACTOR_BLOCK):
-        qa, dim_a[lo:hi], s_a, va = _spans(a_all[lo:hi])
-        qb, dim_b[lo:hi], s_b, _ = _spans(b_all[lo:hi])
-        bounds[0:2, lo:hi] = _frame_bounds(s_a)
-        bounds[2:4, lo:hi] = _frame_bounds(s_b)
-        x, sig, y = svd(ct(qb) @ qa)
-        r_ab[lo:hi], r_ba[lo:hi] = _inf_cos_pair(sig, dim_a[lo:hi], dim_b[lo:hi])
-        keep = sig > REL_RANK_TOL
-        rank_mixed[lo:hi] = keep.sum(axis=-1)
-        inv = _inverse_on(sig, keep)
-        pinv_norm[lo:hi] = inv.max(axis=-1)
+        f = _factor_pair(a_all[lo:hi], b_all[lo:hi])
+        dim_a[lo:hi], dim_b[lo:hi], rank_mixed[lo:hi] = f.dim_a, f.dim_b, f.rank_mixed
+        bounds[0:2, lo:hi] = _frame_bounds(f.s_a)
+        bounds[2:4, lo:hi] = _frame_bounds(f.s_b)
+        r_ab[lo:hi], r_ba[lo:hi] = _inf_cos_pair(f.sig, f.dim_a, f.dim_b)
+        pinv_norm[lo:hi] = f.inv.max(axis=-1)
         # no witness is reported unless every block meets the rank condition
-        witnesses = witnesses and bool(
-            np.all((rank_mixed[lo:hi] == dim_a[lo:hi]) & (dim_a[lo:hi] == dim_b[lo:hi]))
-        )
+        witnesses = witnesses and bool(f.feasible.all())
         if witnesses:
-            t = tight[lo:hi] = qa @ ct(va)
-            d = dual[lo:hi] = qb @ (x * inv[..., None, :]) @ ct(va @ y)
-            resid[:, lo:hi] = _certificate(t, d, qa, qb)
+            t = tight[lo:hi] = f.qa @ ct(f.va)
+            d = dual[lo:hi] = _pinv_duals(f, tightened=True)
+            resid[:, lo:hi] = _certificate(t, d, f.qa, f.qb)
 
     bounds_a = _global_bounds(dim_a > 0, bounds[0], bounds[1], tol)
     bounds_b = _global_bounds(dim_b > 0, bounds[2], bounds[3], tol)

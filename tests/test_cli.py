@@ -478,6 +478,23 @@ def test_stdout_report_is_the_out_file_bytes(tmp_path, capsys):
         assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
+@pytest.mark.parametrize("to_file", [True, False])
+def test_report_is_written_through_a_write_only_handle(to_file, monkeypatch, tmp_path):
+    # a readable handle gives _write_report's text layer a decoder, which it
+    # resets on every write
+    readable = []
+    write_report = cli._write_report
+
+    def recording(report, fh):
+        readable.append(fh.readable())
+        write_report(report, fh)
+
+    monkeypatch.setattr(cli, "_write_report", recording)
+    out = ["--out", str(tmp_path / "angles.json")] if to_file else []
+    assert cli.main(["angles", "--in", str(FIXTURES / "pair-in-duality.json")] + out) == 0
+    assert readable == [False]
+
+
 def test_angles_certifies_no_witness(monkeypatch, capsys):
     """angles runs verify_duality's factor pass alone: no witness is
     certified, and its reports keep their bytes."""

@@ -44,7 +44,6 @@ from framekit.mispace import (
     apply_mixed_frame_operator,
     canonical_duals,
     global_frame_bounds,
-    global_inf_cos,
     pinv_dual,
     verify_biorthogonality,
     verify_duality,
@@ -233,6 +232,10 @@ def test_verify_duality_svd_calls_are_batched(monkeypatch):
     # per block of _FACTOR_BLOCK atoms: the spans of A and of B, and Qb^H Qa
     # (16 per atom when factored one atom at a time)
     assert len(calls) == 3 * -(-2000 // _FACTOR_BLOCK) == 48
+    # the pseudo-inverse dual reads the same three factorizations
+    calls.clear()
+    pinv_dual(inst.sa, inst.sb)
+    assert len(calls) == 48
 
 
 def _witness_material(inst):
@@ -302,6 +305,32 @@ def test_orthogonal_spans_fail_the_rank_condition(seed):
     # no principal cosine clears REL_RANK_TOL, so no rounding noise is inverted
     assert report.diagnostics["pinv_norm"][0] == 0.0
     assert report.witness_status == "not constructed"
+
+
+def test_one_rank_condition_on_an_ill_conditioned_pair():
+    """A = [e0, 5e-4 e1] and B = [e0, 1e-7 e1 + sqrt(1 - 1e-14) e2] in C^4: the
+    principal cosines are 1 and 1e-7, both above REL_RANK_TOL, so the rank
+    condition holds although B^H A has singular values 1 and 5e-11.  The
+    checker, pinv_dual, rank_condition and dualise give one answer, and the
+    dual reproduces both ways.  (oracles.dualise counts the rank of B^H A
+    against its own largest singular value, so this pair is outside it.)"""
+    e = np.eye(4)
+    a = np.stack([e[0], 5e-4 * e[1]], axis=1)
+    b = np.stack([e[0], 1e-7 * e[1] + np.sqrt(1.0 - 1e-14) * e[2]], axis=1)
+    measure = MeasureModel(("x0",), np.ones(1))
+    sa, sb = FiberedSystem(measure, a[None]), FiberedSystem(measure, b[None])
+    report = verify_duality(sa, sb)
+    assert report.all_hold and report.witness_status == "verified"
+    got = report.diagnostics
+    assert got["rank_mixed"][0] == got["dim_ja"][0] == got["dim_jb"][0] == 2
+    fa, fb = FiberSystem(a), FiberSystem(b)
+    assert rank_condition(fa, fb)
+    h = pinv_dual(sa, sb).matrices
+    assert np.array_equal(dualise(fa, fb).matrix, h[0])
+    assert alternate_dual_residuals(a[None], h)[1].all()
+    assert alternate_dual_residuals(h, a[None])[1].all()
+    qb = Subspace.span_of(b).basis
+    assert np.linalg.norm(h[0] - qb @ (qb.conj().T @ h[0])) <= 1e-12 * np.linalg.norm(h[0])
 
 
 def _bits(x):
@@ -392,7 +421,7 @@ def test_global_reductions_match_per_fiber():
         oracles.inf_cos(Subspace.span_of(fa.matrix), Subspace.span_of(fb.matrix))
         for fa, fb in zip(sa.fibers, sb.fibers)
     )
-    assert global_inf_cos(sa, sb) == pytest.approx(want, abs=1e-12)
+    assert verify_duality(sa, sb).angles_global[0] == pytest.approx(want, abs=1e-12)
     f = FiberedFunction(sa.measure, complex_gaussian(rng, sa.measure.count, 4))
     out = apply_mixed_frame_operator(sa, sb, f)
     for k, (fa, fb) in enumerate(zip(sa.fibers, sb.fibers)):

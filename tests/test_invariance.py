@@ -8,7 +8,9 @@ of either system, or appending zero generators to it, changes no span: the
 verdicts, the angles, the frame bounds and every per-atom diagnostic stay.
 Scaling either system changes no verdict, and a small singular value never
 splits the four statements: they agree, or the frame test refuses the
-system.
+system.  Scaling one generator changes no span, so it leaves the rank
+condition alone, and pinv_dual decides that condition atom by atom as
+verify_duality does.
 """
 
 import numpy as np
@@ -18,8 +20,15 @@ from hypothesis import strategies as st
 
 from framekit.fiberframe import FiberSystem, parsevalize
 from framekit.generate import FAMILIES, duality_instance, random_unitary
-from framekit.mispace import _FACTOR_BLOCK, FiberedSystem, MeasureModel, verify_duality
-from framekit.numkernel import rank, singular_values
+from framekit.mispace import (
+    _FACTOR_BLOCK,
+    ConstructionError,
+    FiberedSystem,
+    MeasureModel,
+    pinv_dual,
+    verify_duality,
+)
+from framekit.numkernel import Tolerance, rank, singular_values
 
 # a few examples of up to ~2.5 blocks keep each property near one second
 BOUNDED = settings(max_examples=20, deadline=None, database=None, derandomize=True)
@@ -132,6 +141,48 @@ def test_zero_generators_appended(data):
     else:
         sb = sb.padded(sb.count + extra)
     assert_same_spans_report(verify_duality(sa, sb), verify_duality(inst.sa, inst.sb))
+
+
+def _pinv_dual_feasible(a, b) -> bool:
+    """Whether pinv_dual builds a dual of the one-atom pair (a, b)."""
+    measure = MeasureModel(("x0",), np.ones(1))
+    try:
+        pinv_dual(FiberedSystem(measure, a[None]), FiberedSystem(measure, b[None]))
+    except ConstructionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9])
+@pytest.mark.parametrize("family", FAMILIES)
+@BOUNDED
+@given(
+    n_atoms=st.integers(1, 40),
+    dim=st.integers(2, 6),
+    count=st.integers(1, 4),
+    column=st.integers(0, 3),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_scaling_a_generator_keeps_the_rank_condition(family, eps, n_atoms, dim, count, column, seed):
+    inst = duality_instance(family, n_atoms, dim, count, seed=seed, eps=eps)
+    a = inst.sa.matrices.copy()
+    a[:, :, column % count] *= 1e-3
+    sa = FiberedSystem(inst.sa.measure, a)
+    # the scaled column can take lower / upper below the default eq_tol, and
+    # the frame test, which reads eq_tol, is not what is checked here: no
+    # rank decision reads eq_tol
+    report = verify_duality(sa, inst.sb, tol=Tolerance(eq_tol=1e-14))
+    base = verify_duality(inst.sa, inst.sb).diagnostics
+    for k in range(n_atoms):
+        assert at(report.diagnostics, k, EXACT) == at(base, k, EXACT)
+    got = report.diagnostics
+    want = (got["rank_mixed"] == got["dim_ja"]) & (got["dim_ja"] == got["dim_jb"])
+    assert [_pinv_dual_feasible(a[k], inst.sb.matrices[k]) for k in range(n_atoms)] == want.tolist()
+    try:
+        pinv_dual(sa, inst.sb)
+        assert want.all()
+    except ConstructionError:
+        assert not want.all()
 
 
 SIGMAS = (1e-4, 1e-6, 1e-7, 1e-9, 1e-11)

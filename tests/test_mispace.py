@@ -23,7 +23,6 @@ from framekit.mispace import (
     delta_determining_set,
     fourier_determining_set,
     global_frame_bounds,
-    global_inf_cos,
     reconstruct,
     verify_biorthogonality,
     verify_duality,
@@ -131,6 +130,7 @@ def test_global_frame_bounds_inactive_fibers():
 
 
 def test_global_inf_cos_example():
+    # the global infimum cosine of SA against SB is angles_global[0]
     m = two_atom_measure()
     t = 0.7
     rot = np.array([np.cos(t), np.sin(t)])
@@ -140,12 +140,12 @@ def test_global_inf_cos_example():
     sb = FiberedSystem(
         m, (FiberSystem.from_vectors([E1]), FiberSystem.from_vectors([rot]))
     )
-    assert global_inf_cos(sa, sb) == pytest.approx(np.cos(t), abs=1e-12)
+    assert verify_duality(sa, sb).angles_global[0] == pytest.approx(np.cos(t), abs=1e-12)
     # Atoms where the first system is inactive do not contribute.
     sa2 = FiberedSystem(
         m, (FiberSystem.from_vectors([E1]), FiberSystem.zeros(2, 1))
     )
-    assert global_inf_cos(sa2, sb) == pytest.approx(1.0)
+    assert verify_duality(sa2, sb).angles_global[0] == pytest.approx(1.0)
 
 
 def test_apply_mixed_frame_operator_hand_case():
