@@ -180,23 +180,23 @@ def _tolerance(ns) -> Tolerance:
     return Tolerance(eq_tol=getattr(ns, "tol", DEFAULT_TOL.eq_tol))
 
 
-def _tol_doc(ns, angle=False, cmax=False) -> dict:
+def _tol_doc(ns) -> dict:
     # commands without --tol echo the default eq_tol, which they do not read
     doc = {"rel_rank_tol": REL_RANK_TOL, "eq_tol": _tolerance(ns).eq_tol}
-    if angle:
+    if hasattr(ns, "angle_tol"):
         doc["angle_tol"] = ns.angle_tol
-    if cmax:
+    if hasattr(ns, "cmax"):
         doc["c_max"] = ns.cmax
     return doc
 
 
-def _envelope(ns, result, seed=None, angle=False, cmax=False) -> dict:
+def _envelope(ns, result) -> dict:
     return {
         "tool": "framekit",
         "version": __version__,
         "command": ns.command,
-        "seed": seed,
-        "tolerances": _tol_doc(ns, angle=angle, cmax=cmax),
+        "seed": getattr(ns, "seed", None),
+        "tolerances": _tol_doc(ns),
         "result": result,
     }
 
@@ -332,7 +332,7 @@ def _cmd_angles(ns):
         "fiber_angles_positive": fields["fiber_angles_positive"],
         "per_atom": table_rows(fields["diagnostics"], ("atom", "dim_ja", "dim_jb", "r_ab", "r_ba")),
     }
-    return _envelope(ns, result, angle=True)
+    return _envelope(ns, result)
 
 
 def _cmd_dual(ns):
@@ -361,12 +361,12 @@ def _cmd_verify_thm1(ns):
     pair = _read_pair(ns)
     sb = _need_b(pair)
     tol = _tolerance(ns)
-    report = verify_duality(pair.sa, sb, tol=tol, angle_tol=ns.angle_tol, c_max=ns.cmax)
     if ns.format == "csv":
-        return diagnostics_to_csv(report.diagnostics)
-    return _envelope(
-        ns, equivalence_report_to_json(report), seed=ns.seed, angle=True, cmax=True
-    )
+        # the diagnostics are the factor pass's alone: no witness is built
+        fields, _ = _fiber_pass(pair.sa, sb, tol, ns.angle_tol)
+        return diagnostics_to_csv(fields["diagnostics"])
+    report = verify_duality(pair.sa, sb, tol=tol, angle_tol=ns.angle_tol, c_max=ns.cmax)
+    return _envelope(ns, equivalence_report_to_json(report))
 
 
 def _cmd_verify_thm2(ns):
@@ -383,22 +383,12 @@ def _cmd_verify_thm2(ns):
                 f"atom {atom!r}: target subspace has dimension {t.dim}, "
                 f"expected {pair.sa.count}"
             )
-            return _envelope(
-                ns,
-                {"holds": False, "precondition_failure": reason},
-                seed=ns.seed,
-                angle=True,
-            )
+            return _envelope(ns, {"holds": False, "precondition_failure": reason})
     try:
         report = verify_biorthogonality(pair.sa, targets, angle_tol=ns.angle_tol)
     except ConstructionError as exc:
-        return _envelope(
-            ns,
-            {"holds": False, "precondition_failure": str(exc)},
-            seed=ns.seed,
-            angle=True,
-        )
-    return _envelope(ns, biorth_report_to_json(report), seed=ns.seed, angle=True)
+        return _envelope(ns, {"holds": False, "precondition_failure": str(exc)})
+    return _envelope(ns, biorth_report_to_json(report))
 
 
 def _resolve_plan(group: str, subgroup_gen):
@@ -475,7 +465,7 @@ def _cmd_zak_demo(ns):
         result["bounds_agreement"] = max(
             abs(direct[0] - fibered[0]), abs(direct[1] - fibered[1])
         )
-    return _envelope(ns, result, seed=ns.seed)
+    return _envelope(ns, result)
 
 
 def _cmd_reconstruct(ns):

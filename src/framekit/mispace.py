@@ -500,8 +500,9 @@ def _columns(**columns) -> dict:
 
 
 def _fiber_pass(sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance, angle_tol: float, witnesses=False):
-    """The factor pass of verify_duality, which the angles command runs on its
-    own: everything read off three SVDs per block of _FACTOR_BLOCK atoms.
+    """The factor pass of verify_duality, which the angles command and the
+    verify-thm1 CSV run on their own: everything read off three SVDs per
+    block of _FACTOR_BLOCK atoms.
 
     Returns the EquivalenceReport fields the pass decides, as keyword
     arguments: both angle statements, angles_global, worst_fiber,
@@ -663,56 +664,53 @@ def verify_biorthogonality(
     """Check fiberwise duality of a Riesz family against target subspaces and
     construct the biorthogonal dual family when every fiber passes.
 
-    Every fiber of SA must be a Riesz sequence (raises ConstructionError
-    otherwise) and every target must have dimension r.  The angle conditions
-    are evaluated per atom; failures are reported by atom id instead of
-    raising, since a negative answer is a result.
+    Every target must be an r-dimensional subspace of the fibers' space
+    (raises ValueError, checked before any factorization) and every fiber of
+    SA a Riesz sequence (raises ConstructionError).  The angle conditions are
+    evaluated per atom; failures are reported by atom id instead of raising,
+    since a negative answer is a result.
 
-    Each block of _FACTOR_BLOCK atoms is factored once: the span SVD of A
-    gives the Riesz test, the bounds and the span basis Q, and the singular
-    values of W^H Q the angles, which coincide in both directions because
-    both spans have dimension r.  The dual h_j = W c_j solves
-    <a_i, h_j> = delta_ij, one batched solve of (W^H A)^T C = I per block.
-    repro_residual is the largest Frobenius norm of A H^H Q - Q and
-    H A^H W - W (_certificate), which bounds the relative reproduction
-    residual of every function in span(A) and in W.
+    One pass over blocks of _FACTOR_BLOCK atoms: the span SVD of A gives the
+    Riesz test, the bounds and the span basis Q, and the singular values of
+    W^H Q the angles, which coincide in both directions because both spans
+    have dimension r.  While every atom so far passes, the dual h_j = W c_j
+    solves <a_i, h_j> = delta_ij, one batched solve of (W^H A)^T C = I per
+    block, and repro_residual takes the largest Frobenius norm of
+    A H^H Q - Q and H A^H W - W (_certificate), which bounds the relative
+    reproduction residual of every function in span(A) and in W.  The dual
+    is the only full-size array allocated.
     """
     a_all, (n_atoms, d, r) = sa.matrices, sa.matrices.shape
     if len(targets) != n_atoms:
         raise ValueError(f"got {len(targets)} target subspaces for {n_atoms} atoms")
-    basis = np.empty((n_atoms, d, min(d, r)), dtype=np.complex128)
-    lowers, uppers = np.empty(n_atoms), np.empty(n_atoms)
-    for lo, hi in _blocks(n_atoms, _FACTOR_BLOCK):
-        basis[lo:hi], dims, s, _ = _spans(a_all[lo:hi])
-        if np.any(dims != r):
-            atom = sa.measure.atoms[lo + int(np.argmax(dims != r))]
-            raise ConstructionError(f"fiber at atom {atom!r} is not a Riesz sequence")
-        lowers[lo:hi], uppers[lo:hi] = _frame_bounds(s)
-    riesz_bounds = (float(lowers.min()), float(uppers.max()))
     for atom, w in zip(sa.measure.atoms, targets):
         if w.ambient_dim != d:
             raise ValueError(f"target at atom {atom!r} has wrong ambient dimension")
         if w.dim != r:
             raise ValueError(f"target at atom {atom!r} has dimension {w.dim}, expected {r}")
-    w_all = np.stack([w.basis for w in targets])
 
-    span_dims = np.full(n_atoms, r)
-    cos = np.concatenate([
-        _inf_cos_pair(singular_values(ct(w_all[lo:hi]) @ basis[lo:hi]), span_dims[lo:hi], span_dims[lo:hi])[0]
-        for lo, hi in _blocks(n_atoms, _FACTOR_BLOCK)
-    ])
-    rows = _columns(atom=sa.measure.atoms, r_aw=cos, r_wa=cos, ok=cos > angle_tol)
-    if not rows["ok"].all():
-        return BiorthogonalityReport(holds=False, rows=rows, riesz_bounds=riesz_bounds)
-
+    lowers, uppers, cos = (np.empty(n_atoms) for _ in range(3))
     eye = np.eye(r, dtype=np.complex128)
-    dual = np.empty((n_atoms, d, r), dtype=np.complex128)
-    dev = repro = 0.0
+    dual = np.empty_like(a_all)
+    holds, dev, repro = True, 0.0, 0.0
     for lo, hi in _blocks(n_atoms, _FACTOR_BLOCK):
-        a, wb = a_all[lo:hi], w_all[lo:hi]
-        h = dual[lo:hi] = _biorth_duals(a, wb)
-        dev = max(dev, float(np.abs((ct(h) @ a).swapaxes(-1, -2) - eye).max()))
-        repro = max(repro, float(np.max(_certificate(a, h, basis[lo:hi], wb))))
+        a, w = a_all[lo:hi], np.stack([t.basis for t in targets[lo:hi]])
+        q, dims, s, _ = _spans(a)
+        if np.any(dims != r):
+            atom = sa.measure.atoms[lo + int(np.argmax(dims != r))]
+            raise ConstructionError(f"fiber at atom {atom!r} is not a Riesz sequence")
+        lowers[lo:hi], uppers[lo:hi] = _frame_bounds(s)
+        cos[lo:hi] = _inf_cos_pair(singular_values(ct(w) @ q), dims, dims)[0]
+        holds = holds and bool(np.all(cos[lo:hi] > angle_tol))
+        if holds:
+            h = dual[lo:hi] = _biorth_duals(a, w)
+            dev = max(dev, float(np.abs((ct(h) @ a).swapaxes(-1, -2) - eye).max()))
+            repro = max(repro, float(np.max(_certificate(a, h, q, w))))
+
+    rows = _columns(atom=sa.measure.atoms, r_aw=cos, r_wa=cos, ok=cos > angle_tol)
+    riesz_bounds = (float(lowers.min()), float(uppers.max()))
+    if not holds:
+        return BiorthogonalityReport(holds=False, rows=rows, riesz_bounds=riesz_bounds)
     return BiorthogonalityReport(
         holds=True,
         rows=rows,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mispace import DeterminingSet, FiberedFunction, FiberedSystem, MeasureModel, global_frame_bounds
+from .mispace import FiberedFunction, FiberedSystem, MeasureModel, global_frame_bounds
 
 
 # Translated values per block in verify_intertwine (block size times group
@@ -255,13 +255,6 @@ def tg_to_mg(plan: ZakPlan, generators) -> FiberedSystem:
     if not len(f):
         raise ValueError("need at least one generator signal")
     return FiberedSystem(plan.measure, np.fft.fft(f.T[plan.cells], axis=0))
-
-
-def determining_table(plan: ZakPlan) -> DeterminingSet:
-    """The subgroup's own symbol family as a determining set on the character
-    atoms: row m holds gamma = g0^m acting as alpha -> conj(alpha(gamma)).
-    Parseval holds exactly by character orthogonality."""
-    return DeterminingSet(plan.measure, _modulation(plan.q, np.arange(plan.q)))
 
 
 def tg_frame_bounds(plan: ZakPlan, generators) -> tuple[float, float, bool]:

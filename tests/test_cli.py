@@ -510,6 +510,27 @@ def test_angles_certifies_no_witness(monkeypatch, capsys):
         assert capsys.readouterr().out.encode("utf-8") == (FIXTURES / name).read_bytes()
 
 
+def test_verify_thm1_csv_certifies_no_witness(monkeypatch, capsys):
+    """The verify-thm1 CSV is the factor pass's diagnostics, which the
+    witnesses do not touch: it certifies none and keeps its bytes, while the
+    JSON report, which carries the witness verdicts, still certifies."""
+    calls = []
+    certificate = mispace._certificate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return certificate(*args, **kwargs)
+
+    monkeypatch.setattr(mispace, "_certificate", counted)
+    pair = str(FIXTURES / "pair-in-duality.json")
+    assert cli.main(["verify-thm1", "--in", pair, "--seed", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (FIXTURES / "verify-thm1.csv").read_bytes()
+    assert not calls
+    assert cli.main(["verify-thm1", "--in", pair, "--seed", "1"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (FIXTURES / "verify-thm1.json").read_bytes()
+    assert calls
+
+
 def test_angles_on_a_non_frame_exits_one(tmp_path, capsys):
     # A = Q diag(1, 1e-6) on every atom: lower / upper = 1e-12 fails the
     # scale-free frame test, while a uniform 1e-9 scaling of A passes it

@@ -9,6 +9,8 @@ diagnostics and the deciding atom must agree exactly, cosines to 1e-12 and
 pseudo-inverse norms to 1e-8 relative.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -454,6 +456,27 @@ def test_verify_biorthogonality_matches_per_fiber():
     bad[_FACTOR_BLOCK + 2] = FiberSystem(np.repeat(fibers[0].matrix[:, :1], 2, axis=1))
     with pytest.raises(ConstructionError, match=f"x{_FACTOR_BLOCK + 2}"):
         verify_biorthogonality(FiberedSystem(measure, tuple(bad)), targets)
+
+
+def test_verify_biorthogonality_holds_one_full_size_array():
+    """One pass over the slices: besides the dual it returns, nothing of the
+    size of A is held, so the traced peak stays near twice A's size."""
+    rng = np.random.default_rng(41)
+    n_atoms, d, r = 1000, 12, 8
+    fibers, targets = [], []
+    for _ in range(n_atoms):
+        v, w, _ = rotated_span_pair(rng, d, r, rng.uniform(0.2, 1.0, r))
+        fibers.append(v @ (np.eye(r) + 0.3 * complex_gaussian(rng, r, r)))
+        targets.append(Subspace(w))
+    sa = FiberedSystem(_measure(n_atoms, rng), np.stack(fibers))
+    tracemalloc.start()
+    try:
+        report = verify_biorthogonality(sa, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds
+    assert peak <= 2.5 * sa.matrices.nbytes
 
 
 def test_single_fiber_functions_match_oracles():

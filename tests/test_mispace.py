@@ -372,6 +372,11 @@ def test_verify_biorthogonality_shape_errors():
         verify_biorthogonality(sa, [Subspace.full(2)])  # dim W != r
     with pytest.raises(ValueError):
         verify_biorthogonality(sa, [])
+    # targets are checked before any factorization: a non-Riesz fiber beside
+    # a target of the wrong dimension raises the target's error
+    not_riesz = FiberedSystem(measure, (FiberSystem.from_vectors([E1, E1]),))
+    with pytest.raises(ValueError, match="has dimension 1, expected 2"):
+        verify_biorthogonality(not_riesz, [Subspace.span_of(E1[:, None])])
 
 
 def test_report_tolerance_parameter():

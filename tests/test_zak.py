@@ -19,7 +19,6 @@ from framekit.zak import (
     build_plan,
     builtin_plan,
     cyclic_group,
-    determining_table,
     dihedral_group,
     explicit_group,
     tg_frame_bounds,
@@ -287,16 +286,6 @@ def test_tg_vs_fiber_frame_bounds():
             assert direct[2] == fibered[2]
         zero = [np.zeros(n)]
         assert tg_frame_bounds(plan, zero) == global_frame_bounds(tg_to_mg(plan, zero)) == (1.0, 1.0, True)
-
-
-def test_determining_table_is_parseval():
-    for name in PLANS:
-        plan = builtin_plan(name)
-        dset = determining_table(plan)  # validation inside is exact Parseval
-        assert dset.table.shape == (plan.q, plan.q)
-        # Row m is the symbol of the m-th generator power.
-        for m, gamma in enumerate(plan.powers):
-            assert np.allclose(dset.table[m], modulation_symbol(plan, gamma))
 
 
 def test_biorthogonality_transfers_to_group_side():
