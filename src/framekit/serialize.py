@@ -11,8 +11,9 @@ which ``dumps`` formats with one %-template per array, laid out exactly as
 the equivalent nested lists.  The parsers check the structure and element
 types of a whole block (one vector, one matrix, or the A, B or f entries of
 _ATOM_BLOCK consecutive atoms) at once and convert it with one ``np.array``
-call; any irregular block is walked again atom by atom and pair by pair,
-which raises the same errors as before.
+call.  A block that check turns down is converted where it stands, atom by
+atom and pair by pair, by the step that raises the error naming the atom
+and path.  ``_stacked_document`` joins the blocks of every instance.
 
 Files are streamed.  ``dump`` writes a document to a file piece by piece,
 and ``read_pair`` decodes an instance file one atom at a time and converts
@@ -38,7 +39,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fiberframe import FiberSystem
 from .mispace import (
     BiorthogonalityReport,
     EquivalenceReport,
@@ -277,7 +277,9 @@ def matrix_from_json(doc, where: str = "matrix") -> np.ndarray:
 # Domain objects.
 
 
-def fiber_system_from_json(doc, where: str = "system") -> FiberSystem:
+def _system_from_json(doc, where: str, fiber_dim: int) -> np.ndarray:
+    """The A or B entry of one atom, {"dim": fiber_dim, "vectors": r vectors},
+    as its C-ordered (fiber_dim, r) matrix: column i is vector i."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object with dim/vectors")
     dim = doc.get("dim")
@@ -287,17 +289,12 @@ def fiber_system_from_json(doc, where: str = "system") -> FiberSystem:
     if not isinstance(vectors, list) or not vectors:
         raise ValueError(f"{where}: vectors must be a non-empty list")
     block = _pair_block(vectors, (len(vectors), dim))
-    if block is not None:
-        # C order, as np.column_stack lays it out: the layout reaches BLAS and
-        # with it the rounding of every product downstream
-        return FiberSystem(np.ascontiguousarray(block.T))
-    cols = []
-    for i, v in enumerate(vectors):
-        vec = vector_from_json(v, f"{where}.vectors[{i}]")
-        if vec.shape != (dim,):
-            raise ValueError(f"{where}.vectors[{i}]: length {vec.shape[0]}, expected {dim}")
-        cols.append(vec)
-    return FiberSystem(np.column_stack(cols))
+    if block is None:
+        block = np.array([signal_from_json(v, dim, f"{where}.vectors[{i}]") for i, v in enumerate(vectors)])
+    if dim != fiber_dim:
+        raise ValueError(f"{where} has dim {dim}, expected {fiber_dim}")
+    # C order, as _system_block lays it out: the layout reaches BLAS
+    return np.ascontiguousarray(block.T)
 
 
 def subspace_to_json(s: Subspace) -> dict:
@@ -365,61 +362,6 @@ def _fiber_dim(value) -> int:
     return value
 
 
-def _atom_from_json(entry, k: int, fiber_dim: int) -> tuple:
-    """Entry k of an instance's atoms list as (id, weight, A, B, W, f), with
-    None for an absent B, W or f: the one conversion of an atom, shared by
-    pair_from_json and read_pair."""
-    where = f"atoms[{k}]"
-    if not isinstance(entry, dict):
-        raise ValueError(f"{where}: expected an object")
-    atom_id = entry.get("id")
-    if not isinstance(atom_id, str) or not atom_id:
-        raise ValueError(f"{where}: id must be a non-empty string")
-    where = f"atom {atom_id!r}"
-    weight = _number_from(entry.get("weight"), f"{where}: weight")
-    if weight <= 0.0:
-        raise ValueError(f"{where}: weight must be positive")
-    if "A" not in entry:
-        raise ValueError(f"{where}: missing system A")
-    fa = fiber_system_from_json(entry["A"], f"{where}: A")
-    if fa.dim != fiber_dim:
-        raise ValueError(f"{where}: A has dim {fa.dim}, expected {fiber_dim}")
-    fb = fiber_system_from_json(entry["B"], f"{where}: B") if "B" in entry else None
-    target = subspace_from_json(entry["W"], f"{where}: W") if "W" in entry else None
-    probe = vector_from_json(entry["f"], f"{where}: f") if "f" in entry else None
-    return atom_id, weight, fa, fb, target, probe
-
-
-def _pair_document(fiber_dim: int, atoms: list[tuple], meta) -> PairDocument:
-    """A PairDocument from the converted atoms (see _atom_from_json), stacked once."""
-    ids, weights, fibers_a, fibers_b, targets, probes = zip(*atoms)
-    for label, parts in (("B", fibers_b), ("W", targets), ("f", probes)):
-        present = [p is not None for p in parts]
-        if any(present) and not all(present):
-            missing = ids[present.index(False)]
-            raise ValueError(f"atom {missing!r}: missing {label} (present on other atoms)")
-    try:
-        measure = MeasureModel(ids, np.array(weights))
-        sa = FiberedSystem(measure, fibers_a)
-        sb = FiberedSystem(measure, fibers_b) if fibers_b[0] is not None else None
-    except ValueError as exc:
-        raise ValueError(f"inconsistent atoms: {exc}") from None
-    target_list = None
-    if targets[0] is not None:
-        for atom_id, t in zip(ids, targets):
-            if t.ambient_dim != fiber_dim:
-                raise ValueError(f"atom {atom_id!r}: W has wrong ambient dimension")
-        target_list = list(targets)
-    probe = None
-    if probes[0] is not None:
-        for atom_id, p in zip(ids, probes):
-            if p.shape != (fiber_dim,):
-                raise ValueError(f"atom {atom_id!r}: f has length {p.shape[0]}, expected {fiber_dim}")
-        probe = FiberedFunction(measure, np.stack(probes))
-    meta = meta if isinstance(meta, dict) else {}
-    return PairDocument(measure, sa, sb, target_list, probe, meta)
-
-
 # Atoms converted at a time by pair_from_json and read_pair.  A block's
 # vectors go through one _pair_block call per kind; larger blocks pay the
 # per-call overhead fewer times, and read_pair holds a block's decoded
@@ -440,6 +382,33 @@ class _AtomBlock(NamedTuple):
     probe: np.ndarray | None
 
 
+def _atom_from_json(entry, k: int, fiber_dim: int) -> _AtomBlock:
+    """Entry k of an instance's atoms list as a one-atom block, or the
+    ValueError that names the atom and what is wrong with it: the message
+    step of _atom_blocks."""
+    where = f"atoms[{k}]"
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: expected an object")
+    atom_id = entry.get("id")
+    if not isinstance(atom_id, str) or not atom_id:
+        raise ValueError(f"{where}: id must be a non-empty string")
+    where = f"atom {atom_id!r}"
+    weight = _number_from(entry.get("weight"), f"{where}: weight")
+    if weight <= 0.0:
+        raise ValueError(f"{where}: weight must be positive")
+    if "A" not in entry:
+        raise ValueError(f"{where}: missing system A")
+    a = _system_from_json(entry["A"], f"{where}: A", fiber_dim)[None]
+    b = _system_from_json(entry["B"], f"{where}: B", fiber_dim)[None] if "B" in entry else None
+    targets = [subspace_from_json(entry["W"], f"{where}: W")] if "W" in entry else None
+    if targets and targets[0].ambient_dim != fiber_dim:
+        raise ValueError(f"{where}: W has wrong ambient dimension")
+    probe = vector_from_json(entry["f"], f"{where}: f")[None] if "f" in entry else None
+    if probe is not None and probe.shape[1] != fiber_dim:
+        raise ValueError(f"{where}: f has length {probe.shape[1]}, expected {fiber_dim}")
+    return _AtomBlock([atom_id], np.array([weight]), a, b, targets, probe)
+
+
 def _system_block(docs: list, fiber_dim: int) -> np.ndarray | None:
     """The A or B entries of a block as one (atoms, fiber_dim, r) stack, r the
     first entry's vector count, or None unless every entry is
@@ -452,16 +421,16 @@ def _system_block(docs: list, fiber_dim: int) -> np.ndarray | None:
     if type(vectors[0]) is not list:
         return None
     block = _pair_block(vectors, (len(vectors), len(vectors[0]), fiber_dim))
-    # C order, as the per-atom path lays it out: the layout reaches BLAS and
+    # C order, as _system_from_json lays it out: the layout reaches BLAS and
     # with it the rounding of every product downstream
     return None if block is None else np.ascontiguousarray(block.swapaxes(1, 2))
 
 
-def _atom_block(entries: list, fiber_dim: int) -> _AtomBlock | None:
+def _fast_block(entries: list, fiber_dim: int) -> _AtomBlock | None:
     """Atom entries converted as one block, to the values _atom_from_json
     gives them one at a time.  Returns None, raising nothing, unless every
     entry is one _atom_from_json takes, with the keys and vector counts of
-    the first entry and B of dimension fiber_dim."""
+    the first entry."""
     first = entries[0]
     if type(first) is not dict:
         return None
@@ -500,40 +469,53 @@ def _atom_block(entries: list, fiber_dim: int) -> _AtomBlock | None:
     return _AtomBlock(ids, weights, a, b, targets, probe)
 
 
-def _atom_blocks(entries, fiber_dim: int) -> list[_AtomBlock] | None:
-    """The atom entries, an iterable, converted _ATOM_BLOCK at a time; None
-    as soon as one block is irregular (see _atom_block)."""
-    blocks, entries = [], iter(entries)
+def _atom_blocks(entries, fiber_dim: int) -> list[_AtomBlock]:
+    """The atom entries, an iterable, converted _ATOM_BLOCK at a time.  A
+    block _fast_block turns down is converted where it stands, atom by atom,
+    by _atom_from_json, which raises the error of its first invalid atom."""
+    blocks, entries, k = [], iter(entries), 0
     while batch := list(islice(entries, _ATOM_BLOCK)):
-        block = _atom_block(batch, fiber_dim)
+        block = _fast_block(batch, fiber_dim)
         if block is None:
-            return None
-        blocks.append(block)
+            blocks += [_atom_from_json(entry, k + i, fiber_dim) for i, entry in enumerate(batch)]
+        else:
+            blocks.append(block)
+        k += len(batch)
     return blocks
 
 
-def _stacked_document(blocks: list[_AtomBlock], meta) -> PairDocument | None:
-    """A PairDocument from converted atom blocks, stacked once, as
-    _pair_document makes it from the same atoms; None unless the blocks
-    agree in which of B, W and f they hold and in their vector counts."""
-    layouts = {
-        (blk.a.shape[1:], None if blk.b is None else blk.b.shape[1:], blk.targets is None, blk.probe is None)
-        for blk in blocks
-    }
-    if len(layouts) != 1:
-        return None
-    ids = tuple(chain.from_iterable(blk.ids for blk in blocks))
+def _joined(stacks: list[np.ndarray]) -> np.ndarray:
+    # np.concatenate copies even a single array: a companion's is kept as read
+    return stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+
+
+def _fibered_system(measure: MeasureModel, stacks: list[np.ndarray]) -> FiberedSystem:
+    counts = sorted({s.shape[2] for s in stacks})
+    if len(counts) > 1:
+        raise ValueError(f"generator counts are not uniform: {counts}")
+    return FiberedSystem(measure, _joined(stacks))
+
+
+def _stacked_document(blocks: list[_AtomBlock], meta) -> PairDocument:
+    """A PairDocument from converted atom blocks, each stack joined once.
+    Raises the errors between atoms: a B, W or f that some atoms lack, then
+    duplicate ids or differing generator counts."""
+    for label, part in (("B", "b"), ("W", "targets"), ("f", "probe")):
+        present = [getattr(blk, part) is not None for blk in blocks]
+        if any(present) and not all(present):
+            missing = blocks[present.index(False)].ids[0]
+            raise ValueError(f"atom {missing!r}: missing {label} (present on other atoms)")
+    first, ids = blocks[0], tuple(chain.from_iterable(blk.ids for blk in blocks))
     try:
-        measure = MeasureModel(ids, np.concatenate([blk.weights for blk in blocks]))
+        measure = MeasureModel(ids, _joined([blk.weights for blk in blocks]))
+        sa = _fibered_system(measure, [blk.a for blk in blocks])
+        sb = None if first.b is None else _fibered_system(measure, [blk.b for blk in blocks])
     except ValueError as exc:
         raise ValueError(f"inconsistent atoms: {exc}") from None
-    first = blocks[0]
-    sa = FiberedSystem(measure, np.concatenate([blk.a for blk in blocks]))
-    sb = None if first.b is None else FiberedSystem(measure, np.concatenate([blk.b for blk in blocks]))
     targets = None if first.targets is None else [t for blk in blocks for t in blk.targets]
     probe = None
     if first.probe is not None:
-        probe = FiberedFunction(measure, np.concatenate([blk.probe for blk in blocks]))
+        probe = FiberedFunction(measure, _joined([blk.probe for blk in blocks]))
     return PairDocument(measure, sa, sb, targets, probe, meta if isinstance(meta, dict) else {})
 
 
@@ -544,14 +526,7 @@ def pair_from_json(doc) -> PairDocument:
     entries = doc.get("atoms")
     if not isinstance(entries, list) or not entries:
         raise ValueError("atoms must be a non-empty list")
-    blocks = _atom_blocks(entries, fiber_dim)
-    pair = None if blocks is None else _stacked_document(blocks, doc.get("meta"))
-    if pair is not None:
-        return pair
-    # some block is irregular: walk every atom, which raises the first
-    # atom's error, or the error between atoms, that the input holds
-    atoms = [_atom_from_json(entry, k, fiber_dim) for k, entry in enumerate(entries)]
-    return _pair_document(fiber_dim, atoms, doc.get("meta"))
+    return _stacked_document(_atom_blocks(entries, fiber_dim), doc.get("meta"))
 
 
 # Characters read from an instance file at a time by read_pair.
@@ -641,7 +616,7 @@ class _Scanner:
 def _stream_pair(fh) -> PairDocument:
     """Parse an instance laid out as pair_to_json writes it (fiber_dim, atoms,
     then an optional meta), one block of atoms at a time.  Raises ValueError
-    on anything else, including input pair_from_json would accept."""
+    on an invalid atom and on anything else, even input pair_from_json takes."""
     scan = _Scanner(fh)
     scan.expect("{")
     scan.key("fiber_dim")
@@ -656,8 +631,6 @@ def _stream_pair(fh) -> PairDocument:
             yield scan.value()
 
     blocks = _atom_blocks(entries(), fiber_dim)
-    if blocks is None:
-        raise _Unrecognised("irregular atoms")
     scan.expect("]")
     meta = None
     if scan.skip(","):
@@ -666,18 +639,15 @@ def _stream_pair(fh) -> PairDocument:
     scan.expect("}")
     if scan.peek():
         raise _Unrecognised("data after the instance object")
-    pair = _stacked_document(blocks, meta)
-    if pair is None:
-        raise _Unrecognised("irregular atoms")
-    return pair
+    return _stacked_document(blocks, meta)
 
 
 def read_pair(fh) -> PairDocument:
     """The instance in the open text file fh, as pair_from_json(json.load(fh))
     returns it, without holding the file's text or its decoded document.
 
-    Anything the streamed reader does not take (another key order, an
-    invalid atom, a syntax error) is parsed again by json.load and
+    Anything the streamed reader does not take (another key order, extra
+    keys, a syntax error, an invalid atom) is parsed again by json.load and
     pair_from_json, so errors and their messages are theirs.  A file that
     cannot seek back goes to them directly.
     """
@@ -790,9 +760,8 @@ def _read_companion(fh, sha256: bytes, max_bytes: int) -> PairDocument | None:
     is taken only when the headers fit one instance and declare at most
     max_bytes of arrays in all, its format is _COMPANION_FORMAT and its
     recorded digest is sha256.  The arrays are read whole, so each member's
-    CRC is checked, and the document is built through MeasureModel,
-    FiberedSystem and FiberedFunction, which validate it as they do the
-    parsed text.
+    CRC is checked, and the document is built as one block by
+    _stacked_document, which validates it as it does the parsed text.
     """
     try:
         with zipfile.ZipFile(fh) as zf:
@@ -820,16 +789,9 @@ def _read_companion(fh, sha256: bytes, max_bytes: int) -> PairDocument | None:
                         return None
         if arrays["format"] != _COMPANION_FORMAT or arrays["sha256"].tobytes() != sha256:
             return None
-        measure = MeasureModel(tuple(json.loads(arrays["ids"].tobytes())), arrays["weights"])
-        meta = json.loads(arrays["meta"].tobytes())
-        return PairDocument(
-            measure,
-            FiberedSystem(measure, arrays["A"]),
-            FiberedSystem(measure, arrays["B"]) if "B" in arrays else None,
-            None,
-            FiberedFunction(measure, arrays["f"]) if "f" in arrays else None,
-            meta if isinstance(meta, dict) else {},
-        )
+        ids = json.loads(arrays["ids"].tobytes())
+        block = _AtomBlock(ids, arrays["weights"], arrays["A"], arrays.get("B"), None, arrays.get("f"))
+        return _stacked_document([block], json.loads(arrays["meta"].tobytes()))
     except _COMPANION_ERRORS:
         return None
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from framekit import cli, serialize
+from framekit.fiberframe import FiberSystem
 from framekit.generate import duality_instance, random_fibered_system
 from framekit.mispace import FiberedSystem, MeasureModel, verify_biorthogonality, verify_duality
 from framekit.serialize import (
@@ -502,6 +503,14 @@ def _assert_same_pair(got, want):
     assert got.meta == want.meta
 
 
+def _cut_b(doc):
+    """Every B of the instance one dimension short of fiber_dim."""
+    for atom in doc["atoms"]:
+        atom["B"]["dim"] -= 1
+        for vector in atom["B"]["vectors"]:
+            vector.pop()
+
+
 def _rejected_docs():
     """Every parser-rejection case above, as (id, mutation of _full_doc())."""
     cases = []
@@ -516,6 +525,7 @@ def _rejected_docs():
     cases += [
         ("partial-B", lambda d: d["atoms"][1].pop("B")),
         ("mixed-dims", lambda d: d["atoms"][0]["A"].__setitem__("dim", 5)),
+        ("b-dim", _cut_b),
         ("bool-fiber-dim", lambda d: d.__setitem__("fiber_dim", True)),
         ("bool-dim", lambda d: d["atoms"][0]["A"].__setitem__("dim", True)),
         ("bool-ambient-dim", lambda d: d["atoms"][0]["W"].__setitem__("ambient_dim", True)),
@@ -528,8 +538,17 @@ def _rejected_docs():
     return cases
 
 
-@pytest.mark.parametrize("mutate", [c[1] for c in _rejected_docs()], ids=[c[0] for c in _rejected_docs()])
-def test_cli_reader_rejects_like_json_load(mutate, tmp_path, capsys):
+# every case with the default block size, and again with every atom its own block
+REJECTED = [(name, mutate, block) for name, mutate in _rejected_docs() for block in (serialize._ATOM_BLOCK, 1)]
+
+
+@pytest.mark.parametrize(
+    "mutate,block",
+    [case[1:] for case in REJECTED],
+    ids=[name if block == serialize._ATOM_BLOCK else f"{name}-atom-block-{block}" for name, _, block in REJECTED],
+)
+def test_cli_reader_rejects_like_json_load(mutate, block, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(serialize, "_ATOM_BLOCK", block)
     doc = _full_doc()
     mutate(doc)
     path = tmp_path / "bad.json"
@@ -624,7 +643,7 @@ def _walked(doc):
     """The instance converted atom by atom, the reference for the block path."""
     fiber_dim = doc["fiber_dim"]
     atoms = [serialize._atom_from_json(e, k, fiber_dim) for k, e in enumerate(doc["atoms"])]
-    return serialize._pair_document(fiber_dim, atoms, doc.get("meta"))
+    return serialize._stacked_document(atoms, doc.get("meta"))
 
 
 def _block_instance(path, n_atoms):
@@ -644,6 +663,38 @@ def test_reader_block_edges_parse_like_json_load(n_atoms, tmp_path):
     _assert_same_pair(want, _walked(json.loads(path.read_text(encoding="utf-8"))))
     _assert_same_pair(cli._read_pair(SimpleNamespace(infile=str(path))), want)
     assert _streams(path.read_text(encoding="utf-8"))
+
+
+def test_walked_and_fast_blocks_stack_to_the_same_bits(tmp_path, monkeypatch):
+    """Atoms whose pairs are tuples, which the fast check turns down, are
+    converted by the message step where they stand, among fast blocks, to
+    the bits of the all-list document, and no FiberSystem is built."""
+    path = tmp_path / "pair.json"
+    _block_instance(path, 2 * BLOCK + 1)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    want = pair_from_json(doc)
+    for k in (0, BLOCK - 1, BLOCK, 2 * BLOCK):
+        atom = doc["atoms"][k]
+        for system in (atom["A"], atom["B"]):
+            system["vectors"] = [[tuple(p) for p in v] for v in system["vectors"]]
+        atom["f"] = [tuple(p) for p in atom["f"]]
+
+    built, walked = [], []
+    post_init, atom_from_json = FiberSystem.__post_init__, serialize._atom_from_json
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    def walking(entry, k, fiber_dim):
+        walked.append(k)
+        return atom_from_json(entry, k, fiber_dim)
+
+    monkeypatch.setattr(FiberSystem, "__post_init__", counting)
+    monkeypatch.setattr(serialize, "_atom_from_json", walking)
+    _assert_same_pair(pair_from_json(doc), want)
+    assert walked == list(range(2 * BLOCK + 1))  # all three blocks hold a tuple atom
+    assert built == []
 
 
 BAD_VECTORS = [
