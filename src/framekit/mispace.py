@@ -463,7 +463,10 @@ class EquivalenceReport:
     diagnostics holds the per-atom results as columns in measure order:
     atom (the measure's ids), dim_ja, dim_jb, r_ab, r_ba, rank_mixed and
     pinv_norm, as the writers emit them.  worst_fiber is the index of the
-    atom with the smallest fiber cosine.
+    atom with the smallest fiber cosine.  max_local_residual and
+    max_global_residual are normwise backward errors of the witnesses'
+    reproducing formulas, the residual norms over ||T||_2 ||D||_2 (see
+    verify_duality), None when no witness is built.
     """
 
     global_duals_exist: bool
@@ -543,6 +546,8 @@ def _fiber_pass(sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance, angle_tol:
             t = tight[lo:hi] = f.qa @ ct(f.va)
             d = dual[lo:hi] = _pinv_duals(f, tightened=True)
             resid[:, lo:hi] = _certificate(t, d, f.qa, f.qb)
+            # normwise backward error ||R||_F / (||T||_2 ||D||_2): T is Parseval
+            resid[:, lo:hi] /= np.maximum(pinv_norm[lo:hi], 1.0)
 
     bounds_a = _global_bounds(dim_a > 0, bounds[0], bounds[1], tol)
     bounds_b = _global_bounds(dim_b > 0, bounds[2], bounds[3], tol)
@@ -593,15 +598,21 @@ def verify_duality(
     from the same cross SVD, and the certificate is the Frobenius norm of
     the reproduction residuals R_A = T D^H Qa - Qa and R_B = D T^H Qb - Qb
     (_certificate), which bounds the relative residual of every function in
-    either span.  max_local_residual is its largest value over atoms and
-    sides.  The global reproducing operators are block diagonal over the
-    atoms, so their norms are the essential suprema of the fiber norms:
-    max_global_residual is the largest value over atoms of positive weight.
-    Both must clear eq_tol.  The witnesses' spans and bounds hold by
-    construction: T is Parseval on span(SA), and D spans span(SB) with
-    singular values 1/cosine on the kept cosines, at most pinv_norm.  A
-    fiber whose pinv_norm exceeds c_max downgrades the witness to
-    "constructed, unverified-bound".
+    either span, taken as a normwise backward error: divided by
+    ||T||_2 ||D||_2 = max(pinv_norm, 1), since T is Parseval and D has norm
+    pinv_norm (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, sec. 7.1).  The rounding part of the residual grows like the
+    unit roundoff times pinv_norm, so the quotient does not let a small
+    planted cosine split the dual statements from the angle statements.
+    max_local_residual is its largest value over atoms and sides.  The
+    global reproducing operators are block diagonal over the atoms, so their
+    norms are the essential suprema of the fiber norms: max_global_residual
+    is the largest value over atoms of positive weight.  Both must clear
+    eq_tol.  The witnesses' spans and bounds hold by construction: T is
+    Parseval on span(SA), and D spans span(SB) with singular values
+    1/cosine on the kept cosines, at most pinv_norm.  A fiber whose
+    pinv_norm exceeds c_max downgrades the witness to "constructed,
+    unverified-bound".
 
     Everything comes from one factor pass over blocks of _FACTOR_BLOCK
     atoms (_fiber_pass), three SVDs per block, and no random draw.
@@ -691,7 +702,7 @@ def verify_biorthogonality(
 
     lowers, uppers, cos = (np.empty(n_atoms) for _ in range(3))
     eye = np.eye(r, dtype=np.complex128)
-    dual = np.empty_like(a_all)
+    dual = None
     holds, dev, repro = True, 0.0, 0.0
     for lo, hi in _blocks(n_atoms, _FACTOR_BLOCK):
         a, w = a_all[lo:hi], np.stack([t.basis for t in targets[lo:hi]])
@@ -703,6 +714,8 @@ def verify_biorthogonality(
         cos[lo:hi] = _inf_cos_pair(singular_values(ct(w) @ q), dims, dims)[0]
         holds = holds and bool(np.all(cos[lo:hi] > angle_tol))
         if holds:
+            if dual is None:  # made once the first slice passes
+                dual = np.empty_like(a_all)
             h = dual[lo:hi] = _biorth_duals(a, w)
             dev = max(dev, float(np.abs((ct(h) @ a).swapaxes(-1, -2) - eye).max()))
             repro = max(repro, float(np.max(_certificate(a, h, q, w))))

@@ -646,16 +646,20 @@ def read_pair(fh) -> PairDocument:
     """The instance in the open text file fh, as pair_from_json(json.load(fh))
     returns it, without holding the file's text or its decoded document.
 
-    Anything the streamed reader does not take (another key order, extra
-    keys, a syntax error, an invalid atom) is parsed again by json.load and
-    pair_from_json, so errors and their messages are theirs.  A file that
-    cannot seek back goes to them directly.
+    Text the streamed reader does not take (another key order, extra keys, a
+    syntax error, nesting past the recursion limit) is parsed again by
+    json.load and pair_from_json, so errors and their messages are theirs.
+    An invalid fiber_dim or atom, or atoms that disagree, raise the message
+    pair_from_json gives for them at once, without reading the rest of the
+    file: such an error is reported even where a syntax error or a repeated
+    top-level key follows it.  A file that cannot seek back goes to
+    json.load directly.
     """
     if fh.seekable():
         start = fh.tell()
         try:
             return _stream_pair(fh)
-        except (ValueError, RecursionError):
+        except (_Unrecognised, RecursionError):
             pass
         fh.seek(start)
     return pair_from_json(json.load(fh))

@@ -40,8 +40,10 @@ class FiniteGroupSpec:
     validated on construction: identity row and column, a two-sided inverse
     for every element, and associativity by Light's test over a greedy
     generating set (Clifford & Preston, The Algebraic Theory of Semigroups I,
-    1961, sec. 1.2), O(order^2) time and memory per generator.  The tables
-    are read-only, and specs compare and hash by identity.
+    1961, sec. 1.2), O(order^2) time and memory per generator; the
+    generating set is found by pointer doubling (_generating_set).  Built-in
+    tables pass the same checks.  The tables are read-only, and specs
+    compare and hash by identity.
     """
 
     kind: str
@@ -80,40 +82,54 @@ class FiniteGroupSpec:
 def _generating_set(m: np.ndarray) -> list[int]:
     """Greedy generators of the table: the least element not yet reached,
     then the reached set closed under right multiplication by the generators
-    so far, each element multiplied once by each generator.  Every reached
-    element is a product of generators, and a group needs at most
-    log2(order) of them."""
+    so far.  Each generator s closes the set by pointer doubling: with the
+    map x -> x s as the index array perm, a step adds the set's image under
+    perm and squares perm, so after k steps the set holds R s^j for all
+    j < 2^k, and a step that adds nothing leaves it closed under s.  The
+    generators take turns until none adds anything, about log2(order)
+    whole-array steps each; the argument needs no inverses, so it holds for
+    any table.  Every reached element is a product of generators, and a
+    group needs at most log2(order) of them."""
     reached = np.arange(m.shape[0]) == 0
     gens = []
     while not reached.all():
         gens.append(int(np.argmin(reached)))
-        cols = m[:, gens]
-        # the elements reached so far have met every generator but the new one
-        prods = cols[reached, -1]
-        while prods.size:
-            new = np.unique(prods[~reached[prods]])
-            reached[new] = True
-            prods = cols[new].ravel()
+        grew = True
+        while grew:
+            grew = False
+            for s in gens:
+                perm = m[:, s]
+                while not reached[image := perm[reached]].all():
+                    reached[image] = True
+                    perm = perm[perm]
+                    grew = True
     return gens
 
 
 def cyclic_group(n: int) -> FiniteGroupSpec:
-    """The cyclic group Z_n with addition mod n."""
+    """The cyclic group Z_n with addition mod n: i + j, less n where the sum
+    reaches n."""
     if n < 1:
         raise ValueError("order must be at least 1")
     idx = np.arange(n)
-    return FiniteGroupSpec("cyclic", n, (idx[:, None] + idx[None, :]) % n)
+    m = idx[:, None] + idx[None, :]
+    np.subtract(m, n, out=m, where=m >= n)
+    return FiniteGroupSpec("cyclic", n, m)
 
 
 def dihedral_group(n: int) -> FiniteGroupSpec:
-    """The dihedral group of order 2n; index a + n*b encodes r^a s^b."""
+    """The dihedral group of order 2n; index a + n*b encodes r^a s^b.  The
+    rotation part a +- c is brought into [0, n) by one add or subtract of n."""
     if n < 1:
         raise ValueError("rotation order must be at least 1")
-    idx = np.arange(2 * n)
-    a, b = idx % n, idx // n
+    a = np.tile(np.arange(n), 2)
     # (r^a s^b)(r^c s^d) = r^(a + (-1)^b c) s^(b + d)
-    sign = np.where(b == 0, 1, -1)
-    m = (a[:, None] + sign[:, None] * a[None, :]) % n + n * ((b[:, None] + b[None, :]) % 2)
+    m = a[:, None] + np.repeat([1, -1], n)[:, None] * a[None, :]
+    np.subtract(m, n, out=m, where=m >= n)
+    np.add(m, n, out=m, where=m < 0)
+    # s^(b + d) is s where exactly one of b, d is 1
+    m[:n, n:] += n
+    m[n:, :n] += n
     return FiniteGroupSpec("dihedral", 2 * n, m)
 
 
@@ -194,8 +210,10 @@ def build_plan(group: FiniteGroupSpec, subgroup_generator: int) -> ZakPlan:
 
 def _modulation(q: int, m) -> np.ndarray:
     """exp(-2 pi i k m / q) at the characters k = 0..q-1 (rows) and the powers
-    m (columns): the symbols alpha -> conj(alpha(g0^m)) of the translations."""
-    return np.exp(-2j * np.pi * (np.arange(q)[:, None] * np.asarray(m)[None, :] % q) / q)
+    m (columns): the symbols alpha -> conj(alpha(g0^m)) of the translations,
+    gathered from the q roots exp(-2 pi i j / q) at j = k m mod q."""
+    roots = np.exp(-2j * np.pi * np.arange(q) / q)
+    return roots[np.arange(q)[:, None] * np.asarray(m)[None, :] % q]
 
 
 def zak_forward(plan: ZakPlan, signal) -> FiberedFunction:

@@ -9,7 +9,8 @@ explicit pseudo-inverse, the infimum cosine from orthonormal bases one pair
 at a time, the random-probe certificate of a witness dual pair, and the
 cross-check routes (biorthogonal duals through an oblique projection,
 modulation-side pairings, group-side biorthogonality, direct sums,
-translation and its modulation symbol one subgroup element at a time).  It
+translation and its modulation symbol one subgroup element at a time, and
+the greedy generating set of a group table by breadth-first closure).  It
 also keeps the instance generator's draws one atom at a time
 (random_unitary, well_conditioned_coefficients, rotated_span_pair,
 fiber_pair), which the stacked generator must reproduce bit for bit on one
@@ -280,6 +281,26 @@ def modulation_symbol(plan, gamma: int) -> np.ndarray:
     translation by gamma: value conj(alpha_k(gamma)) = exp(-2 pi i k m / q) at
     atom k, for gamma = g0^m."""
     return np.exp(-2j * np.pi * np.arange(plan.q) * _power_of(plan, gamma) / plan.q)
+
+
+def generating_set(m) -> list[int]:
+    """Greedy generators of a table by breadth-first closure: the least
+    element not yet reached, then the reached set closed under right
+    multiplication by the generators so far, one level of products at a
+    time, each element multiplied once by each generator."""
+    m = np.asarray(m)
+    reached = np.arange(m.shape[0]) == 0
+    gens = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        cols = m[:, gens]
+        # the elements reached so far have met every generator but the new one
+        prods = cols[reached, -1]
+        while prods.size:
+            new = np.unique(prods[~reached[prods]])
+            reached[new] = True
+            prods = cols[new].ravel()
+    return gens
 
 
 def random_unitary(rng, d: int) -> np.ndarray:

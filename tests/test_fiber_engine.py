@@ -279,6 +279,48 @@ def test_certificate_sees_a_perturbed_dual():
     assert np.argmax(cert.max(axis=0)) == k
 
 
+@pytest.mark.parametrize("eps", [1.2e-8, 2e-8, 5e-8, 1e-7])
+def test_near_threshold_statements_agree(eps):
+    """A planted cosine just above angle_tol: the certificate, a backward
+    error, does not grow with pinv_norm, so the dual statements hold with the
+    angle statements."""
+    for seed in range(5):
+        inst = duality_instance("near-threshold", 300, 8, 6, seed=seed, eps=eps)
+        report = verify_duality(inst.sa, inst.sb)
+        statements = (report.global_duals_exist, report.global_angles_positive,
+                      report.fiber_duals_exist, report.fiber_angles_positive)
+        assert statements == (True,) * 4, (seed, report.max_local_residual)
+        assert report.diagnostics["pinv_norm"].max() >= 0.5 / eps
+
+
+@pytest.mark.parametrize("family,eps", [("in-duality", 1e-6), ("near-threshold", 1e-6)])
+def test_backward_error_sees_a_perturbed_witness(family, eps, monkeypatch):
+    """A witness dual moved by 1e-6 of its norm on one atom in the second
+    block fails the certificate, on the near-threshold family's planted atom
+    too, whose pinv_norm the backward error divides by."""
+    inst = duality_instance(family, _FACTOR_BLOCK + 9, 8, 6, seed=4, eps=eps)
+    k = _FACTOR_BLOCK + 4
+    if family == "near-threshold":
+        k = int(inst.meta["special_atom"][1:])
+    assert verify_duality(inst.sa, inst.sb).all_hold
+    pinv_duals, offset = mispace._pinv_duals, [0]
+
+    def perturbed(f, tightened=False):
+        d = pinv_duals(f, tightened)
+        lo = offset[0]
+        offset[0] += len(d)
+        if lo <= k < lo + len(d):
+            e = complex_gaussian(np.random.default_rng(7), *d[k - lo].shape)
+            d[k - lo] += 1e-6 * np.linalg.norm(d[k - lo]) / np.linalg.norm(e) * e
+        return d
+
+    monkeypatch.setattr(mispace, "_pinv_duals", perturbed)
+    report = verify_duality(inst.sa, inst.sb)
+    assert offset[0] == inst.sa.measure.count
+    assert not report.fiber_duals_exist and not report.global_duals_exist
+    assert report.fiber_angles_positive and report.global_angles_positive
+
+
 def test_pinv_dual_matches_dualise():
     inst = duality_instance("in-duality", _FACTOR_BLOCK + 5, 5, 3, seed=8)
     sb = FiberedSystem(inst.sb.measure, tuple(f.padded(4) for f in inst.sb.fibers))
@@ -477,6 +519,27 @@ def test_verify_biorthogonality_holds_one_full_size_array():
         tracemalloc.stop()
     assert report.holds
     assert peak <= 2.5 * sa.matrices.nbytes
+
+
+def test_verify_biorthogonality_allocates_no_dual_for_a_failing_first_slice():
+    """The dual is made at the first slice that clears angle_tol; a family
+    whose first slice fails never holds one."""
+    rng = np.random.default_rng(43)
+    n_atoms, d, r = 300, 5, 2
+    fibers, targets = [], []
+    for k in range(n_atoms):
+        v, w, _ = rotated_span_pair(rng, d, r, rng.uniform(0.1 if k == 3 else 0.8, 1.0, r))
+        fibers.append(v @ (np.eye(r) + 0.3 * complex_gaussian(rng, r, r)))
+        targets.append(Subspace(w))
+    sa = FiberedSystem(_measure(n_atoms, rng), np.stack(fibers))
+    tracemalloc.start()
+    try:
+        report = verify_biorthogonality(sa, targets, angle_tol=0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.holds and report.failed_atoms == ["x3"] and report.dual is None
+    assert peak <= 3.2 * sa.matrices.nbytes
 
 
 def test_single_fiber_functions_match_oracles():

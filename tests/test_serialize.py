@@ -721,6 +721,33 @@ def test_reader_rejects_bad_vectors_at_block_edges(atom, mutate, reason, tmp_pat
     assert (captured.out, captured.err) == ("", f"framekit: {message}\n")
 
 
+def test_reader_rejects_an_invalid_atom_without_json_load(tmp_path, capsys, monkeypatch):
+    """An atom the converter rejects ends the read with pair_from_json's
+    message; the file is not decoded a second time by json.load.  Text after
+    the atom is not read, so a syntax error there goes unreported."""
+    path = tmp_path / "pair.json"
+    _block_instance(path, 2 * BLOCK + 1)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["atoms"][-1]["weight"] = -1
+    text = dumps(doc)
+    path.write_text(text, encoding="utf-8")
+    message = f"atom 'x{2 * BLOCK}': weight must be positive"
+    assert _oracle(path) == (None, message)
+    loads, load = [], json.load
+
+    def counting(*args, **kwargs):
+        loads.append(1)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(json, "load", counting)
+    for body in (text, text[: text.rindex("}")]):
+        path.write_text(body, encoding="utf-8")
+        assert cli.main(["angles", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"framekit: {message}\n")
+    assert loads == []
+
+
 def test_streamed_reader_takes_every_gen_family_and_the_fixtures(tmp_path, monkeypatch):
     """What gen writes never reaches the json.load fallback, which would read
     the file a second time."""

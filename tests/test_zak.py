@@ -15,6 +15,7 @@ from framekit.subspace import Subspace
 from framekit.zak import (
     FiniteGroupSpec,
     _generating_set,
+    _modulation,
     _translates,
     build_plan,
     builtin_plan,
@@ -27,7 +28,7 @@ from framekit.zak import (
     zak_forward,
     zak_inverse,
 )
-from oracles import modulation_symbol, tg_biorthogonality_deviation, translate
+from oracles import generating_set, modulation_symbol, tg_biorthogonality_deviation, translate
 
 PLANS = ("z4", "z12", "d4")
 
@@ -462,6 +463,67 @@ def test_generating_set_is_greedy():
     cases += [(relabelled_product(rng, m, c)[0], want) for (m, c), want in products.items()]
     cases += [(klein, [1, 2]), (z2_z4, [1, 4])]
     assert [_generating_set(m) for m, _ in cases] == [want for _, want in cases]
+
+
+def random_magma(rng):
+    """A table with an identity and two-sided inverses but no Latin property."""
+    n = int(rng.integers(2, 8))
+    m = rng.integers(1, n, size=(n, n))
+    m[0] = m[:, 0] = np.arange(n)
+    inv = np.arange(n)
+    perm = 1 + rng.permutation(n - 1)
+    pairs = perm[: 2 * int(rng.integers(0, (n + 1) // 2))].reshape(-1, 2)
+    inv[pairs[:, 0]], inv[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    m[np.arange(1, n), inv[1:]] = 0
+    return m
+
+
+def heisenberg_z3():
+    """H(Z_3), order 27: (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a b'),
+    element (a, b, c) at index 9a + 3b + c."""
+    a, b, c = np.unravel_index(np.arange(27), (3, 3, 3))
+    prod = [(a[:, None] + a[None, :]) % 3, (b[:, None] + b[None, :]) % 3,
+            (c[:, None] + c[None, :] + a[:, None] * b[None, :]) % 3]
+    return np.ravel_multi_index(prod, (3, 3, 3))
+
+
+def test_generating_set_matches_breadth_first_closure():
+    # the doubling closure reaches the sets the breadth-first one does, so it
+    # picks the same greedy generators, on groups and on magmas alike
+    rng = np.random.default_rng(179)
+    a = np.arange(8)
+    tables = [random_magma(rng) for _ in range(300)]
+    tables += [relabelled_product(rng, m, c)[0] for m, c in ((1, 3), (2, 2), (3, 4), (4, 4), (4, 8), (5, 3))]
+    tables += [np.bitwise_xor.outer(a[:4], a[:4]),
+               (a[:, None] // 4 + a[None, :] // 4) % 2 * 4 + (a[:, None] + a[None, :]) % 4]
+    heisenberg = heisenberg_z3()
+    assert associative(heisenberg) and not np.array_equal(heisenberg, heisenberg.T)
+    tables.append(heisenberg)
+    for m in tables:
+        assert _generating_set(m) == generating_set(m)
+    assert explicit_group(heisenberg).order == 27
+
+
+def test_builtin_tables_match_modular_formulas():
+    for n in [*range(1, 301), 512, 1024]:
+        i = np.arange(n)
+        want = (i[:, None] + i[None, :]) % n
+        got = cyclic_group(n).mul
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for n in [*range(1, 301), 512]:
+        x = np.arange(2 * n)
+        a, b = x % n, x // n
+        want = (a[:, None] + np.where(b == 0, 1, -1)[:, None] * a[None, :]) % n + n * ((b[:, None] + b[None, :]) % 2)
+        got = dihedral_group(n).mul
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_modulation_matches_formula_bit_for_bit():
+    for q in (1, 2, 3, 7, 16, 128, 1024):
+        k = np.arange(q)
+        for m in (k, k[::-1][:5], np.array([0]), np.arange(q // 2, q)):
+            want = np.exp(-2j * np.pi * (k[:, None] * m[None, :] % q) / q)
+            assert _modulation(q, m).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
