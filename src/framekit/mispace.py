@@ -509,13 +509,14 @@ def _fiber_pass(sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance, angle_tol:
 
     Returns the EquivalenceReport fields the pass decides, as keyword
     arguments: both angle statements, angles_global, worst_fiber,
-    diagnostics and both frame bounds.  When witnesses is true and the rank
-    condition rank_mixed = dim_ja = dim_jb holds on every atom, it also
-    returns the witness pair and its certificate: the Parseval tightening T
-    of SA, its pseudo-inverse dual D in span(SB), and the (2, atoms) norms of
-    _certificate; None otherwise.  No witness is built from the first block
-    that fails the rank condition on.  Raises ValueError when either system
-    is not a frame for its span.
+    diagnostics and both frame bounds.  When witnesses is true, the rank
+    condition rank_mixed = dim_ja = dim_jb holds on every atom and every
+    atom's infimum cosines exceed angle_tol, it also returns the witness
+    pair and its certificate: the Parseval tightening T of SA, its
+    pseudo-inverse dual D in span(SB), and the (2, atoms) norms of
+    _certificate, divided by max(pinv_norm, 1); None otherwise.  No witness
+    is built from the first block that fails either test on.  Raises
+    ValueError when either system is not a frame for its span.
 
     Per block, _factor_pair gives the span bases Qa and Qb, the span
     dimensions, the frame bounds, the principal cosines between the spans
@@ -541,7 +542,9 @@ def _fiber_pass(sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance, angle_tol:
         r_ab[lo:hi], r_ba[lo:hi] = _inf_cos_pair(f.sig, f.dim_a, f.dim_b)
         pinv_norm[lo:hi] = f.inv.max(axis=-1)
         # no witness is reported unless every block meets the rank condition
-        witnesses = witnesses and bool(f.feasible.all())
+        # and clears angle_tol, the cutoff of the angle statements
+        cleared = np.all(np.minimum(r_ab[lo:hi], r_ba[lo:hi]) > angle_tol)
+        witnesses = witnesses and bool(f.feasible.all() and cleared)
         if witnesses:
             t = tight[lo:hi] = f.qa @ ct(f.va)
             d = dual[lo:hi] = _pinv_duals(f, tightened=True)
@@ -593,7 +596,9 @@ def verify_duality(
     test lower > eq_tol * upper on the global frame bounds.  Angle
     statements are read off the principal cosines.  Existence statements
     are certified constructively where the rank condition
-    rank B^H A = dim span A = dim span B holds on every atom: SA is
+    rank B^H A = dim span A = dim span B holds and both infimum cosines
+    exceed angle_tol on every atom, and are false elsewhere, so both kinds
+    of statement decide at the one cutoff angle_tol: SA is
     Parseval-tightened to T, its pseudo-inverse dual D in span(SB) is built
     from the same cross SVD, and the certificate is the Frobenius norm of
     the reproduction residuals R_A = T D^H Qa - Qa and R_B = D T^H Qb - Qb
@@ -602,8 +607,8 @@ def verify_duality(
     ||T||_2 ||D||_2 = max(pinv_norm, 1), since T is Parseval and D has norm
     pinv_norm (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
     ed., 2002, sec. 7.1).  The rounding part of the residual grows like the
-    unit roundoff times pinv_norm, so the quotient does not let a small
-    planted cosine split the dual statements from the angle statements.
+    unit roundoff times pinv_norm, so the quotient keeps a planted cosine
+    just above angle_tol from failing eq_tol.
     max_local_residual is its largest value over atoms and sides.  The
     global reproducing operators are block diagonal over the atoms, so their
     norms are the essential suprema of the fiber norms: max_global_residual

@@ -647,19 +647,21 @@ def read_pair(fh) -> PairDocument:
     returns it, without holding the file's text or its decoded document.
 
     Text the streamed reader does not take (another key order, extra keys, a
-    syntax error, nesting past the recursion limit) is parsed again by
-    json.load and pair_from_json, so errors and their messages are theirs.
-    An invalid fiber_dim or atom, or atoms that disagree, raise the message
-    pair_from_json gives for them at once, without reading the rest of the
-    file: such an error is reported even where a syntax error or a repeated
-    top-level key follows it.  A file that cannot seek back goes to
-    json.load directly.
+    syntax error, bytes that are not UTF-8, nesting past the recursion
+    limit) is parsed again by json.load and pair_from_json, so errors and
+    their messages are theirs.  An invalid fiber_dim or atom, or atoms that
+    disagree, raise the message pair_from_json gives for them at once,
+    without reading the rest of the file: such an error is reported even
+    where a syntax error in a later block of _ATOM_BLOCK atoms follows it,
+    and a file that repeats a top-level key is refused for an invalid value
+    of its first copy, though json.load would keep the last.  A file that
+    cannot seek back goes to json.load directly.
     """
     if fh.seekable():
         start = fh.tell()
         try:
             return _stream_pair(fh)
-        except (_Unrecognised, RecursionError):
+        except (_Unrecognised, UnicodeDecodeError, RecursionError):
             pass
         fh.seek(start)
     return pair_from_json(json.load(fh))

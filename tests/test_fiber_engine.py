@@ -89,7 +89,9 @@ def oracle_duality(sa, sb, tol=DEFAULT_TOL, angle_tol=DEFAULT_ANGLE_TOL, c_max=D
     worst = min(rows, key=lambda row: min(row[3], row[4]))[0]
     status, local_ok, global_ok = "not constructed", False, False
     duals = None
-    if feasible:
+    # witnesses are built where the rank condition holds and every cosine
+    # clears angle_tol, the cutoff of the angle statements
+    if feasible and fiber_angles:
         try:
             duals = [oracles.dualise(pa, pb) for pa, pb in tight]
         except ConstructionError:
@@ -279,17 +281,20 @@ def test_certificate_sees_a_perturbed_dual():
     assert np.argmax(cert.max(axis=0)) == k
 
 
-@pytest.mark.parametrize("eps", [1.2e-8, 2e-8, 5e-8, 1e-7])
+@pytest.mark.parametrize("eps", [1e-9, 5e-9, 1.2e-8, 2e-8, 5e-8, 1e-7])
 def test_near_threshold_statements_agree(eps):
-    """A planted cosine just above angle_tol: the certificate, a backward
-    error, does not grow with pinv_norm, so the dual statements hold with the
-    angle statements."""
+    """A planted cosine on either side of angle_tol, above REL_RANK_TOL: just
+    above, the certificate, a backward error, does not grow with pinv_norm,
+    so the dual statements hold with the angle statements; at or below, no
+    witness is built, so they fail with them."""
+    holds = eps > DEFAULT_ANGLE_TOL
     for seed in range(5):
         inst = duality_instance("near-threshold", 300, 8, 6, seed=seed, eps=eps)
         report = verify_duality(inst.sa, inst.sb)
         statements = (report.global_duals_exist, report.global_angles_positive,
                       report.fiber_duals_exist, report.fiber_angles_positive)
-        assert statements == (True,) * 4, (seed, report.max_local_residual)
+        assert statements == (holds,) * 4, (seed, report.max_local_residual)
+        assert (report.witnesses is not None) == holds
         assert report.diagnostics["pinv_norm"].max() >= 0.5 / eps
 
 

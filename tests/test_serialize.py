@@ -748,6 +748,22 @@ def test_reader_rejects_an_invalid_atom_without_json_load(tmp_path, capsys, monk
     assert loads == []
 
 
+def test_reader_reports_bytes_past_the_first_chunk_that_are_not_utf8_as_json_load(tmp_path, capsys):
+    """json.load reads the file again, so the position in the message counts
+    from the start of the file, not of the chunk the streamed reader hit."""
+    path = tmp_path / "pair.json"
+    _block_instance(path, 200)
+    data = path.read_bytes()
+    assert len(data) > 2 * serialize._READ_CHUNK and data.count(b'"in-duality"') == 1
+    path.write_bytes(data.replace(b'"in-duality"', b'"in-duality\xff"'))
+    with open(path, encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError) as want:
+        json.load(fh)
+    assert want.value.start > 2 * serialize._READ_CHUNK
+    assert cli.main(["angles", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"framekit: {want.value}\n")
+
+
 def test_streamed_reader_takes_every_gen_family_and_the_fixtures(tmp_path, monkeypatch):
     """What gen writes never reaches the json.load fallback, which would read
     the file a second time."""

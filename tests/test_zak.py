@@ -421,18 +421,23 @@ def test_light_test_matches_brute_force_on_small_latin_squares():
     assert counts == [1, 1, 1, 4, 56]
 
 
+def random_magma(rng):
+    """A table with an identity and two-sided inverses but no Latin property."""
+    n = int(rng.integers(2, 8))
+    m = rng.integers(1, n, size=(n, n))
+    m[0] = m[:, 0] = np.arange(n)
+    inv = np.arange(n)
+    perm = 1 + rng.permutation(n - 1)
+    pairs = perm[: 2 * int(rng.integers(0, (n + 1) // 2))].reshape(-1, 2)
+    inv[pairs[:, 0]], inv[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    m[np.arange(1, n), inv[1:]] = 0
+    return m
+
+
 def test_light_test_matches_brute_force_on_random_magmas():
-    # Tables with an identity and two-sided inverses but no Latin property.
     rng = np.random.default_rng(131)
     for _ in range(300):
-        n = int(rng.integers(2, 8))
-        m = rng.integers(1, n, size=(n, n))
-        m[0] = m[:, 0] = np.arange(n)
-        inv = np.arange(n)
-        perm = 1 + rng.permutation(n - 1)
-        pairs = perm[: 2 * int(rng.integers(0, (n + 1) // 2))].reshape(-1, 2)
-        inv[pairs[:, 0]], inv[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
-        m[np.arange(1, n), inv[1:]] = 0
+        m = random_magma(rng)
         assert has_two_sided_inverses(m)
         assert_verdict_matches_oracle(m)
 
@@ -463,19 +468,6 @@ def test_generating_set_is_greedy():
     cases += [(relabelled_product(rng, m, c)[0], want) for (m, c), want in products.items()]
     cases += [(klein, [1, 2]), (z2_z4, [1, 4])]
     assert [_generating_set(m) for m, _ in cases] == [want for _, want in cases]
-
-
-def random_magma(rng):
-    """A table with an identity and two-sided inverses but no Latin property."""
-    n = int(rng.integers(2, 8))
-    m = rng.integers(1, n, size=(n, n))
-    m[0] = m[:, 0] = np.arange(n)
-    inv = np.arange(n)
-    perm = 1 + rng.permutation(n - 1)
-    pairs = perm[: 2 * int(rng.integers(0, (n + 1) // 2))].reshape(-1, 2)
-    inv[pairs[:, 0]], inv[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
-    m[np.arange(1, n), inv[1:]] = 0
-    return m
 
 
 def heisenberg_z3():
