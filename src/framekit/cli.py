@@ -61,10 +61,7 @@ from .serialize import (
 )
 from .subspace import DEFAULT_ANGLE_TOL, Subspace
 from .zak import (
-    BUILTIN_PLANS,
-    build_plan,
-    cyclic_group,
-    dihedral_group,
+    plan_from_spec,
     tg_frame_bounds,
     tg_to_mg,
     verify_intertwine,
@@ -72,11 +69,6 @@ from .zak import (
     zak_inverse,
 )
 
-
-# Largest group order zak-demo accepts: it builds dense order x order tables
-# (O(order^2) memory) and factors the order x q translates matrix for the
-# group-side frame bounds, O(order^3) time at q = order.
-MAX_GROUP_ORDER = 1024
 
 # Largest atoms * dim * max(dim, gens) gen accepts: it holds the instance's
 # (atoms, dim, gens) stacks, and draws the dim x dim unitaries and
@@ -391,29 +383,6 @@ def _cmd_verify_thm2(ns):
     return _envelope(ns, biorth_report_to_json(report))
 
 
-def _resolve_plan(group: str, subgroup_gen):
-    key = group.strip().lower()
-    if key in BUILTIN_PLANS:
-        make, n, default_gen = BUILTIN_PLANS[key]
-        return build_plan(make(n), default_gen if subgroup_gen is None else subgroup_gen)
-    if ":" in key:
-        kind, _, arg = key.partition(":")
-        try:
-            n = int(arg)
-        except ValueError:
-            raise ValueError(f"bad group size in {group!r}") from None
-        order = {"cyclic": n, "dihedral": 2 * n}.get(kind)
-        if order is None:
-            raise ValueError(f"unknown group kind {kind!r}")
-        if order > MAX_GROUP_ORDER:
-            raise ValueError(f"group order {order} exceeds the limit {MAX_GROUP_ORDER}")
-        g = cyclic_group(n) if kind == "cyclic" else dihedral_group(n)
-        if subgroup_gen is None:
-            raise ValueError("custom groups need --subgroup-gen")
-        return build_plan(g, subgroup_gen)
-    raise ValueError(f"unknown group {group!r} (use z4, z12, d4, cyclic:N, dihedral:N)")
-
-
 def _resolve_signal(plan, spec: str, seed: int) -> np.ndarray:
     n = plan.group.order
     s = spec.strip().lower()
@@ -436,7 +405,7 @@ def _resolve_signal(plan, spec: str, seed: int) -> np.ndarray:
 
 
 def _cmd_zak_demo(ns):
-    plan = _resolve_plan(ns.group, ns.subgroup_gen)
+    plan = plan_from_spec(ns.group, ns.subgroup_gen)
     f = _resolve_signal(plan, ns.signal, ns.seed)
     zf = zak_forward(plan, f)
     back = zak_inverse(plan, zf)

@@ -33,7 +33,7 @@ from .mispace import (
     _spans,
     alternate_dual_residuals,
 )
-from .numkernel import DEFAULT_TOL, Tolerance, as_matrix, ct, rank, singular_values
+from .numkernel import DEFAULT_TOL, Tolerance, as_matrix, ct, singular_values
 from .subspace import DEFAULT_ANGLE_TOL, Subspace, _inf_cos_pair
 
 
@@ -172,11 +172,6 @@ def dualise(a: FiberSystem, b: FiberSystem) -> FiberSystem:
     if not f.feasible[0]:
         raise ConstructionError(_RANK_CONDITION_FAILS)
     return FiberSystem(_pinv_duals(f)[0])
-
-
-def is_riesz(a: FiberSystem) -> bool:
-    """True iff the generators are linearly independent (numerical rank r)."""
-    return rank(a.matrix) == a.count
 
 
 def biorth_riesz_dual(

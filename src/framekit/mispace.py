@@ -323,7 +323,7 @@ def alternate_dual_residuals(a, h, tol: Tolerance = DEFAULT_TOL) -> tuple[np.nda
     """
     ga = ct(a) @ a
     resid = np.linalg.norm(ga @ (ct(h) @ a) - ga, axis=(-2, -1))
-    return resid, resid <= tol.eq_tol * (1.0 + np.linalg.norm(ga, axis=(-2, -1)))
+    return resid, resid <= tol.eq_tol * np.linalg.norm(ga, axis=(-2, -1))
 
 
 def global_frame_bounds(

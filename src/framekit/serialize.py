@@ -47,7 +47,7 @@ from .mispace import (
     MeasureModel,
 )
 from .subspace import Subspace
-from .zak import FiniteGroupSpec, ZakPlan, cyclic_group, dihedral_group, explicit_group
+from .zak import FiniteGroupSpec, ZakPlan
 
 # ---------------------------------------------------------------------------
 # Writer.
@@ -813,30 +813,6 @@ def group_to_json(g: FiniteGroupSpec) -> dict:
     return doc
 
 
-def group_from_json(doc, where: str = "group") -> FiniteGroupSpec:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where}: expected an object")
-    kind = doc.get("kind")
-    order = doc.get("order")
-    if not _is_int(order) or order < 1:
-        raise ValueError(f"{where}: order must be a positive integer")
-    if kind == "cyclic":
-        return cyclic_group(order)
-    if kind == "dihedral":
-        if order % 2:
-            raise ValueError(f"{where}: dihedral order must be even")
-        return dihedral_group(order // 2)
-    if kind == "explicit":
-        mul = doc.get("mul")
-        if not isinstance(mul, list):
-            raise ValueError(f"{where}: explicit groups need a mul table")
-        try:
-            return explicit_group(mul)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-    raise ValueError(f"{where}: unknown kind {kind!r}")
-
-
 def plan_to_json(plan: ZakPlan) -> dict:
     return {
         "group": group_to_json(plan.group),
@@ -892,9 +868,6 @@ def equivalence_report_to_json(report: EquivalenceReport, include_witnesses: boo
             "B": pair_to_json(report.witnesses[1]),
         }
     return doc
-
-
-DIAGNOSTICS_CSV_HEADER = "atom,dim_ja,dim_jb,r_ab,r_ba,rank_mixed,pinv_norm"
 
 
 # Characters that make a CSV field need quoting (RFC 4180).

@@ -14,6 +14,8 @@ space of dimension p = N/q per atom, it intertwines translation by gamma with
 multiplication by the scalar function alpha -> conj(alpha(gamma)), and it
 turns a translation-generated system into a fibered (multiplication-style)
 system whose per-character fibers carry all frame information.
+
+Group specs are parsed here only, by plan_from_spec, which caps the order.
 """
 
 from __future__ import annotations
@@ -165,7 +167,6 @@ class ZakPlan:
     powers: tuple[int, ...]
     subgroup: tuple[int, ...]
     section: tuple[int, ...]
-    coset_of: np.ndarray
     cells: np.ndarray
     measure: MeasureModel
 
@@ -192,9 +193,7 @@ def build_plan(group: FiniteGroupSpec, subgroup_generator: int) -> ZakPlan:
     reps = group.mul[powers].min(axis=0)
     section = np.unique(reps)
     q = len(powers)
-    coset_of = np.searchsorted(section, reps)
     cells = group.mul[np.asarray(powers)[:, None], section[None, :]]
-    coset_of.flags.writeable = False
     cells.flags.writeable = False
     return ZakPlan(
         group=group,
@@ -202,7 +201,6 @@ def build_plan(group: FiniteGroupSpec, subgroup_generator: int) -> ZakPlan:
         powers=tuple(powers),
         subgroup=tuple(sorted(powers)),
         section=tuple(section.tolist()),
-        coset_of=coset_of,
         cells=cells,
         measure=MeasureModel(tuple(f"alpha{k}" for k in range(q)), np.full(q, 1.0 / q)),
     )
@@ -288,14 +286,41 @@ def tg_frame_bounds(plan: ZakPlan, generators) -> tuple[float, float, bool]:
     return global_frame_bounds(FiberedSystem(MeasureModel(("G",), np.ones(1)), t[None]))
 
 
+# Largest group order a spec may name: a group is a dense order x order table
+# (O(order^2) memory), and zak-demo factors the order x q translates matrix
+# for the group-side frame bounds, O(order^3) time at q = order.
+MAX_GROUP_ORDER = 1024
+
 # name -> (group constructor, its argument, default subgroup generator)
 BUILTIN_PLANS = {"z4": (cyclic_group, 4, 2), "z12": (cyclic_group, 12, 3), "d4": (dihedral_group, 4, 1)}
 
 
+def plan_from_spec(spec: str, generator: int | None = None) -> ZakPlan:
+    """The plan a group spec names, case and outer blanks ignored: a built-in
+    name (BUILTIN_PLANS), with its default subgroup generator unless one is
+    given, or cyclic:N (Z_N) or dihedral:N (order 2N), which need a generator
+    and an order of at most MAX_GROUP_ORDER, checked before any table."""
+    key = spec.strip().lower()
+    if key in BUILTIN_PLANS:
+        make, n, default = BUILTIN_PLANS[key]
+        return build_plan(make(n), default if generator is None else generator)
+    kind, colon, arg = key.partition(":")
+    if not colon:
+        raise ValueError(f"unknown group {spec!r} (use z4, z12, d4, cyclic:N, dihedral:N)")
+    try:
+        n = int(arg)
+    except ValueError:
+        raise ValueError(f"bad group size in {spec!r}") from None
+    if kind not in ("cyclic", "dihedral"):
+        raise ValueError(f"unknown group kind {kind!r}")
+    order = n if kind == "cyclic" else 2 * n
+    if order > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {order} exceeds the limit {MAX_GROUP_ORDER}")
+    if generator is None:
+        raise ValueError("custom groups need --subgroup-gen")
+    return build_plan(cyclic_group(n) if kind == "cyclic" else dihedral_group(n), generator)
+
+
 def builtin_plan(name: str) -> ZakPlan:
-    """Three ready-made plans used across tests and the demo subcommand."""
-    key = name.strip().lower()
-    if key not in BUILTIN_PLANS:
-        raise ValueError(f"unknown builtin plan {name!r} (choose {', '.join(BUILTIN_PLANS)})")
-    make, n, g0 = BUILTIN_PLANS[key]
-    return build_plan(make(n), g0)
+    """A built-in plan (z4, z12 or d4) with its default subgroup generator."""
+    return plan_from_spec(name)

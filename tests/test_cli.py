@@ -2,6 +2,7 @@
 where a check needs to patch or measure the process, in-process."""
 
 import ast
+import hashlib
 import json
 import os
 import pathlib
@@ -14,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from framekit import cli, mispace
+from framekit import cli, mispace, zak
 from framekit.generate import duality_instance
 from framekit.mispace import FiberedSystem
 from framekit.serialize import dumps, pair_to_json, plan_to_json
@@ -261,7 +262,7 @@ def test_bad_flag_exits_one():
 def test_custom_group_needs_generator():
     proc = run_cli("zak-demo", "--group", "cyclic:6")
     assert proc.returncode == 1
-    assert "subgroup-gen" in proc.stderr
+    assert proc.stderr == "framekit: custom groups need --subgroup-gen\n"
 
 
 def test_bad_signal_exits_one():
@@ -349,11 +350,71 @@ def test_cmax_not_finite_positive_is_input_error(value):
     assert "--cmax" in proc.stderr
 
 
+def _count_group_builds(monkeypatch):
+    """Count the calls of zak's group constructors from here on."""
+    calls = []
+    for name in ("cyclic_group", "dihedral_group"):
+        make = getattr(zak, name)
+        monkeypatch.setattr(zak, name, lambda n, make=make: calls.append(n) or make(n))
+    return calls
+
+
 @pytest.mark.parametrize("group", ["cyclic:1025", "dihedral:513"])
-def test_zak_demo_group_order_cap(group):
-    proc = run_cli("zak-demo", "--group", group, "--subgroup-gen", "1")
-    _assert_input_error(proc)
-    assert "exceeds the limit 1024" in proc.stderr
+def test_zak_demo_group_order_cap(group, monkeypatch, capsys):
+    calls = _count_group_builds(monkeypatch)
+    assert cli.main(["zak-demo", "--group", group, "--subgroup-gen", "1"]) == 1
+    kind, _, n = group.partition(":")
+    order = int(n) if kind == "cyclic" else 2 * int(n)
+    assert capsys.readouterr().err == f"framekit: group order {order} exceeds the limit 1024\n"
+    assert calls == []  # refused before any table is built
+    zak.plan_from_spec(f"{kind}:4", 1)  # while a table that is built is counted
+    assert calls == [4]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cyclic:x"], "bad group size in 'cyclic:x'"),
+        (["square:4", "--subgroup-gen", "1"], "unknown group kind 'square'"),
+        (["cyclic:6"], "custom groups need --subgroup-gen"),
+        (["z5"], "unknown group 'z5' (use z4, z12, d4, cyclic:N, dihedral:N)"),
+    ],
+    ids=["size", "kind", "generator", "name"],
+)
+def test_zak_demo_bad_group_spec(argv, message, monkeypatch, capsys):
+    calls = _count_group_builds(monkeypatch)
+    assert cli.main(["zak-demo", "--group", *argv]) == 1
+    assert capsys.readouterr().err == f"framekit: {message}\n"
+    assert calls == []
+
+
+# (group spec and flags, plan powers, section and cells, sha256 of the
+# --signal random --seed 5 report), as these specs gave them before their
+# parsing moved into zak; " Z12 " and cyclic:12 both give zak-demo.json
+ZAK_SPECS = [
+    (["z4"], (0, 2), (0, 1), [[0, 1], [2, 3]],
+     "a7277f5dd3dc8002e56e511166de49fd8b8cd7f4c3db91aa5352cccd60058ce7"),
+    ([" Z12 "], (0, 3, 6, 9), (0, 1, 2), [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]],
+     "552c0d4317472e30d02dc14e3331a5973afdab26cec9f86d33647950c18220a0"),
+    (["d4"], (0, 1, 2, 3), (0, 4), [[0, 4], [1, 5], [2, 6], [3, 7]],
+     "1585b3c5e1f721210de6d3955dd9cda7f334ab557615160c16968682bd128f59"),
+    (["d4", "--subgroup-gen", "4"], (0, 4), (0, 1, 2, 3), [[0, 1, 2, 3], [4, 7, 6, 5]],
+     "73ed6f94b4bcaccc79a4166acd7d64ed0f27633cecf602f08dd0d5a4d1fa1bab"),
+    (["cyclic:12", "--subgroup-gen", "3"], (0, 3, 6, 9), (0, 1, 2),
+     [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]],
+     "552c0d4317472e30d02dc14e3331a5973afdab26cec9f86d33647950c18220a0"),
+    (["dihedral:8", "--subgroup-gen", "1"], tuple(range(8)), (0, 8), [[k, k + 8] for k in range(8)],
+     "2c8c2286c12c0d21d76811f5386b93ce9df3ba4e79e362e5194e4504c389f269"),
+]
+
+
+@pytest.mark.parametrize("argv, powers, section, cells, digest", ZAK_SPECS,
+                         ids=[repr(" ".join(case[0])) for case in ZAK_SPECS])
+def test_zak_demo_group_specs(argv, powers, section, cells, digest, capsys):
+    plan = zak.plan_from_spec(argv[0], int(argv[2]) if len(argv) > 2 else None)
+    assert (plan.powers, plan.section, plan.cells.tolist()) == (powers, section, cells)
+    assert cli.main(["zak-demo", "--group", *argv, "--signal", "random", "--seed", "5"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
 def test_uneven_generator_counts_are_input_error(tmp_path):

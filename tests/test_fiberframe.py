@@ -11,7 +11,6 @@ from framekit.fiberframe import (
     dualise,
     gramian,
     is_alternate_dual,
-    is_riesz,
     mixed_gramian,
     pad_pair,
     parsevalize,
@@ -225,13 +224,6 @@ def test_dualise_zero_pair():
     assert np.allclose(h.matrix, 0.0)
 
 
-def test_is_riesz_examples():
-    assert is_riesz(FiberSystem.from_vectors([E1, E1 + E2]))
-    assert not is_riesz(FiberSystem.from_vectors([E1, E1]))
-    assert not is_riesz(FiberSystem.from_vectors([E1, E2, E1 + E2]))
-    assert not is_riesz(FiberSystem.zeros(2, 1))
-
-
 def test_biorth_example():
     a = FiberSystem.from_vectors([E1])
     w = Subspace.span_of(np.array([[1.0], [1.0]]))
@@ -270,7 +262,7 @@ def test_biorth_routes_agree():
         assert biorthogonality_deviation(a, h2) <= 1e-8
         assert np.abs(h1.matrix - h2.matrix).max() <= 1e-7 * max(1.0, np.abs(h1.matrix).max())
         # The dual spans W and is itself Riesz.
-        assert is_riesz(h1)
+        assert rank(h1.matrix) == h1.count
         assert inf_cos(Subspace.span_of(h1.matrix), w) >= 1.0 - 1e-8
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framekit.fiberframe import FiberSystem, parsevalize
+from framekit.fiberframe import FiberSystem, dualise, is_alternate_dual, parsevalize
 from framekit.generate import FAMILIES, duality_instance, random_unitary
 from framekit.mispace import (
     _FACTOR_BLOCK,
@@ -230,6 +230,20 @@ def test_scaling_a_system_keeps_the_verdicts(factor):
         assert verdicts(moved) == verdicts(base)
         assert moved.witness_status == base.witness_status
         assert moved.angles_global == pytest.approx(base.angles_global, abs=1e-12)
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e-5, 1e-9, 1e5])
+def test_scaling_keeps_the_alternate_dual_test(factor):
+    # the identity G_A G_{A,H} = G_A is tested relative to the size of G_A, so
+    # at any scale of A the pseudo-inverse dual H passes both ways and a zero
+    # system is a dual neither of A nor of H
+    inst = duality_instance("in-duality", 5, 4, 3, seed=0)
+    zero = FiberSystem.zeros(4, 3)
+    for a, b in zip(inst.sa.matrices, inst.sb.matrices):
+        a = FiberSystem(factor * a)
+        h = dualise(a, FiberSystem(b))
+        assert is_alternate_dual(a, h) and is_alternate_dual(h, a)
+        assert not is_alternate_dual(a, zero) and not is_alternate_dual(h, zero)
 
 
 def test_parsevalize_keeps_a_small_singular_value():

@@ -1,10 +1,13 @@
 """Finite-group Zak transform: exactness, unitarity, intertwining, fiberization."""
 
+import ast
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
+from framekit import zak
 from framekit.generate import complex_gaussian
 from framekit.mispace import (
     FiberedFunction,
@@ -95,7 +98,7 @@ def test_build_plan_z4():
     assert plan.powers == (0, 2)
     assert plan.subgroup == (0, 2)
     assert plan.section == (0, 1)
-    assert list(plan.coset_of) == [0, 1, 0, 1]
+    assert plan.cells.tolist() == [[0, 1], [2, 3]]
 
 
 def test_build_plan_z12():
@@ -241,14 +244,14 @@ def test_plan_holds_no_array_larger_than_the_group():
     arrays = [getattr(plan, f.name) for f in dataclasses.fields(plan) if f.name != "group"]
     arrays.append(plan.measure.weights)
     sizes = [a.size for a in arrays if isinstance(a, np.ndarray)]
-    assert len(sizes) >= 3 and max(sizes) <= plan.group.order
+    assert len(sizes) >= 2 and max(sizes) <= plan.group.order
 
 
 def test_plans_compare_by_identity_and_keep_their_arrays():
     one, two = build_plan(cyclic_group(4), 2), build_plan(cyclic_group(4), 2)
     assert one == one and one != two and one.group != two.group
     assert len({one, two, one.group}) == 3
-    for array, index in ((one.cells, (0, 0)), (one.coset_of, 0), (one.group.mul, (0, 0))):
+    for array, index in ((one.cells, (0, 0)), (one.group.mul, (0, 0))):
         with pytest.raises(ValueError):
             array[index] = 1
     # the inverse table is derived from mul, never taken from the caller
@@ -553,13 +556,15 @@ def test_build_plan_cosets_match_loop():
     for group, g0 in ((cyclic_group(30), 6), (dihedral_group(9), 3), (dihedral_group(8), 9),
                       (explicit_group(table), gen)):
         plan = build_plan(group, g0)
-        coset_of, section = np.full(group.order, -1), []
+        seen, section = np.zeros(group.order, dtype=bool), []
         for x in range(group.order):
-            if coset_of[x] < 0:
-                coset_of[group.mul[list(plan.powers), x]] = len(section)
+            if not seen[x]:
+                seen[group.mul[list(plan.powers), x]] = True
                 section.append(x)
         assert plan.section == tuple(section)
-        assert np.array_equal(plan.coset_of, coset_of)
+        # the cells hold every element once: column c is the coset S section[c]
+        assert np.array_equal(np.sort(plan.cells, axis=None), np.arange(group.order))
+        assert np.array_equal(plan.cells[0], section)
 
 
 def test_tg_biorthogonality_deviation_matches_loop():
@@ -609,3 +614,21 @@ def test_tg_validation():
         tg_biorthogonality_deviation(plan, [delta(4, 0)], [delta(4, 0), delta(4, 1)])
     with pytest.raises(ValueError):
         tg_frame_bounds(plan, [np.ones(3)])
+
+
+def test_only_zak_builds_groups_and_plans():
+    """In the package, only zak calls a group constructor or build_plan, so
+    every group spec is parsed, and its order capped, in one place
+    (zak.plan_from_spec)."""
+    builders = {"cyclic_group", "dihedral_group", "explicit_group", "build_plan"}
+    calls = []
+    for path in sorted(pathlib.Path(zak.__file__).parent.glob("*.py")):
+        if path.name == "zak.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in builders:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
