@@ -47,6 +47,7 @@ from .mispace import (
 from .numkernel import DEFAULT_TOL, REL_RANK_TOL, NumericalError, Tolerance
 from .serialize import (
     PairDocument,
+    _pairs,
     _read_companion,
     _write_companion,
     biorth_report_to_json,
@@ -411,11 +412,7 @@ def _cmd_zak_demo(ns):
     back = zak_inverse(plan, zf)
     intertwine = verify_intertwine(plan, f)
     system = tg_to_mg(plan, [f]) if np.abs(f).max() > 0 else None
-    atoms = {
-        "id": plan.measure.atoms,
-        "weight": plan.measure.weights,
-        "values": [vector_to_json(v) for v in zf.values],
-    }
+    atoms = {"id": plan.measure.atoms, "weight": plan.measure.weights, "values": _pairs(zf.values)}
     result = {
         "plan": plan_to_json(plan),
         "signal": vector_to_json(f),
@@ -452,7 +449,7 @@ def _cmd_reconstruct(ns):
         source = "canonical dual"
     fhat, resid = reconstruct(pair.sa, dual, pair.probe)
     # one norm per atom: a norm along an axis of the stack rounds differently
-    residuals = [float(np.linalg.norm(d)) for d in fhat.values - pair.probe.values]
+    residuals = np.array([np.linalg.norm(d) for d in fhat.values - pair.probe.values])
     result = {
         "ok": True,
         "dual_source": source,

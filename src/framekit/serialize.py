@@ -5,17 +5,24 @@ without complex-literal ambiguity.  Reports are written with a fixed-order,
 17-significant-digit float format: running the same command with the same
 seed reproduces the output byte for byte.
 
-Both directions work one array at a time.  The ``*_to_json`` functions hand
+Both directions work a block at a time.  The ``*_to_json`` functions hand
 complex data to ``dumps`` as float64 ``(..., 2)`` arrays of [re, im] pairs,
-which ``dumps`` formats with one %-template per array, laid out exactly as
-the equivalent nested lists.  The parsers check the structure and element
-types of a whole block (one vector, one matrix, or the A, B or f entries of
-_ATOM_BLOCK consecutive atoms) at once and convert it with one ``np.array``
-call.  A block that check turns down is converted where it stands, atom by
-atom and pair by pair, by the step that raises the error naming the atom
-and path.  ``_stacked_document`` joins the blocks of every instance.
+laid out exactly as the equivalent nested lists, and per-atom results as
+record lists (``_records._Records``): lists of dicts to read, held as the
+stacked columns they came from.  ``dumps`` writes a record list a block of
+records at a time, from one template of the block's layout, with every
+float of the block formatted by one call of a vectorised kernel that gives
+the bytes of '%.17g' (``_records._kernel``); a record that was read, and may
+have been edited, is written as any dict is.  The parsers check the
+structure and element types of a whole block (one vector, one matrix, or
+the A, B or f entries of _ATOM_BLOCK consecutive atoms) at once and convert
+it with one ``np.array`` call.  A block that check turns down is converted
+where it stands, atom by atom and pair by pair, by the step that raises the
+error naming the atom and path.  ``_stacked_document`` joins the blocks of
+every instance.
 
-Files are streamed.  ``dump`` writes a document to a file piece by piece,
+Files are streamed.  ``dump`` writes a document to a file piece by piece
+(a key with its scalar, an array or a block of records),
 and ``read_pair`` decodes an instance file one atom at a time and converts
 it a block of atoms at a time, so neither holds the whole text of a file.
 The binary companion of an instance file (``_write_companion``,
@@ -33,12 +40,13 @@ import numbers
 import re
 import zipfile
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
 
+from ._records import _FALLBACK, _RUN_END, _coded, _kernel, _layout, _Layout, _record, _Records
 from .mispace import (
     BiorthogonalityReport,
     EquivalenceReport,
@@ -64,6 +72,46 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# Floats go out a block at a time through _float_text: through the float
+# kernel (_records._kernel), or below _KERNEL_MIN floats through a '%.17g'
+# template.  The kernel costs about 85 us a call plus 0.16 us a float, a
+# template 0.4-0.5 us a float (2 CPUs, numpy 2.4.6, best of 30), so the
+# kernel wins from some 250-350 floats.  A kernel call formats at most
+# _KERNEL_MAX floats: its temporaries peak at about 190 bytes a float there
+# (tracemalloc), and a block of records holds its text and float columns as
+# well, all inside the peak of the commands' memory test (1.5x the instance
+# size).
+_KERNEL_MIN = 384
+_KERNEL_MAX = 2048
+
+
+def _float_text(values: np.ndarray, lits: tuple, coded) -> str:
+    """"".join(format(v, ".17g") + lits[j]) over values[i, j] in C order: a
+    float64 (rows, len(lits)) array, lits ASCII, coded _coded(lits).
+    Raises ValueError on a non-finite value."""
+    if values.size < _KERNEL_MIN or coded is None:
+        if not np.isfinite(values).all():
+            raise ValueError("cannot serialize a non-finite float")
+        row = "".join("%.17g" + lit.replace("%", "%%") for lit in lits)
+        return (row * len(values)) % tuple(values.ravel().tolist())
+    x = values.ravel()
+    codes = np.broadcast_to(coded[0], values.shape).ravel()
+    return "".join(
+        _kernel_text(x[i : i + _KERNEL_MAX], codes[i : i + _KERNEL_MAX], coded[1])
+        for i in range(0, x.size, _KERNEL_MAX)
+    )
+
+
+def _kernel_text(x: np.ndarray, codes: np.ndarray, pieces: tuple) -> str:
+    """_kernel's text with the floats it leaves to _fmt_float in place."""
+    text, bad = _kernel(x, codes, pieces)
+    if not bad.size:
+        return text
+    parts = text.split(_FALLBACK)
+    parts[1:] = [_fmt_float(v) + rest for v, rest in zip(x[bad].tolist(), parts[1:])]
+    return "".join(parts)
+
+
 @functools.lru_cache(maxsize=256)
 def _array_template(shape: tuple[int, ...], indent: int) -> str:
     """The %-template that lays out a float array of this shape as _write
@@ -79,30 +127,129 @@ def _write_array(a: np.ndarray, write, indent: int):
     if a.ndim == 0 or 0 in a.shape:
         _write(a.tolist(), write, indent)
         return
-    if not np.isfinite(a).all():
-        raise ValueError("cannot serialize a non-finite float")
-    # '%.17g' formats a float exactly as format(x, ".17g") in _fmt_float
-    write(_array_template(a.shape, indent) % tuple(a.ravel().tolist()))
+    if a.size < _KERNEL_MIN:
+        if not np.isfinite(a).all():
+            raise ValueError("cannot serialize a non-finite float")
+        # '%.17g' formats a float exactly as format(x, ".17g") in _fmt_float
+        write(_array_template(a.shape, indent) % tuple(a.ravel().tolist()))
+        return
+    # a row of the first axis at a time, laid out as _array_template lays
+    # out the whole: each row's last float is followed by the text up to
+    # the next row's first float, which the last row then gives back
+    pad = "  " * indent
+    if a.ndim == 1:
+        head, sep, tail, row = "[", ", ", "]", "%.17g"
+    else:
+        head, sep, tail = "[\n" + pad + "  ", ",\n" + pad + "  ", "\n" + pad + "]"
+        row = _array_template(a.shape[1:], indent + 1)
+    start, *lits = row.split("%.17g")
+    lits[-1] += sep + start
+    text = _float_text(a.reshape(len(a), -1), tuple(lits), _coded(tuple(lits)))
+    write(head + start + text[: -len(sep + start)] + tail)
 
 
 def _scalar(obj) -> str | None:
     """The JSON text of a float, str, None, bool or integer; None for anything
-    else.  The numbers.Integral check (an ABC, so slow) comes last, after
-    bool, which it would also match."""
+    else.  numpy bools and floats of any width count as bools and as their
+    float64 value.  The numbers.Integral check (an ABC, so slow) comes
+    after bool, which it would also match."""
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, numbers.Integral):
         return str(int(obj))
+    if isinstance(obj, np.floating):
+        return _fmt_float(obj)
     return None
 
 
-_CONTAINERS = (dict, list, tuple, np.ndarray)
+def _block_text(layout: _Layout, lo: int, hi: int) -> str:
+    """The text of rows lo .. hi - 1 as layout lays them out."""
+    cols, runs = [], layout.recipe.count(None)
+    if layout.lits:
+        block = [f[lo:hi] for f in layout.floats]
+        block = block[0] if len(block) == 1 else np.concatenate(block, axis=1)
+        chunks = _float_text(block, layout.lits, layout.coded).split(_RUN_END)
+    run = 0
+    for part in layout.recipe:
+        if part is None:
+            cols.append(chunks[run::runs])
+            run += 1
+        elif isinstance(part, str):
+            cols.append(repeat(part, hi - lo))
+        else:
+            col, text = layout.values[part]
+            items = col[lo:hi]
+            cols.append(list(map(text, items.tolist() if isinstance(items, np.ndarray) else items)))
+    return "".join(chain.from_iterable(zip(*cols)))
+
+
+def _record_layout(spec: dict, indent: int, floats: list, values: list) -> str | None:
+    """One record of spec as _write lays it out at indent, with "\0" for
+    each float and "\1" for each value it takes from a column, which are
+    appended to floats and values; None for a spec the layout cannot hold
+    (a column of objects, an empty row, a key or constant _write rejects)."""
+    if not spec:
+        return "{}"
+    pad, items = "  " * indent, []
+    for key, col in spec.items():
+        if not isinstance(key, str):
+            return None
+        if isinstance(col, dict):
+            text = _record_layout(col, indent + 1, floats, values)
+        elif isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim and 0 not in col.shape[1:]:
+            floats.append(col.reshape(len(col), -1))
+            text = "\0" if col.ndim == 1 else _array_template(col.shape[1:], indent + 1).replace("%.17g", "\0")
+        elif isinstance(col, np.ndarray) and col.ndim == 1 and col.dtype.kind in "biu":
+            values.append((col, _JSON_BOOL.__getitem__ if col.dtype.kind == "b" else str))
+            text = "\1"
+        elif isinstance(col, (list, tuple)) and all(type(v) is str for v in col):
+            values.append((col, _quote))
+            text = "\1"
+        elif isinstance(col, (np.ndarray, list, tuple)):
+            text = None
+        else:
+            text = _scalar(col)
+        if text is None:
+            return None
+        items.append(f"{pad}  {_quote(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+
+
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+def _write_records(records: _Records, write, indent: int):
+    n, spec = len(records), records._spec
+    if spec is None or not n:
+        _write(records._rows, write, indent)
+        return
+    floats, values = [], []
+    row = _record_layout(spec, indent + 1, floats, values)
+    sep = ",\n" + "  " * (indent + 1)
+    layout = None if row is None else _layout(row, floats, values, sep)
+    step = _KERNEL_MAX // max(1, len(layout.lits) if layout else 1) or 1
+    write("[\n" + "  " * (indent + 1))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        block = records._rows[lo:hi]
+        if layout is not None and block.count(None) == len(block):
+            text = _block_text(layout, lo, hi)
+            write(text if hi < n else text[: -len(sep)])
+            continue
+        # a block with a record that was read, and may have been edited
+        for k, record in enumerate(block, lo):
+            _write(_record(spec, k) if record is None else record, write, indent + 1)
+            write(sep if k + 1 < n else "")
+    write("\n" + "  " * indent + "]")
+
+
+_CONTAINERS = (dict, list, tuple, np.ndarray, _Records)
 
 
 def _write(obj, write, indent: int):
@@ -128,6 +275,8 @@ def _write(obj, write, indent: int):
         write(pad + "}")
     elif isinstance(obj, np.ndarray) and obj.dtype == np.float64:
         _write_array(obj, write, indent)
+    elif isinstance(obj, _Records):
+        _write_records(obj, write, indent)
     elif isinstance(obj, (list, tuple)):
         items = list(obj)
         if not items:
@@ -337,20 +486,15 @@ def pair_to_json(
 ) -> dict:
     measure, d = sa.measure, sa.fiber_dim
     # every atom's "vectors" block at once: row i of a block is generator i
-    vectors_a = _pairs(sa.matrices.swapaxes(-1, -2))
-    vectors_b = None if sb is None else _pairs(sb.matrices.swapaxes(-1, -2))
-    atoms = []
-    for k, atom in enumerate(measure.atoms):
-        entry: dict = {"id": atom, "weight": float(measure.weights[k])}
-        entry["A"] = {"dim": d, "vectors": vectors_a[k]}
-        if sb is not None:
-            entry["B"] = {"dim": d, "vectors": vectors_b[k]}
-        if targets is not None:
-            entry["W"] = subspace_to_json(targets[k])
-        if probe is not None:
-            entry["f"] = vector_to_json(probe.values[k])
-        atoms.append(entry)
-    doc = {"fiber_dim": sa.fiber_dim, "atoms": atoms}
+    spec = {"id": measure.atoms, "weight": measure.weights}
+    spec["A"] = {"dim": d, "vectors": _pairs(sa.matrices.swapaxes(-1, -2))}
+    if sb is not None:
+        spec["B"] = {"dim": d, "vectors": _pairs(sb.matrices.swapaxes(-1, -2))}
+    if targets is not None:
+        spec["W"] = [subspace_to_json(t) for t in targets]
+    if probe is not None:
+        spec["f"] = _pairs(probe.values)
+    doc = {"fiber_dim": d, "atoms": _Records(spec, measure.count)}
     if meta:
         doc["meta"] = meta
     return doc
@@ -524,7 +668,7 @@ def pair_from_json(doc) -> PairDocument:
         raise ValueError("instance file must be a JSON object")
     fiber_dim = _fiber_dim(doc.get("fiber_dim"))
     entries = doc.get("atoms")
-    if not isinstance(entries, list) or not entries:
+    if not isinstance(entries, (list, _Records)) or not entries:
         raise ValueError("atoms must be a non-empty list")
     return _stacked_document(_atom_blocks(entries, fiber_dim), doc.get("meta"))
 
@@ -835,18 +979,16 @@ def signal_from_json(doc, order: int, where: str = "signal") -> np.ndarray:
 # Reports.
 
 
-def table_rows(table: dict, keys=None) -> list[dict]:
+def table_rows(table: dict, keys=None) -> _Records:
     """Rows of a column table, the dict from key to per-atom column in which
     reports hold their per-atom results: one dict per atom with the given
-    keys, or every key in order when keys is None.  Array columns give
-    Python scalars."""
+    keys, or every key in order when keys is None, held as the columns.
+    Array columns give Python scalars."""
     keys = tuple(table) if keys is None else tuple(keys)
-    columns = [_as_list(table[key]) for key in keys]
-    return [dict(zip(keys, values)) for values in zip(*columns)]
+    return _Records({key: table[key] for key in keys}, len(table[keys[0]]))
 
 
 def equivalence_report_to_json(report: EquivalenceReport, include_witnesses: bool = True) -> dict:
-    rows = table_rows(report.diagnostics)
     doc = {
         "global_duals_exist": report.global_duals_exist,
         "global_angles_positive": report.global_angles_positive,
@@ -854,13 +996,13 @@ def equivalence_report_to_json(report: EquivalenceReport, include_witnesses: boo
         "fiber_angles_positive": report.fiber_angles_positive,
         "all_hold": report.all_hold,
         "angles_global": [report.angles_global[0], report.angles_global[1]],
-        "worst_fiber": rows[report.worst_fiber],
+        "worst_fiber": _record(report.diagnostics, report.worst_fiber),
         "witness_status": report.witness_status,
         "max_local_residual": report.max_local_residual,
         "max_global_residual": report.max_global_residual,
         "frame_bounds_a": list(report.frame_bounds_a),
         "frame_bounds_b": list(report.frame_bounds_b),
-        "diagnostics": rows,
+        "diagnostics": table_rows(report.diagnostics),
     }
     if include_witnesses and report.witnesses is not None:
         doc["witnesses"] = {
@@ -874,24 +1016,27 @@ def equivalence_report_to_json(report: EquivalenceReport, include_witnesses: boo
 _CSV_QUOTED = re.compile(r'[,"\r\n]')
 
 
-def _csv_cell(v) -> str:
-    """One CSV field: a float in the report format, a string that holds a
-    comma, a quote or a line break quoted with its quotes doubled (RFC 4180),
-    anything else as str()."""
-    if isinstance(v, float):
-        return _fmt_float(v)
-    if isinstance(v, str) and _CSV_QUOTED.search(v):
-        return '"' + v.replace('"', '""') + '"'
-    return str(v)
+def _csv_text(v: str) -> str:
+    """A string as one CSV field: quoted with its quotes doubled when it holds
+    a comma, a quote or a line break (RFC 4180), else as it is."""
+    return '"' + v.replace('"', '""') + '"' if _CSV_QUOTED.search(v) else v
 
 
 def diagnostics_to_csv(table: dict) -> str:
     """CSV text of a column table, such as EquivalenceReport.diagnostics: a
-    header of its keys, then one line per atom."""
-    lines = [",".join(table)]
-    for row in table_rows(table):
-        lines.append(",".join(map(_csv_cell, row.values())))
-    return "\n".join(lines) + "\n"
+    header of its keys, then one line per atom, a block of lines at a time:
+    floats in the report format, strings as _csv_text, others as str()."""
+    floats, values, cells = [], [], []
+    for col in table.values():
+        if isinstance(col, np.ndarray) and col.dtype == np.float64:
+            floats.append(col.reshape(-1, 1))
+            cells.append("\0")
+        else:
+            values.append((col, _csv_text if not isinstance(col, np.ndarray) else str))
+            cells.append("\1")
+    layout = _layout(",".join(cells), floats, values, "\n")
+    n, step = len(next(iter(table.values()))), _KERNEL_MAX // max(1, len(floats))
+    return ",".join(table) + "\n" + "".join(_block_text(layout, lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 def biorth_report_to_json(report: BiorthogonalityReport) -> dict:

@@ -681,6 +681,17 @@ def test_only_emit_opens_a_file_for_writing():
     assert len(writes["_emit"]) == 2  # the temporary file and --out
 
 
+def test_only_serialize_formats_floats_with_17g():
+    """In the package, only serialize writes floats as '%.17g' texts, so every
+    report takes its floats from one writer and its one float kernel."""
+    found = set()
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value:
+                found.add(path.name)
+    assert found == {"serialize.py"}
+
+
 def test_commands_peak_memory_stays_below_the_instance_size(tmp_path):
     # the streamed reader and writer hold one atom and one chunk of text at a
     # time; holding the file's text, its decoded document or a whole report

@@ -6,7 +6,9 @@ import json
 import pathlib
 import sys
 import tempfile
+from decimal import Decimal
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -77,13 +79,20 @@ def test_dumps_rejects_non_finite():
     (float("-inf"), "cannot serialize a non-finite float"),
     ({1: 0}, "JSON object keys must be strings, got 1"),
     (1j, "cannot serialize object of type complex"),
-    (np.float32(1.0), "cannot serialize object of type float32"),
+    (np.complex64(1.0), "cannot serialize object of type complex64"),
 ])
 def test_dumps_names_what_it_rejects(bad, message):
     for doc in (bad, [bad], [0, {"k": [1, {"v": bad}]}]):
         with pytest.raises(ValueError) as exc:
             dumps(doc)
         assert str(exc.value) == message
+
+
+def test_dumps_takes_numpy_bools_and_floats_of_any_width():
+    doc = {"t": np.True_, "f": [np.False_], "h": np.float16(0.1), "s": np.float32(0.1), "i": np.int32(3)}
+    assert dumps(doc) == dumps({"t": True, "f": [False], "h": float(np.float16(0.1)),
+                                "s": float(np.float32(0.1)), "i": 3})
+    assert '"s": 0.10000000149011612' in dumps(doc)
 
 
 def test_scalar_lists_inline():
@@ -278,19 +287,160 @@ def test_dumps_array_edge_floats_match_fmt_float():
 
 
 @BOUNDED
-@given(FLOAT_ARRAYS)
-def test_dumps_array_matches_nested_list_writer(a):
-    # nested lists go through _write/_fmt_float one float at a time
-    assert dumps({"v": a, "w": [a]}) == dumps({"v": a.tolist(), "w": [a.tolist()]})
+@given(FLOAT_ARRAYS, st.booleans())
+def test_dumps_array_matches_nested_list_writer(a, kernel):
+    # nested lists go through _write/_fmt_float one float at a time; arrays
+    # through a '%.17g' template or, with the cutoff at 1, the float kernel
+    with mock.patch.object(serialize, "_KERNEL_MIN", 1 if kernel else serialize._KERNEL_MIN):
+        assert dumps({"v": a, "w": [a]}) == dumps({"v": a.tolist(), "w": [a.tolist()]})
 
 
 @BOUNDED
-@given(FLOAT_ARRAYS, st.sampled_from([float("nan"), float("inf"), float("-inf")]), st.data())
-def test_dumps_array_rejects_any_non_finite(a, bad, data):
+@given(FLOAT_ARRAYS, st.sampled_from([float("nan"), float("inf"), float("-inf")]), st.data(), st.booleans())
+def test_dumps_array_rejects_any_non_finite(a, bad, data, kernel):
     where = data.draw(st.tuples(*(st.integers(0, n - 1) for n in a.shape)))
     a[where] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        dumps({"v": a})
+    with mock.patch.object(serialize, "_KERNEL_MIN", 1 if kernel else serialize._KERNEL_MIN):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps({"v": a})
+
+
+# ---------------------------------------------------------------------------
+# The float kernel: format(x, ".17g") for a whole array at once.
+
+
+def _kernel_texts(x):
+    """The texts _float_text gives the floats of x, one per float."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
+    assert x.size >= serialize._KERNEL_MIN
+    return serialize._float_text(x, ("\n",), serialize._coded(("\n",))).split("\n")[:-1]
+
+
+def _float_classes(rng):
+    """Floats of each class the kernel decides on: every decade, the
+    fixed/scientific boundaries, powers of ten and their neighbours, dyadic
+    fractions, zeros, subnormals, the extremes, exact ties at the 17th digit
+    (t / 2**s with 18 significant digits) and near-ties (the nearest double
+    to an 18-digit decimal ending in 5)."""
+    normals = rng.standard_normal(20000) * 10.0 ** rng.integers(-310, 308, 20000)
+    decades = np.array([s * 10.0**k * f for k in range(-323, 309) for s in (1, -1)
+                        for f in (1.0, 1.0 + 2**-52, 1.0 - 2**-53, 9.999999999999999, 5.0)])
+    dyadic = rng.integers(1, 2**53, 5000) / 2.0 ** rng.integers(0, 80, 5000)
+    extremes = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                         sys.float_info.max, -sys.float_info.max, 1e-280, 1e280, 1e-4, 1e16, 1e17])
+    inner = extremes[np.abs(extremes) < sys.float_info.max]
+    edges = np.concatenate([np.nextafter(extremes, 0.0), np.nextafter(inner, np.copysign(np.inf, inner))])
+    odd = rng.integers(2**51, 2**52, 20000) * 2 + 1
+    ties = [t / 2.0**s for t, s in zip(odd.tolist(), rng.integers(2, 12, odd.size).tolist())]
+    ties = [x for x in ties if len(Decimal(x).as_tuple().digits) == 18]
+    digits = rng.integers(10**16, 10**17, 20000)
+    near = [float(f"{d}5e{k}") for d, k in zip(digits.tolist(), rng.integers(-300, 290, digits.size).tolist())]
+    x = np.concatenate([normals, decades, dyadic, -dyadic, extremes, edges, ties, near])
+    return x[np.isfinite(x)], len(ties)
+
+
+def test_kernel_matches_format_on_random_bit_patterns_and_every_class():
+    rng = np.random.default_rng(20230117)
+    bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False).view(np.float64)
+    classes, ties = _float_classes(rng)
+    assert ties > 1000
+    x = np.concatenate([bits[np.isfinite(bits)], classes])
+    want = ("%.17g\n" * x.size) % tuple(x.tolist())
+    got = "\n".join(_kernel_texts(x)) + "\n"
+    if got != want:
+        pairs = zip(x.tolist(), got.split("\n"), want.split("\n"))
+        assert [(v, g, w) for v, g, w in pairs if g != w] == []
+
+
+def test_kernel_takes_the_fallback_for_what_it_cannot_certify(monkeypatch):
+    rng = np.random.default_rng(7)
+    special = [0.0, -0.0, 5e-324, 1e-300, 1e300, 1e23]
+    x = rng.standard_normal(1000)
+    where = rng.choice(x.size, len(special), replace=False)
+    x[where] = special
+    formatted = []
+    fmt = serialize._fmt_float
+    monkeypatch.setattr(serialize, "_fmt_float", lambda v: formatted.append(v) or fmt(v))
+    assert _kernel_texts(x) == [format(v, ".17g") for v in x.tolist()]
+    assert set(special) <= set(formatted) and len(formatted) < 2 * len(special)
+    x[where[3]] = np.nan
+    with pytest.raises(ValueError, match="cannot serialize a non-finite float"):
+        _kernel_texts(x)
+
+
+# ---------------------------------------------------------------------------
+# Records: a column table written a block of records at a time gives the
+# text of the same records written as a list of dicts.
+
+
+def _as_lists(doc):
+    """doc with its records as plain lists of the same dicts."""
+    if isinstance(doc, dict):
+        return {key: _as_lists(value) for key, value in doc.items()}
+    if isinstance(doc, serialize._Records):
+        return [_as_lists(row) for row in list(doc)]
+    return doc
+
+
+def test_record_blocks_give_the_walkers_text_around_an_edited_record():
+    inst = duality_instance("in-duality", 40, 8, 6, seed=4)
+    args = (inst.sa, inst.sb, None, inst.probe, inst.meta)
+    per_block = serialize._KERNEL_MAX // (1 + 96 + 96 + 16)
+    assert 1 < per_block < 20
+    text = dumps(pair_to_json(*args))
+    assert text == dumps(_as_lists(pair_to_json(*args)))
+    doc, ref = pair_to_json(*args), _as_lists(pair_to_json(*args))
+    middle = per_block + per_block // 2  # inside the second block
+    for d in (doc, ref):
+        d["atoms"][middle]["weight"] = 0.5
+        d["atoms"][middle]["A"]["vectors"] = d["atoms"][middle]["A"]["vectors"][:2]
+    edited = dumps(doc)
+    assert edited == dumps(ref) != text
+    # adding and deleting records leaves a plain list
+    for d in (doc, ref):
+        del d["atoms"][0]
+        d["atoms"].append({"id": "extra", "weight": 1.0})
+    assert dumps(doc) == dumps(ref)
+    assert doc["atoms"][-1] == {"id": "extra", "weight": 1.0} and len(doc["atoms"]) == 40
+
+
+TABLE_IDS = st.text(alphabet=st.characters(codec="utf-8"), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 9), st.data(), st.integers(1, 40))
+def test_record_blocks_match_the_walker_on_any_column_table(n, data, cap):
+    columns = data.draw(st.lists(st.sampled_from(["id", "int", "bool", "float", "array", "const"]),
+                                 min_size=1, max_size=5))
+    table = {}
+    for j, kind in enumerate(columns):
+        key = f"k{j}"
+        if kind == "id":
+            table[key] = tuple(data.draw(st.lists(TABLE_IDS, min_size=n, max_size=n)))
+        elif kind == "int":
+            table[key] = np.array(data.draw(st.lists(st.integers(-10**12, 10**12), min_size=n, max_size=n)))
+        elif kind == "bool":
+            table[key] = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        elif kind == "float":
+            table[key] = data.draw(hnp.arrays(np.float64, n, elements=FINITE))
+        elif kind == "array":
+            table[key] = data.draw(hnp.arrays(np.float64, (n, 2, 3), elements=FINITE))
+        else:
+            table[key] = {"nested": data.draw(hnp.arrays(np.float64, (n, 2), elements=FINITE)), "c": 7, "e": {}}
+    records = serialize._Records(table, n)
+    with mock.patch.object(serialize, "_KERNEL_MIN", 1), mock.patch.object(serialize, "_KERNEL_MAX", cap):
+        assert dumps({"r": records}) == dumps({"r": _as_lists(records)})
+        if all(kind in ("id", "int", "float") for kind in columns):
+            lines = [",".join(_csv_reference(v) for v in row.values()) for row in _as_lists(records)]
+            assert diagnostics_to_csv(table) == "\n".join([",".join(table)] + lines) + "\n"
+
+
+def _csv_reference(v) -> str:
+    if isinstance(v, float):
+        return format(v, ".17g")
+    if isinstance(v, str) and any(c in v for c in ',"\r\n'):
+        return '"' + v.replace('"', '""') + '"'
+    return str(v)
 
 
 def test_to_json_arrays_write_as_pair_lists():
