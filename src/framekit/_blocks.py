@@ -1,20 +1,18 @@
-"""Record lists held as columns, and the float kernel that writes them.
+"""The float kernel and the row layouts that ``serialize`` fills a block at a time.
 
-``serialize`` writes per-atom results a block of records at a time.  This
-module holds the parts of that writer that do not depend on the JSON
-layout: the record lists themselves (``_Records``), the layout of a block of
-rows (``_Layout``), and the kernel that formats all the floats of a block
-at once (``_kernel``).  It is a module of its own because a process that
-compiles its modules from source (no bytecode cache) holds a module's whole
-syntax tree at once: as part of ``serialize`` it raised the peak RSS of
-importing framekit by 1.4 MB, against 0.4 MB apart.
+``serialize`` writes per-atom records and large float arrays a block at a
+time.  This module holds the parts of that writer that do not depend on the
+JSON layout: the kernel that formats all the floats of a block at once
+(``_kernel``) and the layout of a block of rows (``_Layout``).
+``serialize`` imports it on the first block it writes: with no bytecode
+cache, a process compiles every module it imports, and one that only
+verifies or builds frames writes no block.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from collections.abc import MutableSequence
 from typing import NamedTuple
 
 import numpy as np
@@ -169,83 +167,14 @@ def _kernel(x: np.ndarray, codes: np.ndarray, pieces: tuple) -> tuple[str, np.nd
     return text.decode("ascii"), bad
 
 
-def _coded(lits: tuple):
-    """The kernel's codes and pieces for these texts, or None when they are
-    more than its 128 codes."""
+@functools.lru_cache(maxsize=64)
+def _coded(lits: tuple) -> tuple[np.ndarray, tuple]:
+    """The kernel's codes and pieces for these texts.  A layout's texts are
+    the few separators of its rows, far fewer than the 128 codes."""
     distinct = dict.fromkeys(lits)
-    if len(distinct) > 128:
-        return None
+    assert len(distinct) <= 128
     index = {lit: 0x80 + i for i, lit in enumerate(distinct)}
     return np.array([index[lit] for lit in lits], dtype=np.uint8), tuple(lit.encode("ascii") for lit in distinct)
-
-
-class _Records(MutableSequence):
-    """Records held as columns: a list of dicts to read and edit, which dump
-    writes a block of records at a time from the columns.
-
-    spec maps each key of a record to a column, a nested spec (a dict) or a
-    constant scalar.  A column is an array whose first axis runs over the
-    records, or a list or tuple with one item per record.  A record holds
-    its row of each column: a Python scalar from a 1-D array, a view from
-    an array of more dimensions, the item of a list or tuple.
-
-    A record is built when it is first read, and kept: dump writes it, and
-    the rest of its block, as it writes any dict, so an edit to it shows in
-    the output.  Adding, deleting or replacing records makes the whole
-    sequence a list of its records.
-    """
-
-    def __init__(self, spec: dict, count: int):
-        self._spec, self._rows = spec, [None] * count
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        row = self._rows[i]
-        if row is None and self._spec is not None:
-            row = self._rows[i] = _record(self._spec, range(len(self))[i])
-        return row
-
-    def _plain(self) -> list:
-        for k in range(len(self)):
-            self[k]
-        self._spec = None
-        return self._rows
-
-    def __setitem__(self, i, value):
-        self._plain()[i] = value
-
-    def __delitem__(self, i):
-        del self._plain()[i]
-
-    def insert(self, i, value):
-        self._plain().insert(i, value)
-
-    def __eq__(self, other):
-        return list(self) == (list(other) if isinstance(other, _Records) else other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
-def _record(spec: dict, k: int) -> dict:
-    """Record k of the columns in spec (see _Records)."""
-    row = {}
-    for key, col in spec.items():
-        if isinstance(col, dict):
-            row[key] = _record(col, k)
-        elif isinstance(col, np.ndarray):
-            row[key] = col[k].item() if col.ndim == 1 else col[k]
-        elif isinstance(col, (list, tuple)):
-            row[key] = col[k]
-        else:
-            row[key] = col
-    return row
 
 
 class _Layout(NamedTuple):
@@ -254,14 +183,13 @@ class _Layout(NamedTuple):
     floats: the float64 columns, each (rows, floats a row takes from it);
     values: (column, text of one item) for the other columns a row takes
     from; lits: the text after each float of a row, with _RUN_END after the
-    last float of a run; coded: _coded(lits); recipe: a row as texts, value
-    indices and None for each run of floats.
+    last float of a run; recipe: a row as texts, value indices and None for
+    each run of floats.
     """
 
     floats: list
     values: list
     lits: tuple
-    coded: tuple | None
     recipe: list
 
 
@@ -281,5 +209,4 @@ def _layout(row: str, floats: list, values: list, sep: str) -> _Layout:
             recipe.append(None)
         lits.append(after if kinds[i + 1 : i + 2] == ["\0"] else after + _RUN_END)
     recipe = [part for part in recipe if part != ""]
-    lits = tuple(lits)
-    return _Layout(floats, values, lits, _coded(lits), recipe)
+    return _Layout(floats, values, tuple(lits), recipe)

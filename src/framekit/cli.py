@@ -47,7 +47,6 @@ from .mispace import (
 from .numkernel import DEFAULT_TOL, REL_RANK_TOL, NumericalError, Tolerance
 from .serialize import (
     PairDocument,
-    _pairs,
     _read_companion,
     _write_companion,
     biorth_report_to_json,
@@ -412,7 +411,7 @@ def _cmd_zak_demo(ns):
     back = zak_inverse(plan, zf)
     intertwine = verify_intertwine(plan, f)
     system = tg_to_mg(plan, [f]) if np.abs(f).max() > 0 else None
-    atoms = {"id": plan.measure.atoms, "weight": plan.measure.weights, "values": _pairs(zf.values)}
+    atoms = {"id": plan.measure.atoms, "weight": plan.measure.weights, "values": zf.values}
     result = {
         "plan": plan_to_json(plan),
         "signal": vector_to_json(f),

@@ -8,23 +8,23 @@ seed reproduces the output byte for byte.
 Both directions work a block at a time.  The ``*_to_json`` functions hand
 complex data to ``dumps`` as float64 ``(..., 2)`` arrays of [re, im] pairs,
 laid out exactly as the equivalent nested lists, and per-atom results as
-record lists (``_records._Records``): lists of dicts to read, held as the
-stacked columns they came from.  ``dumps`` writes a record list a block of
+record lists (``_Records``): lists of dicts that also keep the stacked
+columns they were built from.  ``dumps`` writes a record list a block of
 records at a time, from one template of the block's layout, with every
 float of the block formatted by one call of a vectorised kernel that gives
-the bytes of '%.17g' (``_records._kernel``); a record that was read, and may
-have been edited, is written as any dict is.  The parsers check the
-structure and element types of a whole block (one vector, one matrix, or
-the A, B or f entries of _ATOM_BLOCK consecutive atoms) at once and convert
-it with one ``np.array`` call.  A block that check turns down is converted
-where it stands, atom by atom and pair by pair, by the step that raises the
-error naming the atom and path.  ``_stacked_document`` joins the blocks of
-every instance.
+the bytes of '%.17g' (``_blocks._kernel``); a block holding a record that
+was edited or replaced is written as any list of dicts is.  The parsers
+check the structure and element types of a whole block (one vector, one
+matrix, or the A, B or f entries of _ATOM_BLOCK consecutive atoms) at once
+and convert it with one ``np.array`` call.  A block that check turns down
+is converted where it stands, atom by atom and pair by pair, by the step
+that raises the error naming the atom and path.  ``_stacked_document``
+joins the blocks of every instance.
 
 Files are streamed.  ``dump`` writes a document to a file piece by piece
-(a key with its scalar, an array or a block of records),
-and ``read_pair`` decodes an instance file one atom at a time and converts
-it a block of atoms at a time, so neither holds the whole text of a file.
+(a key with its scalar, an array or a block of records), and ``read_pair``
+decodes an instance file one atom at a time and converts it a block of
+atoms at a time, so neither holds the whole text of a file.
 The binary companion of an instance file (``_write_companion``,
 ``_read_companion``) holds the arrays ``read_pair`` returns for it, so that
 the same text need not be decoded twice.
@@ -42,11 +42,11 @@ import zipfile
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, is_
 from typing import NamedTuple
 
 import numpy as np
 
-from ._records import _FALLBACK, _RUN_END, _coded, _kernel, _layout, _Layout, _record, _Records
 from .mispace import (
     BiorthogonalityReport,
     EquivalenceReport,
@@ -73,43 +73,43 @@ def _fmt_float(x: float) -> str:
 
 
 # Floats go out a block at a time through _float_text: through the float
-# kernel (_records._kernel), or below _KERNEL_MIN floats through a '%.17g'
+# kernel (_blocks._kernel), or below _KERNEL_MIN floats through a '%.17g'
 # template.  The kernel costs about 85 us a call plus 0.16 us a float, a
 # template 0.4-0.5 us a float (2 CPUs, numpy 2.4.6, best of 30), so the
 # kernel wins from some 250-350 floats.  A kernel call formats at most
 # _KERNEL_MAX floats: its temporaries peak at about 190 bytes a float there
 # (tracemalloc), and a block of records holds its text and float columns as
 # well, all inside the peak of the commands' memory test (1.5x the instance
-# size).
+# size).  The kernel and the block layouts live in _blocks, imported where
+# a block is first written, so that importing framekit does not compile them.
 _KERNEL_MIN = 384
 _KERNEL_MAX = 2048
 
 
-def _float_text(values: np.ndarray, lits: tuple, coded) -> str:
+def _float_text(values: np.ndarray, lits: tuple) -> str:
     """"".join(format(v, ".17g") + lits[j]) over values[i, j] in C order: a
-    float64 (rows, len(lits)) array, lits ASCII, coded _coded(lits).
-    Raises ValueError on a non-finite value."""
-    if values.size < _KERNEL_MIN or coded is None:
+    float64 (rows, len(lits)) array, lits ASCII.  Raises ValueError on a
+    non-finite value."""
+    if values.size < _KERNEL_MIN:
         if not np.isfinite(values).all():
             raise ValueError("cannot serialize a non-finite float")
         row = "".join("%.17g" + lit.replace("%", "%%") for lit in lits)
         return (row * len(values)) % tuple(values.ravel().tolist())
+    from . import _blocks
+
     x = values.ravel()
-    codes = np.broadcast_to(coded[0], values.shape).ravel()
-    return "".join(
-        _kernel_text(x[i : i + _KERNEL_MAX], codes[i : i + _KERNEL_MAX], coded[1])
-        for i in range(0, x.size, _KERNEL_MAX)
-    )
-
-
-def _kernel_text(x: np.ndarray, codes: np.ndarray, pieces: tuple) -> str:
-    """_kernel's text with the floats it leaves to _fmt_float in place."""
-    text, bad = _kernel(x, codes, pieces)
-    if not bad.size:
-        return text
-    parts = text.split(_FALLBACK)
-    parts[1:] = [_fmt_float(v) + rest for v, rest in zip(x[bad].tolist(), parts[1:])]
-    return "".join(parts)
+    codes, pieces = _blocks._coded(lits)
+    codes = np.broadcast_to(codes, values.shape).ravel()
+    texts = []
+    for i in range(0, x.size, _KERNEL_MAX):
+        text, bad = _blocks._kernel(x[i : i + _KERNEL_MAX], codes[i : i + _KERNEL_MAX], pieces)
+        if bad.size:
+            # the floats the kernel leaves to _fmt_float
+            parts = text.split(_blocks._FALLBACK)
+            parts[1:] = [_fmt_float(v) + rest for v, rest in zip(x[i + bad].tolist(), parts[1:])]
+            text = "".join(parts)
+        texts.append(text)
+    return "".join(texts)
 
 
 @functools.lru_cache(maxsize=256)
@@ -144,7 +144,7 @@ def _write_array(a: np.ndarray, write, indent: int):
         row = _array_template(a.shape[1:], indent + 1)
     start, *lits = row.split("%.17g")
     lits[-1] += sep + start
-    text = _float_text(a.reshape(len(a), -1), tuple(lits), _coded(tuple(lits)))
+    text = _float_text(a.reshape(len(a), -1), tuple(lits))
     write(head + start + text[: -len(sep + start)] + tail)
 
 
@@ -168,13 +168,16 @@ def _scalar(obj) -> str | None:
     return None
 
 
-def _block_text(layout: _Layout, lo: int, hi: int) -> str:
-    """The text of rows lo .. hi - 1 as layout lays them out."""
+def _block_text(layout, lo: int, hi: int) -> str:
+    """The text of rows lo .. hi - 1 as layout, a _blocks._Layout, lays them
+    out."""
+    from . import _blocks
+
     cols, runs = [], layout.recipe.count(None)
     if layout.lits:
         block = [f[lo:hi] for f in layout.floats]
         block = block[0] if len(block) == 1 else np.concatenate(block, axis=1)
-        chunks = _float_text(block, layout.lits, layout.coded).split(_RUN_END)
+        chunks = _float_text(block, layout.lits).split(_blocks._RUN_END)
     run = 0
     for part in layout.recipe:
         if part is None:
@@ -224,32 +227,125 @@ def _record_layout(spec: dict, indent: int, floats: list, values: list) -> str |
 _JSON_BOOL = {False: "false", True: "true"}
 
 
-def _write_records(records: _Records, write, indent: int):
-    n, spec = len(records), records._spec
-    if spec is None or not n:
-        _write(records._rows, write, indent)
-        return
+def _write_records(records: _Records, write, indent: int) -> bool:
+    """Write records a block at a time.  A block of records that are all as
+    built goes out as one template of its layout filled from the columns,
+    any other block record by record.  False, with nothing written, when
+    records were added or removed or the layout cannot hold their columns."""
+    n = len(records)
+    if not n or n != len(records._built):
+        return False
     floats, values = [], []
-    row = _record_layout(spec, indent + 1, floats, values)
+    row = _record_layout(records._spec, indent + 1, floats, values)
+    if row is None:
+        return False
+    from . import _blocks
+
     sep = ",\n" + "  " * (indent + 1)
-    layout = None if row is None else _layout(row, floats, values, sep)
-    step = _KERNEL_MAX // max(1, len(layout.lits) if layout else 1) or 1
+    layout = _blocks._layout(row, floats, values, sep)
+    step = max(1, _KERNEL_MAX // max(1, len(layout.lits)))
     write("[\n" + "  " * (indent + 1))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        block = records._rows[lo:hi]
-        if layout is not None and block.count(None) == len(block):
+        rows = records[lo:hi]
+        if all(map(is_, rows, records._built[lo:hi])) and not _edited(rows, records._spec):
             text = _block_text(layout, lo, hi)
             write(text if hi < n else text[: -len(sep)])
             continue
-        # a block with a record that was read, and may have been edited
-        for k, record in enumerate(block, lo):
-            _write(_record(spec, k) if record is None else record, write, indent + 1)
+        for k, record in enumerate(rows, lo):
+            _write(record, write, indent + 1)
             write(sep if k + 1 < n else "")
     write("\n" + "  " * indent + "]")
+    return True
 
 
-_CONTAINERS = (dict, list, tuple, np.ndarray, _Records)
+class _Row(dict):
+    """A record of a _Records list: a dict that notes when it is edited."""
+
+    __slots__ = ("_edited",)
+
+
+def _marking(method):
+    def edit(self, *args, **kwargs):
+        self._edited = True
+        return method(self, *args, **kwargs)
+
+    return edit
+
+
+for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault", "update"):
+    setattr(_Row, _name, _marking(getattr(dict, _name)))
+
+
+class _Records(list):
+    """A list of records built from columns, which dumps writes from the
+    columns, a block of records at a time, while they are as built.
+
+    spec maps each key of a record to a column, a nested spec (a dict) or a
+    constant scalar.  A column is an array whose first axis runs over the
+    records, or a list or tuple with one item per record.  A record holds
+    its row of each column: a Python scalar from a 1-D array, a view from
+    an array of more dimensions, the item of a list or tuple.  The list
+    keeps its own copy of 1-D arrays and lists, so records and columns
+    agree: an edit through a view changes the column, any other edit of a
+    record (or of a record nested in it) is noted in it, and a block
+    holding an edited, replaced or moved record is written as any list of
+    dicts is.
+    """
+
+    __slots__ = ("_spec", "_built")
+
+    def __init__(self, spec: dict, count: int):
+        self._spec = _own_columns(spec)
+        rows = _rows(self._spec, count)
+        super().__init__(rows)
+        self._built = tuple(rows)
+
+
+def _own_columns(spec: dict) -> dict:
+    """spec with copies of its 1-D arrays and its lists (see _Records)."""
+    own = {}
+    for key, col in spec.items():
+        if isinstance(col, dict):
+            col = _own_columns(col)
+        elif isinstance(col, np.ndarray) and col.ndim == 1:
+            col = col.copy()
+        elif isinstance(col, list):
+            col = tuple(col)
+        own[key] = col
+    return own
+
+
+def _rows(spec: dict, count: int) -> list:
+    """The records of spec (see _Records)."""
+    columns = []
+    for col in spec.values():
+        if isinstance(col, dict):
+            col = _rows(col, count)
+        elif isinstance(col, np.ndarray):
+            col = col.tolist() if col.ndim == 1 else list(col)
+        elif not isinstance(col, (list, tuple)):
+            col = repeat(col, count)
+        columns.append(col)
+    cells = zip(*columns) if columns else repeat((), count)
+    rows = list(map(_Row, map(zip, repeat(tuple(spec)), cells)))
+    for row in rows:
+        row._edited = False
+    return rows
+
+
+_EDITED = attrgetter("_edited")
+
+
+def _edited(rows: list, spec: dict) -> bool:
+    """Whether one of rows, records of spec as built, or a record nested in
+    one was edited."""
+    if any(map(_EDITED, rows)):
+        return True
+    return any(_edited([row[key] for row in rows], col) for key, col in spec.items() if isinstance(col, dict))
+
+
+_CONTAINERS = (dict, list, tuple, np.ndarray)
 
 
 def _write(obj, write, indent: int):
@@ -275,9 +371,9 @@ def _write(obj, write, indent: int):
         write(pad + "}")
     elif isinstance(obj, np.ndarray) and obj.dtype == np.float64:
         _write_array(obj, write, indent)
-    elif isinstance(obj, _Records):
-        _write_records(obj, write, indent)
     elif isinstance(obj, (list, tuple)):
+        if type(obj) is _Records and _write_records(obj, write, indent):
+            return
         items = list(obj)
         if not items:
             write("[]")
@@ -668,7 +764,7 @@ def pair_from_json(doc) -> PairDocument:
         raise ValueError("instance file must be a JSON object")
     fiber_dim = _fiber_dim(doc.get("fiber_dim"))
     entries = doc.get("atoms")
-    if not isinstance(entries, (list, _Records)) or not entries:
+    if not isinstance(entries, list) or not entries:
         raise ValueError("atoms must be a non-empty list")
     return _stacked_document(_atom_blocks(entries, fiber_dim), doc.get("meta"))
 
@@ -979,16 +1075,23 @@ def signal_from_json(doc, order: int, where: str = "signal") -> np.ndarray:
 # Reports.
 
 
-def table_rows(table: dict, keys=None) -> _Records:
+def table_rows(table: dict, keys=None) -> list[dict]:
     """Rows of a column table, the dict from key to per-atom column in which
     reports hold their per-atom results: one dict per atom with the given
-    keys, or every key in order when keys is None, held as the columns.
-    Array columns give Python scalars."""
+    keys, or every key in order when keys is None.  1-D array columns give
+    Python scalars; a complex array column gives each atom its values as
+    [re, im] pairs, as vector_to_json does.  The list is a _Records, which
+    dumps writes from the columns."""
     keys = tuple(table) if keys is None else tuple(keys)
-    return _Records({key: table[key] for key in keys}, len(table[keys[0]]))
+    spec = {key: table[key] for key in keys}
+    for key, col in spec.items():
+        if isinstance(col, np.ndarray) and np.iscomplexobj(col):
+            spec[key] = _pairs(col)
+    return _Records(spec, len(spec[keys[0]]))
 
 
 def equivalence_report_to_json(report: EquivalenceReport, include_witnesses: bool = True) -> dict:
+    rows = table_rows(report.diagnostics)
     doc = {
         "global_duals_exist": report.global_duals_exist,
         "global_angles_positive": report.global_angles_positive,
@@ -996,13 +1099,13 @@ def equivalence_report_to_json(report: EquivalenceReport, include_witnesses: boo
         "fiber_angles_positive": report.fiber_angles_positive,
         "all_hold": report.all_hold,
         "angles_global": [report.angles_global[0], report.angles_global[1]],
-        "worst_fiber": _record(report.diagnostics, report.worst_fiber),
+        "worst_fiber": rows[report.worst_fiber],
         "witness_status": report.witness_status,
         "max_local_residual": report.max_local_residual,
         "max_global_residual": report.max_global_residual,
         "frame_bounds_a": list(report.frame_bounds_a),
         "frame_bounds_b": list(report.frame_bounds_b),
-        "diagnostics": table_rows(report.diagnostics),
+        "diagnostics": rows,
     }
     if include_witnesses and report.witnesses is not None:
         doc["witnesses"] = {
@@ -1026,6 +1129,8 @@ def diagnostics_to_csv(table: dict) -> str:
     """CSV text of a column table, such as EquivalenceReport.diagnostics: a
     header of its keys, then one line per atom, a block of lines at a time:
     floats in the report format, strings as _csv_text, others as str()."""
+    from . import _blocks
+
     floats, values, cells = [], [], []
     for col in table.values():
         if isinstance(col, np.ndarray) and col.dtype == np.float64:
@@ -1034,7 +1139,7 @@ def diagnostics_to_csv(table: dict) -> str:
         else:
             values.append((col, _csv_text if not isinstance(col, np.ndarray) else str))
             cells.append("\1")
-    layout = _layout(",".join(cells), floats, values, "\n")
+    layout = _blocks._layout(",".join(cells), floats, values, "\n")
     n, step = len(next(iter(table.values()))), _KERNEL_MAX // max(1, len(floats))
     return ",".join(table) + "\n" + "".join(_block_text(layout, lo, min(lo + step, n)) for lo in range(0, n, step))
 

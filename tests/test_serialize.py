@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 from decimal import Decimal
@@ -313,7 +315,7 @@ def _kernel_texts(x):
     """The texts _float_text gives the floats of x, one per float."""
     x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
     assert x.size >= serialize._KERNEL_MIN
-    return serialize._float_text(x, ("\n",), serialize._coded(("\n",))).split("\n")[:-1]
+    return serialize._float_text(x, ("\n",)).split("\n")[:-1]
 
 
 def _float_classes(rng):
@@ -396,12 +398,69 @@ def test_record_blocks_give_the_walkers_text_around_an_edited_record():
         d["atoms"][middle]["A"]["vectors"] = d["atoms"][middle]["A"]["vectors"][:2]
     edited = dumps(doc)
     assert edited == dumps(ref) != text
-    # adding and deleting records leaves a plain list
+    # with records added and deleted, every record is written as it stands
     for d in (doc, ref):
         del d["atoms"][0]
         d["atoms"].append({"id": "extra", "weight": 1.0})
     assert dumps(doc) == dumps(ref)
     assert doc["atoms"][-1] == {"id": "extra", "weight": 1.0} and len(doc["atoms"]) == 40
+
+
+def test_record_lists_read_as_lists_and_reading_keeps_the_block_path():
+    inst = duality_instance("in-duality", 40, 8, 6, seed=4)
+    report = verify_duality(inst.sa, inst.sb)
+    rows = equivalence_report_to_json(report, include_witnesses=False)["diagnostics"]
+    columns = [_as_list(col) for col in report.diagnostics.values()]
+    plain = [dict(zip(report.diagnostics, row)) for row in zip(*columns)]
+    assert isinstance(rows, list) and rows == plain and json.dumps(rows) == json.dumps(plain)
+    doc = pair_to_json(inst.sa, inst.sb, None, inst.probe, inst.meta)
+    text = dumps(doc)
+    # comparing, printing and reading records edits none of them
+    assert doc["atoms"] == _as_lists(doc)["atoms"] and repr(doc["atoms"]).startswith("[{'id': ")
+    assert [atom["weight"] for atom in doc["atoms"]] == inst.sa.measure.weights.tolist()
+    assert doc["atoms"][3]["A"]["dim"] == 8 and "f" in doc["atoms"][39]
+    with mock.patch.object(serialize, "_block_text", wraps=serialize._block_text) as blocks:
+        assert dumps(doc) == text
+    assert blocks.call_count == len(range(0, 40, serialize._KERNEL_MAX // (1 + 96 + 96 + 16)))
+
+
+def _as_list(v):
+    return v.tolist() if isinstance(v, np.ndarray) else v
+
+
+@pytest.mark.parametrize("edit", [
+    lambda atoms: atoms[5].update(weight=0.25),
+    lambda atoms: atoms[5].pop("f"),
+    lambda atoms: atoms[5].setdefault("extra", 1),
+    lambda atoms: atoms[5]["A"].__setitem__("dim", 3),
+    lambda atoms: atoms[5]["B"].clear(),
+    lambda atoms: atoms.__setitem__(5, dict(atoms[5], id="new")),
+    lambda atoms: atoms.reverse(),
+    lambda atoms: atoms.insert(5, {"id": "new"}),
+    lambda atoms: atoms.pop(),
+], ids=["update", "pop", "setdefault", "nested", "nested-clear", "replace", "reverse", "insert", "remove"])
+def test_every_kind_of_record_edit_shows_in_the_output(edit):
+    inst = duality_instance("in-duality", 12, 8, 6, seed=4)
+    doc = pair_to_json(inst.sa, inst.sb, None, inst.probe, inst.meta)
+    text = dumps(doc)
+    edit(doc["atoms"])
+    assert dumps(doc) == dumps(_as_lists(doc)) != text
+
+
+def test_an_edit_through_a_record_view_shows_in_the_output():
+    table = {"atom": [f"x{k}" for k in range(600)], "v": np.arange(1200.0).reshape(600, 2) / 7}
+    rows = serialize.table_rows(table)
+    text = dumps(rows)
+    rows[300]["v"][1] = 0.5
+    assert dumps(rows) == dumps(_as_lists({"r": rows})["r"]) != text
+
+
+def test_importing_the_package_compiles_no_block_writer():
+    # the kernel module is compiled on the first block dumps writes
+    code = "import sys, framekit.cli, framekit.serialize; print('framekit._blocks' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(serialize.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 TABLE_IDS = st.text(alphabet=st.characters(codec="utf-8"), min_size=1, max_size=4)
