@@ -25,16 +25,16 @@ import numpy as np
 from .mispace import (
     _RANK_CONDITION_FAILS,
     ConstructionError,
-    _biorth_duals,
     _canonical_duals,
     _factor_pair,
     _frame_bounds,
     _pinv_duals,
+    _riesz_factors,
     _spans,
     alternate_dual_residuals,
 )
-from .numkernel import DEFAULT_TOL, Tolerance, as_matrix, ct, singular_values
-from .subspace import DEFAULT_ANGLE_TOL, Subspace, _inf_cos_pair
+from .numkernel import DEFAULT_TOL, Tolerance, as_matrix, ct
+from .subspace import DEFAULT_ANGLE_TOL, Subspace
 
 
 @dataclass(frozen=True)
@@ -182,15 +182,16 @@ def biorth_riesz_dual(
     Solves <a_i, h_j> = delta_ij with every h_j in W.  Requires dim W equal
     to the number of generators and both infimum cosine angles between W and
     span(A) to exceed angle_tol; under those conditions the dual exists, is
-    unique, and is itself a Riesz sequence spanning W.
+    unique, and is itself a Riesz sequence spanning W.  It is the
+    pseudo-inverse dual of A in W, mispace.verify_biorthogonality on one atom.
     """
     if w.ambient_dim != a.dim:
         raise ValueError(f"ambient dimensions differ: {w.ambient_dim} vs {a.dim}")
-    q, dim, _, _ = _spans(a.matrix[None])
-    if dim[0] != a.count:
-        raise ConstructionError("generators are not a Riesz sequence")
     if w.dim != a.count:
         raise ValueError(f"dim W = {w.dim} does not match the system length {a.count}")
-    if _inf_cos_pair(singular_values(ct(w.basis[None]) @ q), dim, dim)[0][0] <= angle_tol:
+    f, cos = _riesz_factors(a.matrix[None], w.basis[None])
+    if f.dim_a[0] != a.count:
+        raise ConstructionError("generators are not a Riesz sequence")
+    if cos[0] <= angle_tol or not f.feasible[0]:
         raise ConstructionError("subspaces are not in duality: a fiber angle is zero")
-    return FiberSystem(_biorth_duals(a.matrix[None], w.basis[None])[0])
+    return FiberSystem(_pinv_duals(f)[0])

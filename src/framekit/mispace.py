@@ -25,8 +25,8 @@ to locate any failure.
 
 verify_biorthogonality does the analogue for Riesz generator families and a
 prescribed target subspace per fiber: it checks the angle conditions and, on
-success, produces the unique biorthogonal dual family supported in the
-target subspaces.
+success, produces the unique dual family supported in the target subspaces,
+the biorthogonal one, read off the same factors as pinv_dual.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .numkernel import (
     ct,
     rank_mask,
     singular_values,
-    solve,
     svd,
 )
 from .subspace import DEFAULT_ANGLE_TOL, _inf_cos_pair
@@ -266,14 +265,19 @@ _PairFactors = namedtuple("_PairFactors", "qa dim_a s_a va qb dim_b s_b x sig y 
 
 def _factor_pair(a, b) -> _PairFactors:
     """Factor a block pair of equal length once, for the factor pass and the
-    pseudo-inverse dual alike: the span SVDs A = Qa Sa Va^H and B = Qb Sb
-    Vb^H cut at the one support (_spans), and the SVD X Sig Y^H of Qb^H Qa.
-    Sig holds the principal cosines; rank_mixed, the rank of B^H A, is the
-    number above REL_RANK_TOL, a cutoff that A's or B's conditioning does
-    not move; inv is 1 / Sig on those, 0 elsewhere; and feasible is the
-    rank condition rank_mixed = dim_a = dim_b."""
+    pseudo-inverse dual alike: the span SVD of B (_spans), then _factor_on."""
+    return _factor_on(a, *_spans(b)[:3])
+
+
+def _factor_on(a, qb, dim_b, s_b) -> _PairFactors:
+    """The factors of _factor_pair from B's zero-padded span bases Qb, span
+    dimensions and singular values: the span SVD A = Qa Sa Va^H cut at the
+    one support (_spans) and the SVD X Sig Y^H of Qb^H Qa.  Sig holds the
+    principal cosines; rank_mixed, the rank of B^H A, is the number above
+    REL_RANK_TOL, a cutoff that A's or B's conditioning does not move; inv
+    is 1 / Sig on those, 0 elsewhere; and feasible is the rank condition
+    rank_mixed = dim_a = dim_b."""
     qa, dim_a, s_a, va = _spans(a)
-    qb, dim_b, s_b, _ = _spans(b)
     x, sig, y = svd(ct(qb) @ qa)
     keep = sig > REL_RANK_TOL
     rank_mixed = keep.sum(axis=-1)
@@ -305,12 +309,14 @@ def _certificate(t, h, qa, qb) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.norm(ra, axis=(-2, -1)), np.linalg.norm(rb, axis=(-2, -1))
 
 
-def _biorth_duals(a, w) -> np.ndarray:
-    """Biorthogonal duals of Riesz blocks a in the spans of the orthonormal
-    bases w: h_j = W c_j with <a_i, h_j> = delta_ij, one batched solve of
-    (W^H A)^T C = I."""
-    eye = np.eye(a.shape[-1], dtype=np.complex128)
-    return w @ solve((ct(w) @ a).swapaxes(-1, -2), eye, "biorthogonal solve").conj()
+def _riesz_factors(a, w) -> tuple[_PairFactors, np.ndarray]:
+    """_factor_on of blocks a (atoms, d, r) against orthonormal bases w of
+    r-dimensional targets, their own Qb with singular values 1, and the
+    infimum cosine per atom, the same both ways.  Where a is Riesz and the
+    pair feasible, _pinv_duals gives W (W^H A)^-H, the biorthogonal dual."""
+    n_atoms, _, r = w.shape
+    f = _factor_on(a, w, np.full(n_atoms, r), np.ones((n_atoms, r)))
+    return f, _inf_cos_pair(f.sig, f.dim_a, f.dim_b)[0]
 
 
 def alternate_dual_residuals(a, h, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -655,8 +661,8 @@ class BiorthogonalityReport:
 
     rows holds the per-atom results as columns in measure order: atom (the
     measure's ids), the cosines r_aw and r_wa, and ok, whether they clear
-    the angle tolerance.  The dual and its residuals are None unless every
-    atom is ok.
+    the angle tolerance.  The dual and its residuals, normwise backward
+    errors (see verify_biorthogonality), are None unless every atom is ok.
     """
 
     holds: bool
@@ -686,15 +692,15 @@ def verify_biorthogonality(
     evaluated per atom; failures are reported by atom id instead of raising,
     since a negative answer is a result.
 
-    One pass over blocks of _FACTOR_BLOCK atoms: the span SVD of A gives the
-    Riesz test, the bounds and the span basis Q, and the singular values of
-    W^H Q the angles, which coincide in both directions because both spans
-    have dimension r.  While every atom so far passes, the dual h_j = W c_j
-    solves <a_i, h_j> = delta_ij, one batched solve of (W^H A)^T C = I per
-    block, and repro_residual takes the largest Frobenius norm of
-    A H^H Q - Q and H A^H W - W (_certificate), which bounds the relative
-    reproduction residual of every function in span(A) and in W.  The dual
-    is the only full-size array allocated.
+    One pass over blocks of _FACTOR_BLOCK atoms reads the Riesz test, the
+    bounds, the cosines and, while every atom so far is ok, the dual off
+    _riesz_factors.  An atom is ok when its cosine exceeds angle_tol and
+    W^H A has full rank at REL_RANK_TOL.  repro_residual is the largest
+    Frobenius norm of A H^H Qa - Qa and H A^H W - W (_certificate), which
+    bounds the relative reproduction residual of every function in span(A)
+    and in W, and biorth_deviation the largest |<a_i, h_j> - delta_ij|,
+    both divided per atom by ||A||_2 ||H||_2 >= 1 (see verify_duality).
+    The dual is the only full-size array allocated.
     """
     a_all, (n_atoms, d, r) = sa.matrices, sa.matrices.shape
     if len(targets) != n_atoms:
@@ -706,26 +712,28 @@ def verify_biorthogonality(
             raise ValueError(f"target at atom {atom!r} has dimension {w.dim}, expected {r}")
 
     lowers, uppers, cos = (np.empty(n_atoms) for _ in range(3))
-    eye = np.eye(r, dtype=np.complex128)
+    ok = np.empty(n_atoms, dtype=bool)
     dual = None
     holds, dev, repro = True, 0.0, 0.0
     for lo, hi in _blocks(n_atoms, _FACTOR_BLOCK):
         a, w = a_all[lo:hi], np.stack([t.basis for t in targets[lo:hi]])
-        q, dims, s, _ = _spans(a)
-        if np.any(dims != r):
-            atom = sa.measure.atoms[lo + int(np.argmax(dims != r))]
+        f, cos[lo:hi] = _riesz_factors(a, w)
+        if np.any(f.dim_a != r):
+            atom = sa.measure.atoms[lo + int(np.argmax(f.dim_a != r))]
             raise ConstructionError(f"fiber at atom {atom!r} is not a Riesz sequence")
-        lowers[lo:hi], uppers[lo:hi] = _frame_bounds(s)
-        cos[lo:hi] = _inf_cos_pair(singular_values(ct(w) @ q), dims, dims)[0]
-        holds = holds and bool(np.all(cos[lo:hi] > angle_tol))
+        lowers[lo:hi], uppers[lo:hi] = _frame_bounds(f.s_a)
+        ok[lo:hi] = (cos[lo:hi] > angle_tol) & f.feasible
+        holds = holds and bool(ok[lo:hi].all())
         if holds:
             if dual is None:  # made once the first slice passes
                 dual = np.empty_like(a_all)
-            h = dual[lo:hi] = _biorth_duals(a, w)
-            dev = max(dev, float(np.abs((ct(h) @ a).swapaxes(-1, -2) - eye).max()))
-            repro = max(repro, float(np.max(_certificate(a, h, q, w))))
+            h = dual[lo:hi] = _pinv_duals(f)
+            scale = f.s_a[:, 0] * singular_values(h)[:, 0]
+            dev = max(dev, float((np.abs(ct(h) @ a - np.eye(r)).max(axis=(-2, -1)) / scale).max()))
+            repro = max(repro, float((np.max(_certificate(a, h, f.qa, w), axis=0) / scale).max()))
+        del f  # the next block is factored without this one's factors
 
-    rows = _columns(atom=sa.measure.atoms, r_aw=cos, r_wa=cos, ok=cos > angle_tol)
+    rows = _columns(atom=sa.measure.atoms, r_aw=cos, r_wa=cos, ok=ok)
     riesz_bounds = (float(lowers.min()), float(uppers.max()))
     if not holds:
         return BiorthogonalityReport(holds=False, rows=rows, riesz_bounds=riesz_bounds)

@@ -1,14 +1,14 @@
 """Deterministic dense linear algebra kernel.
 
-All higher layers funnel their numerics through this module so that every
-rank decision is taken with the one relative cutoff REL_RANK_TOL, a
-constant: span dimensions, pseudo-inverse supports, and the Gramian
-supports behind frame bounds and Parseval tightening, which are the span
-supports themselves.  It is the only module that calls a numpy.linalg
-factorization.  The one settable tolerance is Tolerance.eq_tol, the slack
-of identity tests and of the scale-free frame test.  Matrices are dense
-complex128 throughout; inputs are validated (shape, finiteness) before any
-factorization runs.
+All higher layers funnel their numerics through this module, the only one
+that calls a numpy.linalg factorization (SVD and QR; duals are read off SVD
+factors, never off a linear solve), so that every rank decision is taken
+with the one relative cutoff REL_RANK_TOL, a constant: span dimensions,
+pseudo-inverse supports, and the Gramian supports behind frame bounds and
+Parseval tightening, which are the span supports themselves.  The one
+settable tolerance is Tolerance.eq_tol, the slack of identity tests and of
+the scale-free frame test.  Matrices are dense complex128 throughout;
+inputs are validated (shape, finiteness) before any factorization runs.
 """
 
 from __future__ import annotations
@@ -126,13 +126,3 @@ def qr(m) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.qr(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"QR factorization failed: {exc}") from exc
-
-
-def solve(a, b, what: str = "linear solve") -> np.ndarray:
-    """Solution X of A X = B for a square matrix or a stack of them; a singular
-    system surfaces as NumericalError("<what> failed: ...")."""
-    a = as_stack(a)
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{what} failed: {exc}") from exc

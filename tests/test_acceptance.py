@@ -260,16 +260,16 @@ def test_criterion_5_biorthogonality():
         v, w, _ = rotated_span_pair(rng, dim, r, rng.uniform(0.3, 1.0, r))
         a = FiberSystem(v @ well_conditioned_coefficients(rng, r, r))
         target = Subspace(w)
-        via_solve = biorth_riesz_dual(a, target)
+        via_pinv = biorth_riesz_dual(a, target)
         via_projection = biorth_riesz_dual_via_projection(a, target)
         worst_dev = max(
             worst_dev,
-            biorthogonality_deviation(a, via_solve),
+            biorthogonality_deviation(a, via_pinv),
             biorthogonality_deviation(a, via_projection),
         )
         worst_gap = max(
             worst_gap,
-            float(np.linalg.norm(via_solve.matrix - via_projection.matrix)),
+            float(np.linalg.norm(via_pinv.matrix - via_projection.matrix)),
         )
     ok = worst_dev <= 1e-8 and worst_gap <= 1e-7
     _verdict(

@@ -547,6 +547,70 @@ def test_verify_biorthogonality_allocates_no_dual_for_a_failing_first_slice():
     assert peak <= 3.2 * sa.matrices.nbytes
 
 
+@pytest.mark.parametrize("c", [2e-8, 5e-8, 1e-6])
+def test_verify_biorthogonality_residuals_are_backward_errors(c):
+    """Targets at a planted principal cosine c just above angle_tol: the
+    dual's norm is about 1/c, so its forward residuals grow like the unit
+    roundoff over c.  Divided by ||A||_2 ||H||_2 they stay at rounding."""
+    rng = np.random.default_rng(53)
+    n_atoms, d, r = 200, 6, 3
+    fibers, targets = [], []
+    for _ in range(n_atoms):
+        v, w, _ = rotated_span_pair(rng, d, r, [c, 0.5, 0.9])
+        fibers.append(v @ (np.eye(r) + 0.3 * complex_gaussian(rng, r, r)))
+        targets.append(Subspace(w))
+    report = verify_biorthogonality(FiberedSystem(_measure(n_atoms, rng), np.stack(fibers)), targets)
+    assert report.holds
+    assert report.rows["r_aw"].min() == pytest.approx(c, rel=1e-6)
+    assert report.biorth_deviation <= 1e-12
+    assert report.repro_residual <= 1e-12
+
+
+def test_a_cosine_below_the_rank_cutoff_is_not_ok_at_any_angle_tol():
+    """A cosine above angle_tol but at most REL_RANK_TOL is a rank drop of
+    W^H A, so the atom is not ok and no dual is built, as verify_duality
+    builds no witness where its rank condition fails."""
+    rng = np.random.default_rng(61)
+    fibers, targets = [], []
+    for c in (1e-11, 0.5):
+        v, w, _ = rotated_span_pair(rng, 5, 2, [c, 0.9])
+        fibers.append(v @ (np.eye(2) + 0.3 * complex_gaussian(rng, 2, 2)))
+        targets.append(Subspace(w))
+    report = verify_biorthogonality(FiberedSystem(_measure(2, rng), np.stack(fibers)), targets, angle_tol=1e-12)
+    assert 1e-12 < report.rows["r_aw"][0] <= REL_RANK_TOL
+    assert not report.holds and report.failed_atoms == ["x0"] and report.dual is None
+    with pytest.raises(ConstructionError, match="not in duality"):
+        biorth_riesz_dual(FiberSystem(fibers[0]), targets[0], angle_tol=1e-12)
+
+
+@pytest.mark.parametrize("d,r", [(5, 2), (3, 3)])
+def test_biorthogonal_dual_is_the_pseudo_inverse_dual(d, r):
+    """A Riesz family has exactly one dual in r-dimensional targets W, so
+    verify_biorthogonality's dual is pinv_dual against the stacked bases of
+    W, with r < d and with r = d, where W is the whole space and the dual is
+    A^-H."""
+    rng = np.random.default_rng(59 + d)
+    n_atoms = _FACTOR_BLOCK + 5
+    fibers, targets = [], []
+    for _ in range(n_atoms):
+        if r < d:
+            v, w, _ = rotated_span_pair(rng, d, r, rng.uniform(0.2, 1.0, r))
+        else:
+            v, w = random_unitary(rng, d), random_unitary(rng, d)
+        fibers.append(v @ (np.eye(r) + 0.3 * complex_gaussian(rng, r, r)))
+        targets.append(Subspace(w))
+    sa = FiberedSystem(_measure(n_atoms, rng), np.stack(fibers))
+    dual = verify_biorthogonality(sa, targets).dual.matrices
+    want = pinv_dual(sa, FiberedSystem(sa.measure, np.stack([t.basis for t in targets]))).matrices
+    gap = np.linalg.norm(dual - want, axis=(-2, -1))
+    assert np.all(gap <= 1e-12 * np.linalg.norm(want, axis=(-2, -1)))
+    if r == d:
+        inverse = np.linalg.inv(sa.matrices).conj().swapaxes(-1, -2)
+        assert np.all(np.linalg.norm(dual - inverse, axis=(-2, -1)) <= 1e-12 * np.linalg.norm(inverse, axis=(-2, -1)))
+    assert alternate_dual_residuals(sa.matrices, dual)[1].all()
+    assert alternate_dual_residuals(dual, sa.matrices)[1].all()
+
+
 def test_single_fiber_functions_match_oracles():
     """The single-fiber functions are the engine on one-atom stacks; the
     oracles compute the same quantities the independent way."""
