@@ -4,8 +4,8 @@ Subcommands: gen, angles, dual, verify-thm1, verify-thm2, zak-demo,
 reconstruct.  Every report embeds the tool version, the seed, and the
 tolerances in effect, and is written through the deterministic JSON writer,
 so a fixed command line reproduces output byte for byte.  Only gen and
-zak-demo's random signal draw from the seed; verify-thm1 and verify-thm2
-accept --seed and echo it, but their checks draw nothing.  gen writing to a
+zak-demo's random signal draw from the seed; verify-thm1 accepts --seed
+and echoes it, but its checks draw nothing.  gen writing to a
 regular file also writes the instance's binary companion beside it, which
 the commands that take --in load instead of parsing the JSON while its
 recorded sha256 matches (see _write_instance and _companion_pair).
@@ -143,17 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     add_common(p, tol=True)
 
-    # the checkers draw nothing at random; --seed stays for old command lines
-    echoed = "echoed in the report; it does not change the result"
+    # the checker draws nothing at random; --seed stays for old command lines
     p = sub.add_parser("verify-thm1", help="duality equivalence report for a pair")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--cmax", type=_C_MAX, default=DEFAULT_C_MAX)
-    p.add_argument("--seed", type=int, default=0, help=echoed)
+    p.add_argument("--seed", type=int, default=0, help="echoed in the report; it does not change the result")
     add_common(p, tol=True, angle=True, fmt=True)
 
     p = sub.add_parser("verify-thm2", help="biorthogonal dual report for a Riesz family")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--seed", type=int, default=0, help=echoed)
     add_common(p, angle=True)
 
     p = sub.add_parser("zak-demo", help="Zak transform demo on a built-in or custom plan")

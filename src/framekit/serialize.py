@@ -8,12 +8,13 @@ seed reproduces the output byte for byte.
 Both directions work a block at a time.  The ``*_to_json`` functions hand
 complex data to ``dumps`` as float64 ``(..., 2)`` arrays of [re, im] pairs,
 laid out exactly as the equivalent nested lists, and per-atom results as
-record lists (``_Records``): lists of dicts that also keep the stacked
-columns they were built from.  ``dumps`` writes a record list a block of
-records at a time, from one template of the block's layout, with every
-float of the block formatted by one call of a vectorised kernel that gives
-the bytes of '%.17g' (``_blocks._kernel``); a block holding a record that
-was edited or replaced is written as any list of dicts is.  The parsers
+record lists (``_Records``): lists of plain dicts that also keep the
+stacked columns they were built from.  ``dumps`` writes a record list a
+block of records at a time, from one template of the block's layout, with
+every float of the block formatted by one call of a vectorised kernel that
+gives the bytes of '%.17g' (``_blocks._kernel``).  It first checks once
+that the list and its records are as built; a list that was edited, or
+one of whose records was, is written as any list of dicts is.  The parsers
 check the structure and element types of a whole block (one vector, one
 matrix, or the A, B or f entries of _ATOM_BLOCK consecutive atoms) at once
 and convert it with one ``np.array`` call.  A block that check turns down
@@ -42,7 +43,7 @@ import zipfile
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, is_
+from operator import eq, is_
 from typing import NamedTuple
 
 import numpy as np
@@ -126,12 +127,6 @@ def _array_template(shape: tuple[int, ...], indent: int) -> str:
 def _write_array(a: np.ndarray, write, indent: int):
     if a.ndim == 0 or 0 in a.shape:
         _write(a.tolist(), write, indent)
-        return
-    if a.size < _KERNEL_MIN:
-        if not np.isfinite(a).all():
-            raise ValueError("cannot serialize a non-finite float")
-        # '%.17g' formats a float exactly as format(x, ".17g") in _fmt_float
-        write(_array_template(a.shape, indent) % tuple(a.ravel().tolist()))
         return
     # a row of the first axis at a time, laid out as _array_template lays
     # out the whole: each row's last float is followed by the text up to
@@ -228,16 +223,15 @@ _JSON_BOOL = {False: "false", True: "true"}
 
 
 def _write_records(records: _Records, write, indent: int) -> bool:
-    """Write records a block at a time.  A block of records that are all as
-    built goes out as one template of its layout filled from the columns,
-    any other block record by record.  False, with nothing written, when
-    records were added or removed or the layout cannot hold their columns."""
+    """Write records a block at a time, each block as one template of its
+    layout filled from the columns.  False, with nothing written, when the
+    layout cannot hold their columns or they are no longer as built."""
     n = len(records)
-    if not n or n != len(records._built):
+    if not n:
         return False
     floats, values = [], []
     row = _record_layout(records._spec, indent + 1, floats, values)
-    if row is None:
+    if row is None or not _as_built(records):
         return False
     from . import _blocks
 
@@ -246,35 +240,10 @@ def _write_records(records: _Records, write, indent: int) -> bool:
     step = max(1, _KERNEL_MAX // max(1, len(layout.lits)))
     write("[\n" + "  " * (indent + 1))
     for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        rows = records[lo:hi]
-        if all(map(is_, rows, records._built[lo:hi])) and not _edited(rows, records._spec):
-            text = _block_text(layout, lo, hi)
-            write(text if hi < n else text[: -len(sep)])
-            continue
-        for k, record in enumerate(rows, lo):
-            _write(record, write, indent + 1)
-            write(sep if k + 1 < n else "")
+        text = _block_text(layout, lo, min(lo + step, n))
+        write(text if lo + step < n else text[: -len(sep)])
     write("\n" + "  " * indent + "]")
     return True
-
-
-class _Row(dict):
-    """A record of a _Records list: a dict that notes when it is edited."""
-
-    __slots__ = ("_edited",)
-
-
-def _marking(method):
-    def edit(self, *args, **kwargs):
-        self._edited = True
-        return method(self, *args, **kwargs)
-
-    return edit
-
-
-for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault", "update"):
-    setattr(_Row, _name, _marking(getattr(dict, _name)))
 
 
 class _Records(list):
@@ -283,23 +252,29 @@ class _Records(list):
 
     spec maps each key of a record to a column, a nested spec (a dict) or a
     constant scalar.  A column is an array whose first axis runs over the
-    records, or a list or tuple with one item per record.  A record holds
-    its row of each column: a Python scalar from a 1-D array, a view from
-    an array of more dimensions, the item of a list or tuple.  The list
-    keeps its own copy of 1-D arrays and lists, so records and columns
-    agree: an edit through a view changes the column, any other edit of a
-    record (or of a record nested in it) is noted in it, and a block
-    holding an edited, replaced or moved record is written as any list of
-    dicts is.
+    records, or a list or tuple with one item per record.  A record is a
+    plain dict holding its row of each column: a Python scalar from a 1-D
+    array, a view from an array of more dimensions, the item of a list or
+    tuple.  The list keeps its own copy of 1-D arrays and lists, so an edit
+    through a view changes the column.  It also keeps the records it built
+    (_built) and, for them and for the records nested in them, the value
+    objects each was built with (_values).  dumps writes from the columns
+    only while the records are as built (_as_built); any edit of the list
+    or of a record (or of a record nested in it) makes it write the whole
+    list as any list of dicts.  A copy, deep copy or pickle is a plain list:
+    its arrays are no longer views of the columns.
     """
 
-    __slots__ = ("_spec", "_built")
+    __slots__ = ("_spec", "_built", "_values")
 
     def __init__(self, spec: dict, count: int):
         self._spec = _own_columns(spec)
-        rows = _rows(self._spec, count)
-        super().__init__(rows)
-        self._built = tuple(rows)
+        self._values = []
+        self._built = _rows(self._spec, count, self._values)
+        super().__init__(self._built)
+
+    def __reduce_ex__(self, protocol):
+        return list, (list(self),)
 
 
 def _own_columns(spec: dict) -> dict:
@@ -316,33 +291,44 @@ def _own_columns(spec: dict) -> dict:
     return own
 
 
-def _rows(spec: dict, count: int) -> list:
-    """The records of spec (see _Records)."""
+def _cells(columns: list, count: int):
+    """The values of each of count records, a tuple a record, from columns:
+    a list or tuple with one value a record, or a constant."""
+    if not columns:
+        return repeat((), count)
+    return zip(*[col if isinstance(col, (list, tuple)) else repeat(col, count) for col in columns])
+
+
+def _rows(spec: dict, count: int, levels: list) -> list:
+    """The records of spec (see _Records).  Appends (records, keys, columns)
+    for them, after those of the records nested in them, to levels: columns
+    holds each key's values, one a record, or its constant."""
     columns = []
     for col in spec.values():
         if isinstance(col, dict):
-            col = _rows(col, count)
+            col = _rows(col, count, levels)
         elif isinstance(col, np.ndarray):
             col = col.tolist() if col.ndim == 1 else list(col)
-        elif not isinstance(col, (list, tuple)):
-            col = repeat(col, count)
         columns.append(col)
-    cells = zip(*columns) if columns else repeat((), count)
-    rows = list(map(_Row, map(zip, repeat(tuple(spec)), cells)))
-    for row in rows:
-        row._edited = False
+    keys = tuple(spec)
+    rows = list(map(dict, map(zip, repeat(keys), _cells(columns, count))))
+    levels.append((rows, keys, columns))
     return rows
 
 
-_EDITED = attrgetter("_edited")
-
-
-def _edited(rows: list, spec: dict) -> bool:
-    """Whether one of rows, records of spec as built, or a record nested in
-    one was edited."""
-    if any(map(_EDITED, rows)):
-        return True
-    return any(_edited([row[key] for row in rows], col) for key, col in spec.items() if isinstance(col, dict))
+def _as_built(records: _Records) -> bool:
+    """Whether records holds the records it built, and each of them, and
+    each record nested in one, has its keys in order and holds the very
+    value objects it was built with."""
+    if len(records) != len(records._built) or not all(map(is_, records, records._built)):
+        return False
+    for rows, keys, columns in records._values:
+        if not all(map(eq, map(tuple, rows), repeat(keys))):
+            return False
+        held = chain.from_iterable(map(dict.values, rows))
+        if not all(map(is_, held, chain.from_iterable(_cells(columns, len(rows))))):
+            return False
+    return True
 
 
 _CONTAINERS = (dict, list, tuple, np.ndarray)

@@ -621,8 +621,71 @@ def test_angles_on_a_non_frame_exits_one(tmp_path, capsys):
         assert verdicts[0] == verdicts[1]
 
 
-@pytest.mark.parametrize("command,infile", [("verify-thm1", "pair-in-duality.json"),
-                                            ("verify-thm2", "riesz-with-targets.json")])
+# (argv without --out, numpy routine made to fail); gen factors with QR only
+FACTORING_COMMANDS = [
+    (["gen", "--family", "in-duality", "--atoms", "3", "--seed", "7"], "qr"),
+    (["verify-thm1", "--in", str(FIXTURES / "pair-in-duality.json")], "svd"),
+    (["angles", "--in", str(FIXTURES / "pair-in-duality.json")], "svd"),
+    (["dual", "--in", str(FIXTURES / "pair-in-duality.json")], "svd"),
+    (["verify-thm2", "--in", str(FIXTURES / "riesz-with-targets.json")], "svd"),
+]
+# what the routine raises -> (exit code, stderr after "framekit: ")
+FACTORING_FAILURES = {
+    "LinAlgError": (2, "numerical failure: {} no convergence"),
+    "MemoryError": (1, "input is too large for available memory"),
+}
+
+
+@pytest.mark.parametrize("failure", FACTORING_FAILURES)
+@pytest.mark.parametrize("argv, routine", FACTORING_COMMANDS, ids=[c[0][0] for c in FACTORING_COMMANDS])
+def test_a_failed_factorization_exits_with_its_code_and_writes_nothing(argv, routine, failure, monkeypatch,
+                                                                       tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence") if failure == "LinAlgError" else MemoryError()
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    code, message = FACTORING_FAILURES[failure]
+    message = message.format({"svd": "SVD did not converge:", "qr": "QR factorization failed:"}[routine])
+    assert cli.main(argv + ["--out", str(tmp_path / "report.json")]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"framekit: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def partial_instances(tmp_path_factory):
+    """Instance files that lack a part some command needs: "a" holds system A
+    only, "ab" systems A and B without a probe f."""
+    inst = duality_instance("in-duality", 3, 4, 2, seed=1)
+    root = tmp_path_factory.mktemp("partial")
+    paths = {"a": root / "a.json", "ab": root / "ab.json"}
+    paths["a"].write_text(dumps(pair_to_json(inst.sa)), encoding="utf-8")
+    paths["ab"].write_text(dumps(pair_to_json(inst.sa, inst.sb)), encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["angles", "--in", "a"], "instance has no system B on its atoms"),
+    (["dual", "--in", "a"], "instance has no system B on its atoms"),
+    (["verify-thm1", "--in", "a"], "instance has no system B on its atoms"),
+    (["verify-thm2", "--in", "a"], "instance needs target subspaces W or a system B to span them"),
+    (["reconstruct", "--in", "ab"], "instance has no probe function f on its atoms"),
+    (["zak-demo", "--group", "cyclic:0", "--subgroup-gen", "0"], "order must be at least 1"),
+    (["zak-demo", "--group", "dihedral:0", "--subgroup-gen", "0"], "rotation order must be at least 1"),
+], ids=["angles", "dual", "verify-thm1", "verify-thm2", "reconstruct", "cyclic", "dihedral"])
+def test_input_a_command_cannot_use_exits_one_and_writes_nothing(argv, message, partial_instances, tmp_path,
+                                                                  capsys):
+    argv = [str(partial_instances[a]) if a in partial_instances else a for a in argv]
+    out = tmp_path / "report.json"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"framekit: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,infile", [("verify-thm1", "pair-in-duality.json")])
 def test_seed_is_echoed_and_changes_no_result(command, infile, tmp_path, capsys):
     reports = {}
     for seed in ("1", "3"):

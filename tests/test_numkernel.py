@@ -14,6 +14,7 @@ from framekit.numkernel import (
     Tolerance,
     as_matrix,
     orth,
+    qr,
     rank,
     singular_values,
     svd,
@@ -216,6 +217,22 @@ def test_psd_power_zero_matrix():
 
 def test_numerical_error_is_runtime_error():
     assert issubclass(NumericalError, RuntimeError)
+
+
+@pytest.mark.parametrize("kernel, routine, message", [
+    (svd, "svd", "SVD did not converge: no convergence"),
+    (singular_values, "svd", "SVD did not converge: no convergence"),
+    (qr, "qr", "QR factorization failed: no convergence"),
+], ids=["svd", "singular_values", "qr"])
+def test_factorization_failures_surface_as_numerical_error(kernel, routine, message, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    with pytest.raises(NumericalError) as info:
+        kernel(np.eye(3))
+    assert str(info.value) == message
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_numkernel_is_the_only_factorization_caller():

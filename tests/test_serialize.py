@@ -1,10 +1,12 @@
 """Round trips and formatting guarantees of the JSON layer."""
 
+import copy
 import csv
 import io
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -428,22 +430,51 @@ def _as_list(v):
     return v.tolist() if isinstance(v, np.ndarray) else v
 
 
-@pytest.mark.parametrize("edit", [
-    lambda atoms: atoms[5].update(weight=0.25),
-    lambda atoms: atoms[5].pop("f"),
-    lambda atoms: atoms[5].setdefault("extra", 1),
-    lambda atoms: atoms[5]["A"].__setitem__("dim", 3),
-    lambda atoms: atoms[5]["B"].clear(),
-    lambda atoms: atoms.__setitem__(5, dict(atoms[5], id="new")),
-    lambda atoms: atoms.reverse(),
-    lambda atoms: atoms.insert(5, {"id": "new"}),
-    lambda atoms: atoms.pop(),
-], ids=["update", "pop", "setdefault", "nested", "nested-clear", "replace", "reverse", "insert", "remove"])
+def _pop_and_reinsert(atom, key):
+    value = dict.pop(atom, key)
+    dict.__setitem__(atom, key, value)
+
+
+def _deep_copied_then_edited_through_a_view(doc):
+    doc["atoms"] = copy.deepcopy(doc["atoms"])
+    assert type(doc["atoms"]) is list
+    doc["atoms"][3]["A"]["vectors"][0, 0] = 0.5
+
+
+def _pickled_then_edited(doc):
+    doc["atoms"] = pickle.loads(pickle.dumps(doc["atoms"]))
+    assert type(doc["atoms"]) is list
+    doc["atoms"][5]["weight"] = 0.25
+
+
+RECORD_EDITS = {
+    "update": lambda doc: doc["atoms"][5].update(weight=0.25),
+    "pop": lambda doc: doc["atoms"][5].pop("f"),
+    "setdefault": lambda doc: doc["atoms"][5].setdefault("extra", 1),
+    "nested": lambda doc: doc["atoms"][5]["A"].__setitem__("dim", 3),
+    "nested-clear": lambda doc: doc["atoms"][5]["B"].clear(),
+    "replace": lambda doc: doc["atoms"].__setitem__(5, dict(doc["atoms"][5], id="new")),
+    "reverse": lambda doc: doc["atoms"].reverse(),
+    "insert": lambda doc: doc["atoms"].insert(5, {"id": "new"}),
+    "remove": lambda doc: doc["atoms"].pop(),
+    # edits through the dict base class, which no method of a record sees
+    "dict-setitem": lambda doc: dict.__setitem__(doc["atoms"][5], "weight", 0.5),
+    "dict-update": lambda doc: dict.update(doc["atoms"][5], weight=0.5),
+    "dict-init": lambda doc: dict.__init__(doc["atoms"][5], weight=0.5),
+    "dict-pop-reinsert": lambda doc: _pop_and_reinsert(doc["atoms"][5], "id"),
+    "dict-setitem-nested": lambda doc: dict.__setitem__(doc["atoms"][5]["A"], "dim", 3),
+    "deepcopy-view": _deep_copied_then_edited_through_a_view,
+    "pickle": _pickled_then_edited,
+}
+
+
+@pytest.mark.parametrize("edit", RECORD_EDITS.values(), ids=RECORD_EDITS.keys())
 def test_every_kind_of_record_edit_shows_in_the_output(edit):
     inst = duality_instance("in-duality", 12, 8, 6, seed=4)
     doc = pair_to_json(inst.sa, inst.sb, None, inst.probe, inst.meta)
+    assert all(type(atom) is dict and type(atom["A"]) is dict for atom in doc["atoms"])
     text = dumps(doc)
-    edit(doc["atoms"])
+    edit(doc)
     assert dumps(doc) == dumps(_as_lists(doc)) != text
 
 
