@@ -180,7 +180,8 @@ def _coded(lits: tuple) -> tuple[np.ndarray, tuple]:
 class _Layout(NamedTuple):
     """How the rows of a column table are written a block at a time.
 
-    floats: the float64 columns, each (rows, floats a row takes from it);
+    floats: the float columns, each a sequence of one item a row, all
+    floats or all float64 arrays of one shape, which np.asarray stacks;
     values: (column, text of one item) for the other columns a row takes
     from; lits: the text after each float of a row, with _RUN_END after the
     last float of a run; recipe: a row as texts, value indices and None for

@@ -8,13 +8,13 @@ seed reproduces the output byte for byte.
 Both directions work a block at a time.  The ``*_to_json`` functions hand
 complex data to ``dumps`` as float64 ``(..., 2)`` arrays of [re, im] pairs,
 laid out exactly as the equivalent nested lists, and per-atom results as
-record lists (``_Records``): lists of plain dicts that also keep the
-stacked columns they were built from.  ``dumps`` writes a record list a
-block of records at a time, from one template of the block's layout, with
-every float of the block formatted by one call of a vectorised kernel that
-gives the bytes of '%.17g' (``_blocks._kernel``).  It first checks once
-that the list and its records are as built; a list that was edited, or
-one of whose records was, is written as any list of dicts is.  The parsers
+plain lists of plain dicts, one a record (``_records``).  ``dumps`` writes
+any list of dicts whose records share their keys and the type of each
+key's values a block of records at a time, from one template of the
+block's layout, with every float of the block formatted by one call of a
+vectorised kernel that gives the bytes of '%.17g' (``_blocks._kernel``).
+It gathers each key's values from the records as they stand when it
+writes; a list it cannot lay out so is written record by record.  The parsers
 check the structure and element types of a whole block (one vector, one
 matrix, or the A, B or f entries of _ATOM_BLOCK consecutive atoms) at once
 and convert it with one ``np.array`` call.  A block that check turns down
@@ -43,7 +43,7 @@ import zipfile
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import eq, is_
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -170,7 +170,7 @@ def _block_text(layout, lo: int, hi: int) -> str:
 
     cols, runs = [], layout.recipe.count(None)
     if layout.lits:
-        block = [f[lo:hi] for f in layout.floats]
+        block = [np.asarray(col[lo:hi]).reshape(hi - lo, -1) for col in layout.floats]
         block = block[0] if len(block) == 1 else np.concatenate(block, axis=1)
         chunks = _float_text(block, layout.lits).split(_blocks._RUN_END)
     run = 0
@@ -187,55 +187,65 @@ def _block_text(layout, lo: int, hi: int) -> str:
     return "".join(chain.from_iterable(zip(*cols)))
 
 
-def _record_layout(spec: dict, indent: int, floats: list, values: list) -> str | None:
-    """One record of spec as _write lays it out at indent, with "\0" for
-    each float and "\1" for each value it takes from a column, which are
-    appended to floats and values; None for a spec the layout cannot hold
-    (a column of objects, an empty row, a key or constant _write rejects)."""
-    if not spec:
+# The text of a str, int or bool, by its exact type, as _scalar gives it.
+_VALUE_TEXT = {str: _quote, int: str, bool: {False: "false", True: "true"}.__getitem__}
+
+
+def _record_layout(rows: list, indent: int, floats: list, values: list) -> str | None:
+    """One record of rows, dicts, as _write lays it out at indent, with "\0"
+    for each float and "\1" for each str, int or bool, whose columns (one
+    value a record) are appended to floats and values.  None unless every
+    record is a dict with the first record's keys in order, and every key's
+    values share one type the layout can hold: a dict, a float, a str, an
+    int, a bool, or a float64 array of one non-empty shape."""
+    keys = tuple(rows[0])
+    if set(map(type, rows)) != {dict} or not all(map(eq, map(tuple, rows), repeat(keys))):
+        return None
+    if not keys:
         return "{}"
     pad, items = "  " * indent, []
-    for key, col in spec.items():
-        if not isinstance(key, str):
+    for key in keys:
+        col = list(map(itemgetter(key), rows))
+        kinds = set(map(type, col))
+        if type(key) is not str or len(kinds) != 1:
             return None
-        if isinstance(col, dict):
+        kind = kinds.pop()
+        if kind is dict:
             text = _record_layout(col, indent + 1, floats, values)
-        elif isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim and 0 not in col.shape[1:]:
-            floats.append(col.reshape(len(col), -1))
-            text = "\0" if col.ndim == 1 else _array_template(col.shape[1:], indent + 1).replace("%.17g", "\0")
-        elif isinstance(col, np.ndarray) and col.ndim == 1 and col.dtype.kind in "biu":
-            values.append((col, _JSON_BOOL.__getitem__ if col.dtype.kind == "b" else str))
+        elif kind is float:
+            floats.append(col)
+            text = "\0"
+        elif kind is np.ndarray:
+            shapes = {(v.dtype, v.shape) for v in col}
+            dtype, shape = shapes.pop()
+            if shapes or dtype != np.float64 or not shape or 0 in shape:
+                return None
+            floats.append(col)
+            text = _array_template(shape, indent + 1).replace("%.17g", "\0")
+        elif kind in _VALUE_TEXT:
+            values.append((col, _VALUE_TEXT[kind]))
             text = "\1"
-        elif isinstance(col, (list, tuple)) and all(type(v) is str for v in col):
-            values.append((col, _quote))
-            text = "\1"
-        elif isinstance(col, (np.ndarray, list, tuple)):
-            text = None
         else:
-            text = _scalar(col)
+            return None
         if text is None:
             return None
         items.append(f"{pad}  {_quote(key)}: {text}")
     return "{\n" + ",\n".join(items) + "\n" + pad + "}"
 
 
-_JSON_BOOL = {False: "false", True: "true"}
-
-
-def _write_records(records: _Records, write, indent: int) -> bool:
-    """Write records a block at a time, each block as one template of its
-    layout filled from the columns.  False, with nothing written, when the
-    layout cannot hold their columns or they are no longer as built."""
-    n = len(records)
-    if not n:
-        return False
+def _write_records(rows: list, write, indent: int) -> bool:
+    """Write rows, a list or tuple whose first item is a dict, a block of
+    records at a time, each block as one template of the records' layout
+    filled from the values they hold now.  False, with nothing written, when
+    _record_layout cannot lay them out; the caller then writes them as any
+    list."""
     floats, values = [], []
-    row = _record_layout(records._spec, indent + 1, floats, values)
-    if row is None or not _as_built(records):
+    row = _record_layout(rows, indent + 1, floats, values)
+    if row is None:
         return False
     from . import _blocks
 
-    sep = ",\n" + "  " * (indent + 1)
+    n, sep = len(rows), ",\n" + "  " * (indent + 1)
     layout = _blocks._layout(row, floats, values, sep)
     step = max(1, _KERNEL_MAX // max(1, len(layout.lits)))
     write("[\n" + "  " * (indent + 1))
@@ -246,51 +256,6 @@ def _write_records(records: _Records, write, indent: int) -> bool:
     return True
 
 
-class _Records(list):
-    """A list of records built from columns, which dumps writes from the
-    columns, a block of records at a time, while they are as built.
-
-    spec maps each key of a record to a column, a nested spec (a dict) or a
-    constant scalar.  A column is an array whose first axis runs over the
-    records, or a list or tuple with one item per record.  A record is a
-    plain dict holding its row of each column: a Python scalar from a 1-D
-    array, a view from an array of more dimensions, the item of a list or
-    tuple.  The list keeps its own copy of 1-D arrays and lists, so an edit
-    through a view changes the column.  It also keeps the records it built
-    (_built) and, for them and for the records nested in them, the value
-    objects each was built with (_values).  dumps writes from the columns
-    only while the records are as built (_as_built); any edit of the list
-    or of a record (or of a record nested in it) makes it write the whole
-    list as any list of dicts.  A copy, deep copy or pickle is a plain list:
-    its arrays are no longer views of the columns.
-    """
-
-    __slots__ = ("_spec", "_built", "_values")
-
-    def __init__(self, spec: dict, count: int):
-        self._spec = _own_columns(spec)
-        self._values = []
-        self._built = _rows(self._spec, count, self._values)
-        super().__init__(self._built)
-
-    def __reduce_ex__(self, protocol):
-        return list, (list(self),)
-
-
-def _own_columns(spec: dict) -> dict:
-    """spec with copies of its 1-D arrays and its lists (see _Records)."""
-    own = {}
-    for key, col in spec.items():
-        if isinstance(col, dict):
-            col = _own_columns(col)
-        elif isinstance(col, np.ndarray) and col.ndim == 1:
-            col = col.copy()
-        elif isinstance(col, list):
-            col = tuple(col)
-        own[key] = col
-    return own
-
-
 def _cells(columns: list, count: int):
     """The values of each of count records, a tuple a record, from columns:
     a list or tuple with one value a record, or a constant."""
@@ -299,36 +264,21 @@ def _cells(columns: list, count: int):
     return zip(*[col if isinstance(col, (list, tuple)) else repeat(col, count) for col in columns])
 
 
-def _rows(spec: dict, count: int, levels: list) -> list:
-    """The records of spec (see _Records).  Appends (records, keys, columns)
-    for them, after those of the records nested in them, to levels: columns
-    holds each key's values, one a record, or its constant."""
+def _records(spec: dict, count: int) -> list:
+    """count records, plain dicts, from spec, which maps each key to a
+    column, a nested spec (a dict) or a constant.  A column is an array
+    whose first axis runs over the records, or a list or tuple with one item
+    a record.  A record holds its row of each column: a Python scalar from a
+    1-D array, a view from an array of more dimensions, the item of a list
+    or tuple."""
     columns = []
     for col in spec.values():
         if isinstance(col, dict):
-            col = _rows(col, count, levels)
+            col = _records(col, count)
         elif isinstance(col, np.ndarray):
             col = col.tolist() if col.ndim == 1 else list(col)
         columns.append(col)
-    keys = tuple(spec)
-    rows = list(map(dict, map(zip, repeat(keys), _cells(columns, count))))
-    levels.append((rows, keys, columns))
-    return rows
-
-
-def _as_built(records: _Records) -> bool:
-    """Whether records holds the records it built, and each of them, and
-    each record nested in one, has its keys in order and holds the very
-    value objects it was built with."""
-    if len(records) != len(records._built) or not all(map(is_, records, records._built)):
-        return False
-    for rows, keys, columns in records._values:
-        if not all(map(eq, map(tuple, rows), repeat(keys))):
-            return False
-        held = chain.from_iterable(map(dict.values, rows))
-        if not all(map(is_, held, chain.from_iterable(_cells(columns, len(rows))))):
-            return False
-    return True
+    return list(map(dict, map(zip, repeat(tuple(spec)), _cells(columns, count))))
 
 
 _CONTAINERS = (dict, list, tuple, np.ndarray)
@@ -358,7 +308,7 @@ def _write(obj, write, indent: int):
     elif isinstance(obj, np.ndarray) and obj.dtype == np.float64:
         _write_array(obj, write, indent)
     elif isinstance(obj, (list, tuple)):
-        if type(obj) is _Records and _write_records(obj, write, indent):
+        if obj and type(obj[0]) is dict and _write_records(obj, write, indent):
             return
         items = list(obj)
         if not items:
@@ -576,7 +526,7 @@ def pair_to_json(
         spec["W"] = [subspace_to_json(t) for t in targets]
     if probe is not None:
         spec["f"] = _pairs(probe.values)
-    doc = {"fiber_dim": d, "atoms": _Records(spec, measure.count)}
+    doc = {"fiber_dim": d, "atoms": _records(spec, measure.count)}
     if meta:
         doc["meta"] = meta
     return doc
@@ -1066,14 +1016,14 @@ def table_rows(table: dict, keys=None) -> list[dict]:
     reports hold their per-atom results: one dict per atom with the given
     keys, or every key in order when keys is None.  1-D array columns give
     Python scalars; a complex array column gives each atom its values as
-    [re, im] pairs, as vector_to_json does.  The list is a _Records, which
-    dumps writes from the columns."""
+    [re, im] pairs, as vector_to_json does.  dumps writes the list a block
+    of records at a time, as it writes any list of records."""
     keys = tuple(table) if keys is None else tuple(keys)
     spec = {key: table[key] for key in keys}
     for key, col in spec.items():
         if isinstance(col, np.ndarray) and np.iscomplexobj(col):
             spec[key] = _pairs(col)
-    return _Records(spec, len(spec[keys[0]]))
+    return _records(spec, len(spec[keys[0]]))
 
 
 def equivalence_report_to_json(report: EquivalenceReport, include_witnesses: bool = True) -> dict:
@@ -1126,7 +1076,7 @@ def diagnostics_to_csv(table: dict) -> str:
             values.append((col, _csv_text if not isinstance(col, np.ndarray) else str))
             cells.append("\1")
     layout = _blocks._layout(",".join(cells), floats, values, "\n")
-    n, step = len(next(iter(table.values()))), _KERNEL_MAX // max(1, len(floats))
+    n, step = len(next(iter(table.values()))), max(1, _KERNEL_MAX // max(1, len(floats)))
     return ",".join(table) + "\n" + "".join(_block_text(layout, lo, min(lo + step, n)) for lo in range(0, n, step))
 
 

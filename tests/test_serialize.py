@@ -373,38 +373,40 @@ def test_kernel_takes_the_fallback_for_what_it_cannot_certify(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Records: a column table written a block of records at a time gives the
-# text of the same records written as a list of dicts.
+# Records: a list of dicts written a block of records at a time gives the
+# text of the same list written record by record by the generic walker.
 
 
-def _as_lists(doc):
-    """doc with its records as plain lists of the same dicts."""
-    if isinstance(doc, dict):
-        return {key: _as_lists(value) for key, value in doc.items()}
-    if isinstance(doc, serialize._Records):
-        return [_as_lists(row) for row in list(doc)]
-    return doc
+def _walker_text(doc) -> str:
+    """dumps(doc) with every list of records written by the generic walker."""
+    with mock.patch.object(serialize, "_write_records", return_value=False):
+        return dumps(doc)
+
+
+def _text_and_blocks(doc) -> tuple[str, int]:
+    """dumps(doc) and the number of record blocks it wrote."""
+    with mock.patch.object(serialize, "_block_text", wraps=serialize._block_text) as blocks:
+        return dumps(doc), blocks.call_count
+
+
+# records of one block of a pair_to_json document at (40, 8, 6) with f
+PAIR_PER_BLOCK = serialize._KERNEL_MAX // (1 + 96 + 96 + 16)
 
 
 def test_record_blocks_give_the_walkers_text_around_an_edited_record():
     inst = duality_instance("in-duality", 40, 8, 6, seed=4)
-    args = (inst.sa, inst.sb, None, inst.probe, inst.meta)
-    per_block = serialize._KERNEL_MAX // (1 + 96 + 96 + 16)
-    assert 1 < per_block < 20
-    text = dumps(pair_to_json(*args))
-    assert text == dumps(_as_lists(pair_to_json(*args)))
-    doc, ref = pair_to_json(*args), _as_lists(pair_to_json(*args))
-    middle = per_block + per_block // 2  # inside the second block
-    for d in (doc, ref):
-        d["atoms"][middle]["weight"] = 0.5
-        d["atoms"][middle]["A"]["vectors"] = d["atoms"][middle]["A"]["vectors"][:2]
-    edited = dumps(doc)
-    assert edited == dumps(ref) != text
+    assert 1 < PAIR_PER_BLOCK < 20
+    doc = pair_to_json(inst.sa, inst.sb, None, inst.probe, inst.meta)
+    text = dumps(doc)
+    assert text == _walker_text(doc)
+    middle = PAIR_PER_BLOCK + PAIR_PER_BLOCK // 2  # inside the second block
+    doc["atoms"][middle]["weight"] = 0.5
+    doc["atoms"][middle]["A"]["vectors"] = doc["atoms"][middle]["A"]["vectors"][:2]
+    assert dumps(doc) == _walker_text(doc) != text
     # with records added and deleted, every record is written as it stands
-    for d in (doc, ref):
-        del d["atoms"][0]
-        d["atoms"].append({"id": "extra", "weight": 1.0})
-    assert dumps(doc) == dumps(ref)
+    del doc["atoms"][0]
+    doc["atoms"].append({"id": "extra", "weight": 1.0})
+    assert dumps(doc) == _walker_text(doc)
     assert doc["atoms"][-1] == {"id": "extra", "weight": 1.0} and len(doc["atoms"]) == 40
 
 
@@ -414,16 +416,29 @@ def test_record_lists_read_as_lists_and_reading_keeps_the_block_path():
     rows = equivalence_report_to_json(report, include_witnesses=False)["diagnostics"]
     columns = [_as_list(col) for col in report.diagnostics.values()]
     plain = [dict(zip(report.diagnostics, row)) for row in zip(*columns)]
-    assert isinstance(rows, list) and rows == plain and json.dumps(rows) == json.dumps(plain)
+    assert type(rows) is list and rows == plain and json.dumps(rows) == json.dumps(plain)
     doc = pair_to_json(inst.sa, inst.sb, None, inst.probe, inst.meta)
     text = dumps(doc)
     # comparing, printing and reading records edits none of them
-    assert doc["atoms"] == _as_lists(doc)["atoms"] and repr(doc["atoms"]).startswith("[{'id': ")
+    assert doc["atoms"] == [dict(atom) for atom in doc["atoms"]] and repr(doc["atoms"]).startswith("[{'id': ")
     assert [atom["weight"] for atom in doc["atoms"]] == inst.sa.measure.weights.tolist()
     assert doc["atoms"][3]["A"]["dim"] == 8 and "f" in doc["atoms"][39]
-    with mock.patch.object(serialize, "_block_text", wraps=serialize._block_text) as blocks:
-        assert dumps(doc) == text
-    assert blocks.call_count == len(range(0, 40, serialize._KERNEL_MAX // (1 + 96 + 96 + 16)))
+    assert _text_and_blocks(doc) == (text, len(range(0, 40, PAIR_PER_BLOCK)))
+
+
+def test_copies_of_a_record_list_take_the_block_path():
+    # a list of records goes out a block at a time however it was made
+    inst = duality_instance("in-duality", 40, 8, 6, seed=4)
+    doc = pair_to_json(inst.sa, inst.sb, None, inst.probe, inst.meta)
+    built = _text_and_blocks(doc["atoms"])
+    assert built[1] == len(range(0, 40, PAIR_PER_BLOCK)) > 1
+    copies = {
+        "dict-copies": [dict(atom) for atom in doc["atoms"]],
+        "deepcopy": copy.deepcopy(doc)["atoms"],
+        "pickle": pickle.loads(pickle.dumps(doc))["atoms"],
+    }
+    for name, atoms in copies.items():
+        assert _text_and_blocks(atoms) == built, name
 
 
 def _as_list(v):
@@ -475,7 +490,7 @@ def test_every_kind_of_record_edit_shows_in_the_output(edit):
     assert all(type(atom) is dict and type(atom["A"]) is dict for atom in doc["atoms"])
     text = dumps(doc)
     edit(doc)
-    assert dumps(doc) == dumps(_as_lists(doc)) != text
+    assert dumps(doc) == _walker_text(doc) != text
 
 
 def test_an_edit_through_a_record_view_shows_in_the_output():
@@ -483,7 +498,81 @@ def test_an_edit_through_a_record_view_shows_in_the_output():
     rows = serialize.table_rows(table)
     text = dumps(rows)
     rows[300]["v"][1] = 0.5
-    assert dumps(rows) == dumps(_as_lists({"r": rows})["r"]) != text
+    assert dumps(rows) == _walker_text(rows) != text
+
+
+def _regular_records(n: int) -> list:
+    """n records of every kind of value the block writer lays out."""
+    return [
+        {"id": f"x{k}", "w": k / 7, "n": k - 3, "ok": k % 3 == 0,
+         "v": np.arange(6.0).reshape(3, 2) / (k + 1), "A": {"dim": 2, "m": np.full(2, k / 3)}, "e": {}}
+        for k in range(n)
+    ]
+
+
+def _at(k: int, key: str, value):
+    """An edit that sets key of record k to value."""
+    return lambda rows: rows[k].__setitem__(key, value)
+
+
+def _each(key: str, value):
+    """An edit that sets key of every record to value(record)."""
+    return lambda rows: [row.__setitem__(key, value(row)) for row in rows]
+
+
+def _move_to_end(row: dict, key: str):
+    row[key] = row.pop(key)
+
+
+# Lists of dicts the block writer cannot lay out, or must check before it
+# does: each edits _regular_records(40) in place.
+IRREGULAR_RECORDS = {
+    "none": _at(5, "w", None),
+    "numpy-float": _at(5, "w", np.float64(0.5)),
+    "int-among-floats": _at(5, "w", 3),
+    "bool-among-ints": _at(5, "n", True),
+    "extra-nested-key": lambda rows: rows[5]["A"].__setitem__("extra", 1),
+    "missing-key": lambda rows: rows[5].pop("ok"),
+    "array-shapes-differ": _at(5, "v", np.zeros((2, 3))),
+    "int-arrays": _each("v", lambda row: np.arange(6).reshape(3, 2)),
+    "float32-arrays": _each("v", lambda row: row["v"].astype(np.float32)),
+    "empty-arrays": _each("v", lambda row: np.zeros((3, 0))),
+    "zero-dim-arrays": _each("v", lambda row: np.array(row["w"])),
+    "list-values": _each("v", lambda row: row["v"].tolist()),
+    "key-order-swapped": lambda rows: _move_to_end(rows[5], "id"),
+    "empty-dicts": lambda rows: [row.clear() for row in rows],
+    "dict-subclass": lambda rows: rows.__setitem__(5, type("Sub", (dict,), {})(rows[5])),
+}
+
+
+@pytest.mark.parametrize("kernel_min", [1, serialize._KERNEL_MIN])
+@pytest.mark.parametrize("edit", IRREGULAR_RECORDS.values(), ids=IRREGULAR_RECORDS.keys())
+def test_irregular_records_give_the_walkers_text(edit, kernel_min):
+    rows = _regular_records(40)
+    edit(rows)
+    with mock.patch.object(serialize, "_KERNEL_MIN", kernel_min), mock.patch.object(serialize, "_KERNEL_MAX", 37):
+        try:
+            want = _walker_text({"r": rows})
+        except ValueError as exc:
+            # int and float32 arrays: the walker writes no array of them
+            with pytest.raises(ValueError, match=str(exc)):
+                dumps({"r": rows})
+        else:
+            assert dumps({"r": rows}) == want
+
+
+@pytest.mark.parametrize("kernel_min", [1, serialize._KERNEL_MIN])
+@pytest.mark.parametrize("edit, message", [
+    (_each(1, lambda row: 0.5), "JSON object keys must be strings, got 1"),
+    (_at(25, "w", float("nan")), "cannot serialize a non-finite float"),
+], ids=["non-str-key", "nan"])
+def test_irregular_records_raise_the_walkers_error(edit, message, kernel_min):
+    rows = _regular_records(40)
+    edit(rows)
+    with mock.patch.object(serialize, "_KERNEL_MIN", kernel_min), mock.patch.object(serialize, "_KERNEL_MAX", 37):
+        for write in (dumps, _walker_text):
+            with pytest.raises(ValueError, match=message):
+                write({"r": rows})
 
 
 def test_importing_the_package_compiles_no_block_writer():
@@ -500,8 +589,10 @@ TABLE_IDS = st.text(alphabet=st.characters(codec="utf-8"), min_size=1, max_size=
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(st.integers(1, 9), st.data(), st.integers(1, 40))
 def test_record_blocks_match_the_walker_on_any_column_table(n, data, cap):
-    columns = data.draw(st.lists(st.sampled_from(["id", "int", "bool", "float", "array", "const"]),
-                                 min_size=1, max_size=5))
+    kinds = ["id", "int", "bool", "float", "array"]
+    # the first column gives table_rows the number of rows
+    columns = [data.draw(st.sampled_from(kinds))]
+    columns += data.draw(st.lists(st.sampled_from(kinds + ["const"]), max_size=4))
     table = {}
     for j, kind in enumerate(columns):
         key = f"k{j}"
@@ -517,12 +608,53 @@ def test_record_blocks_match_the_walker_on_any_column_table(n, data, cap):
             table[key] = data.draw(hnp.arrays(np.float64, (n, 2, 3), elements=FINITE))
         else:
             table[key] = {"nested": data.draw(hnp.arrays(np.float64, (n, 2), elements=FINITE)), "c": 7, "e": {}}
-    records = serialize._Records(table, n)
+    records = serialize.table_rows(table)
     with mock.patch.object(serialize, "_KERNEL_MIN", 1), mock.patch.object(serialize, "_KERNEL_MAX", cap):
-        assert dumps({"r": records}) == dumps({"r": _as_lists(records)})
+        assert dumps({"r": records}) == _walker_text({"r": records})
         if all(kind in ("id", "int", "float") for kind in columns):
-            lines = [",".join(_csv_reference(v) for v in row.values()) for row in _as_lists(records)]
+            lines = [",".join(_csv_reference(v) for v in row.values()) for row in records]
             assert diagnostics_to_csv(table) == "\n".join([",".join(table)] + lines) + "\n"
+
+
+# The values a drawn record holds under each key, by kind, and a value of
+# any kind, which a perturbed record holds in place of one of them.
+RECORD_VALUES = {
+    "float": FINITE,
+    "int": st.integers(-10**12, 10**12),
+    "bool": st.booleans(),
+    "str": TABLE_IDS,
+    "vector": hnp.arrays(np.float64, 2, elements=FINITE),
+    "matrix": hnp.arrays(np.float64, (2, 3), elements=FINITE),
+    "record": st.fixed_dictionaries({"dim": st.integers(0, 9), "x": FINITE}),
+}
+ANY_VALUE = st.one_of(
+    *RECORD_VALUES.values(), st.none(), st.builds(np.float64, FINITE), st.lists(FINITE, max_size=2),
+    hnp.arrays(np.float64, st.sampled_from([(), (0,), (3,), (3, 2)]), elements=FINITE),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.data(), st.integers(1, 12), st.integers(1, 30))
+def test_record_blocks_match_the_walker_on_records_drawn_one_by_one(data, n, cap):
+    schema = data.draw(st.lists(st.sampled_from(sorted(RECORD_VALUES)), max_size=5))
+    keys = [f"k{j}" for j in range(len(schema))]
+    rows = []
+    for _ in range(n):
+        row = {key: data.draw(RECORD_VALUES[kind]) for key, kind in zip(keys, schema)}
+        change = data.draw(st.sampled_from(["none", "none", "none", "value", "drop", "add", "move", "nested"]))
+        if change == "value" and keys:
+            row[data.draw(st.sampled_from(keys))] = data.draw(ANY_VALUE)
+        elif change == "drop" and keys:
+            del row[data.draw(st.sampled_from(keys))]
+        elif change == "add":
+            row["extra"] = data.draw(ANY_VALUE)
+        elif change == "move" and keys:
+            _move_to_end(row, data.draw(st.sampled_from(keys)))
+        elif change == "nested" and "record" in schema:
+            row[keys[schema.index("record")]]["x"] = data.draw(ANY_VALUE)
+        rows.append(row)
+    with mock.patch.object(serialize, "_KERNEL_MIN", 1), mock.patch.object(serialize, "_KERNEL_MAX", cap):
+        assert dumps({"r": rows}) == _walker_text({"r": rows})
 
 
 def _csv_reference(v) -> str:
