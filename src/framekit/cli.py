@@ -18,6 +18,7 @@ numerical failures inside a factorization.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import json
@@ -33,7 +34,6 @@ import numpy as np
 from . import __version__
 from .generate import FAMILIES, duality_instance
 from .mispace import (
-    DEFAULT_C_MAX,
     ConstructionError,
     _fiber_pass,
     alternate_dual_residuals,
@@ -44,7 +44,7 @@ from .mispace import (
     verify_biorthogonality,
     verify_duality,
 )
-from .numkernel import DEFAULT_TOL, REL_RANK_TOL, NumericalError, Tolerance
+from .numkernel import DEFAULT_TOL, NumericalError, Tolerance
 from .serialize import (
     PairDocument,
     _read_companion,
@@ -59,7 +59,7 @@ from .serialize import (
     table_rows,
     vector_to_json,
 )
-from .subspace import DEFAULT_ANGLE_TOL, Subspace
+from .subspace import Subspace
 from .zak import (
     plan_from_spec,
     tg_frame_bounds,
@@ -91,23 +91,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _float_between(low: float, high: float, rule: str):
-    """An argparse type: a float strictly between low and high (so finite)."""
+def _tol_field(name: str):
+    """An argparse type for the Tolerance field name: a float that Tolerance
+    accepts there, so its rule is the one Tolerance.__post_init__ states."""
 
     def parse(text: str) -> float:
         try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-        if not low < value < high:
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
-        return value
+            return getattr(Tolerance(**{name: float(text)}), name)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
-
-
-_UNIT = _float_between(0.0, 1.0, "strictly between 0 and 1")
-_C_MAX = _float_between(0.0, np.inf, "finite and positive")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,9 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, tol=False, angle=False, seed=False, fmt=False):
         p.add_argument("--out", help="output path (stdout when omitted)")
         if tol:
-            p.add_argument("--tol", type=_UNIT, default=DEFAULT_TOL.eq_tol, help="equality tolerance")
+            p.add_argument("--tol", dest="eq_tol", type=_tol_field("eq_tol"), default=DEFAULT_TOL.eq_tol,
+                           help="equality tolerance")
         if angle:
-            p.add_argument("--angle-tol", type=_UNIT, default=DEFAULT_ANGLE_TOL)
+            p.add_argument("--angle-tol", type=_tol_field("angle_tol"), default=DEFAULT_TOL.angle_tol)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if fmt:
@@ -146,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the checker draws nothing at random; --seed stays for old command lines
     p = sub.add_parser("verify-thm1", help="duality equivalence report for a pair")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cmax", type=_C_MAX, default=DEFAULT_C_MAX)
+    p.add_argument("--cmax", dest="c_max", type=_tol_field("c_max"), default=DEFAULT_TOL.c_max)
     p.add_argument("--seed", type=int, default=0, help="echoed in the report; it does not change the result")
     add_common(p, tol=True, angle=True, fmt=True)
 
@@ -167,17 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerance(ns) -> Tolerance:
-    return Tolerance(eq_tol=getattr(ns, "tol", DEFAULT_TOL.eq_tol))
+    """The command's one Tolerance: each flag sets the field it is named for."""
+    names = ("eq_tol", "angle_tol", "c_max")
+    return Tolerance(**{name: getattr(ns, name) for name in names if hasattr(ns, name)})
 
 
 def _tol_doc(ns) -> dict:
     # commands without --tol echo the default eq_tol, which they do not read
-    doc = {"rel_rank_tol": REL_RANK_TOL, "eq_tol": _tolerance(ns).eq_tol}
-    if hasattr(ns, "angle_tol"):
-        doc["angle_tol"] = ns.angle_tol
-    if hasattr(ns, "cmax"):
-        doc["c_max"] = ns.cmax
-    return doc
+    tol = dataclasses.asdict(_tolerance(ns))
+    return {k: v for k, v in tol.items() if k in ("rel_rank_tol", "eq_tol") or hasattr(ns, k)}
 
 
 def _envelope(ns, result) -> dict:
@@ -313,7 +306,7 @@ def _cmd_angles(ns):
     pair = _read_pair(ns)
     sb = _need_b(pair)
     # verify_duality's factor pass alone: no witness is built or certified
-    fields, _ = _fiber_pass(pair.sa, sb, _tolerance(ns), ns.angle_tol)
+    fields, _ = _fiber_pass(pair.sa, sb, _tolerance(ns))
     if ns.format == "csv":
         return diagnostics_to_csv(fields["diagnostics"])
     result = {
@@ -353,9 +346,9 @@ def _cmd_verify_thm1(ns):
     tol = _tolerance(ns)
     if ns.format == "csv":
         # the diagnostics are the factor pass's alone: no witness is built
-        fields, _ = _fiber_pass(pair.sa, sb, tol, ns.angle_tol)
+        fields, _ = _fiber_pass(pair.sa, sb, tol)
         return diagnostics_to_csv(fields["diagnostics"])
-    report = verify_duality(pair.sa, sb, tol=tol, angle_tol=ns.angle_tol, c_max=ns.cmax)
+    report = verify_duality(pair.sa, sb, tol)
     return _envelope(ns, equivalence_report_to_json(report))
 
 
@@ -375,7 +368,7 @@ def _cmd_verify_thm2(ns):
             )
             return _envelope(ns, {"holds": False, "precondition_failure": reason})
     try:
-        report = verify_biorthogonality(pair.sa, targets, angle_tol=ns.angle_tol)
+        report = verify_biorthogonality(pair.sa, targets, _tolerance(ns))
     except ConstructionError as exc:
         return _envelope(ns, {"holds": False, "precondition_failure": str(exc)})
     return _envelope(ns, biorth_report_to_json(report))
@@ -431,6 +424,14 @@ def _cmd_zak_demo(ns):
     return _envelope(ns, result)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of the complex (atoms, d) array x, bit for bit
+    np.linalg.norm of the row: sqrt(re . re + im . im), each dot a batched
+    matmul.  A norm along an axis of the stack rounds differently."""
+    re, im = x.real, x.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+
+
 def _cmd_reconstruct(ns):
     pair = _read_pair(ns)
     if pair.probe is None:
@@ -445,8 +446,7 @@ def _cmd_reconstruct(ns):
         dual = canonical_duals(pair.sa)
         source = "canonical dual"
     fhat, resid = reconstruct(pair.sa, dual, pair.probe)
-    # one norm per atom: a norm along an axis of the stack rounds differently
-    residuals = np.array([np.linalg.norm(d) for d in fhat.values - pair.probe.values])
+    residuals = _row_norms(fhat.values - pair.probe.values)
     result = {
         "ok": True,
         "dual_source": source,

@@ -34,7 +34,7 @@ from .mispace import (
     alternate_dual_residuals,
 )
 from .numkernel import DEFAULT_TOL, Tolerance, as_matrix, ct
-from .subspace import DEFAULT_ANGLE_TOL, Subspace
+from .subspace import Subspace
 
 
 @dataclass(frozen=True)
@@ -174,15 +174,13 @@ def dualise(a: FiberSystem, b: FiberSystem) -> FiberSystem:
     return FiberSystem(_pinv_duals(f)[0])
 
 
-def biorth_riesz_dual(
-    a: FiberSystem, w: Subspace, angle_tol: float = DEFAULT_ANGLE_TOL
-) -> FiberSystem:
+def biorth_riesz_dual(a: FiberSystem, w: Subspace, tol: Tolerance = DEFAULT_TOL) -> FiberSystem:
     """Biorthogonal dual of a Riesz sequence, supported in the subspace W.
 
     Solves <a_i, h_j> = delta_ij with every h_j in W.  Requires dim W equal
     to the number of generators and both infimum cosine angles between W and
-    span(A) to exceed angle_tol; under those conditions the dual exists, is
-    unique, and is itself a Riesz sequence spanning W.  It is the
+    span(A) to exceed tol.angle_tol; under those conditions the dual exists,
+    is unique, and is itself a Riesz sequence spanning W.  It is the
     pseudo-inverse dual of A in W, mispace.verify_biorthogonality on one atom.
     """
     if w.ambient_dim != a.dim:
@@ -192,6 +190,6 @@ def biorth_riesz_dual(
     f, cos = _riesz_factors(a.matrix[None], w.basis[None])
     if f.dim_a[0] != a.count:
         raise ConstructionError("generators are not a Riesz sequence")
-    if cos[0] <= angle_tol or not f.feasible[0]:
+    if cos[0] <= tol.angle_tol or not f.feasible[0]:
         raise ConstructionError("subspaces are not in duality: a fiber angle is zero")
     return FiberSystem(_pinv_duals(f)[0])

@@ -48,13 +48,12 @@ from .numkernel import (
     singular_values,
     svd,
 )
-from .subspace import DEFAULT_ANGLE_TOL, _inf_cos_pair
+from .subspace import _inf_cos_pair
 
 if TYPE_CHECKING:
     from .fiberframe import FiberSystem
     from .subspace import Subspace
 
-DEFAULT_C_MAX = 1e8
 # Atoms per block of every fiber loop: span and cross product SVDs,
 # tightening, pseudo-inverse, canonical and biorthogonal duals, and the
 # witness certificates.  Each atom is factored on its own inside a batch, so
@@ -508,7 +507,7 @@ def _columns(**columns) -> dict:
     return columns
 
 
-def _fiber_pass(sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance, angle_tol: float, witnesses=False):
+def _fiber_pass(sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance = DEFAULT_TOL, witnesses=False):
     """The factor pass of verify_duality, which the angles command and the
     verify-thm1 CSV run on their own: everything read off three SVDs per
     block of _FACTOR_BLOCK atoms.
@@ -517,8 +516,8 @@ def _fiber_pass(sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance, angle_tol:
     arguments: both angle statements, angles_global, worst_fiber,
     diagnostics and both frame bounds.  When witnesses is true, the rank
     condition rank_mixed = dim_ja = dim_jb holds on every atom and every
-    atom's infimum cosines exceed angle_tol, it also returns the witness
-    pair and its certificate: the Parseval tightening T of SA, its
+    atom's infimum cosines exceed tol.angle_tol, it also returns the
+    witness pair and its certificate: the Parseval tightening T of SA, its
     pseudo-inverse dual D in span(SB), and the (2, atoms) norms of
     _certificate, divided by max(pinv_norm, 1); None otherwise.  No witness
     is built from the first block that fails either test on.  Raises
@@ -549,7 +548,7 @@ def _fiber_pass(sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance, angle_tol:
         pinv_norm[lo:hi] = f.inv.max(axis=-1)
         # no witness is reported unless every block meets the rank condition
         # and clears angle_tol, the cutoff of the angle statements
-        cleared = np.all(np.minimum(r_ab[lo:hi], r_ba[lo:hi]) > angle_tol)
+        cleared = np.all(np.minimum(r_ab[lo:hi], r_ba[lo:hi]) > tol.angle_tol)
         witnesses = witnesses and bool(f.feasible.all() and cleared)
         if witnesses:
             t = tight[lo:hi] = f.qa @ ct(f.va)
@@ -569,11 +568,12 @@ def _fiber_pass(sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance, angle_tol:
         float(r_ab[dim_a > 0].min()) if np.any(dim_a > 0) else 1.0,
         float(r_ba[dim_b > 0].min()) if np.any(dim_b > 0) else 1.0,
     )
+    r_min = np.minimum(r_ab, r_ba)
     fields = dict(
-        global_angles_positive=angles_global[0] > angle_tol and angles_global[1] > angle_tol,
-        fiber_angles_positive=bool(np.all((r_ab > angle_tol) & (r_ba > angle_tol))),
+        global_angles_positive=min(angles_global) > tol.angle_tol,
+        fiber_angles_positive=bool(np.all(r_min > tol.angle_tol)),
         angles_global=angles_global,
-        worst_fiber=int(np.argmin(np.minimum(r_ab, r_ba))),
+        worst_fiber=int(np.argmin(r_min)),
         diagnostics=_columns(
             atom=sa.measure.atoms,
             dim_ja=dim_a,
@@ -589,23 +589,17 @@ def _fiber_pass(sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance, angle_tol:
     return fields, ((tight, dual, resid) if witnesses else None)
 
 
-def verify_duality(
-    sa: FiberedSystem,
-    sb: FiberedSystem,
-    tol: Tolerance = DEFAULT_TOL,
-    angle_tol: float = DEFAULT_ANGLE_TOL,
-    c_max: float = DEFAULT_C_MAX,
-) -> EquivalenceReport:
+def verify_duality(sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance = DEFAULT_TOL) -> EquivalenceReport:
     """Evaluate the duality equivalences for the pair (SA, SB).
 
-    Requires both systems to be frames for their spans, by the scale-free
-    test lower > eq_tol * upper on the global frame bounds.  Angle
-    statements are read off the principal cosines.  Existence statements
-    are certified constructively where the rank condition
-    rank B^H A = dim span A = dim span B holds and both infimum cosines
-    exceed angle_tol on every atom, and are false elsewhere, so both kinds
-    of statement decide at the one cutoff angle_tol: SA is
-    Parseval-tightened to T, its pseudo-inverse dual D in span(SB) is built
+    Every threshold is read from tol.  Requires both systems to be frames
+    for their spans, by the scale-free test lower > tol.eq_tol * upper on
+    the global frame bounds.  Angle statements are read off the principal
+    cosines.  Existence statements are certified constructively where the
+    rank condition rank B^H A = dim span A = dim span B holds and both
+    infimum cosines exceed tol.angle_tol on every atom, and are false
+    elsewhere, so both kinds of statement decide at the one cutoff
+    tol.angle_tol: SA is Parseval-tightened to T, its pseudo-inverse dual D in span(SB) is built
     from the same cross SVD, and the certificate is the Frobenius norm of
     the reproduction residuals R_A = T D^H Qa - Qa and R_B = D T^H Qb - Qb
     (_certificate), which bounds the relative residual of every function in
@@ -614,21 +608,21 @@ def verify_duality(
     pinv_norm (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
     ed., 2002, sec. 7.1).  The rounding part of the residual grows like the
     unit roundoff times pinv_norm, so the quotient keeps a planted cosine
-    just above angle_tol from failing eq_tol.
+    just above tol.angle_tol from failing tol.eq_tol.
     max_local_residual is its largest value over atoms and sides.  The
     global reproducing operators are block diagonal over the atoms, so their
     norms are the essential suprema of the fiber norms: max_global_residual
     is the largest value over atoms of positive weight.  Both must clear
-    eq_tol.  The witnesses' spans and bounds hold by construction: T is
+    tol.eq_tol.  The witnesses' spans and bounds hold by construction: T is
     Parseval on span(SA), and D spans span(SB) with singular values
     1/cosine on the kept cosines, at most pinv_norm.  A fiber whose
-    pinv_norm exceeds c_max downgrades the witness to "constructed,
+    pinv_norm exceeds tol.c_max downgrades the witness to "constructed,
     unverified-bound".
 
     Everything comes from one factor pass over blocks of _FACTOR_BLOCK
     atoms (_fiber_pass), three SVDs per block, and no random draw.
     """
-    fields, built = _fiber_pass(sa, sb, tol, angle_tol, witnesses=True)
+    fields, built = _fiber_pass(sa, sb, tol, witnesses=True)
 
     witnesses = max_local = max_global = None
     witness_status = "not constructed"
@@ -640,9 +634,8 @@ def verify_duality(
         max_global = float(resid[:, sa.measure.weights > 0.0].max())
         fiber_duals_exist = max_local <= tol.eq_tol
         global_duals_exist = fiber_duals_exist and max_global <= tol.eq_tol
-        witness_status = (
-            "verified" if np.all(fields["diagnostics"]["pinv_norm"] <= c_max) else "constructed, unverified-bound"
-        )
+        bounded = np.all(fields["diagnostics"]["pinv_norm"] <= tol.c_max)
+        witness_status = "verified" if bounded else "constructed, unverified-bound"
 
     return EquivalenceReport(
         global_duals_exist=global_duals_exist,
@@ -679,9 +672,7 @@ class BiorthogonalityReport:
 
 
 def verify_biorthogonality(
-    sa: FiberedSystem,
-    targets: list[Subspace],
-    angle_tol: float = DEFAULT_ANGLE_TOL,
+    sa: FiberedSystem, targets: list[Subspace], tol: Tolerance = DEFAULT_TOL
 ) -> BiorthogonalityReport:
     """Check fiberwise duality of a Riesz family against target subspaces and
     construct the biorthogonal dual family when every fiber passes.
@@ -694,11 +685,12 @@ def verify_biorthogonality(
 
     One pass over blocks of _FACTOR_BLOCK atoms reads the Riesz test, the
     bounds, the cosines and, while every atom so far is ok, the dual off
-    _riesz_factors.  An atom is ok when its cosine exceeds angle_tol and
-    W^H A has full rank at REL_RANK_TOL.  repro_residual is the largest
-    Frobenius norm of A H^H Qa - Qa and H A^H W - W (_certificate), which
-    bounds the relative reproduction residual of every function in span(A)
-    and in W, and biorth_deviation the largest |<a_i, h_j> - delta_ij|,
+    _riesz_factors.  An atom is ok when its cosine exceeds tol.angle_tol
+    and W^H A has full rank at REL_RANK_TOL; no other field of tol is read.
+    repro_residual is the largest Frobenius norm of A H^H Qa - Qa and
+    H A^H W - W (_certificate), which bounds the relative reproduction
+    residual of every function in span(A) and in W, and biorth_deviation
+    the largest |<a_i, h_j> - delta_ij|,
     both divided per atom by ||A||_2 ||H||_2 >= 1 (see verify_duality).
     The dual is the only full-size array allocated.
     """
@@ -722,7 +714,7 @@ def verify_biorthogonality(
             atom = sa.measure.atoms[lo + int(np.argmax(f.dim_a != r))]
             raise ConstructionError(f"fiber at atom {atom!r} is not a Riesz sequence")
         lowers[lo:hi], uppers[lo:hi] = _frame_bounds(f.s_a)
-        ok[lo:hi] = (cos[lo:hi] > angle_tol) & f.feasible
+        ok[lo:hi] = (cos[lo:hi] > tol.angle_tol) & f.feasible
         holds = holds and bool(ok[lo:hi].all())
         if holds:
             if dual is None:  # made once the first slice passes

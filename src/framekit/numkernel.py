@@ -5,15 +5,16 @@ that calls a numpy.linalg factorization (SVD and QR; duals are read off SVD
 factors, never off a linear solve), so that every rank decision is taken
 with the one relative cutoff REL_RANK_TOL, a constant: span dimensions,
 pseudo-inverse supports, and the Gramian supports behind frame bounds and
-Parseval tightening, which are the span supports themselves.  The one
-settable tolerance is Tolerance.eq_tol, the slack of identity tests and of
-the scale-free frame test.  Matrices are dense complex128 throughout;
-inputs are validated (shape, finiteness) before any factorization runs.
+Parseval tightening, which are the span supports themselves.  Every
+threshold a check reads is a field of one Tolerance: that cutoff, read-only,
+and the settable eq_tol, angle_tol and c_max.  Matrices are dense
+complex128 throughout; inputs are validated (shape, finiteness) before any
+factorization runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,19 +30,28 @@ REL_RANK_TOL = 1e-10
 
 @dataclass(frozen=True, kw_only=True)
 class Tolerance:
-    """The settable tolerance, given by keyword.
+    """Every threshold of the checks, set by keyword and validated here.
 
+    rel_rank_tol: the rank cutoff REL_RANK_TOL, read-only.
     eq_tol: absolute/relative slack used when testing algebraic identities
         (orthonormality, residuals), and the ratio lower / upper of frame
-        bounds that a frame must exceed.  Rank decisions use the fixed
-        cutoff REL_RANK_TOL instead.
+        bounds that a frame must exceed.
+    angle_tol: the cutoff a cosine must exceed to count as positive.
+    c_max: the largest pinv_norm of a "verified" witness dual.
     """
 
+    rel_rank_tol: float = field(default=REL_RANK_TOL, init=False)
     eq_tol: float = 1e-8
+    angle_tol: float = 1e-8
+    c_max: float = 1e8
 
     def __post_init__(self):
-        if not (0.0 < self.eq_tol < 1.0):
-            raise ValueError(f"eq_tol must lie strictly between 0 and 1, got {self.eq_tol!r}")
+        for name in ("eq_tol", "angle_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must lie strictly between 0 and 1, got {value!r}")
+        if not 0.0 < self.c_max < np.inf:
+            raise ValueError(f"c_max must be finite and positive, got {self.c_max!r}")
 
 
 DEFAULT_TOL = Tolerance()

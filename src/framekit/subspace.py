@@ -17,8 +17,6 @@ import numpy as np
 
 from .numkernel import DEFAULT_TOL, as_matrix, ct, orth, singular_values, svd
 
-DEFAULT_ANGLE_TOL = 1e-8
-
 # computed cosines this close to an endpoint are backward-error noise; they
 # snap so that identities like R(V, W)^2 + S(V, W-perp)^2 = 1 survive the
 # cancellation in 1 - s^2 when the true angle is exactly 0 or pi/2

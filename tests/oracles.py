@@ -35,7 +35,7 @@ from framekit.numkernel import (
     singular_values,
     svd,
 )
-from framekit.subspace import DEFAULT_ANGLE_TOL, Subspace, clip_cos, ortho_complement
+from framekit.subspace import Subspace, clip_cos, ortho_complement
 from framekit.zak import _translates, as_signal
 
 
@@ -146,7 +146,7 @@ def direct_sum_test(v: Subspace, w: Subspace) -> bool:
 
 
 def biorth_riesz_dual_via_projection(
-    a: FiberSystem, w: Subspace, angle_tol: float = DEFAULT_ANGLE_TOL
+    a: FiberSystem, w: Subspace, angle_tol: float = DEFAULT_TOL.angle_tol
 ) -> FiberSystem:
     """The biorthogonal dual of a Riesz sequence in W, built through the
     canonical dual and an oblique projection.

@@ -193,6 +193,17 @@ def test_reconstruct(pair_file):
     assert len(result["per_atom"]) == 3
 
 
+@pytest.mark.parametrize("dim", [3, 4, 8, 12, 33, 100])
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_row_norms_are_the_per_atom_norms_bit_for_bit(dim, scale):
+    """reconstruct's abs_residual column: the batched row norms equal one
+    np.linalg.norm call per atom, so the report keeps its bytes."""
+    rng = np.random.default_rng(dim)
+    x = scale * (rng.standard_normal((257, dim)) + 1j * rng.standard_normal((257, dim)))
+    want = np.array([np.linalg.norm(row) for row in x])
+    assert np.array_equal(cli._row_norms(x), want)
+
+
 def test_reconstruct_through_canonical_dual(pair_file, tmp_path):
     # without a system B the probe is reconstructed through A's canonical dual
     with open(pair_file, "r", encoding="utf-8") as fh:

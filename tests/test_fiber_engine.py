@@ -38,7 +38,6 @@ from framekit.generate import (
 from framekit import mispace
 from framekit.mispace import (
     _FACTOR_BLOCK,
-    DEFAULT_C_MAX,
     FiberedFunction,
     FiberedSystem,
     MeasureModel,
@@ -50,12 +49,12 @@ from framekit.mispace import (
     verify_biorthogonality,
     verify_duality,
 )
-from framekit.numkernel import DEFAULT_TOL, REL_RANK_TOL, rank, singular_values
-from framekit.subspace import DEFAULT_ANGLE_TOL, Subspace, inf_cos
+from framekit.numkernel import DEFAULT_TOL, REL_RANK_TOL, Tolerance, rank, singular_values
+from framekit.subspace import Subspace, inf_cos
 from framekit.zak import build_plan, cyclic_group, tg_to_mg
 
 
-def oracle_duality(sa, sb, tol=DEFAULT_TOL, angle_tol=DEFAULT_ANGLE_TOL, c_max=DEFAULT_C_MAX):
+def oracle_duality(sa, sb, tol=DEFAULT_TOL):
     """verify_duality's statements computed atom by atom with the per-fiber
     oracles.  Returns (verdicts, witness_status, rows, worst atom, bounds)."""
     r = max(sa.count, sb.count)
@@ -82,6 +81,7 @@ def oracle_duality(sa, sb, tol=DEFAULT_TOL, angle_tol=DEFAULT_ANGLE_TOL, c_max=D
         lo, hi = min(b[0] for b in act), max(b[1] for b in act)
         return lo, hi, lo > tol.eq_tol * hi
 
+    angle_tol = tol.angle_tol
     fiber_angles = all(row[3] > angle_tol and row[4] > angle_tol for row in rows)
     act_a = [row[3] for row in rows if row[1] > 0]
     act_b = [row[4] for row in rows if row[2] > 0]
@@ -120,7 +120,7 @@ def oracle_duality(sa, sb, tol=DEFAULT_TOL, angle_tol=DEFAULT_ANGLE_TOL, c_max=D
         )
         local_ok = local <= tol.eq_tol
         global_ok = local_ok and glob <= tol.eq_tol and spans_ok and frames_ok
-        status = "verified" if all(row[6] <= c_max for row in rows) else "constructed, unverified-bound"
+        status = "verified" if all(row[6] <= tol.c_max for row in rows) else "constructed, unverified-bound"
     verdicts = (global_ok, angles[0] > angle_tol and angles[1] > angle_tol, local_ok, fiber_angles)
     return verdicts, status, rows, worst, (bounds(sa.fibers), bounds(sb.fibers)), angles
 
@@ -287,7 +287,7 @@ def test_near_threshold_statements_agree(eps):
     above, the certificate, a backward error, does not grow with pinv_norm,
     so the dual statements hold with the angle statements; at or below, no
     witness is built, so they fail with them."""
-    holds = eps > DEFAULT_ANGLE_TOL
+    holds = eps > DEFAULT_TOL.angle_tol
     for seed in range(5):
         inst = duality_instance("near-threshold", 300, 8, 6, seed=seed, eps=eps)
         report = verify_duality(inst.sa, inst.sb)
@@ -444,7 +444,7 @@ def test_no_witness_is_built_after_a_block_fails_the_rank_condition(monkeypatch)
     assert len(calls) <= 1
     # the report of the factor pass's fields and no witness, which it also
     # was when every block's witnesses were built and then dropped
-    fields, built = mispace._fiber_pass(inst.sa, inst.sb, DEFAULT_TOL, DEFAULT_ANGLE_TOL)
+    fields, built = mispace._fiber_pass(inst.sa, inst.sb, DEFAULT_TOL)
     assert built is None
     want = mispace.EquivalenceReport(
         global_duals_exist=False,
@@ -539,7 +539,7 @@ def test_verify_biorthogonality_allocates_no_dual_for_a_failing_first_slice():
     sa = FiberedSystem(_measure(n_atoms, rng), np.stack(fibers))
     tracemalloc.start()
     try:
-        report = verify_biorthogonality(sa, targets, angle_tol=0.7)
+        report = verify_biorthogonality(sa, targets, Tolerance(angle_tol=0.7))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -576,11 +576,12 @@ def test_a_cosine_below_the_rank_cutoff_is_not_ok_at_any_angle_tol():
         v, w, _ = rotated_span_pair(rng, 5, 2, [c, 0.9])
         fibers.append(v @ (np.eye(2) + 0.3 * complex_gaussian(rng, 2, 2)))
         targets.append(Subspace(w))
-    report = verify_biorthogonality(FiberedSystem(_measure(2, rng), np.stack(fibers)), targets, angle_tol=1e-12)
+    loose = Tolerance(angle_tol=1e-12)
+    report = verify_biorthogonality(FiberedSystem(_measure(2, rng), np.stack(fibers)), targets, loose)
     assert 1e-12 < report.rows["r_aw"][0] <= REL_RANK_TOL
     assert not report.holds and report.failed_atoms == ["x0"] and report.dual is None
     with pytest.raises(ConstructionError, match="not in duality"):
-        biorth_riesz_dual(FiberSystem(fibers[0]), targets[0], angle_tol=1e-12)
+        biorth_riesz_dual(FiberSystem(fibers[0]), targets[0], loose)
 
 
 @pytest.mark.parametrize("d,r", [(5, 2), (3, 3)])

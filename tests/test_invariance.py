@@ -6,11 +6,12 @@ bounds alone; a unitary change of basis on each fiber, applied to both
 systems, leaves the verdicts and the angles alone.  Permuting the generators
 of either system, or appending zero generators to it, changes no span: the
 verdicts, the angles, the frame bounds and every per-atom diagnostic stay.
-Scaling either system changes no verdict, and a small singular value never
-splits the four statements: they agree, or the frame test refuses the
-system.  Scaling one generator changes no span, so it leaves the rank
-condition alone, and pinv_dual decides that condition atom by atom as
-verify_duality does.
+Rescaling the atom weights changes no angle, bound, verdict or diagnostic,
+bit for bit.  Scaling either system changes no verdict, and a small
+singular value never splits the four statements: they agree, or the frame
+test refuses the system.  Scaling one generator changes no span, so it
+leaves the rank condition alone, and pinv_dual decides that condition atom
+by atom as verify_duality does.
 """
 
 import numpy as np
@@ -151,6 +152,27 @@ def _pinv_dual_feasible(a, b) -> bool:
     except ConstructionError:
         return False
     return True
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_rescaling_weights(family, seed):
+    """Each atom's weight times its own factor drawn log-uniformly from
+    [1e-6, 1e6]: angles, bounds and verdicts are infima and suprema over the
+    atoms, not integrals, so every diagnostics column, angles_global,
+    worst_fiber, both frame bounds and the four verdicts stay bit for bit."""
+    inst = duality_instance(family, _FACTOR_BLOCK + 45, 5, 3, seed=seed, eps=1e-6)
+    m = inst.sa.measure
+    factors = 10.0 ** np.random.default_rng(seed).uniform(-6.0, 6.0, m.count)
+    measure = MeasureModel(m.atoms, m.weights * factors)
+    base = verify_duality(inst.sa, inst.sb)
+    moved = verify_duality(FiberedSystem(measure, inst.sa.matrices), FiberedSystem(measure, inst.sb.matrices))
+    assert verdicts(moved) == verdicts(base)
+    assert moved.angles_global == base.angles_global and moved.worst_fiber == base.worst_fiber
+    assert (moved.frame_bounds_a, moved.frame_bounds_b) == (base.frame_bounds_a, base.frame_bounds_b)
+    assert moved.diagnostics.keys() == base.diagnostics.keys()
+    for key, column in base.diagnostics.items():
+        assert np.array_equal(moved.diagnostics[key], column), key
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-9])

@@ -1,5 +1,7 @@
 """Global-vs-fiberwise reductions over a finite measure model."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -304,7 +306,7 @@ def test_verify_duality_rejects_non_frame():
 
 def test_verify_duality_cmax_downgrade():
     inst = duality_instance("in-duality", 3, 4, 2, seed=7, delta=0.1)
-    report = verify_duality(inst.sa, inst.sb, c_max=1e-3)
+    report = verify_duality(inst.sa, inst.sb, Tolerance(c_max=1e-3))
     assert report.witness_status == "constructed, unverified-bound"
     # Residual certification is unaffected by the bound downgrade.
     assert report.fiber_duals_exist and report.global_duals_exist
@@ -385,3 +387,41 @@ def test_report_tolerance_parameter():
     loose = verify_duality(inst.sa, inst.sb, tol=Tolerance(eq_tol=1e-6))
     strict = verify_duality(inst.sa, inst.sb, tol=Tolerance(eq_tol=1e-8))
     assert loose.all_hold and strict.all_hold
+
+
+def _ladder_report(n, scale):
+    """verify_duality on one atom: A = scale * e0 and B = e0 + n e1 in C^2,
+    whose spans meet at the cosine 1 / sqrt(1 + n^2)."""
+    measure = MeasureModel(("x0",), np.array([1.0]))
+    sa = FiberedSystem(measure, np.array([[[scale], [0.0]]]))
+    sb = FiberedSystem(measure, np.array([[[1.0], [n]]]))
+    return verify_duality(sa, sb)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-5, 1e5])
+def test_closed_form_cosine_ladder(scale):
+    """At N = 10^k the cosine 1 / sqrt(1 + N^2) walks down through
+    angle_tol = 1e-8.  The computed cosines stay within 4 * 2^-52 of the
+    closed form at every rung and scale of A, an absolute bound: principal
+    cosines read off an SVD carry an absolute rounding error, so the
+    smallest rungs keep few correct digits.  The angle statements hold up
+    to k = 7 and fail from k = 9 (k = 8 lies within 1e-6 relative of
+    angle_tol), and the dual statements and the witness status turn with
+    them."""
+    held = []
+    for k in range(13):
+        n = 10.0**k
+        report = _ladder_report(n, scale)
+        with localcontext(prec=50):
+            want = float(1 / (1 + Decimal(n) ** 2).sqrt())
+        for got in report.angles_global:
+            assert abs(got - want) <= 4 * 2.0**-52
+        angles = (report.global_angles_positive, report.fiber_angles_positive)
+        duals = (report.global_duals_exist, report.fiber_duals_exist)
+        if k != 8:
+            assert angles == (k <= 7, k <= 7)
+        assert duals in ((True, True), (False, False))
+        assert report.witness_status == ("verified" if duals[0] else "not constructed")
+        held.append(duals[0])
+    # one flip, below or above k = 8
+    assert held in ([True] * 8 + [False] * 5, [True] * 9 + [False] * 4)

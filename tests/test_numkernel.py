@@ -2,6 +2,8 @@
 pseudo-inverse and spectral-power oracles the engine is tested against."""
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 import framekit
 from framekit.numkernel import (
     DEFAULT_TOL,
+    REL_RANK_TOL,
     NumericalError,
     Tolerance,
     as_matrix,
@@ -29,15 +32,30 @@ def random_complex(rng, *shape):
 
 
 def test_tolerance_validation():
+    """Tolerance checks every threshold it holds, and the message names it."""
     Tolerance(eq_tol=1e-6)
-    for bad in ({"eq_tol": -1e-8}, {"eq_tol": 2.0}):
-        with pytest.raises(ValueError):
-            Tolerance(**bad)
+    nan, inf = float("nan"), float("inf")
+    bad = (
+        [("eq_tol", -1e-8), ("eq_tol", 2.0)]
+        + [("angle_tol", v) for v in (0.0, 1.0, -1.0, nan)]
+        + [("c_max", v) for v in (0.0, -1.0, inf, nan)]
+    )
+    for name, value in bad:
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            Tolerance(**{name: value})
+
+
+def test_tolerance_defaults():
+    assert DEFAULT_TOL.rel_rank_tol == REL_RANK_TOL
+    assert (DEFAULT_TOL.eq_tol, DEFAULT_TOL.angle_tol, DEFAULT_TOL.c_max) == (1e-8, 1e-8, 1e8)
+    tol = Tolerance(angle_tol=0.5, c_max=10.0)
+    assert (tol.rel_rank_tol, tol.eq_tol, tol.angle_tol, tol.c_max) == (REL_RANK_TOL, 1e-8, 0.5, 10.0)
 
 
 def test_tolerance_is_keyword_only():
     # a positional call written for the old (rel_rank_tol, eq_tol) form must
-    # not silently set eq_tol, and the rank cutoff is no longer a field
+    # not silently set eq_tol, and the rank cutoff is a read-only field that
+    # no call can set
     assert Tolerance(eq_tol=1e-6).eq_tol == 1e-6
     for args, kwargs in (((1e-6,), {}), ((1e-12, 1e-6), {}), ((), {"rel_rank_tol": 1e-12})):
         with pytest.raises(TypeError):
@@ -310,3 +328,20 @@ def test_every_tolerance_parameter_is_read():
             }
             unread += [f"{path.name}:{node.lineno} {node.name}({p})" for p in sorted(params - read)]
     assert unread == []
+
+
+def test_no_function_takes_a_threshold_of_its_own():
+    """angle_tol and c_max are fields of Tolerance: no function the package
+    defines, bar Tolerance's own constructor, takes either as a parameter,
+    so every threshold reaches the checks through the one tol argument."""
+    offenders = []
+    for path in sorted(pathlib.Path(framekit.__file__).parent.glob("*.py")):
+        module = importlib.import_module("framekit" if path.stem == "__init__" else f"framekit.{path.stem}")
+        classes = [c for _, c in inspect.getmembers(module, inspect.isclass) if c is not Tolerance]
+        for owner in [module] + classes:
+            for name, func in inspect.getmembers(owner, inspect.isfunction):
+                if func.__module__ != module.__name__:
+                    continue
+                params = set(inspect.signature(func).parameters) & {"angle_tol", "c_max"}
+                offenders += [f"{module.__name__}.{name}({p})" for p in sorted(params)]
+    assert offenders == []
