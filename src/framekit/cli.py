@@ -36,6 +36,7 @@ from .generate import FAMILIES, duality_instance
 from .mispace import (
     ConstructionError,
     _fiber_pass,
+    _spans,
     alternate_dual_residuals,
     canonical_duals,
     global_frame_bounds,
@@ -353,20 +354,17 @@ def _cmd_verify_thm1(ns):
 
 
 def _cmd_verify_thm2(ns):
+    """Theorem 2 against the instance's W, or else against span(B), cut by
+    one span pass over the B stack; a failed hypothesis of
+    verify_biorthogonality is reported as precondition_failure."""
     pair = _read_pair(ns)
     if pair.targets is not None:
         targets = pair.targets
     elif pair.sb is not None:
-        targets = [Subspace.span_of(m) for m in pair.sb.matrices]
+        qb, dim_b = _spans(pair.sb.matrices)[:2]
+        targets = [Subspace(q[:, :k]) for q, k in zip(qb, dim_b)]
     else:
         raise ValueError("instance needs target subspaces W or a system B to span them")
-    for atom, t in zip(pair.measure.atoms, targets):
-        if t.dim != pair.sa.count:
-            reason = (
-                f"atom {atom!r}: target subspace has dimension {t.dim}, "
-                f"expected {pair.sa.count}"
-            )
-            return _envelope(ns, {"holds": False, "precondition_failure": reason})
     try:
         report = verify_biorthogonality(pair.sa, targets, _tolerance(ns))
     except ConstructionError as exc:

@@ -178,15 +178,15 @@ def biorth_riesz_dual(a: FiberSystem, w: Subspace, tol: Tolerance = DEFAULT_TOL)
     """Biorthogonal dual of a Riesz sequence, supported in the subspace W.
 
     Solves <a_i, h_j> = delta_ij with every h_j in W.  Requires dim W equal
-    to the number of generators and both infimum cosine angles between W and
-    span(A) to exceed tol.angle_tol; under those conditions the dual exists,
-    is unique, and is itself a Riesz sequence spanning W.  It is the
+    to the number of generators, a Riesz A and both infimum cosine angles
+    between W and span(A) above tol.angle_tol, or raises ConstructionError;
+    the dual then exists, is unique, and is a Riesz sequence spanning W: the
     pseudo-inverse dual of A in W, mispace.verify_biorthogonality on one atom.
     """
     if w.ambient_dim != a.dim:
         raise ValueError(f"ambient dimensions differ: {w.ambient_dim} vs {a.dim}")
     if w.dim != a.count:
-        raise ValueError(f"dim W = {w.dim} does not match the system length {a.count}")
+        raise ConstructionError(f"dim W = {w.dim} does not match the system length {a.count}")
     f, cos = _riesz_factors(a.matrix[None], w.basis[None])
     if f.dim_a[0] != a.count:
         raise ConstructionError("generators are not a Riesz sequence")

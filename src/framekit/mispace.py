@@ -677,11 +677,11 @@ def verify_biorthogonality(
     """Check fiberwise duality of a Riesz family against target subspaces and
     construct the biorthogonal dual family when every fiber passes.
 
-    Every target must be an r-dimensional subspace of the fibers' space
-    (raises ValueError, checked before any factorization) and every fiber of
-    SA a Riesz sequence (raises ConstructionError).  The angle conditions are
-    evaluated per atom; failures are reported by atom id instead of raising,
-    since a negative answer is a result.
+    One target per atom in the fibers' space, or ValueError.  Both
+    hypotheses, dim W = r and a Riesz fiber, raise ConstructionError at the
+    first atom failing them, every target checked before any factorization.
+    The angle conditions are evaluated per atom; failures are reported by
+    atom id instead of raising, since a negative answer is a result.
 
     One pass over blocks of _FACTOR_BLOCK atoms reads the Riesz test, the
     bounds, the cosines and, while every atom so far is ok, the dual off
@@ -700,8 +700,9 @@ def verify_biorthogonality(
     for atom, w in zip(sa.measure.atoms, targets):
         if w.ambient_dim != d:
             raise ValueError(f"target at atom {atom!r} has wrong ambient dimension")
+    for atom, w in zip(sa.measure.atoms, targets):
         if w.dim != r:
-            raise ValueError(f"target at atom {atom!r} has dimension {w.dim}, expected {r}")
+            raise ConstructionError(f"atom {atom!r}: target subspace has dimension {w.dim}, expected {r}")
 
     lowers, uppers, cos = (np.empty(n_atoms) for _ in range(3))
     ok = np.empty(n_atoms, dtype=bool)

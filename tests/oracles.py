@@ -11,8 +11,10 @@ cross-check routes (biorthogonal duals through an oblique projection,
 modulation-side pairings, group-side biorthogonality, direct sums,
 translation and its modulation symbol one subgroup element at a time, and
 the greedy generating set of a group table by breadth-first closure).  It
-also keeps the instance generator's draws one atom at a time
-(random_unitary, well_conditioned_coefficients, rotated_span_pair,
+also keeps the Gabor system on Z_N built column by column from its
+modulations and translations, an exact rank over the Gaussian integers by
+fraction-free elimination, and the instance generator's draws one atom at
+a time (random_unitary, well_conditioned_coefficients, rotated_span_pair,
 fiber_pair), which the stacked generator must reproduce bit for bit on one
 atom.  Nothing here imports framekit.mispace or calls a single-fiber
 function that runs on the engine, so agreement with the engine is a real
@@ -301,6 +303,62 @@ def generating_set(m) -> list[int]:
             reached[new] = True
             prods = cols[new].ravel()
     return gens
+
+
+def modulate(signal, k: int) -> np.ndarray:
+    """Modulation on Z_N: (M_k f)(x) = exp(2 pi i k x / N) f(x)."""
+    f = np.asarray(signal, dtype=np.complex128)
+    n = f.shape[0]
+    return np.exp(2j * np.pi * k * np.arange(n) / n) * f
+
+
+def gabor_matrix(window, a: int, b: int) -> np.ndarray:
+    """The N x (N/a)(N/b) synthesis matrix of the Gabor system G(g, a, b) on
+    Z_N: column n (N/b) + m is M_{mb} T_{na} g, with (T_y f)(x) = f(x - y)."""
+    g = np.asarray(window, dtype=np.complex128)
+    n = g.shape[0]
+    if n % a or n % b:
+        raise ValueError(f"a = {a} and b = {b} must divide N = {n}")
+    return np.stack([modulate(np.roll(g, t * a), m * b) for t in range(n // a) for m in range(n // b)], axis=1)
+
+
+def _gi_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _gi_exact_div(x, y):
+    """x / y for Gaussian integers that y divides: x conj(y) / |y|^2."""
+    n = y[0] ** 2 + y[1] ** 2
+    re, im = x[0] * y[0] + x[1] * y[1], x[1] * y[0] - x[0] * y[1]
+    if re % n or im % n:
+        raise ArithmeticError(f"{x} is not divisible by {y}")
+    return re // n, im // n
+
+
+def gaussian_integer_rank(m) -> int:
+    """Exact rank of a matrix with Gaussian-integer entries, by fraction-free
+    elimination (Bareiss, Math. Comp. 22, 1968) with row pivoting.  Every
+    entry stays a Gaussian integer, a minor of the input, so each division
+    by the previous pivot is exact (and checked)."""
+    m = np.asarray(m)
+    if m.size and not (np.all(m.real == np.round(m.real)) and np.all(m.imag == np.round(m.imag))):
+        raise ValueError("entries must be Gaussian integers")
+    rows = [[(int(z.real), int(z.imag)) for z in row] for row in m.astype(np.complex128)]
+    n_cols = m.shape[1]
+    rank, prev = 0, (1, 0)
+    for c in range(n_cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != (0, 0)), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank][c]
+        for row in rows[rank + 1:]:
+            for j in range(c + 1, n_cols):
+                x, y = _gi_mul(p, row[j]), _gi_mul(row[c], rows[rank][j])
+                row[j] = _gi_exact_div((x[0] - y[0], x[1] - y[1]), prev)
+            row[c] = (0, 0)
+        prev, rank = p, rank + 1
+    return rank
 
 
 def random_unitary(rng, d: int) -> np.ndarray:

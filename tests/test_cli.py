@@ -15,10 +15,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from framekit import cli, mispace, zak
-from framekit.generate import duality_instance
-from framekit.mispace import FiberedSystem
+from framekit import __version__, cli, mispace, zak
+from framekit.generate import FAMILIES, duality_instance
+from framekit.mispace import FiberedSystem, MeasureModel
 from framekit.serialize import dumps, pair_to_json, plan_to_json
+from framekit.subspace import Subspace
 from framekit.zak import build_plan, dihedral_group
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "cli"
@@ -177,12 +178,76 @@ def test_verify_thm2_happy_path(tmp_path):
     assert result["repro_residual"] <= 1e-8
 
 
+def _thm2_failure_stdout(reason):
+    """The whole verify-thm2 report of a failed hypothesis, byte for byte."""
+    return (
+        '{\n  "tool": "framekit",\n  "version": "%s",\n  "command": "verify-thm2",\n'
+        '  "seed": null,\n  "tolerances": {\n    "rel_rank_tol": 1e-10,\n'
+        '    "eq_tol": 1e-08,\n    "angle_tol": 1e-08\n  },\n  "result": {\n'
+        '    "holds": false,\n    "precondition_failure": "%s"\n  }\n}\n'
+    ) % (__version__, reason)
+
+
 def test_verify_thm2_precondition_reported(pair_file):
     # this pair's B spans are 1-dimensional while A has 2 generators
     proc = run_cli("verify-thm2", "--in", pair_file, check_rc=0)
-    result = json.loads(proc.stdout)["result"]
-    if result["holds"] is False:
-        assert "precondition_failure" in result or "failed_atoms" in result
+    assert proc.stdout == _thm2_failure_stdout("atom 'x0': target subspace has dimension 1, expected 2")
+
+
+def _write_instance(path, sa, sb=None, targets=None):
+    path.write_text(dumps(pair_to_json(sa, sb, targets)), encoding="utf-8")
+    return str(path)
+
+
+def _thm2_case(case):
+    """Three atoms in C^4: A of two generators, Riesz except in the "not
+    Riesz" cases, and B or explicit targets W, each spanned by unit vectors."""
+    measure = MeasureModel(("x0", "x1", "x2"), np.ones(3))
+    a = np.tile(np.eye(4)[:, :2] + 0.25 * np.eye(4)[:, 2:], (3, 1, 1))
+    if case.endswith("not Riesz"):
+        a[1, :, 1] = a[1, :, 0]  # two equal generators at x1
+    if case == "span(B)":
+        b = a.copy()
+        b[1:, :, 1] = 2.0 * b[1:, :, 0]  # span(B) is 1-dimensional at x1 and x2
+        return FiberedSystem(measure, a), FiberedSystem(measure, b), None
+    w_dims = {"W": (2, 2, 3), "not Riesz": (2, 2, 2), "W before not Riesz": (2, 2, 1)}[case]
+    return FiberedSystem(measure, a), None, [Subspace(np.eye(4)[:, :k]) for k in w_dims]
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("span(B)", "atom 'x1': target subspace has dimension 1, expected 2"),
+    ("W", "atom 'x2': target subspace has dimension 3, expected 2"),
+    ("not Riesz", "fiber at atom 'x1' is not a Riesz sequence"),
+    ("W before not Riesz", "atom 'x2': target subspace has dimension 1, expected 2"),
+])
+def test_verify_thm2_precondition_failure_bytes(case, reason, tmp_path, capsys):
+    """Both hypotheses of Theorem 2, dim W = r and a Riesz fiber, are reported
+    as precondition_failure at the first atom that fails them; every target
+    is checked before any fiber is factored, so a target's failure wins."""
+    inst = _write_instance(tmp_path / "thm2.json", *_thm2_case(case))
+    assert cli.main(["verify-thm2", "--in", inst]) == 0
+    assert capsys.readouterr().out == _thm2_failure_stdout(reason)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_verify_thm2_span_of_b_is_the_explicit_span(family, count, tmp_path, capsys):
+    """A B-only instance reports the bytes of the same instance with W written
+    out as Subspace.span_of of each atom's B: the one span pass over the B
+    stack gives span_of's bases bit for bit, across factor blocks."""
+    inst = duality_instance(family, mispace._FACTOR_BLOCK + 9, 4, count, seed=13)
+    targets = [Subspace.span_of(m) for m in inst.sb.matrices]
+    reports = []
+    for path in (_write_instance(tmp_path / "b.json", inst.sa, inst.sb),
+                 _write_instance(tmp_path / "w.json", inst.sa, targets=targets)):
+        assert cli.main(["verify-thm2", "--in", path]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    result = json.loads(reports[0])["result"]
+    if count == 1:  # span(B) has dimension r = 1 on every atom
+        assert result["holds"] is (family != "orthogonal-failure")
+    else:
+        assert "precondition_failure" in result
 
 
 def test_reconstruct(pair_file):

@@ -239,8 +239,10 @@ def test_biorth_preconditions():
     with pytest.raises(ConstructionError):
         biorth_riesz_dual(a, Subspace.full(2))
     b = FiberSystem.from_vectors([E1])
-    with pytest.raises(ValueError):
-        biorth_riesz_dual(b, Subspace.full(2))  # dim W != r
+    with pytest.raises(ConstructionError, match="dim W = 2"):
+        biorth_riesz_dual(b, Subspace.full(2))  # dim W != r, as in verify_biorthogonality
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        biorth_riesz_dual(b, Subspace.full(3))
     with pytest.raises(ConstructionError):
         biorth_riesz_dual(b, Subspace.span_of(np.array([[0.0], [1.0]])))  # orthogonal
 

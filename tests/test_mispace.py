@@ -4,6 +4,9 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from framekit.fiberframe import (
     ConstructionError,
@@ -21,6 +24,7 @@ from framekit.mispace import (
     FiberedFunction,
     FiberedSystem,
     MeasureModel,
+    _fiber_pass,
     apply_mixed_frame_operator,
     delta_determining_set,
     fourier_determining_set,
@@ -32,7 +36,7 @@ from framekit.mispace import (
 )
 from framekit.numkernel import Tolerance
 from framekit.subspace import Subspace
-from oracles import direct_sum_test, global_biorthogonality_deviation, global_pairing
+from oracles import direct_sum_test, gaussian_integer_rank, global_biorthogonality_deviation, global_pairing
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -370,14 +374,23 @@ def test_verify_biorthogonality_rejects_non_riesz():
 def test_verify_biorthogonality_shape_errors():
     measure = MeasureModel(("x0",), np.array([1.0]))
     sa = FiberedSystem(measure, (FiberSystem.from_vectors([E1]),))
-    with pytest.raises(ValueError):
-        verify_biorthogonality(sa, [Subspace.full(2)])  # dim W != r
+    # dim W != r is Theorem 2's hypothesis, like a Riesz fiber, so it raises
+    # the same ConstructionError; a wrong target count or ambient dimension
+    # is a shape error
+    with pytest.raises(ConstructionError, match="atom 'x0': target subspace has dimension 2, expected 1"):
+        verify_biorthogonality(sa, [Subspace.full(2)])
     with pytest.raises(ValueError):
         verify_biorthogonality(sa, [])
+    with pytest.raises(ValueError, match="wrong ambient dimension"):
+        verify_biorthogonality(sa, [Subspace.full(3)])
+    # a shape error at x1 wins over a target of the wrong dimension at x0
+    sa2 = FiberedSystem(two_atom_measure(), (FiberSystem.from_vectors([E1]),) * 2)
+    with pytest.raises(ValueError, match="target at atom 'x1' has wrong ambient dimension"):
+        verify_biorthogonality(sa2, [Subspace.full(2), Subspace.full(3)])
     # targets are checked before any factorization: a non-Riesz fiber beside
     # a target of the wrong dimension raises the target's error
     not_riesz = FiberedSystem(measure, (FiberSystem.from_vectors([E1, E1]),))
-    with pytest.raises(ValueError, match="has dimension 1, expected 2"):
+    with pytest.raises(ConstructionError, match="has dimension 1, expected 2"):
         verify_biorthogonality(not_riesz, [Subspace.span_of(E1[:, None])])
 
 
@@ -425,3 +438,47 @@ def test_closed_form_cosine_ladder(scale):
         held.append(duals[0])
     # one flip, below or above k = 8
     assert held in ([True] * 8 + [False] * 5, [True] * 9 + [False] * 4)
+
+
+def _plant(kind, a, b):
+    """Plant one atom's span relation on Gaussian-integer fibers a, b (d, r)
+    in place: B^H A = 0, B rank-deficient, the spans meeting in at most one
+    direction, or span(B) = span(A); "random" leaves both as drawn."""
+    if kind == "orthogonal":
+        a[a.shape[0] // 2:] = 0
+        b[: b.shape[0] // 2] = 0
+    elif kind == "deficient":
+        b[:, -1] = b[:, :-1].sum(axis=-1)
+    elif kind == "meet":
+        a[2:] = 0
+        b[1] = 0
+        b[3:] = 0
+    elif kind == "same span":
+        b[:] = 1j * a[:, ::-1]
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_angle_verdict_is_the_exact_rank_condition(data):
+    """Both infimum cosines of an atom exceed angle_tol exactly when
+    rank(B^H A) = rank A = rank B, decided exactly over the Gaussian integers
+    (Bareiss).  With entries in {-3..3} + i{-3..3}, d <= 5 and r <= 3, every
+    nonzero cosine and singular-value ratio is bounded away from the cutoffs
+    by a Gaussian-integer minor of modulus >= 1, so any disagreement is a bug
+    of the factor pass, not rounding."""
+    d, r = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 3))
+    n_atoms = data.draw(st.integers(1, 40))
+    parts = data.draw(hnp.arrays(np.int64, (4, n_atoms, d, r), elements=st.integers(-3, 3)))
+    a, b = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+    kinds = st.sampled_from(["random", "orthogonal", "deficient", "meet", "same span"])
+    for k, kind in enumerate(data.draw(st.lists(kinds, min_size=n_atoms, max_size=n_atoms))):
+        _plant(kind, a[k], b[k])
+    measure = MeasureModel(tuple(f"x{k}" for k in range(n_atoms)), np.ones(n_atoms))
+    fields, _ = _fiber_pass(FiberedSystem(measure, a), FiberedSystem(measure, b))
+    diag = fields["diagnostics"]
+    got = np.minimum(diag["r_ab"], diag["r_ba"]) > Tolerance().angle_tol
+    want = [
+        gaussian_integer_rank(bk.conj().T @ ak) == gaussian_integer_rank(ak) == gaussian_integer_rank(bk)
+        for ak, bk in zip(a, b)
+    ]
+    assert got.tolist() == want
