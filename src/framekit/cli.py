@@ -47,7 +47,6 @@ from .mispace import (
 )
 from .numkernel import DEFAULT_TOL, NumericalError, Tolerance
 from .serialize import (
-    PairDocument,
     _read_companion,
     _write_companion,
     biorth_report_to_json,
@@ -296,11 +295,8 @@ def _cmd_gen(ns):
     inst = duality_instance(
         ns.family, ns.atoms, ns.dim, ns.gens, seed=ns.seed, delta=ns.delta, eps=ns.eps
     )
-    meta = dict(inst.meta)
-    meta.update({"tool": "framekit", "version": __version__, "command": "gen"})
-    return functools.partial(
-        _write_instance, PairDocument(inst.sa.measure, inst.sa, inst.sb, probe=inst.probe, meta=meta)
-    )
+    meta = {**inst.meta, "tool": "framekit", "version": __version__, "command": "gen"}
+    return functools.partial(_write_instance, dataclasses.replace(inst, meta=meta))
 
 
 def _cmd_angles(ns):

@@ -19,18 +19,17 @@ coefficient block was rejected.  The per-atom functions random_unitary,
 rotated_span_pair, well_conditioned_coefficients and fiber_pair are the
 one-atom calls of the same kernels.
 
-Everything is driven by a single numpy Generator, so a seed fixes the
+duality_instance returns a mispace.PairDocument, the type every reader
+returns.  A single numpy Generator drives it all, so a seed fixes the
 instance bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .fiberframe import FiberSystem
-from .mispace import FiberedFunction, FiberedSystem, MeasureModel
+from .mispace import FiberedFunction, FiberedSystem, MeasureModel, PairDocument
 from .numkernel import qr, singular_values
 
 FAMILIES = ("in-duality", "orthogonal-failure", "near-threshold")
@@ -204,14 +203,6 @@ def random_fibered_system(rng, n_atoms: int, dim: int, count: int) -> FiberedSys
     return FiberedSystem(measure, fibers)
 
 
-@dataclass(frozen=True)
-class GeneratedPair:
-    sa: FiberedSystem
-    sb: FiberedSystem
-    probe: FiberedFunction
-    meta: dict = field(default_factory=dict)
-
-
 def duality_instance(
     family: str,
     n_atoms: int,
@@ -220,11 +211,12 @@ def duality_instance(
     seed: int,
     delta: float = 0.1,
     eps: float = 1e-6,
-) -> GeneratedPair:
+) -> PairDocument:
     """Draw one seeded pair of fibered systems from the named family.
 
-    delta is the angle floor for the in-duality family; eps is the exact
-    minimum cosine planted by the near-threshold family.
+    Returns a PairDocument of sa, sb, a probe in span(A) and meta, without
+    targets.  delta is the angle floor for the in-duality family; eps is the
+    exact minimum cosine planted by the near-threshold family.
 
     Draw order: the atom weights and the special atom's index for the whole
     instance, then, block by block of _GEN_BLOCK atoms, the span dimensions,
@@ -286,4 +278,4 @@ def duality_instance(
         else None,
         "min_cosine": min_cos,
     }
-    return GeneratedPair(sa, sb, probe, meta)
+    return PairDocument(sa, sb, probe=probe, meta=meta)

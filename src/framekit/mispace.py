@@ -32,7 +32,7 @@ the biorthogonal one, read off the same factors as pinv_dual.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -196,6 +196,22 @@ class FiberedFunction:
     def norm(self) -> float:
         w = self.measure.weights
         return float(np.sqrt((w * (np.abs(self.values) ** 2).sum(axis=1)).sum()))
+
+
+@dataclass(frozen=True)
+class PairDocument:
+    """One instance on A's measure: A, optional B, targets and probe f, and
+    meta.  Every reader in serialize returns it; duality_instance draws it."""
+
+    sa: FiberedSystem
+    sb: FiberedSystem | None = None
+    targets: list[Subspace] | None = None
+    probe: FiberedFunction | None = None
+    meta: dict = field(default_factory=dict)
+
+    @property
+    def measure(self) -> MeasureModel:
+        return self.sa.measure
 
 
 def weighted_inner(f: FiberedFunction, g: FiberedFunction) -> complex:

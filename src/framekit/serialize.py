@@ -40,7 +40,6 @@ import math
 import numbers
 import re
 import zipfile
-from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq, itemgetter
@@ -54,6 +53,7 @@ from .mispace import (
     FiberedFunction,
     FiberedSystem,
     MeasureModel,
+    PairDocument,
 )
 from .subspace import Subspace
 from .zak import FiniteGroupSpec, ZakPlan
@@ -497,18 +497,6 @@ def subspace_from_json(doc, where: str = "subspace") -> Subspace:
         raise ValueError(f"{where}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class PairDocument:
-    """A parsed instance file: measure, system A, optional B, targets, probe."""
-
-    measure: MeasureModel
-    sa: FiberedSystem
-    sb: FiberedSystem | None = None
-    targets: list[Subspace] | None = None
-    probe: FiberedFunction | None = None
-    meta: dict = field(default_factory=dict)
-
-
 def pair_to_json(
     sa: FiberedSystem,
     sb: FiberedSystem | None = None,
@@ -692,7 +680,7 @@ def _stacked_document(blocks: list[_AtomBlock], meta) -> PairDocument:
     probe = None
     if first.probe is not None:
         probe = FiberedFunction(measure, _joined([blk.probe for blk in blocks]))
-    return PairDocument(measure, sa, sb, targets, probe, meta if isinstance(meta, dict) else {})
+    return PairDocument(sa, sb, targets, probe, meta if isinstance(meta, dict) else {})
 
 
 def pair_from_json(doc) -> PairDocument:

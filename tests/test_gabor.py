@@ -116,3 +116,74 @@ def test_global_cosine_is_the_smallest_principal_cosine_of_the_gabor_spans(n, a,
     want = (inf_cos(span, span2), inf_cos(span2, span))
     assert np.abs(np.subtract(report.angles_global, want)).max() <= GAP
     assert (want[0] < 0.9) is (a * b > n)
+
+
+# At critical density (ab = N) the Zak transform of the even Gaussian
+# vanishes at one point when a is even, the discrete Balian-Low zero
+# (Benedetto, Heil & Walnut, JFAA 1, 1995), so exactly one fiber is singular;
+# the box window 1[0, a) gives sqrt(a) times a unitary on every fiber.  The
+# unitary DFT maps G(g, a, b) to G(g^, b, a) up to unimodular phases
+# (Grochenig, ch. 1), so both have the same frame and dual statements.
+
+
+def even_gaussian(n):
+    """e^{-pi x^2 / N} with x centred at 0, real and even."""
+    x = np.minimum(np.arange(n), n - np.arange(n))
+    return np.exp(-np.pi * x**2 / n).astype(complex)
+
+
+def box(n, a):
+    """The window 1[0, a)."""
+    return (np.arange(n) < a).astype(complex)
+
+
+def verdicts(report):
+    return (
+        report.global_duals_exist,
+        report.global_angles_positive,
+        report.fiber_duals_exist,
+        report.fiber_angles_positive,
+    )
+
+
+@pytest.mark.parametrize("n, a", [(16, 4), (36, 6), (64, 8), (25, 5), (49, 7)])
+def test_critical_density_balian_low_zero(n, a):
+    """At ab = N every fiber is a x a.  Against the box window, the even
+    Gaussian fails all four statements where a is even, with the worst fiber
+    at character q/2, the one singular fiber; where a is odd there is no
+    character q/2 and all four hold."""
+    _, _, sa = fibered(even_gaussian(n), a, a)
+    _, _, sb = fibered(box(n, a), a, a)
+    s_b = np.linalg.svd(sb.matrices, compute_uv=False)
+    assert np.abs(s_b / np.sqrt(a) - 1.0).max() <= GAP
+    s = np.linalg.svd(sa.matrices, compute_uv=False)
+    rel = s[:, -1] / s[:, 0]
+    lowest = np.sort(rel)
+    report = verify_duality(sa, sb)
+    if a % 2:
+        assert report.all_hold
+        assert lowest[0] >= 0.3
+    else:
+        assert not any(verdicts(report))
+        assert report.worst_fiber == np.argmin(rel) == (n // a) // 2
+        assert lowest[0] <= 1e-14 and lowest[1] >= 0.35
+
+
+@pytest.mark.parametrize("n, a, b", LATTICES + [(16, 4, 4), (25, 5, 5)])
+def test_dft_covariance(n, a, b):
+    """G(g, a, b) and G(g^, b, a), with g^ the unitary DFT of g, have equal
+    frame bounds, and so do the systems of a second window g2; the pairs
+    (G(g, a, b), G(g2, a, b)) and (G(g^, b, a), G(g2^, b, a)) have equal
+    verdicts and global cosines.  The windows are noisy Gaussians, or at
+    critical density the Balian-Low pair above, which fails all four
+    statements where a is even."""
+    g, g2 = (even_gaussian(n), box(n, a)) if a * b == n else (window(n, seed=7), window(n, seed=8))
+    systems = [fibered(h, a, b)[2] for h in (g, g2)]
+    turned = [fibered(np.fft.fft(h, norm="ortho"), b, a)[2] for h in (g, g2)]
+    for s, t in zip(systems, turned):
+        (lo, hi, ok), (lo_t, hi_t, ok_t) = global_frame_bounds(s), global_frame_bounds(t)
+        assert ok == ok_t
+        assert rel_gap([lo_t, hi_t], [lo, hi]) <= GAP
+    report, report_t = verify_duality(*systems), verify_duality(*turned)
+    assert verdicts(report) == verdicts(report_t) == (a * b != n or a % 2 == 1,) * 4
+    assert np.abs(np.subtract(report.angles_global, report_t.angles_global)).max() <= GAP

@@ -24,12 +24,15 @@ from framekit.generate import FAMILIES, duality_instance, random_unitary
 from framekit.mispace import (
     _FACTOR_BLOCK,
     ConstructionError,
+    FiberedFunction,
     FiberedSystem,
     MeasureModel,
+    global_frame_bounds,
     pinv_dual,
     verify_duality,
 )
 from framekit.numkernel import Tolerance, rank, singular_values
+from framekit.zak import build_plan, dihedral_group, explicit_group, tg_frame_bounds, tg_to_mg, zak_inverse
 
 # a few examples of up to ~2.5 blocks keep each property near one second
 BOUNDED = settings(max_examples=20, deadline=None, database=None, derandomize=True)
@@ -275,3 +278,61 @@ def test_parsevalize_keeps_a_small_singular_value():
     assert rank(tight.matrix) == rank(a.matrix) == 2
     assert singular_values(tight.matrix) == pytest.approx([1.0, 1.0], abs=1e-12)
     assert np.allclose(tight.matrix @ (tight.matrix.conj().T @ a.matrix), a.matrix, atol=1e-12)
+
+
+# Renaming the elements of a group's table changes a TG system's fibers only
+# by a unitary per fiber (other coset representatives), so its frame bounds
+# on both sides, the verdicts and the global cosines stay.
+
+
+def relabelled(group, perm):
+    """The table of group with element x renamed perm[x] (perm[0] = 0)."""
+    mul = np.empty_like(group.mul)
+    mul[np.ix_(perm, perm)] = perm[group.mul]
+    return explicit_group(mul)
+
+
+# D_16 (order 32, index a + 16 b for r^a s^b) over <r>, which is normal,
+# and over <s>, which is not; generators per system
+@pytest.mark.parametrize("generator, count", [(1, 1), (16, 3)])
+def test_relabelling_the_group(generator, count):
+    """Against a random B, all four statements hold; against a B orthogonal
+    to A on one fiber, none does.  Both pairs keep their verdicts and
+    global cosines, and A its frame bounds on both sides, when the table,
+    the subgroup generator and the signals are relabelled."""
+    group = dihedral_group(16)
+    rng = np.random.default_rng(generator)
+
+    def complex_gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    perm = np.concatenate([[0], 1 + rng.permutation(group.order - 1)])
+    plan = build_plan(group, generator)
+    plan_r = build_plan(relabelled(group, perm), perm[generator])
+    a = list(complex_gaussian(count, group.order))
+    fa = tg_to_mg(plan, a).matrices
+    # B's fiber at character 1 spans part of the complement of A's
+    fb = complex_gaussian(plan.q, plan.p, count)
+    fb[1] = np.linalg.svd(fa[1])[0][:, count : 2 * count]
+    orthogonal = [zak_inverse(plan, FiberedFunction(plan.measure, fb[:, :, j])) for j in range(count)]
+    drawn = list(complex_gaussian(count, group.order))
+
+    def renamed(signals):
+        out = np.empty((len(signals), group.order), dtype=complex)
+        out[:, perm] = signals
+        return list(out)
+
+    def checked(p, signals):
+        sa = tg_to_mg(p, signals(a))
+        reports = [verify_duality(sa, tg_to_mg(p, signals(b))) for b in (drawn, orthogonal)]
+        return tg_frame_bounds(p, signals(a)), global_frame_bounds(sa), reports
+
+    group_side, fiber_side, reports = checked(plan, list)
+    group_side_r, fiber_side_r, reports_r = checked(plan_r, renamed)
+    for bounds, bounds_r in ((group_side, group_side_r), (fiber_side, fiber_side_r), (group_side, fiber_side)):
+        assert bounds[2] == bounds_r[2]
+        assert np.abs(np.subtract(bounds[:2], bounds_r[:2])).max() <= 1e-12 * bounds[1]
+    assert [verdicts(r) for r in reports] == [(True,) * 4, (False,) * 4]
+    for report, report_r in zip(reports, reports_r):
+        assert verdicts(report) == verdicts(report_r)
+        assert np.abs(np.subtract(report.angles_global, report_r.angles_global)).max() <= 1e-12
