@@ -5,9 +5,10 @@ d x r matrix M.  Everything a dual-frame statement needs on one fiber lives
 here: the Gramian M^H M with its spectral frame bounds, the canonical dual,
 Parseval tightening, mixed Gramians of two systems, pseudo-inverse duals of
 a pair, and biorthogonal duals of a Riesz sequence inside a prescribed
-subspace.  Each construction calls the array kernels of mispace on a
-one-atom (1, d, r) stack, so one fiber is computed exactly as every fiber
-of a fibered system is.
+subspace.  FiberSystem itself is defined in mispace, as the K=1 case of a
+fibered system, and imported here.  Each construction calls the array
+kernels of mispace on a one-atom (1, d, r) stack, so one fiber is computed
+exactly as every fiber of a fibered system is.
 
 Conventions.  The inner product is linear in the first argument, and the
 Gramian of a system is G[i][j] = <v_j, v_i>, so G = M^H M.  The mixed
@@ -25,6 +26,7 @@ import numpy as np
 from .mispace import (
     _RANK_CONDITION_FAILS,
     ConstructionError,
+    FiberSystem,
     _canonical_duals,
     _factor_pair,
     _frame_bounds,
@@ -33,52 +35,8 @@ from .mispace import (
     _spans,
     alternate_dual_residuals,
 )
-from .numkernel import DEFAULT_TOL, Tolerance, as_matrix, ct
+from .numkernel import DEFAULT_TOL, Tolerance, ct
 from .subspace import Subspace
-
-
-@dataclass(frozen=True)
-class FiberSystem:
-    """A system of r >= 1 vectors in C^dim, stored as matrix columns."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix)
-        if m.shape[1] < 1:
-            raise ValueError("a fiber system needs at least one vector")
-        if m.shape[0] < 1:
-            raise ValueError("fiber dimension must be at least 1")
-        object.__setattr__(self, "matrix", m)
-        m.flags.writeable = False
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def count(self) -> int:
-        return self.matrix.shape[1]
-
-    @classmethod
-    def from_vectors(cls, vectors) -> "FiberSystem":
-        cols = [np.asarray(v, dtype=np.complex128) for v in vectors]
-        if not cols:
-            raise ValueError("a fiber system needs at least one vector")
-        return cls(np.column_stack(cols))
-
-    @classmethod
-    def zeros(cls, dim: int, count: int) -> "FiberSystem":
-        return cls(np.zeros((dim, count), dtype=np.complex128))
-
-    def padded(self, count: int) -> "FiberSystem":
-        """The same system extended with zero vectors up to the given length."""
-        if count < self.count:
-            raise ValueError("cannot pad to a shorter length")
-        if count == self.count:
-            return self
-        extra = np.zeros((self.dim, count - self.count), dtype=np.complex128)
-        return FiberSystem(np.concatenate([self.matrix, extra], axis=1))
 
 
 def pad_pair(a: FiberSystem, b: FiberSystem) -> tuple[FiberSystem, FiberSystem]:

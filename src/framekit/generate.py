@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fiberframe import FiberSystem
-from .mispace import FiberedFunction, FiberedSystem, MeasureModel, PairDocument
+from .mispace import FiberedFunction, FiberedSystem, FiberSystem, MeasureModel, PairDocument
 from .numkernel import qr, singular_values
 
 FAMILIES = ("in-duality", "orthogonal-failure", "near-threshold")

@@ -7,8 +7,11 @@ global statements about such spaces reduce to fiber statements plus weights.
 This module hosts the reductions: global frame bounds as extrema of fiber
 spectra, global infimum cosine angles as minima of fiber angles, the mixed
 frame operator, reconstruction, and the two report-producing checkers.  They
-run on array kernels that take raw (atoms, d, r) stacks; the single-fiber
-functions of fiberframe are the same kernels on one-atom stacks.
+run on array kernels that take raw (atoms, d, r) stacks, the angle kernel
+(clip_cos, _inf_cos_pair) among them.  One fiber, FiberSystem, is the K=1
+case and is defined here too; the single-fiber functions of fiberframe and
+subspace are the same kernels on one-atom stacks.  Of framekit, this module
+imports numkernel only, so every layer above it builds on it.
 
 verify_duality takes a pair of fibered systems and evaluates four statements
 that are equivalent for frames of this kind: existence of global dual pairs,
@@ -48,10 +51,8 @@ from .numkernel import (
     singular_values,
     svd,
 )
-from .subspace import _inf_cos_pair
 
 if TYPE_CHECKING:
-    from .fiberframe import FiberSystem
     from .subspace import Subspace
 
 # Atoms per block of every fiber loop: span and cross product SVDs,
@@ -63,11 +64,10 @@ if TYPE_CHECKING:
 # instance file's size with 32-atom blocks, 1.18x with 128 and 1.80x with
 # 256, past the 1.5x that tests/test_cli.py holds every command to.
 _FACTOR_BLOCK = 128
-# DeterminingSet accepts a table whose analysis map deviates from an isometry
-# by at most this much.  The tables built here are Parseval to rounding, and a
-# looser bound would let through families for which modulation-side sums no
-# longer equal the weighted inner products they stand for.
-_PARSEVAL_TOL = 1e-10
+# computed cosines this close to an endpoint are backward-error noise; they
+# snap so that identities like R(V, W)^2 + S(V, W-perp)^2 = 1 survive the
+# cancellation in 1 - s^2 when the true angle is exactly 0 or pi/2
+_COS_SNAP = 1e-13
 _RANK_CONDITION_FAILS = (
     "rank condition fails: rank of the mixed Gramian must equal both span dimensions"
 )
@@ -110,6 +110,51 @@ def _same_measure(m1: MeasureModel, m2: MeasureModel):
 
 
 @dataclass(frozen=True)
+class FiberSystem:
+    """A system of r >= 1 vectors in C^dim, stored as matrix columns: one
+    fiber, the K=1 case of a FiberedSystem."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = as_matrix(self.matrix)
+        if m.shape[1] < 1:
+            raise ValueError("a fiber system needs at least one vector")
+        if m.shape[0] < 1:
+            raise ValueError("fiber dimension must be at least 1")
+        object.__setattr__(self, "matrix", m)
+        m.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def count(self) -> int:
+        return self.matrix.shape[1]
+
+    @classmethod
+    def from_vectors(cls, vectors) -> "FiberSystem":
+        cols = [np.asarray(v, dtype=np.complex128) for v in vectors]
+        if not cols:
+            raise ValueError("a fiber system needs at least one vector")
+        return cls(np.column_stack(cols))
+
+    @classmethod
+    def zeros(cls, dim: int, count: int) -> "FiberSystem":
+        return cls(np.zeros((dim, count), dtype=np.complex128))
+
+    def padded(self, count: int) -> "FiberSystem":
+        """The same system extended with zero vectors up to the given length."""
+        if count < self.count:
+            raise ValueError("cannot pad to a shorter length")
+        if count == self.count:
+            return self
+        extra = np.zeros((self.dim, count - self.count), dtype=np.complex128)
+        return FiberSystem(np.concatenate([self.matrix, extra], axis=1))
+
+
+@dataclass(frozen=True)
 class FiberedSystem:
     """One fiber system per atom, all with the same dimension and length, held
     as one read-only (atoms, dim, count) stack: fiber k is matrices[k].  A
@@ -148,8 +193,6 @@ class FiberedSystem:
     @property
     def fibers(self) -> tuple[FiberSystem, ...]:
         """Per-atom FiberSystem views of the stack, built on every access."""
-        from .fiberframe import FiberSystem  # fiberframe is built on this module
-
         return tuple(FiberSystem(m) for m in self.matrices)
 
     def padded(self, count: int) -> "FiberedSystem":
@@ -261,6 +304,31 @@ def _global_bounds(
         return 1.0, 1.0, True
     lo, hi = float(lower[active].min()), float(upper[active].max())
     return lo, hi, bool(lo > tol.eq_tol * hi)
+
+
+def clip_cos(s) -> np.ndarray:
+    """Computed cosines clipped to [0, 1], with the endpoint snap applied
+    elementwise."""
+    s = np.clip(s, 0.0, 1.0)
+    return np.where(s >= 1.0 - _COS_SNAP, 1.0, np.where(s <= _COS_SNAP, 0.0, s))
+
+
+def _inf_cos_pair(cos, dim_a, dim_b) -> tuple[np.ndarray, np.ndarray]:
+    """Infimum cosines R(Ja, Jb) and R(Jb, Ja) per atom from the principal
+    cosines cos (atoms, k), the non-increasing singular values of Qb^H Qa for
+    orthonormal span bases zero-padded to k >= 1 columns, and the span
+    dimensions dim_a and dim_b.
+
+    Past the first min(dim_a, dim_b) cosines the rest are zero up to
+    rounding.  Both infimum cosines are the smallest of those first ones; a
+    span meeting a smaller one gets 0 and a zero span gets 1, the
+    conventions of subspace.inf_cos.
+    """
+    k = np.maximum(np.minimum(dim_a, dim_b) - 1, 0)
+    c = clip_cos(np.take_along_axis(cos, k[:, None], axis=1)[:, 0])
+    r_ab = np.where(dim_a == 0, 1.0, np.where(dim_b < dim_a, 0.0, c))
+    r_ba = np.where(dim_b == 0, 1.0, np.where(dim_a < dim_b, 0.0, c))
+    return r_ab, r_ba
 
 
 def _inverse_on(s: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -425,46 +493,6 @@ def reconstruct(
     fhat = apply_mixed_frame_operator(sa, dual, f)
     diff = FiberedFunction(f.measure, fhat.values - f.values)
     return fhat, diff.norm() / max(f.norm(), 1e-300)
-
-
-# ---------------------------------------------------------------------------
-# Determining sets: scalar function families that make coefficient sums on the
-# atom space computable through a Parseval identity.
-
-
-@dataclass(frozen=True)
-class DeterminingSet:
-    """Scalar functions g_s on the atoms with the Parseval property: the map
-    f -> (<f, g_s>)_s is an isometry from the weighted space to C^S."""
-
-    measure: MeasureModel
-    table: np.ndarray  # (S, K): table[s][k] = g_s(x_k)
-
-    def __post_init__(self):
-        t = as_matrix(self.table)
-        if t.shape[1] != self.measure.count:
-            raise ValueError(
-                f"table has {t.shape[1]} columns for {self.measure.count} atoms"
-            )
-        b = np.sqrt(self.measure.weights)[None, :] * t.conj()
-        if np.abs(b.conj().T @ b - np.eye(t.shape[1])).max() > _PARSEVAL_TOL:
-            raise ValueError("function family is not Parseval for the weighted space")
-        object.__setattr__(self, "table", t)
-        t.flags.writeable = False
-
-
-def delta_determining_set(measure: MeasureModel) -> DeterminingSet:
-    """Point masses scaled by the weights: g_s = delta_s / sqrt(w_s)."""
-    t = np.diag(1.0 / np.sqrt(measure.weights)).astype(np.complex128)
-    return DeterminingSet(measure, t)
-
-
-def fourier_determining_set(measure: MeasureModel) -> DeterminingSet:
-    """Characters over the atom index, weight-normalized."""
-    k = measure.count
-    s_idx, k_idx = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-    t = np.exp(2j * np.pi * s_idx * k_idx / k) / np.sqrt(measure.weights * k)[None, :]
-    return DeterminingSet(measure, t)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,10 @@ with the one relative cutoff REL_RANK_TOL, a constant: span dimensions,
 pseudo-inverse supports, and the Gramian supports behind frame bounds and
 Parseval tightening, which are the span supports themselves.  Every
 threshold a check reads is a field of one Tolerance: that cutoff, read-only,
-and the settable eq_tol, angle_tol and c_max.  Two constants are not
-thresholds on the input and stay apart: mispace._PARSEVAL_TOL bounds how
-far a determining set's own table may be from an isometry, and
-subspace._COS_SNAP snaps cosines within rounding of 0 or 1 so that the
-angle identities survive the cancellation in 1 - s^2.  Matrices are dense
+and the settable eq_tol, angle_tol and c_max.  One constant is not a
+threshold on the input and stays apart: mispace._COS_SNAP snaps cosines
+within rounding of 0 or 1 so that the angle identities survive the
+cancellation in 1 - s^2.  Matrices are dense
 complex128 throughout; inputs are validated (shape, finiteness) before any
 factorization runs.
 """

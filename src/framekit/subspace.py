@@ -6,7 +6,8 @@ to singular values of the cross product B^H A of orthonormal bases, which is
 how they are computed here.  Degenerate cases follow fixed conventions: a
 zero V has infimum angle 1 and supremum angle 0, and the infimum angle is 0
 whenever dim W < dim V.  The infimum angles of one pair are the one-atom case
-of the fiber engine's stacked angle kernel, _inf_cos_pair.
+of the fiber engine's stacked angle kernel, mispace._inf_cos_pair, and the
+endpoint snap of every cosine is mispace.clip_cos, imported here.
 """
 
 from __future__ import annotations
@@ -15,19 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mispace import _inf_cos_pair, clip_cos
 from .numkernel import DEFAULT_TOL, as_matrix, ct, orth, singular_values, svd
-
-# computed cosines this close to an endpoint are backward-error noise; they
-# snap so that identities like R(V, W)^2 + S(V, W-perp)^2 = 1 survive the
-# cancellation in 1 - s^2 when the true angle is exactly 0 or pi/2
-_COS_SNAP = 1e-13
-
-
-def clip_cos(s) -> np.ndarray:
-    """Computed cosines clipped to [0, 1], with the endpoint snap applied
-    elementwise."""
-    s = np.clip(s, 0.0, 1.0)
-    return np.where(s >= 1.0 - _COS_SNAP, 1.0, np.where(s <= _COS_SNAP, 0.0, s))
 
 
 @dataclass(frozen=True)
@@ -75,24 +65,6 @@ def _check_same_ambient(v: Subspace, w: Subspace):
         raise ValueError(
             f"ambient dimensions differ: {v.ambient_dim} vs {w.ambient_dim}"
         )
-
-
-def _inf_cos_pair(cos, dim_a, dim_b) -> tuple[np.ndarray, np.ndarray]:
-    """Infimum cosines R(Ja, Jb) and R(Jb, Ja) per atom from the principal
-    cosines cos (atoms, k), the non-increasing singular values of Qb^H Qa for
-    orthonormal span bases zero-padded to k >= 1 columns, and the span
-    dimensions dim_a and dim_b.
-
-    Past the first min(dim_a, dim_b) cosines the rest are zero up to
-    rounding.  Both infimum cosines are the smallest of those first ones; a
-    span meeting a smaller one gets 0 and a zero span gets 1, the
-    conventions of inf_cos.
-    """
-    k = np.maximum(np.minimum(dim_a, dim_b) - 1, 0)
-    c = clip_cos(np.take_along_axis(cos, k[:, None], axis=1)[:, 0])
-    r_ab = np.where(dim_a == 0, 1.0, np.where(dim_b < dim_a, 0.0, c))
-    r_ba = np.where(dim_b == 0, 1.0, np.where(dim_a < dim_b, 0.0, c))
-    return r_ab, r_ba
 
 
 def _one_atom(v: Subspace) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,8 @@ through a PSD matrix power, canonical and pseudo-inverse duals through an
 explicit pseudo-inverse, the infimum cosine from orthonormal bases one pair
 at a time, the random-probe certificate of a witness dual pair, and the
 cross-check routes (biorthogonal duals through an oblique projection,
-modulation-side pairings, group-side biorthogonality, direct sums,
+modulation-side pairings over the delta and Fourier determining sets,
+group-side biorthogonality, direct sums,
 translation and its modulation symbol one subgroup element at a time, and
 the greedy generating set of a group table by breadth-first closure).  It
 also keeps the Gabor system on Z_N built column by column from its
@@ -217,6 +218,42 @@ def probe_residuals(a, b, weights, tight, dual, seed: int = 0, count: int = 32) 
     live = den > 0.0
     glob = float(np.sqrt((num[live] / den[live]).max())) if live.any() else 0.0
     return local, glob
+
+
+# DeterminingSet accepts a table whose analysis map deviates from an isometry
+# by at most this much.  The tables built here are Parseval to rounding, and a
+# looser bound would let through families for which modulation-side sums no
+# longer equal the weighted inner products they stand for.
+_PARSEVAL_TOL = 1e-10
+
+
+class DeterminingSet:
+    """Scalar functions g_s on the atoms with the Parseval property: the map
+    f -> (<f, g_s>)_s is an isometry from the weighted space to C^S.  The
+    measure is read through its weights and count only."""
+
+    def __init__(self, measure, table):
+        t = as_matrix(table)
+        if t.shape[1] != measure.count:
+            raise ValueError(f"table has {t.shape[1]} columns for {measure.count} atoms")
+        b = np.sqrt(measure.weights)[None, :] * t.conj()
+        if np.abs(b.conj().T @ b - np.eye(t.shape[1])).max() > _PARSEVAL_TOL:
+            raise ValueError("function family is not Parseval for the weighted space")
+        t.flags.writeable = False
+        self.measure, self.table = measure, t  # table[s][k] = g_s(x_k), (S, K)
+
+
+def delta_determining_set(measure) -> DeterminingSet:
+    """Point masses scaled by the weights: g_s = delta_s / sqrt(w_s)."""
+    return DeterminingSet(measure, np.diag(1.0 / np.sqrt(measure.weights)))
+
+
+def fourier_determining_set(measure) -> DeterminingSet:
+    """Characters over the atom index, weight-normalized."""
+    k = measure.count
+    s_idx, k_idx = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
+    t = np.exp(2j * np.pi * s_idx * k_idx / k) / np.sqrt(measure.weights * k)[None, :]
+    return DeterminingSet(measure, t)
 
 
 def _modulation_coefficients(system, f, dset) -> np.ndarray:

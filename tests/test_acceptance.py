@@ -36,8 +36,6 @@ from framekit.mispace import (
     FiberedFunction,
     FiberedSystem,
     apply_mixed_frame_operator,
-    delta_determining_set,
-    fourier_determining_set,
     global_frame_bounds,
     reconstruct,
     verify_duality,
@@ -55,6 +53,8 @@ from framekit.zak import (
 from oracles import (
     biorth_riesz_dual_via_projection,
     biorthogonality_deviation,
+    delta_determining_set,
+    fourier_determining_set,
     global_pairing,
     pinv,
 )

@@ -298,6 +298,28 @@ def test_near_threshold_statements_agree(eps):
         assert report.diagnostics["pinv_norm"].max() >= 0.5 / eps
 
 
+@pytest.mark.parametrize("family", ["in-duality", "near-threshold"])
+@pytest.mark.parametrize("shape", [(50, 4, 3), (40, 8, 6), (30, 7, 5)])
+def test_criterion_constants(family, shape):
+    """The criterion with its constants, c the smallest global cosine and
+    B_X, A_X the global frame bounds of X.  The witness T is Parseval and its
+    dual D is optimal, B_D c^2 = 1.  Any dual H of A in span(B) has
+    c >= 1/sqrt(B_A B_H) (Cauchy-Schwarz on 1 = sum <u, h_i><a_i, u>), and
+    the pseudo-inverse dual's bounds lie in [1/B_A, 1/(A_A c^2)]."""
+    for seed in range(5):
+        inst = duality_instance(family, *shape, seed=seed, eps=1e-6)
+        report = verify_duality(inst.sa, inst.sb)
+        t, d = report.witnesses
+        c = min(report.angles_global)
+        lower_t, upper_t, _ = global_frame_bounds(t)
+        assert abs(lower_t - 1.0) <= 1e-12 and abs(upper_t - 1.0) <= 1e-12
+        assert abs(global_frame_bounds(d)[1] * c**2 - 1.0) <= 1e-12
+        lower_a, upper_a, _ = global_frame_bounds(inst.sa)
+        lower_h, upper_h, _ = global_frame_bounds(pinv_dual(inst.sa, inst.sb))
+        assert c >= 1.0 / np.sqrt(upper_a * upper_h)
+        assert 1.0 / upper_a <= lower_h and upper_h <= 1.0 / (lower_a * c**2)
+
+
 @pytest.mark.parametrize("family,eps", [("in-duality", 1e-6), ("near-threshold", 1e-6)])
 def test_backward_error_sees_a_perturbed_witness(family, eps, monkeypatch):
     """A witness dual moved by 1e-6 of its norm on one atom in the second

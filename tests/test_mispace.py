@@ -20,14 +20,11 @@ from framekit.generate import (
     rotated_span_pair,
 )
 from framekit.mispace import (
-    DeterminingSet,
     FiberedFunction,
     FiberedSystem,
     MeasureModel,
     _fiber_pass,
     apply_mixed_frame_operator,
-    delta_determining_set,
-    fourier_determining_set,
     global_frame_bounds,
     reconstruct,
     verify_biorthogonality,
@@ -36,7 +33,15 @@ from framekit.mispace import (
 )
 from framekit.numkernel import Tolerance
 from framekit.subspace import Subspace
-from oracles import direct_sum_test, gaussian_integer_rank, global_biorthogonality_deviation, global_pairing
+from oracles import (
+    DeterminingSet,
+    delta_determining_set,
+    direct_sum_test,
+    fourier_determining_set,
+    gaussian_integer_rank,
+    global_biorthogonality_deviation,
+    global_pairing,
+)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])

@@ -145,6 +145,26 @@ def test_zak_unitary_exhaustive_deltas():
             assert np.abs(back - f).max() <= 1e-12
 
 
+def test_zak_unitary_on_non_normal_subgroups():
+    # build_plan takes right cosets and left translations, so it needs no
+    # normal subgroup: <s> in D_16 and <rs> in D_8 are not normal, since
+    # conjugating by r moves them, and the transform is unitary on both
+    rng = np.random.default_rng(181)
+    for plan in (build_plan(dihedral_group(16), 16), build_plan(dihedral_group(8), 9)):
+        g, r = plan.group, 1
+        conjugated = {int(g.mul[g.mul[r, x], g.inverse[r]]) for x in plan.subgroup}
+        assert plan.q == 2 and conjugated != set(plan.subgroup)
+        n = g.order
+        images = np.stack([zak_forward(plan, delta(n, k)).values.ravel() for k in range(n)], axis=-1)
+        images *= np.sqrt(1.0 / plan.q)  # the character atoms weigh 1/q each
+        assert np.abs(images.conj().T @ images - np.eye(n)).max() <= 1e-12
+        for _ in range(10):
+            f = complex_gaussian(rng, n)
+            zf = zak_forward(plan, f)
+            assert abs(zf.norm() - np.linalg.norm(f)) <= 1e-12 * np.linalg.norm(f)
+            assert np.abs(zak_inverse(plan, zf) - f).max() <= 1e-12
+
+
 def test_zak_unitary_random_signals():
     rng = np.random.default_rng(103)
     for name in PLANS:
@@ -205,6 +225,8 @@ def test_intertwine_matches_per_element_loop():
         build_plan(cyclic_group(256), 2),
         build_plan(cyclic_group(97), 1),
         build_plan(cyclic_group(6), 0),
+        build_plan(dihedral_group(16), 16),
+        build_plan(dihedral_group(8), 9),
     ]
     for plan in plans:
         f = complex_gaussian(rng, plan.group.order)
@@ -277,6 +299,8 @@ def test_tg_vs_fiber_frame_bounds():
         build_plan(cyclic_group(64), 4),
         build_plan(dihedral_group(32), 1),
         build_plan(explicit_group(table), gen),
+        build_plan(dihedral_group(16), 16),
+        build_plan(dihedral_group(8), 9),
     ]
     for plan in plans:
         n = plan.group.order
