@@ -27,6 +27,7 @@ import shutil
 import stat
 import sys
 import tempfile
+import types
 from contextlib import nullcontext, suppress
 
 import numpy as np
@@ -199,39 +200,23 @@ def _sha256(fh) -> bytes:
     return digest.digest()
 
 
-class _Hashing(io.RawIOBase):
-    """A write-only binary file that passes every write on to the binary
-    file fh and into a sha256 digest."""
-
-    def __init__(self, fh):
-        import hashlib  # see _sha256
-
-        self.fh, self.sha256 = fh, hashlib.sha256()
-
-    def writable(self) -> bool:
-        return True
-
-    def write(self, data) -> int:
-        self.sha256.update(data)
-        return self.fh.write(data)
-
-
 def _write_instance(pair, fh):
     """Write gen's instance pair to the binary file fh as pair_to_json lays
-    it out, and return what writes its binary companion beside it.
+    it out, and return its binary companion as (suffix, write, drop) for
+    _emit's place.
 
     The sha256 the companion records is taken of the bytes as they are
-    written.  _emit calls the returned function only once the instance is in
-    place as a regular file, with its way to write one more file there; the
-    companion (serialize._write_companion) goes to the instance's path +
-    ".npz", with its mode bits less group and other write.  The document is
-    dropped by then, so the two are never held at once.  Written to stdout,
-    the instance gets no companion and its digest goes unused.
+    written.  _emit writes the companion (serialize._write_companion) only
+    once the instance is in place as a regular file, to the instance's path
+    + ".npz", with its mode bits less group and other write.  The document
+    is dropped by then, so the two are never held at once.  Written to
+    stdout, the instance gets no companion and its digest goes unused.
     """
-    hashing = _Hashing(fh)
-    _write_report(pair_to_json(pair.sa, pair.sb, pair.targets, pair.probe, pair.meta), hashing)
-    companion = functools.partial(_write_companion, sha256=hashing.sha256.digest(), pair=pair)
-    return lambda place: place(".npz", companion, _SHARED_WRITE)
+    import hashlib  # see _sha256
+
+    digest = hashlib.sha256()
+    _write_report(pair_to_json(pair.sa, pair.sb, pair.targets, pair.probe, pair.meta), fh, digest)
+    return ".npz", functools.partial(_write_companion, sha256=digest.digest(), pair=pair), _SHARED_WRITE
 
 
 def _companion_pair(path: str, fh):
@@ -468,18 +453,21 @@ def _umask() -> int:
     return mask
 
 
-def _write_report(report, fh):
+def _write_report(report, fh, digest=None):
     """Write report, CSV text or a document for dump, to the binary file fh
-    as UTF-8, leaving fh open."""
-    text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
-    try:
-        if isinstance(report, str):
-            text.write(report)
-        else:
-            dump(report, text)
-    finally:
-        # flushed; a wrapper left attached would flush into fh once fh is closed
-        text.detach()
+    as UTF-8, piece by piece, leaving fh open; digest, when given, is fed
+    the same bytes."""
+
+    def write(text):
+        data = text.encode("utf-8")
+        if digest is not None:
+            digest.update(data)
+        fh.write(data)
+
+    if isinstance(report, str):
+        write(report)
+    else:
+        dump(report, types.SimpleNamespace(write=write))
 
 
 def _emit(report, out_path: str | None):
@@ -487,19 +475,19 @@ def _emit(report, out_path: str | None):
     rejects writes nothing and leaves out_path as it was, or absent.
 
     report is a JSON document, CSV text, or a writer: a callable that writes
-    the report to the binary file it is given and returns None or a function
-    that writes files to go with it (gen's instance, see _write_instance).
+    the report to the binary file it is given and returns None or the
+    (suffix, write, drop) of one file to go with it (gen's instance, see
+    _write_instance).
 
     The report is written once, through a write-only handle, to a temporary
     file.  When out_path is a regular file, or absent, the temporary file is
     made next to it, given the mode bits open(out_path, "w") would leave (the
     file's own, or the default under the umask) and moved over it.  Stdout,
     or an out_path that is not a regular file (a device, a pipe), gets a copy.
-    Only a report moved into place gets files beside it: the function its
-    writer returned is called with place(suffix, write, drop), which writes
-    with write(fh) to the report's path + suffix the same way, under the
-    report's mode bits less drop.  A file that cannot be written there is
-    left out.
+    Only a report moved into place gets the file its writer returned:
+    place(suffix, write, drop) writes it with write(fh) to the report's path
+    + suffix the same way, under the report's mode bits less drop.  A file
+    that cannot be written there is left out.
     """
     writer = report if callable(report) else functools.partial(_write_report, report)
     del report
@@ -533,7 +521,7 @@ def _emit(report, out_path: str | None):
     del writer
     if beside is not None:
         with suppress(OSError):
-            beside(place)
+            place(*beside)
 
 
 @functools.cache

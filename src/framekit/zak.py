@@ -1,4 +1,5 @@
-"""Exact Zak transform on a finite group with a cyclic normal-ish fiberization.
+"""Exact Zak transform on a finite group, fiberized over the right cosets of
+a cyclic subgroup, normal or not.
 
 Signals live on a finite group G of order N, written multiplicatively through
 an explicit table.  Fixing a cyclic subgroup S = <g0> of order q, the Zak

@@ -18,7 +18,7 @@ import pytest
 from framekit import __version__, cli, mispace, zak
 from framekit.generate import FAMILIES, duality_instance
 from framekit.mispace import FiberedSystem, MeasureModel
-from framekit.serialize import dumps, pair_to_json, plan_to_json
+from framekit.serialize import diagnostics_to_csv, dumps, pair_to_json, plan_to_json
 from framekit.subspace import Subspace
 from framekit.zak import build_plan, dihedral_group
 
@@ -617,8 +617,8 @@ def test_stdout_report_is_the_out_file_bytes(tmp_path, capsys):
 
 @pytest.mark.parametrize("to_file", [True, False])
 def test_report_is_written_through_a_write_only_handle(to_file, monkeypatch, tmp_path):
-    # a readable handle gives _write_report's text layer a decoder, which it
-    # resets on every write
+    # _emit hands every writer the write-only handle of its temporary file,
+    # never one a caller could read the report back through
     readable = []
     write_report = cli._write_report
 
@@ -630,6 +630,42 @@ def test_report_is_written_through_a_write_only_handle(to_file, monkeypatch, tmp
     out = ["--out", str(tmp_path / "angles.json")] if to_file else []
     assert cli.main(["angles", "--in", str(FIXTURES / "pair-in-duality.json")] + out) == 0
     assert readable == [False]
+
+
+def _renamed_instance(tmp_path, ids):
+    """An in-duality instance file whose atoms carry the given ids."""
+    inst = duality_instance("in-duality", len(ids), 3, 2, seed=5)
+    measure = MeasureModel(tuple(ids), inst.sa.measure.weights)
+    sa, sb = (FiberedSystem(measure, s.matrices) for s in (inst.sa, inst.sb))
+    return _write_instance(tmp_path / "inst.json", sa, sb), sa, sb
+
+
+def test_non_ascii_report_is_its_utf_8_bytes(tmp_path, capsys):
+    path, sa, sb = _renamed_instance(tmp_path, ["α", "ü,x"])
+    fields, _ = mispace._fiber_pass(sa, sb)
+    expected = diagnostics_to_csv(fields["diagnostics"]).encode("utf-8")
+    assert "α".encode("utf-8") in expected and "ü".encode("utf-8") in expected
+    out = tmp_path / "angles.csv"
+    argv = ["angles", "--in", path, "--format", "csv"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+def test_unencodable_report_writes_nothing(tmp_path, capsys):
+    # a lone surrogate is valid JSON as an escape, and no UTF-8 text
+    path, _, _ = _renamed_instance(tmp_path, ["x0", "x1"])
+    inst = pathlib.Path(path)
+    inst.write_text(inst.read_text(encoding="utf-8").replace('"x1"', '"\\ud800"'), encoding="utf-8")
+    argv = ["angles", "--in", path, "--format", "csv"]
+    for out in (["--out", str(tmp_path / "angles.csv")], []):
+        assert cli.main(argv + out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("framekit: 'utf-8' codec can't encode character '\\ud800'")
+        assert captured.err.endswith(": surrogates not allowed\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["inst.json"]
 
 
 def test_angles_certifies_no_witness(monkeypatch, capsys):
@@ -818,6 +854,24 @@ def test_only_emit_opens_a_file_for_writing():
                 writes.setdefault(where, []).append(f"{path.name}:{node.lineno}")
     assert "elsewhere" not in writes, writes["elsewhere"]
     assert len(writes["_emit"]) == 2  # the temporary file and --out
+
+
+def test_reports_are_written_as_bytes():
+    """In the package, no class wraps a binary file as io.RawIOBase, and only
+    cli._read_pair builds an io.TextIOWrapper: every output goes through
+    _write_report's one byte writer, with no text layer to flush or detach."""
+    raw_classes, wrappers = [], []
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(ast.unparse(b).endswith("RawIOBase") for b in node.bases):
+                raw_classes.append(f"{path.name}:{node.name}")
+            if isinstance(node, ast.FunctionDef):
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and ast.unparse(call.func).endswith("TextIOWrapper"):
+                        wrappers.append(f"{path.name}:{node.name}")
+    assert raw_classes == []
+    assert wrappers == ["cli.py:_read_pair"]
 
 
 def test_only_serialize_formats_floats_with_17g():

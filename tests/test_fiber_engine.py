@@ -320,6 +320,92 @@ def test_criterion_constants(family, shape):
         assert 1.0 / upper_a <= lower_h and upper_h <= 1.0 / (lower_a * c**2)
 
 
+# (atoms, dim, gens) whose in-duality draws hold Riesz atoms (dim span A = r)
+# and atoms with free dimensions 2, 3, 4 and 6 over seeds 0-9
+_FAMILY_SHAPES = [(40, 7, 5), (30, 5, 4), (30, 6, 3)]
+
+
+def _family_direction(base, a, b, rng):
+    """A member base + E of the family of duals of the (atoms, d, r) stack a
+    in span(b) around its dual base: per atom E = Qb G (I - Va Va^H) for a
+    complex Gaussian G, scaled to base's norm where the family is more than
+    base.  Returns E, the family's free dimension k (r - k) with k = dim
+    span A, and I - Va Va^H, the projector onto ker A."""
+    _, k, _, va = mispace._spans(a)
+    qb = mispace._spans(b)[0]
+    r = a.shape[-1]
+    kernel = np.eye(r) - va @ va.conj().swapaxes(-1, -2)
+    e = qb @ complex_gaussian(rng, len(a), qb.shape[-1], r) @ kernel
+    free = k * (r - k)
+    grow = free > 0
+    e[grow] *= (np.linalg.norm(base[grow], axis=(-2, -1)) / np.linalg.norm(e[grow], axis=(-2, -1)))[:, None, None]
+    return e, free, kernel
+
+
+@pytest.mark.parametrize("shape", _FAMILY_SHAPES)
+def test_family_of_duals_and_its_uniqueness(shape):
+    """The family of duals and its uniqueness (Hemmat & Gabardo; Heil, Koo &
+    Lim).  Under the rank condition the duals of A in span(B) on an atom are
+    D0 + Qb Z with Z = G (I - Va Va^H), D0 = pinv_dual: A Z^H = 0 keeps the
+    forward identity and Z A^H = 0 the backward one.  D0 is the one type II
+    member, its coefficients D0^H in the range of A^H, and the free
+    dimension k (r - k) is 0 exactly on Riesz atoms, where D0 is the only
+    dual."""
+    free_seen = set()
+    for seed in range(10):
+        inst = duality_instance("in-duality", *shape, seed=seed)
+        a, b = inst.sa.matrices, inst.sb.matrices
+        d0 = pinv_dual(inst.sa, inst.sb).matrices
+        e, free, kernel = _family_direction(d0, a, b, np.random.default_rng(seed))
+        h = d0 + e
+        for x, y in ((a, h), (h, a)):
+            resid, _ = alternate_dual_residuals(x, y)
+            assert (resid <= 1e-12 * np.linalg.norm(x.conj().swapaxes(-1, -2) @ x, axis=(-2, -1))).all()
+            assert all(is_alternate_dual(FiberSystem(u), FiberSystem(v)) for u, v in zip(x, y))
+
+        def leaves(m):
+            # how far the coefficients m^H reach out of the range of A^H
+            return np.linalg.norm(kernel @ m.conj().swapaxes(-1, -2), axis=(-2, -1)) / np.linalg.norm(m, axis=(-2, -1))
+
+        riesz = np.linalg.matrix_rank(a) == a.shape[-1]
+        assert ((free == 0) == riesz).all()
+        assert leaves(d0).max() <= 1e-13
+        # E^H lies in ker A and D0^H in its complement, each of norm |D0|
+        assert (leaves(h)[~riesz] >= 0.5).all()
+        assert (np.linalg.norm(e[riesz], axis=(-2, -1)) <= 1e-13 * np.linalg.norm(d0[riesz], axis=(-2, -1))).all()
+        free_seen |= set(free.tolist())
+    assert 0 in free_seen and len(free_seen) > 1
+
+
+@pytest.mark.parametrize("shape", _FAMILY_SHAPES)
+def test_base_duals_are_optimal_in_their_family(shape):
+    """The base duals are optimal within the family of duals: the witness dual
+    W0 of the Parseval tightening T, and D0 = pinv_dual of A, each have the
+    least upper frame bound among the duals in span(B) of their system,
+    atom by atom and globally, and B_W0 = 1/c^2.  A base's coefficients lie
+    in ker(A)^perp and a member's added ones in ker(A), so every member has
+    H H^H = D D^H + E E^H."""
+    for seed in range(10):
+        inst = duality_instance("in-duality", *shape, seed=seed)
+        report = verify_duality(inst.sa, inst.sb)
+        t, w0 = report.witnesses
+        c = min(report.angles_global)
+        assert abs(global_frame_bounds(w0)[1] * c**2 - 1.0) <= 1e-12
+        rng = np.random.default_rng(seed)
+        d0 = pinv_dual(inst.sa, inst.sb)
+        for system, base in ((t, w0), (inst.sa, d0)):
+            a = system.matrices
+            e, _, _ = _family_direction(base.matrices, a, inst.sb.matrices, rng)
+            upper = singular_values(base.matrices)[:, 0] ** 2
+            upper_base = global_frame_bounds(base)[1]
+            for scale in (1e-3, 1.0):
+                h = base.matrices + scale * e
+                assert alternate_dual_residuals(a, h)[1].all() and alternate_dual_residuals(h, a)[1].all()
+                assert (singular_values(h)[:, 0] ** 2 >= upper * (1.0 - 1e-12)).all()
+                member = FiberedSystem(inst.sa.measure, h)
+                assert global_frame_bounds(member)[1] >= upper_base * (1.0 - 1e-12)
+
+
 @pytest.mark.parametrize("family,eps", [("in-duality", 1e-6), ("near-threshold", 1e-6)])
 def test_backward_error_sees_a_perturbed_witness(family, eps, monkeypatch):
     """A witness dual moved by 1e-6 of its norm on one atom in the second

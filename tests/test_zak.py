@@ -2,17 +2,21 @@
 
 import ast
 import dataclasses
+import itertools
 import pathlib
 
 import numpy as np
 import pytest
 
 from framekit import zak
-from framekit.generate import complex_gaussian
+from framekit.generate import FAMILIES, complex_gaussian, duality_instance
 from framekit.mispace import (
     FiberedFunction,
+    FiberedSystem,
+    MeasureModel,
     global_frame_bounds,
     verify_biorthogonality,
+    verify_duality,
 )
 from framekit.subspace import Subspace
 from framekit.zak import (
@@ -315,6 +319,39 @@ def test_tg_vs_fiber_frame_bounds():
         zero = [np.zeros(n)]
         assert tg_frame_bounds(plan, zero) == global_frame_bounds(tg_to_mg(plan, zero)) == (1.0, 1.0, True)
 
+
+def test_planted_families_on_the_group_side():
+    # every instance family drawn on the fibers of a plan
+    # (q atoms of dimension p) and pulled back through zak_inverse gives
+    # translation-generated systems whose group-side check, the one-atom
+    # system of the translates, agrees with the fiber side, normal subgroup
+    # or not (<s> in D_16, <rs> in D_8), and recovers the planted cosine
+    plans = [
+        build_plan(cyclic_group(24), 4),
+        build_plan(cyclic_group(60), 5),
+        build_plan(dihedral_group(8), 1),
+        build_plan(dihedral_group(16), 16),
+        build_plan(dihedral_group(8), 9),
+    ]
+    group = MeasureModel(("G",), np.ones(1))
+
+    def verdicts(report):
+        return (report.global_duals_exist, report.global_angles_positive,
+                report.fiber_duals_exist, report.fiber_angles_positive)
+
+    for plan, family, count, seed in itertools.product(plans, FAMILIES, (1, 2, 3), range(3)):
+        inst = duality_instance(family, plan.q, plan.p, count, seed=seed, eps=1e-6)
+        signals = [
+            [zak_inverse(plan, FiberedFunction(plan.measure, m[:, :, j])) for j in range(count)]
+            for m in (inst.sa.matrices, inst.sb.matrices)
+        ]
+        fibers = verify_duality(*(tg_to_mg(plan, f) for f in signals))
+        direct = verify_duality(*(FiberedSystem(group, _translates(plan, f)[None]) for f in signals))
+        assert verdicts(direct) == verdicts(fibers)
+        if family == "orthogonal-failure":
+            assert not any(verdicts(direct))
+        assert np.abs(np.subtract(direct.angles_global, fibers.angles_global)).max() <= 1e-12
+        assert abs(min(direct.angles_global) - inst.meta["min_cosine"]) <= 1e-12
 
 def test_biorthogonality_transfers_to_group_side():
     # Build fiber biorthogonal duals inside the fiber spans, pull them back
