@@ -3,9 +3,10 @@
 Subcommands: gen, angles, dual, verify-thm1, verify-thm2, zak-demo,
 reconstruct.  Every report embeds the tool version, the seed, and the
 tolerances in effect, and is written through the deterministic JSON writer,
-so a fixed command line reproduces output byte for byte.  Only gen and
-zak-demo's random signal draw from the seed; verify-thm1 accepts --seed
-and echoes it, but its checks draw nothing.  gen writing to a
+so a fixed command line reproduces output byte for byte, on stdout as in
+--out and in any locale: JSON reports are ASCII, CSV reports UTF-8.  Only
+gen and zak-demo's random signal draw from the seed; verify-thm1 accepts
+--seed and echoes it, but its checks draw nothing.  gen writing to a
 regular file also writes the instance's binary companion beside it, which
 the commands that take --in load instead of parsing the JSON while its
 recorded sha256 matches (see _write_instance and _companion_pair).
@@ -286,9 +287,8 @@ def _cmd_gen(ns):
 
 def _cmd_angles(ns):
     pair = _read_pair(ns)
-    sb = _need_b(pair)
     # verify_duality's factor pass alone: no witness is built or certified
-    fields, _ = _fiber_pass(pair.sa, sb, _tolerance(ns))
+    fields, _ = _fiber_pass(pair.sa, _need_b(pair), _tolerance(ns))
     if ns.format == "csv":
         return diagnostics_to_csv(fields["diagnostics"])
     result = {
@@ -323,14 +323,11 @@ def _cmd_dual(ns):
 
 
 def _cmd_verify_thm1(ns):
-    pair = _read_pair(ns)
-    sb = _need_b(pair)
-    tol = _tolerance(ns)
     if ns.format == "csv":
         # the diagnostics are the factor pass's alone: no witness is built
-        fields, _ = _fiber_pass(pair.sa, sb, tol)
-        return diagnostics_to_csv(fields["diagnostics"])
-    report = verify_duality(pair.sa, sb, tol)
+        return _cmd_angles(ns)
+    pair = _read_pair(ns)
+    report = verify_duality(pair.sa, _need_b(pair), _tolerance(ns))
     return _envelope(ns, equivalence_report_to_json(report))
 
 
@@ -482,8 +479,8 @@ def _emit(report, out_path: str | None):
     The report is written once, through a write-only handle, to a temporary
     file.  When out_path is a regular file, or absent, the temporary file is
     made next to it, given the mode bits open(out_path, "w") would leave (the
-    file's own, or the default under the umask) and moved over it.  Stdout,
-    or an out_path that is not a regular file (a device, a pipe), gets a copy.
+    file's own, or the default under the umask) and moved over it.  Stdout's
+    buffer, or an out_path that is a device or a pipe, gets the bytes copied.
     Only a report moved into place gets the file its writer returned:
     place(suffix, write, drop) writes it with write(fh) to the report's path
     + suffix the same way, under the report's mode bits less drop.  A file
@@ -508,10 +505,12 @@ def _emit(report, out_path: str | None):
                 os.chmod(tmp.name, mode & ~drop)
                 os.replace(tmp.name, target + suffix)
                 return beside
-            with open(tmp.name, encoding="utf-8", newline="") as src, (
-                open(out_path, "w", encoding="utf-8", newline="") if out_path else nullcontext(sys.stdout)
+            sys.stdout.flush()  # text already on stdout goes before the report
+            with open(tmp.name, "rb") as src, (
+                open(out_path, "wb") if out_path else nullcontext(sys.stdout.buffer)
             ) as fh:
                 shutil.copyfileobj(src, fh)
+                fh.flush()
             return None
         finally:
             with suppress(FileNotFoundError):

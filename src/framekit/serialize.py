@@ -469,9 +469,7 @@ def _system_from_json(doc, where: str, fiber_dim: int) -> np.ndarray:
         raise ValueError(f"{where}: dim must be a positive integer")
     if not isinstance(vectors, list) or not vectors:
         raise ValueError(f"{where}: vectors must be a non-empty list")
-    block = _pair_block(vectors, (len(vectors), dim))
-    if block is None:
-        block = np.array([signal_from_json(v, dim, f"{where}.vectors[{i}]") for i, v in enumerate(vectors)])
+    block = np.array([signal_from_json(v, dim, f"{where}.vectors[{i}]") for i, v in enumerate(vectors)])
     if dim != fiber_dim:
         raise ValueError(f"{where} has dim {dim}, expected {fiber_dim}")
     # C order, as _system_block lays it out: the layout reaches BLAS
@@ -663,7 +661,7 @@ def _fibered_system(measure: MeasureModel, stacks: list[np.ndarray]) -> FiberedS
 def _stacked_document(blocks: list[_AtomBlock], meta) -> PairDocument:
     """A PairDocument from converted atom blocks, each stack joined once.
     Raises the errors between atoms: a B, W or f that some atoms lack, then
-    duplicate ids or differing generator counts."""
+    duplicate ids or differing generator counts, then an id UTF-8 rejects."""
     for label, part in (("B", "b"), ("W", "targets"), ("f", "probe")):
         present = [getattr(blk, part) is not None for blk in blocks]
         if any(present) and not all(present):
@@ -676,6 +674,8 @@ def _stacked_document(blocks: list[_AtomBlock], meta) -> PairDocument:
         sb = None if first.b is None else _fibered_system(measure, [blk.b for blk in blocks])
     except ValueError as exc:
         raise ValueError(f"inconsistent atoms: {exc}") from None
+    for atom_id in measure.atoms:
+        atom_id.encode("utf-8")
     targets = None if first.targets is None else [t for blk in blocks for t in blk.targets]
     probe = None
     if first.probe is not None:

@@ -2,7 +2,9 @@
 where a check needs to patch or measure the process, in-process."""
 
 import ast
+import functools
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -16,8 +18,10 @@ import numpy as np
 import pytest
 
 from framekit import __version__, cli, mispace, zak
+from framekit import serialize
 from framekit.generate import FAMILIES, duality_instance
 from framekit.mispace import FiberedSystem, MeasureModel
+from framekit.mispace import FiberedFunction, PairDocument
 from framekit.serialize import diagnostics_to_csv, dumps, pair_to_json, plan_to_json
 from framekit.subspace import Subspace
 from framekit.zak import build_plan, dihedral_group
@@ -666,6 +670,112 @@ def test_unencodable_report_writes_nothing(tmp_path, capsys):
         assert captured.err.startswith("framekit: 'utf-8' codec can't encode character '\\ud800'")
         assert captured.err.endswith(": surrogates not allowed\n")
     assert [p.name for p in tmp_path.iterdir()] == ["inst.json"]
+
+
+def _named_pair(ids):
+    """An in-duality instance with a probe f, whose atoms carry the given ids:
+    every command that takes --in can read it."""
+    inst = duality_instance("in-duality", len(ids), 3, 2, seed=5)
+    measure = MeasureModel(tuple(ids), inst.sa.measure.weights)
+    sa, sb = (FiberedSystem(measure, s.matrices) for s in (inst.sa, inst.sb))
+    return PairDocument(sa, sb, probe=FiberedFunction(measure, inst.probe.values))
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1", "utf-8"])
+def test_stdout_is_the_out_file_bytes_in_any_encoding(encoding, tmp_path, monkeypatch):
+    # stdout gets the report's bytes, never encoded again in its own encoding
+    pair = _named_pair(["α", "ü,x"])
+    inst = tmp_path / "inst.json"
+    inst.write_text(dumps(pair_to_json(pair.sa, pair.sb, None, pair.probe)), encoding="utf-8")
+    inst = str(inst)
+    commands = {  # every report a command writes
+        "gen": ["gen", "--family", "in-duality", "--atoms", "3", "--seed", "2"],
+        "angles": ["angles", "--in", inst],
+        "angles-csv": ["angles", "--in", inst, "--format", "csv"],
+        "dual": ["dual", "--in", inst],
+        "verify-thm1": ["verify-thm1", "--in", inst],
+        "verify-thm1-csv": ["verify-thm1", "--in", inst, "--format", "csv"],
+        "verify-thm2": ["verify-thm2", "--in", inst],
+        "reconstruct": ["reconstruct", "--in", inst],
+        "zak-demo": ["zak-demo", "--group", "d4", "--signal", "random", "--seed", "3"],
+    }
+    assert {argv[0] for argv in commands.values()} == set(cli._DISPATCH)
+    for name, argv in commands.items():
+        out = tmp_path / f"{name}.out"
+        assert cli.main(argv + ["--out", str(out)]) == 0, name
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding=encoding)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(argv) == 0, name
+        stdout.flush()
+        assert stdout.buffer.getvalue() == out.read_bytes(), name
+        if name.endswith("-csv"):
+            assert "ü,x".encode("utf-8") in out.read_bytes()
+
+
+def test_stdout_is_the_out_file_bytes_under_an_ascii_stdout(tmp_path):
+    pair = _named_pair(["α", "ü,x"])
+    inst, out = tmp_path / "inst.json", tmp_path / "angles.csv"
+    inst.write_text(dumps(pair_to_json(pair.sa, pair.sb)), encoding="utf-8")
+    argv = [sys.executable, "-m", "framekit", "angles", "--in", str(inst), "--format", "csv"]
+    env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+    subprocess.run(argv + ["--out", str(out)], env=env, check=True)
+    proc = subprocess.run(argv, env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "α".encode("utf-8") in proc.stdout
+    assert proc.stdout == out.read_bytes()
+
+
+def test_unencodable_id_fails_at_read_time(tmp_path, monkeypatch, capsys):
+    """A lone-surrogate id is refused where every reader meets, before any
+    factorization: the binary companion, the streamed reader and json.load
+    on a handle that cannot seek all exit 1 with the codec's message."""
+
+    def sentinel(*args, **kwargs):
+        raise AssertionError("the factor pass ran on an unencodable id")
+
+    monkeypatch.setattr(mispace, "_fiber_pass", sentinel)
+    monkeypatch.setattr(cli, "_fiber_pass", sentinel)
+    commands = (["angles", "--format", "csv"], ["verify-thm1"])
+
+    def refused():
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("framekit: 'utf-8' codec can't encode character '\\ud800'")
+        assert captured.err.endswith(": surrogates not allowed\n")
+
+    # written as gen writes an instance, with its companion; the JSON escapes
+    # the id, and the companion reader declines it as it takes a valid one
+    for name, ids in (("good", ["x0", "x1"]), ("bad", ["x0", "\ud800"])):
+        path = tmp_path / f"{name}.json"
+        cli._emit(functools.partial(cli._write_instance, _named_pair(ids)), str(path))
+        with open(f"{path}.npz", "rb") as fh:
+            read = serialize._read_companion(fh, hashlib.sha256(path.read_bytes()).digest(), 1 << 20)
+        assert (read is not None) == (name == "good")
+    bad = tmp_path / "bad.json"
+    data = bad.read_bytes()
+    assert b'"\\ud800"' in data
+    for companion in (True, False):
+        if not companion:
+            os.remove(f"{bad}.npz")
+        for command in commands:
+            assert cli.main(command + ["--in", str(bad)]) == 1
+            refused()
+
+    # a pipe cannot seek: read_pair hands it to json.load and pair_from_json
+    def streamed(fh):
+        raise AssertionError("a handle that cannot seek was streamed")
+
+    monkeypatch.setattr(serialize, "_stream_pair", streamed)
+    assert len(data) < 1 << 12  # the instance fits in the pipe's buffer
+    for command in commands:
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            assert cli.main(command + ["--in", f"/dev/fd/{r}"]) == 1
+        finally:
+            os.close(r)
+        refused()
 
 
 def test_angles_certifies_no_witness(monkeypatch, capsys):

@@ -264,6 +264,25 @@ def test_tg_to_mg_examples():
         assert np.array_equal(tg_to_mg(plan, gens).matrices, images)
 
 
+@pytest.mark.parametrize("n", [3, 4, 7, 16, 64])
+def test_dihedral_plans_sample_the_infinite_dihedral_zak_transform(n):
+    # D_inf = Z x| Z_2 acted on by its rotations Z has X = T, and a generator
+    # g supported on r^m s^e has the fiber Zg(xi)_e = sum_m g(r^m s^e)
+    # e^{-2 pi i m xi}, one coordinate per coset.  Periodized onto D_n (index
+    # (m mod n) + n e), the plan of the rotations r samples it exactly at the
+    # nodes xi = k/n, also for n = 3, 4 below the support width 11.
+    m = np.arange(-5, 6)
+    g = complex_gaussian(np.random.default_rng(181), 2, 2, m.size)  # g[j, e, i] = g_j(r^m_i s^e)
+    signals = np.zeros((2, 2 * n), dtype=np.complex128)
+    for e in range(2):
+        np.add.at(signals, (slice(None), m % n + n * e), g[:, e])
+    plan = build_plan(dihedral_group(n), 1)
+    assert plan.section == (0, n)
+    nodes = np.exp(-2j * np.pi * np.outer(np.arange(n), m) / n)
+    expected = np.einsum("ki,jei->kej", nodes, g)
+    assert np.abs(tg_to_mg(plan, signals).matrices - expected).max() <= 1e-13
+
+
 def test_plan_holds_no_array_larger_than_the_group():
     # the transform is an FFT over the powers: no q x q character table is stored
     plan = build_plan(cyclic_group(1024), 1)
