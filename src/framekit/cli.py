@@ -38,7 +38,6 @@ from .generate import FAMILIES, duality_instance
 from .mispace import (
     ConstructionError,
     _fiber_pass,
-    _spans,
     alternate_dual_residuals,
     canonical_duals,
     global_frame_bounds,
@@ -61,7 +60,6 @@ from .serialize import (
     table_rows,
     vector_to_json,
 )
-from .subspace import Subspace
 from .zak import (
     plan_from_spec,
     tg_frame_bounds,
@@ -332,16 +330,12 @@ def _cmd_verify_thm1(ns):
 
 
 def _cmd_verify_thm2(ns):
-    """Theorem 2 against the instance's W, or else against span(B), cut by
-    one span pass over the B stack; a failed hypothesis of
+    """Theorem 2 against the instance's W, or else against span(B), which
+    the engine cuts from one SVD of B's stack; a failed hypothesis of
     verify_biorthogonality is reported as precondition_failure."""
     pair = _read_pair(ns)
-    if pair.targets is not None:
-        targets = pair.targets
-    elif pair.sb is not None:
-        qb, dim_b = _spans(pair.sb.matrices)[:2]
-        targets = [Subspace(q[:, :k]) for q, k in zip(qb, dim_b)]
-    else:
+    targets = pair.targets if pair.targets is not None else pair.sb
+    if targets is None:
         raise ValueError("instance needs target subspaces W or a system B to span them")
     try:
         report = verify_biorthogonality(pair.sa, targets, _tolerance(ns))

@@ -716,14 +716,16 @@ class BiorthogonalityReport:
 
 
 def verify_biorthogonality(
-    sa: FiberedSystem, targets: list[Subspace], tol: Tolerance = DEFAULT_TOL
+    sa: FiberedSystem, targets: list[Subspace] | FiberedSystem, tol: Tolerance = DEFAULT_TOL
 ) -> BiorthogonalityReport:
     """Check fiberwise duality of a Riesz family against target subspaces and
     construct the biorthogonal dual family when every fiber passes.
 
-    One target per atom in the fibers' space, or ValueError.  Both
-    hypotheses, dim W = r and a Riesz fiber, raise ConstructionError at the
-    first atom failing them, every target checked before any factorization.
+    targets is one Subspace per atom in the fibers' space, or a system B on
+    sa's measure and fiber dimension meaning W = span(B), with bases the first
+    r columns of U in one SVD of B's stack cut at rank_mask; else ValueError.
+    Both hypotheses, dim W = r and a Riesz fiber, raise ConstructionError at
+    the first atom failing them, every target checked before any factoring.
     The angle conditions are evaluated per atom; failures are reported by
     atom id instead of raising, since a negative answer is a result.
 
@@ -738,25 +740,34 @@ def verify_biorthogonality(
     both divided per atom by ||A||_2 ||H||_2 >= 1 (see verify_duality).
     The dual is the only full-size array allocated.
     """
-    a_all, (n_atoms, d, r) = sa.matrices, sa.matrices.shape
-    if len(targets) != n_atoms:
-        raise ValueError(f"got {len(targets)} target subspaces for {n_atoms} atoms")
-    for atom, w in zip(sa.measure.atoms, targets):
-        if w.ambient_dim != d:
-            raise ValueError(f"target at atom {atom!r} has wrong ambient dimension")
-    for atom, w in zip(sa.measure.atoms, targets):
-        if w.dim != r:
-            raise ConstructionError(f"atom {atom!r}: target subspace has dimension {w.dim}, expected {r}")
+    a_all, (n_atoms, d, r), atoms = sa.matrices, sa.matrices.shape, sa.measure.atoms
+    if isinstance(targets, FiberedSystem):
+        _same_measure(sa.measure, targets.measure)
+        if targets.fiber_dim != d:
+            raise ValueError("fiber dimensions differ")
+        qb, s = svd(targets.matrices)[:2]
+        dims = rank_mask(s).sum(axis=-1)
+    else:
+        if len(targets) != n_atoms:
+            raise ValueError(f"got {len(targets)} target subspaces for {n_atoms} atoms")
+        for atom, w in zip(atoms, targets):
+            if w.ambient_dim != d:
+                raise ValueError(f"target at atom {atom!r} has wrong ambient dimension")
+        qb, dims = None, [w.dim for w in targets]
+    for atom, dim in zip(atoms, dims):
+        if dim != r:
+            raise ConstructionError(f"atom {atom!r}: target subspace has dimension {dim}, expected {r}")
 
     lowers, uppers, cos = (np.empty(n_atoms) for _ in range(3))
     ok = np.empty(n_atoms, dtype=bool)
     dual = None
     holds, dev, repro = True, 0.0, 0.0
     for lo, hi in _blocks(n_atoms, _FACTOR_BLOCK):
-        a, w = a_all[lo:hi], np.stack([t.basis for t in targets[lo:hi]])
+        a = a_all[lo:hi]
+        w = np.stack([t.basis for t in targets[lo:hi]]) if qb is None else np.ascontiguousarray(qb[lo:hi, :, :r])
         f, cos[lo:hi] = _riesz_factors(a, w)
         if np.any(f.dim_a != r):
-            atom = sa.measure.atoms[lo + int(np.argmax(f.dim_a != r))]
+            atom = atoms[lo + int(np.argmax(f.dim_a != r))]
             raise ConstructionError(f"fiber at atom {atom!r} is not a Riesz sequence")
         lowers[lo:hi], uppers[lo:hi] = _frame_bounds(f.s_a)
         ok[lo:hi] = (cos[lo:hi] > tol.angle_tol) & f.feasible
@@ -770,7 +781,7 @@ def verify_biorthogonality(
             repro = max(repro, float((np.max(_certificate(a, h, f.qa, w), axis=0) / scale).max()))
         del f  # the next block is factored without this one's factors
 
-    rows = _columns(atom=sa.measure.atoms, r_aw=cos, r_wa=cos, ok=ok)
+    rows = _columns(atom=atoms, r_aw=cos, r_wa=cos, ok=ok)
     riesz_bounds = (float(lowers.min()), float(uppers.max()))
     if not holds:
         return BiorthogonalityReport(holds=False, rows=rows, riesz_bounds=riesz_bounds)

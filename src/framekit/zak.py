@@ -73,7 +73,7 @@ class FiniteGroupSpec:
         if bad.size:
             raise ValueError(f"element {bad[0]} has no two-sided inverse")
         # Light's test: (x s) y == x (s y) for all x, y and each generator s
-        if not all(np.array_equal(m[m[:, s]], m[:, m[s]]) for s in _generating_set(m)):
+        if not all(np.array_equal(np.take(m, m[:, s], axis=0), np.take(m, m[s], axis=1)) for s in _generating_set(m)):
             raise ValueError("multiplication table is not associative")
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "mul", m)

@@ -205,14 +205,17 @@ def _write_instance(path, sa, sb=None, targets=None):
 
 def _thm2_case(case):
     """Three atoms in C^4: A of two generators, Riesz except in the "not
-    Riesz" cases, and B or explicit targets W, each spanned by unit vectors."""
+    Riesz" cases, and B, the Riesz A with span(B) cut to one dimension on the
+    last atoms, or explicit targets W, each spanned by unit vectors."""
     measure = MeasureModel(("x0", "x1", "x2"), np.ones(3))
     a = np.tile(np.eye(4)[:, :2] + 0.25 * np.eye(4)[:, 2:], (3, 1, 1))
+    b = a.copy()
     if case.endswith("not Riesz"):
         a[1, :, 1] = a[1, :, 0]  # two equal generators at x1
-    if case == "span(B)":
-        b = a.copy()
-        b[1:, :, 1] = 2.0 * b[1:, :, 0]  # span(B) is 1-dimensional at x1 and x2
+    if case.startswith("span(B)"):
+        # span(B) is 1-dimensional at x1 and x2, or at x2 alone beside the non-Riesz x1
+        first = 2 if case.endswith("not Riesz") else 1
+        b[first:, :, 1] = 2.0 * b[first:, :, 0]
         return FiberedSystem(measure, a), FiberedSystem(measure, b), None
     w_dims = {"W": (2, 2, 3), "not Riesz": (2, 2, 2), "W before not Riesz": (2, 2, 1)}[case]
     return FiberedSystem(measure, a), None, [Subspace(np.eye(4)[:, :k]) for k in w_dims]
@@ -223,6 +226,7 @@ def _thm2_case(case):
     ("W", "atom 'x2': target subspace has dimension 3, expected 2"),
     ("not Riesz", "fiber at atom 'x1' is not a Riesz sequence"),
     ("W before not Riesz", "atom 'x2': target subspace has dimension 1, expected 2"),
+    ("span(B) before not Riesz", "atom 'x2': target subspace has dimension 1, expected 2"),
 ])
 def test_verify_thm2_precondition_failure_bytes(case, reason, tmp_path, capsys):
     """Both hypotheses of Theorem 2, dim W = r and a Riesz fiber, are reported
@@ -231,6 +235,26 @@ def test_verify_thm2_precondition_failure_bytes(case, reason, tmp_path, capsys):
     inst = _write_instance(tmp_path / "thm2.json", *_thm2_case(case))
     assert cli.main(["verify-thm2", "--in", inst]) == 0
     assert capsys.readouterr().out == _thm2_failure_stdout(reason)
+
+
+def test_verify_thm2_span_of_b_builds_no_subspace(tmp_path, capsys, monkeypatch):
+    """Without W, verify-thm2 hands B to the engine, which cuts span(B) from
+    its own SVD of the B stack: no Subspace is constructed on the way."""
+    inst = duality_instance("in-duality", mispace._FACTOR_BLOCK + 9, 4, 1, seed=13)
+    path = _write_instance(tmp_path / "b.json", inst.sa, inst.sb)
+    built = []
+    post_init = Subspace.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(Subspace, "__post_init__", counting)
+    assert cli.main(["verify-thm2", "--in", path]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["holds"] is True
+    assert built == []
+    Subspace.zero(4)  # the counter is live
+    assert built == [1]
 
 
 @pytest.mark.parametrize("count", [1, 3])

@@ -720,6 +720,71 @@ def test_biorthogonal_dual_is_the_pseudo_inverse_dual(d, r):
     assert alternate_dual_residuals(dual, sa.matrices)[1].all()
 
 
+def _riesz_and_b(n_atoms, d, r, count, seed):
+    """A Gaussian Riesz family A of r generators and a system B of count
+    generators, G C for G of min(r, count) Gaussian columns, so that span(B)
+    has dimension min(r, count) on every atom."""
+    rng = np.random.default_rng(seed)
+    k = min(r, count)
+    b = complex_gaussian(rng, n_atoms, d, k) @ complex_gaussian(rng, n_atoms, k, count)
+    measure = _measure(n_atoms, rng)
+    return FiberedSystem(measure, complex_gaussian(rng, n_atoms, d, r)), FiberedSystem(measure, b)
+
+
+def _span_targets(sb):
+    """span(B) written out as one Subspace per atom from one span pass."""
+    return [Subspace(q[:, :k]) for q, k in zip(*mispace._spans(sb.matrices)[:2])]
+
+
+@pytest.mark.parametrize("extra", [0, 2])
+def test_verify_biorthogonality_of_b_is_that_of_its_span(extra):
+    """A system B as targets stands for W = span(B): the report is the one for
+    span(B) written out as Subspaces, bit for bit across factor blocks, with B
+    of r generators and of r + 2 whose spans have dimension r."""
+    sa, sb = _riesz_and_b(_FACTOR_BLOCK + 9, 5, 2, 2 + extra, seed=71 + extra)
+    report = verify_biorthogonality(sa, sb)
+    assert report.holds
+    assert _bits(vars(report)) == _bits(vars(verify_biorthogonality(sa, _span_targets(sb))))
+
+
+def test_verify_biorthogonality_of_b_checks_its_hypotheses_first():
+    n_atoms = _FACTOR_BLOCK + 9
+    sa, sb = _riesz_and_b(n_atoms, 5, 2, 1, seed=73)
+    with pytest.raises(ConstructionError, match="^atom 'x0': target subspace has dimension 1, expected 2$"):
+        verify_biorthogonality(sa, sb)
+    # every span dimension is checked before any fiber of A is factored
+    sa, sb = _riesz_and_b(n_atoms, 5, 2, 2, seed=73)
+    a, b = sa.matrices.copy(), sb.matrices.copy()
+    a[0, :, 1] = a[0, :, 0]
+    b[-1, :, 1] = 2.0 * b[-1, :, 0]
+    with pytest.raises(ConstructionError, match=f"^atom 'x{n_atoms - 1}': target subspace has dimension 1"):
+        verify_biorthogonality(FiberedSystem(sa.measure, a), FiberedSystem(sb.measure, b))
+    with pytest.raises(ConstructionError, match="^fiber at atom 'x0' is not a Riesz sequence$"):
+        verify_biorthogonality(FiberedSystem(sa.measure, a), sb)
+    other = MeasureModel(sa.measure.atoms, 2.0 * sa.measure.weights)
+    with pytest.raises(ValueError, match="measure models differ"):
+        verify_biorthogonality(sa, FiberedSystem(other, sb.matrices))
+    with pytest.raises(ValueError, match="fiber dimensions differ"):
+        verify_biorthogonality(sa, FiberedSystem(sb.measure, np.pad(sb.matrices, ((0, 0), (0, 1), (0, 0)))))
+
+
+def test_verify_biorthogonality_of_b_peaks_no_higher_than_its_span_targets():
+    """Under tracemalloc, the B form peaks no higher than span(B) written out
+    as a Subspace list from one span pass, the list built under tracing: the
+    engine's one SVD of B, sliced per block, keeps no masked copy of U or V."""
+    sa, sb = _riesz_and_b(1000, 12, 8, 8, seed=79)
+    peaks = []
+    for run in (lambda: verify_biorthogonality(sa, sb), lambda: verify_biorthogonality(sa, _span_targets(sb))):
+        tracemalloc.start()
+        try:
+            report = run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.holds
+    assert peaks[0] <= peaks[1]
+
+
 def test_single_fiber_functions_match_oracles():
     """The single-fiber functions are the engine on one-atom stacks; the
     oracles compute the same quantities the independent way."""

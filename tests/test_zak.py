@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from framekit import zak
+from framekit import mispace, zak
 from framekit.generate import FAMILIES, complex_gaussian, duality_instance
 from framekit.mispace import (
     FiberedFunction,
@@ -18,6 +18,7 @@ from framekit.mispace import (
     verify_biorthogonality,
     verify_duality,
 )
+from framekit.numkernel import orth
 from framekit.subspace import Subspace
 from framekit.zak import (
     FiniteGroupSpec,
@@ -371,6 +372,43 @@ def test_planted_families_on_the_group_side():
             assert not any(verdicts(direct))
         assert np.abs(np.subtract(direct.angles_global, fibers.angles_global)).max() <= 1e-12
         assert abs(min(direct.angles_global) - inst.meta["min_cosine"]) <= 1e-12
+
+
+def test_negative_certificate_on_the_group_side():
+    # the principal vector u = Qa y of the worst fiber's smallest kept cosine,
+    # put on its atom and pulled back through zak_inverse, is a function f in
+    # the space A generates whose projection onto the space B generates,
+    # taken on the group side from the translates, keeps the fraction r_ab
+    # of its norm: the cosine a "no" verdict rests on, without the Zak
+    # transform; r_ab, not the minimum, since r_ba is 0 where dim_ja < dim_jb
+    plans = [
+        build_plan(cyclic_group(24), 4),
+        build_plan(dihedral_group(12), 1),
+        build_plan(dihedral_group(8), 9),
+        build_plan(cyclic_group(60), 5),
+    ]
+    rng = np.random.default_rng(167)
+    checked = 0
+    for plan in plans:
+        n = plan.group.order
+        for _ in range(20):
+            gens_a, gens_b = ([complex_gaussian(rng, n) for _ in range(rng.integers(1, 4))] for _ in range(2))
+            sa, sb = tg_to_mg(plan, gens_a), tg_to_mg(plan, gens_b)
+            report = verify_duality(sa, sb)
+            k, rows = report.worst_fiber, report.diagnostics
+            if rows["dim_ja"][k] > rows["dim_jb"][k]:
+                continue
+            a, b = mispace._padded_pair(sa, sb)
+            f = mispace._factor_pair(a[k : k + 1], b[k : k + 1])
+            values = np.zeros((plan.q, plan.p), dtype=np.complex128)
+            values[k] = f.qa[0] @ f.y[0][:, rows["dim_ja"][k] - 1]
+            g = zak_inverse(plan, FiberedFunction(plan.measure, values))
+            q = orth(_translates(plan, gens_b))
+            ratio = np.linalg.norm(q.conj().T @ g) / np.linalg.norm(g)
+            assert abs(ratio - rows["r_ab"][k]) <= 1e-12 * rows["r_ab"][k]
+            checked += 1
+    assert checked >= 40
+
 
 def test_biorthogonality_transfers_to_group_side():
     # Build fiber biorthogonal duals inside the fiber spans, pull them back
