@@ -74,7 +74,9 @@ from .zak import (
 # (atoms, dim, gens) stacks, and draws the dim x dim unitaries and
 # min(dim, gens) x gens coefficient blocks for one block of
 # generate._GEN_BLOCK atoms at a time, so the draws' memory is per block,
-# not per atom.  Ten times the (1e5, 8, 6) instance.
+# not per atom.  Ten times the (1e5, 8, 6) instance.  dual caps
+# atoms * gens * max(dim, gens) by it too: it holds gens x gens Gramians on
+# every atom at once.
 MAX_GEN_SIZE = 64_000_000
 
 # Mode bits a binary companion may not have: gen clears them, and a reader
@@ -302,6 +304,10 @@ def _cmd_dual(ns):
     pair = _read_pair(ns)
     sb = _need_b(pair)
     tol = _tolerance(ns)
+    r, d = max(pair.sa.count, sb.count), pair.sa.fiber_dim
+    size = pair.measure.count * r * max(d, r)
+    if size > MAX_GEN_SIZE:
+        raise ValueError(f"atoms * gens * max(dim, gens) = {size} exceeds the limit {MAX_GEN_SIZE}")
     try:
         dual = pinv_dual(pair.sa, sb)
     except ConstructionError as exc:

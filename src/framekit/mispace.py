@@ -509,13 +509,13 @@ class EquivalenceReport:
     positive on every atom.  For genuine frames the four agree; the checker
     reports them independently.
 
-    diagnostics holds the per-atom results as columns in measure order:
-    atom (the measure's ids), dim_ja, dim_jb, r_ab, r_ba, rank_mixed and
-    pinv_norm, as the writers emit them.  worst_fiber is the index of the
-    atom with the smallest fiber cosine.  max_local_residual and
-    max_global_residual are normwise backward errors of the witnesses'
-    reproducing formulas, the residual norms over ||T||_2 ||D||_2 (see
-    verify_duality), None when no witness is built.
+    diagnostics holds the per-atom results as columns in measure order,
+    each concatenated once from the factor blocks' records: atom (the
+    measure's ids), dim_ja, dim_jb, r_ab, r_ba, rank_mixed and pinv_norm, as
+    the writers emit them.  worst_fiber indexes the atom with the smallest
+    fiber cosine.  max_local_residual and max_global_residual are normwise
+    backward errors of the witnesses' reproducing formulas, the residual
+    norms over ||T||_2 ||D||_2 (see verify_duality), None without a witness.
     """
 
     global_duals_exist: bool
@@ -572,37 +572,36 @@ def _fiber_pass(sa: FiberedSystem, sb: FiberedSystem, tol: Tolerance = DEFAULT_T
     (Bjorck & Golub, Math. Comp. 27, 1973), whose smallest gives both
     infimum cosines, and rank_mixed; pinv_norm is 1 over the smallest kept
     cosine, 0 when none is.  The witnesses are T = Qa Va^H and its
-    pseudo-inverse dual D = Qb X Sig^+ Y^H Va^H in span(SB).
+    pseudo-inverse dual D = Qb X Sig^+ Y^H Va^H in span(SB).  Each block
+    appends one record of its per-atom columns, each concatenated once
+    after the loop; only T, D and their residuals are preallocated and
+    written by block, as concatenating them would hold the witnesses twice.
     """
     a_all, b_all = _padded_pair(sa, sb)
-    n_atoms = sa.measure.count
-    dim_a, dim_b, rank_mixed = (np.empty(n_atoms, dtype=np.int64) for _ in range(3))
-    r_ab, r_ba, pinv_norm = (np.empty(n_atoms) for _ in range(3))
-    bounds = np.empty((4, n_atoms))  # lower and upper frame bounds of A, then of B
     if witnesses:
         tight = np.empty_like(a_all)
         dual = np.empty_like(a_all)
-        resid = np.empty((2, n_atoms))
-    for lo, hi in _blocks(n_atoms, _FACTOR_BLOCK):
+        resid = np.empty((2, sa.measure.count))
+    records = []
+    for lo, hi in _blocks(sa.measure.count, _FACTOR_BLOCK):
         f = _factor_pair(a_all[lo:hi], b_all[lo:hi])
-        dim_a[lo:hi], dim_b[lo:hi], rank_mixed[lo:hi] = f.dim_a, f.dim_b, f.rank_mixed
-        bounds[0:2, lo:hi] = _frame_bounds(f.s_a)
-        bounds[2:4, lo:hi] = _frame_bounds(f.s_b)
-        r_ab[lo:hi], r_ba[lo:hi] = _inf_cos_pair(f.sig, f.dim_a, f.dim_b)
-        pinv_norm[lo:hi] = f.inv.max(axis=-1)
+        r_ab, r_ba = _inf_cos_pair(f.sig, f.dim_a, f.dim_b)
+        pinv_norm = f.inv.max(axis=-1)
+        bounds = (*_frame_bounds(f.s_a), *_frame_bounds(f.s_b))  # lower and upper of A, then of B
+        records.append((f.dim_a, f.dim_b, r_ab, r_ba, f.rank_mixed, pinv_norm, *bounds))
         # no witness is reported unless every block meets the rank condition
         # and clears angle_tol, the cutoff of the angle statements
-        cleared = np.all(np.minimum(r_ab[lo:hi], r_ba[lo:hi]) > tol.angle_tol)
+        cleared = np.all(np.minimum(r_ab, r_ba) > tol.angle_tol)
         witnesses = witnesses and bool(f.feasible.all() and cleared)
         if witnesses:
             t = tight[lo:hi] = f.qa @ ct(f.va)
             d = dual[lo:hi] = _pinv_duals(f, tightened=True)
-            resid[:, lo:hi] = _certificate(t, d, f.qa, f.qb)
             # normwise backward error ||R||_F / (||T||_2 ||D||_2): T is Parseval
-            resid[:, lo:hi] /= np.maximum(pinv_norm[lo:hi], 1.0)
+            resid[:, lo:hi] = np.stack(_certificate(t, d, f.qa, f.qb)) / np.maximum(pinv_norm, 1.0)
 
-    bounds_a = _global_bounds(dim_a > 0, bounds[0], bounds[1], tol)
-    bounds_b = _global_bounds(dim_b > 0, bounds[2], bounds[3], tol)
+    dim_a, dim_b, r_ab, r_ba, rank_mixed, pinv_norm, *bounds = map(np.concatenate, zip(*records))
+    bounds_a = _global_bounds(dim_a > 0, *bounds[:2], tol)
+    bounds_b = _global_bounds(dim_b > 0, *bounds[2:], tol)
     if not bounds_a[2]:
         raise ValueError("first system is not a frame for its span")
     if not bounds_b[2]:
@@ -758,20 +757,18 @@ def verify_biorthogonality(
         if dim != r:
             raise ConstructionError(f"atom {atom!r}: target subspace has dimension {dim}, expected {r}")
 
-    lowers, uppers, cos = (np.empty(n_atoms) for _ in range(3))
-    ok = np.empty(n_atoms, dtype=bool)
-    dual = None
+    records, dual = [], None
     holds, dev, repro = True, 0.0, 0.0
     for lo, hi in _blocks(n_atoms, _FACTOR_BLOCK):
         a = a_all[lo:hi]
         w = np.stack([t.basis for t in targets[lo:hi]]) if qb is None else np.ascontiguousarray(qb[lo:hi, :, :r])
-        f, cos[lo:hi] = _riesz_factors(a, w)
+        f, cos = _riesz_factors(a, w)
         if np.any(f.dim_a != r):
             atom = atoms[lo + int(np.argmax(f.dim_a != r))]
             raise ConstructionError(f"fiber at atom {atom!r} is not a Riesz sequence")
-        lowers[lo:hi], uppers[lo:hi] = _frame_bounds(f.s_a)
-        ok[lo:hi] = (cos[lo:hi] > tol.angle_tol) & f.feasible
-        holds = holds and bool(ok[lo:hi].all())
+        ok = (cos > tol.angle_tol) & f.feasible
+        records.append((cos, ok, *_frame_bounds(f.s_a)))
+        holds = holds and bool(ok.all())
         if holds:
             if dual is None:  # made once the first slice passes
                 dual = np.empty_like(a_all)
@@ -781,6 +778,7 @@ def verify_biorthogonality(
             repro = max(repro, float((np.max(_certificate(a, h, f.qa, w), axis=0) / scale).max()))
         del f  # the next block is factored without this one's factors
 
+    cos, ok, lowers, uppers = map(np.concatenate, zip(*records))
     rows = _columns(atom=atoms, r_aw=cos, r_wa=cos, ok=ok)
     riesz_bounds = (float(lowers.min()), float(uppers.max()))
     if not holds:

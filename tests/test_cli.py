@@ -1054,3 +1054,33 @@ def test_commands_peak_memory_stays_below_the_instance_size(tmp_path):
     for name, argv in list(runs.items())[1:]:
         measure(f"{name} (JSON)", argv)
     assert {name: round(peak / size, 2) for name, peak in peaks.items() if peak > 1.5 * size} == {}
+
+
+@pytest.mark.parametrize("shape,refused", [((1, 2, 8192), True), ((4, 2, 1024), False)])
+def test_dual_refuses_gramians_past_the_size_limit(shape, refused, tmp_path, monkeypatch, capsys):
+    # dual holds gens x gens Gramians on every atom at once (at (4, 2, 1024),
+    # 245x the instance file under tracemalloc), so it caps
+    # atoms * gens * max(dim, gens) at gen's limit before any factorization
+    n_atoms, d, r = shape
+    rng = np.random.default_rng(3)
+    measure = MeasureModel(tuple(f"x{k}" for k in range(n_atoms)), np.ones(n_atoms))
+    sa = FiberedSystem(measure, rng.standard_normal((n_atoms, d, r)) + 1j * rng.standard_normal((n_atoms, d, r)))
+    inst, out = tmp_path / "inst.json", tmp_path / "dual.json"
+    inst.write_text(dumps(pair_to_json(sa, sa)), encoding="utf-8")
+    calls = []
+    pinv_dual = cli.pinv_dual
+
+    def counting(*args):
+        calls.append(1)
+        return pinv_dual(*args)
+
+    monkeypatch.setattr(cli, "pinv_dual", counting)
+    rc = cli.main(["dual", "--in", str(inst), "--out", str(out)])
+    err = capsys.readouterr().err
+    if refused:
+        limit = f"atoms * gens * max(dim, gens) = {n_atoms * r * max(d, r)} exceeds the limit {cli.MAX_GEN_SIZE}"
+        assert (rc, calls, err) == (1, [], f"framekit: {limit}\n")
+        assert not out.exists()
+    else:
+        assert (rc, calls, err) == (0, [1], "")
+        assert json.loads(out.read_bytes())["result"]["is_alternate_dual_forward"] is True

@@ -28,6 +28,7 @@ from framekit.fiberframe import (
     rank_condition,
 )
 from framekit.generate import (
+    FAMILIES,
     complex_gaussian,
     duality_instance,
     fiber_pair,
@@ -530,6 +531,46 @@ def test_factor_block_size_changes_no_bit(monkeypatch):
     want = results()
     assert vars(verify_duality(inst.sa, inst.sb))["witness_status"] == "verified"
     for size in (1, 7):
+        monkeypatch.setattr(mispace, "_FACTOR_BLOCK", size)
+        assert results() == want
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the ConstructionError it raises."""
+    try:
+        return fn(*args)
+    except ConstructionError as exc:
+        return "ConstructionError", str(exc)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_factor_loop_gives_the_same_bits_at_any_block_size(family, monkeypatch):
+    """Each block's per-atom columns are concatenated after the loop and its
+    witnesses written by slice: at block sizes 1, 7, 128 and K + 1 every
+    stacked path returns the bits of the default size, with the failed
+    constructions' messages.  The family's spans have dimension 1 to 3, so
+    verify_biorthogonality takes a Riesz family of the same shape, at an
+    angle_tol that fails some atoms too."""
+    n_atoms = 300
+    inst = duality_instance(family, n_atoms, 5, 3, seed=11)
+    f = FiberedFunction(inst.sa.measure, complex_gaussian(np.random.default_rng(13), n_atoms, 5))
+    riesz, sb = _riesz_and_b(n_atoms, 5, 3, 3, seed=FAMILIES.index(family))
+
+    def biorth(targets, tol):
+        return vars(verify_biorthogonality(riesz, targets, tol))
+
+    def results():
+        return _bits([
+            vars(verify_duality(inst.sa, inst.sb)),
+            _outcome(pinv_dual, inst.sa, inst.sb),
+            canonical_duals(inst.sa),
+            apply_mixed_frame_operator(inst.sa, inst.sb, f).values,
+            global_frame_bounds(inst.sa),
+            [biorth(t, tol) for t in (sb, _span_targets(sb)) for tol in (DEFAULT_TOL, Tolerance(angle_tol=0.3))],
+        ])
+
+    want = results()
+    for size in (1, 7, 128, n_atoms + 1):
         monkeypatch.setattr(mispace, "_FACTOR_BLOCK", size)
         assert results() == want
 

@@ -232,6 +232,7 @@ def test_intertwine_matches_per_element_loop():
         build_plan(cyclic_group(6), 0),
         build_plan(dihedral_group(16), 16),
         build_plan(dihedral_group(8), 9),
+        *heisenberg_plans(),
     ]
     for plan in plans:
         f = complex_gaussian(rng, plan.group.order)
@@ -325,6 +326,7 @@ def test_tg_vs_fiber_frame_bounds():
         build_plan(explicit_group(table), gen),
         build_plan(dihedral_group(16), 16),
         build_plan(dihedral_group(8), 9),
+        *heisenberg_plans(),
     ]
     for plan in plans:
         n = plan.group.order
@@ -345,13 +347,15 @@ def test_planted_families_on_the_group_side():
     # (q atoms of dimension p) and pulled back through zak_inverse gives
     # translation-generated systems whose group-side check, the one-atom
     # system of the translates, agrees with the fiber side, normal subgroup
-    # or not (<s> in D_16, <rs> in D_8), and recovers the planted cosine
+    # or not (<s> in D_16, <rs> in D_8, two of H(Z_3)'s three), and recovers
+    # the planted cosine
     plans = [
         build_plan(cyclic_group(24), 4),
         build_plan(cyclic_group(60), 5),
         build_plan(dihedral_group(8), 1),
         build_plan(dihedral_group(16), 16),
         build_plan(dihedral_group(8), 9),
+        *heisenberg_plans(),
     ]
     group = MeasureModel(("G",), np.ones(1))
 
@@ -598,6 +602,23 @@ def heisenberg_z3():
     prod = [(a[:, None] + a[None, :]) % 3, (b[:, None] + b[None, :]) % 3,
             (c[:, None] + c[None, :] + a[:, None] * b[None, :]) % 3]
     return np.ravel_multi_index(prod, (3, 3, 3))
+
+
+def heisenberg_plans():
+    """Plans of H(Z_3) on three cyclic subgroups of order 3, so q = 3 and
+    p = 9: <(0, 0, 1)>, the centre, and <(1, 0, 0)> and <(1, 1, 0)>, which
+    are not normal."""
+    group = explicit_group(heisenberg_z3())
+    return [build_plan(group, g) for g in (1, 9, 12)]
+
+
+def test_heisenberg_plans_take_the_centre_and_two_non_normal_subgroups():
+    # conjugation by (0, 1, 0), at index 3, fixes the centre and moves the others
+    for plan, normal in zip(heisenberg_plans(), (True, False, False)):
+        g = plan.group
+        conjugated = g.mul[g.mul[3, list(plan.subgroup)], g.inverse[3]]
+        assert (plan.q, plan.p) == (3, 9)
+        assert (tuple(sorted(conjugated)) == plan.subgroup) is normal
 
 
 def test_generating_set_matches_breadth_first_closure():
